@@ -6,11 +6,17 @@ over from one measured unit to the next. Protocol: the only argument is
 a JSON object; the script prints one JSON line ``{"event": "ready"}``
 once its inputs are built (the end of set-up), then one line
 ``{"event": "result", ...}`` with its timings and outputs, and exits.
+A ``hostspeed.Sampler`` runs from the start of ``main`` to the result
+line (in a server, only up to its ready line), with one extra sample
+after set-up and after each timed call; the result carries its samples
+as ``speed``, and each timed call its ``start`` and ``end`` on the same
+clock.
 
 Modes:
 
 * ``flows`` — ``run_sunmap`` on each listed (app, objective, link
-  capacity) case, in order;
+  capacity) case, in order (with ``"setup_only": true``, only the
+  set-up and one host-speed walk);
 * ``campaign`` — one cold ``run_campaign`` per simulator lane;
 * ``server`` — a ``DesignService`` on an ephemeral TCP port until its
   standard input closes.
@@ -35,6 +41,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 import tracer as tracing  # noqa: E402  (benchmark-local modules)
+from hostspeed import Sampler  # noqa: E402
 from loadgen import canonical  # noqa: E402
 
 
@@ -46,7 +53,7 @@ def peak_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
-def run_flows(cases: list) -> dict:
+def run_flows(sampler: Sampler, cases: list, setup_only: bool) -> dict:
     from repro import sunmap
     from repro.apps import load_application
     from repro.core.constraints import Constraints
@@ -62,6 +69,9 @@ def run_flows(cases: list) -> dict:
         for name, objective, capacity in cases
     ]
     emit("ready")
+    sampler.sample()
+    if setup_only:
+        return {"flows": []}
     out = []
     for name, objective, app, constraints in inputs:
         start = perf_counter()
@@ -69,11 +79,14 @@ def run_flows(cases: list) -> dict:
             app, routing="MP", objective=objective,
             constraints=constraints, generate=True, jobs=1,
         )
-        wall = perf_counter() - start
+        end = perf_counter()
+        sampler.sample()
         out.append({
             "app": name,
             "objective": objective,
-            "wall_s": wall,
+            "wall_s": end - start,
+            "start": start,
+            "end": end,
             "winner": report.best_topology_name,
             "cost": report.best.cost,
             "attempted": report.attempted_routings,
@@ -82,7 +95,7 @@ def run_flows(cases: list) -> dict:
     return {"flows": out}
 
 
-def run_campaign_lanes(traffic_seed: int) -> dict:
+def run_campaign_lanes(sampler: Sampler, traffic_seed: int) -> dict:
     from repro.apps import load_application
     from repro.core.greedy import initial_greedy_mapping
     from repro.engine.engine import ExplorationEngine
@@ -97,6 +110,7 @@ def run_campaign_lanes(traffic_seed: int) -> dict:
         for lane in ("exact", "batch")
     }
     emit("ready")
+    sampler.sample()
     lanes = {}
     for lane, config in configs.items():
         start = perf_counter()
@@ -104,10 +118,13 @@ def run_campaign_lanes(traffic_seed: int) -> dict:
             topology, core_graph=app, assignment=assignment,
             config=config, engine=ExplorationEngine(jobs=1),
         )
-        wall = perf_counter() - start
+        end = perf_counter()
+        sampler.sample()
         payload = campaign.strip_runtime(result.to_dict())
         lanes[lane] = {
-            "wall_s": wall,
+            "wall_s": end - start,
+            "start": start,
+            "end": end,
             "points": len(result.points),
             "saturation": result.saturation_rates(),
             "digest": hashlib.sha256(
@@ -117,7 +134,7 @@ def run_campaign_lanes(traffic_seed: int) -> dict:
     return {"lanes": lanes}
 
 
-def run_server() -> dict:
+def run_server(sampler: Sampler) -> dict:
     from repro.service import DesignService
 
     async def serve() -> None:
@@ -133,6 +150,10 @@ def run_server() -> dict:
 
         threading.Thread(target=wait_for_eof, daemon=True).start()
         emit("ready", port=server.sockets[0].getsockname()[1])
+        # Request threads would hold the GIL while a sample waits for
+        # it, so the server samples its set-up only.
+        sampler.sample()
+        sampler.stop()
         async with server:
             await stop.wait()
 
@@ -141,6 +162,8 @@ def run_server() -> dict:
 
 
 def main() -> int:
+    sampler = Sampler()
+    sampler.start()
     config = json.loads(sys.argv[1])
     tracer = None
     if config.get("trace"):
@@ -148,17 +171,21 @@ def main() -> int:
         tracing.install_repro_targets(tracer)
     mode = config["mode"]
     if mode == "flows":
-        result = run_flows(config["cases"])
+        result = run_flows(
+            sampler, config["cases"], config.get("setup_only", False)
+        )
     elif mode == "campaign":
-        result = run_campaign_lanes(config["traffic_seed"])
+        result = run_campaign_lanes(sampler, config["traffic_seed"])
     elif mode == "server":
-        result = run_server()
+        result = run_server(sampler)
     else:
         raise SystemExit(f"unknown mode {mode!r}")
     if tracer is not None:
         result["trace"] = tracer.summarize()
         result["spans"] = tracer.span_count()
         tracer.write_jsonl(config["trace"])
+    sampler.stop()
+    result["speed"] = sampler.samples
     emit("result", peak_rss_mb=peak_rss_mb(), **result)
     return 0
 

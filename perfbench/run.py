@@ -16,7 +16,11 @@ Workloads (see ``perfbench/README.md`` for the metric table):
   ``DesignService`` in its own process, over two TCP connections.
 
 Flows and campaigns run one iteration per fresh interpreter
-(``child.py``) until ``--seconds`` have passed, and report medians. With
+(``child.py``) until ``--seconds`` have passed, and report medians.
+Flow and campaign times and every set-up time are scaled to the
+reference host speed by the host-speed samples taken in the same process
+while they ran (``hostspeed.py``), so a shared host's drift does not
+read as a change of the program; service latencies are wall times. With
 ``--trace 1`` the children install the outside-in tracer (``tracer.py``)
 on every other iteration and the command reports per-layer metrics
 instead; the untraced iterations in between give the tracing overhead.
@@ -49,7 +53,9 @@ from importlib import metadata
 from pathlib import Path
 from time import perf_counter
 
+import hostspeed
 import loadgen
+from hostspeed import scaled, speed_between
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
@@ -61,6 +67,10 @@ sys.path.insert(0, str(ROOT / "src"))
 
 #: Longest any single child may take before it counts as hung.
 CHILD_TIMEOUT_S = 150.0
+#: Set-up-only children a flow run starts before its window: a flow
+#: iteration takes 5-20 s, so the window alone gives too few set-up
+#: samples for a steady median.
+FLOW_SETUP_CHILDREN = 2
 
 FLOW_CASES = {
     "flow-hops": [
@@ -119,7 +129,9 @@ class Run:
         self.trace = trace
         self.attempted = 0
         self.errors: list[str] = []
-        self.setup_samples: list[float] = []
+        self.setup_samples: list[float] = []  # wall, s
+        self.setup_speeds: list[float] = []  # host speed during each
+        self.speeds: list[float] = []  # every host-speed sample
         self.rss_mb: list[float] = []
         self.named: dict[str, tuple[float, str]] = {}  # user-facing e2e
         self.layers: dict[str, float] = {}
@@ -154,7 +166,9 @@ def start_child(config: dict, run: Run, stdin=subprocess.DEVNULL):
         proc.kill()
         proc.wait()
         raise RuntimeError(f"child {config['mode']} failed during set-up")
-    run.setup_samples.append(perf_counter() - began)
+    ready = perf_counter()
+    run.setup_samples.append(ready - began)
+    proc.setup_window = [began, ready]
     return proc, json.loads(line)
 
 
@@ -172,7 +186,17 @@ def finish_child(proc, run: Run) -> dict:
         raise RuntimeError(f"child exited with code {proc.returncode}")
     result = json.loads(out.strip().splitlines()[-1])
     run.rss_mb.append(result["peak_rss_mb"])
+    run.setup_speeds.append(speed_between(result["speed"], *proc.setup_window))
+    run.speeds.extend(speed for _, speed in result["speed"])
     return result
+
+
+def unit_s(result: dict, unit: dict) -> float:
+    """A timed call's wall time in ``result``, at the reference speed."""
+    return scaled(
+        unit["wall_s"],
+        speed_between(result["speed"], unit["start"], unit["end"]),
+    )
 
 
 def run_child(config: dict, run: Run) -> dict:
@@ -235,15 +259,22 @@ def flows(run: Run) -> None:
                 f"{want['cost']!r} via {want['attempted']}",
             )
 
+    for _ in range(FLOW_SETUP_CHILDREN):
+        run_child({"mode": "flows", "cases": cases, "setup_only": True,
+                   "trace": None}, run)
     results = iterate(
         run, lambda i: {"mode": "flows", "cases": cases}, measure
     )
     walls = [
-        {f["app"]: f["wall_s"] for f in r["flows"]}
+        {f["app"]: unit_s(r, f) for f in r["flows"]}
         for r in results if not r["traced"]
     ]
     totals = [sum(w.values()) for w in walls]
     run.samples["flow_s"] = totals
+    run.samples["flow_wall_s"] = [
+        sum(f["wall_s"] for f in r["flows"])
+        for r in results if not r["traced"]
+    ]
     run.named["flow_s"] = (statistics.median(totals), "s")
     for app, _, _ in cases:
         values = [w[app] for w in walls]
@@ -251,8 +282,12 @@ def flows(run: Run) -> None:
         run.named[f"flow.{app}_s"] = (statistics.median(values), "s")
     if run.trace:
         traced = [r for r in results if r["traced"]]
-        traced_walls = [sum(f["wall_s"] for f in r["flows"]) for r in traced]
-        layer_metrics(run, traced, traced_walls, totals)
+        traced_walls = [
+            sum(unit_s(r, f) for f in r["flows"])
+            for r in traced
+        ]
+        span_walls = [sum(f["wall_s"] for f in r["flows"]) for r in traced]
+        layer_metrics(run, traced, traced_walls, totals, span_walls)
 
 
 def campaign(run: Run) -> None:
@@ -279,13 +314,18 @@ def campaign(run: Run) -> None:
         )
 
     results = iterate(run, make_config, measure)
-    untraced = [r["lanes"] for r in results if not r["traced"]]
-    exact_ms = [1000 * r["exact"]["wall_s"] / r["exact"]["points"]
-                for r in untraced]
-    batch_ms = [1000 * r["batch"]["wall_s"] / r["batch"]["points"]
-                for r in untraced]
-    pairs = [r["exact"]["wall_s"] + r["batch"]["wall_s"] for r in untraced]
+    untraced = [r for r in results if not r["traced"]]
+    exact_ms = [1000 * unit_s(r, r["lanes"]["exact"])
+                / r["lanes"]["exact"]["points"] for r in untraced]
+    batch_ms = [1000 * unit_s(r, r["lanes"]["batch"])
+                / r["lanes"]["batch"]["points"] for r in untraced]
+    pairs = [unit_s(r, r["lanes"]["exact"]) + unit_s(r, r["lanes"]["batch"])
+             for r in untraced]
     run.samples.update({
+        "campaign.pair_wall_s": [
+            r["lanes"]["exact"]["wall_s"] + r["lanes"]["batch"]["wall_s"]
+            for r in untraced
+        ],
         "campaign.exact_ms_per_point": exact_ms,
         "campaign.batch_ms_per_point": batch_ms,
         "campaign.pair_s": pairs,
@@ -303,10 +343,14 @@ def campaign(run: Run) -> None:
     if run.trace:
         traced = [r for r in results if r["traced"]]
         traced_walls = [
+            unit_s(r, r["lanes"]["exact"]) + unit_s(r, r["lanes"]["batch"])
+            for r in traced
+        ]
+        span_walls = [
             r["lanes"]["exact"]["wall_s"] + r["lanes"]["batch"]["wall_s"]
             for r in traced
         ]
-        layer_metrics(run, traced, traced_walls, pairs)
+        layer_metrics(run, traced, traced_walls, pairs, span_walls)
 
 
 def service_burst(run: Run) -> None:
@@ -318,6 +362,7 @@ def service_burst(run: Run) -> None:
         )
         try:
             run.setup_samples[-1] += server_ready(ready["port"])
+            proc.setup_window[1] = perf_counter()
         finally:
             finish_child(proc, run)
     # A traced run serves the same schedule twice, traced then untraced,
@@ -334,6 +379,7 @@ def service_burst(run: Run) -> None:
         )
         try:
             run.setup_samples[-1] += server_ready(ready["port"])
+            proc.setup_window[1] = perf_counter()
             records = asyncio.run(
                 loadgen.drive(ready["port"], events, seconds + 90.0)
             )
@@ -417,7 +463,14 @@ def server_ready(port: int) -> float:
 
 def burst_latencies(records: dict) -> dict[str, list[float]]:
     """Per-request latencies of one burst, in ms (compute kinds only
-    unless named ``probe``)."""
+    unless named ``probe``).
+
+    They are wall times, not scaled to the reference host speed: the
+    server's request threads would hold the GIL while a sample inside
+    it waits, and samples from another process or from the server's
+    set-up tracked its latency worse than none (interquartile range
+    over five seeds 0.17 and 0.46 of the median, against 0.14 unscaled).
+    """
     out = {k: [] for k in (
         "compute", "probe", "server_ms", "transport", "late", "deduped"
     )}
@@ -444,16 +497,19 @@ def burst_latencies(records: dict) -> dict[str, list[float]]:
 # ---------------------------------------------------------------------------
 # per-layer metrics from traced summaries
 # ---------------------------------------------------------------------------
-def layer_metrics(run: Run, traced: list[dict], traced_walls, untraced_walls):
+def layer_metrics(run: Run, traced: list[dict], traced_walls, untraced_walls,
+                  span_walls=None):
     """Per-layer metrics: the median over traced units of each metric.
 
     ``traced`` are the traced children's results; ``traced_walls`` /
     ``untraced_walls`` the measured wall of each traced / untraced unit,
-    whose medians give the tracing overhead.
+    whose medians give the tracing overhead. ``span_walls`` are the
+    traced units' walls on the spans' own clock (unscaled), the base of
+    the profile shares; they default to ``traced_walls``.
     """
     per_unit = [
         unit_layers(result["trace"], wall)
-        for result, wall in zip(traced, traced_walls)
+        for result, wall in zip(traced, span_walls or traced_walls)
     ]
     for key in per_unit[0]:
         run.layers[key] = statistics.median(unit[key] for unit in per_unit)
@@ -600,17 +656,11 @@ def percentile(values: list[float], pct: float) -> float:
     return ordered[rank - 1]
 
 
-def calibrate(loops: int = 300_000) -> float:
-    """Machine-speed record: million ops/s of a fixed pure-Python loop."""
-    cells = list(range(64))
-    table = {i: i + 1 for i in range(64)}
-    get = table.get
-    start = perf_counter()
-    acc = 0
-    for i in range(loops):
-        j = i & 63
-        acc += cells[j] + get(j, 0)
-    return loops / (perf_counter() - start) / 1e6
+def calibrate() -> float:
+    """One host-speed sample, in walk steps per second."""
+    sampler = hostspeed.Sampler()
+    sampler.sample()
+    return sampler.samples[0][1]
 
 
 def machine() -> dict:
@@ -626,7 +676,7 @@ def machine() -> dict:
         "scipy": version("scipy"),
         "networkx": version("networkx"),
         "nproc": os.cpu_count(),
-        "calibration_mops": calibrate(),
+        "calibration_speed": calibrate(),
     }
 
 
@@ -664,8 +714,13 @@ def main(argv=None) -> int:
     correct = failed == 0
     run.named["error_rate"] = (failed / run.attempted, "ratio")
     metrics = {}
+    if run.speeds:
+        run.named["host.speed"] = (statistics.median(run.speeds), "steps/s")
     if correct:
-        run.named["setup_s"] = (statistics.median(run.setup_samples), "s")
+        run.named["setup_s"] = (statistics.median(
+            scaled(wall, speed)
+            for wall, speed in zip(run.setup_samples, run.setup_speeds)
+        ), "s")
         run.named["peak_rss_mb"] = (max(run.rss_mb), "MB")
         if run.trace:
             metrics = {
@@ -688,7 +743,7 @@ def main(argv=None) -> int:
         print(f"{name:32s} {value:14.4f} {unit}")
     for name, value in sorted(run.layers.items()):
         print(f"{name:32s} {value:14.4f}")
-    print(f"calibration_mops {record['machine']['calibration_mops']:.2f}, "
+    print(f"calibration_speed {record['machine']['calibration_speed']:.4g}, "
           f"python {record['machine']['python']}, numpy "
           f"{record['machine']['numpy']}, scipy {record['machine']['scipy']}"
           f", nproc {record['machine']['nproc']}")
@@ -702,7 +757,9 @@ def main(argv=None) -> int:
 
     record.update({
         "wall_s": time.time() - began, "errors": run.errors,
-        "setup_samples": run.setup_samples, "samples": run.samples,
+        "setup_samples": run.setup_samples,
+        "setup_speeds": run.setup_speeds, "speeds": run.speeds,
+        "samples": run.samples,
         "named": run.named, "layers": run.layers,
         "layer_self_s": run.layer_self_s, "metrics": metrics,
     })
