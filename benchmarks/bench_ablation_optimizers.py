@@ -10,9 +10,9 @@ matches or slightly betters swap descent; the paper's algorithm is
 within a few percent of the best found.
 
 Each strategy also reports its mapping-evaluations/sec (assignments
-evaluated per wall second — swap descent and annealing route through
-the incremental delta engine, random search through the memoized
-from-scratch path), so throughput wins and regressions show up next to
+evaluated per wall second — swap descent and annealing through the
+memoized swap evaluator, random search through plain memoized
+evaluation), so throughput wins and regressions show up next to
 the quality numbers. ``--smoke`` shrinks the evaluation budget for CI.
 """
 

@@ -10,7 +10,7 @@ is what finds the bandwidth-feasible butterfly placement.
 
 Alongside the quality numbers the experiment reports the search's
 mapping-evaluations/sec (candidates evaluated per wall second through
-the incremental delta engine), so regressions in evaluation throughput
+the memoized swap evaluator), so regressions in evaluation throughput
 are visible in the ablation output too. ``--smoke`` restricts the run
 to the mesh case for CI.
 """

@@ -1,43 +1,28 @@
-"""Mapping-evaluation throughput benchmark with a committed trajectory.
+"""Mapping-evaluation throughput benchmark with a committed record.
 
-Measures the two things the incremental delta-routing engine
-(``repro/routing/incremental.py``) changes:
+Measures **evals_per_sec** — mapping evaluations per second over a
+pairwise-swap candidate stream per app x topology x routing, through
+``MemoizedMappingEvaluator.evaluate_swap`` (the swap search's and the
+annealer's entry point) with a fresh memo per repetition, so every
+candidate is routed and measured. Best of N repetitions per case.
 
-* **evals_per_sec** — mapping-evaluations/sec over a pairwise-swap
-  candidate stream per app x topology x routing, comparing the
-  from-scratch evaluator (``baseline``: ``memo.evaluate`` of each
-  swapped assignment, the pre-engine code path) against the shipped
-  delta path (``current``: ``memo.evaluate_swap``, which self-tunes
-  between delta and from-scratch). Both are measured interleaved in the
-  same process on the same candidates, and both produce bit-identical
-  evaluations (asserted while measuring).
-* **full_flow** — wall-clock seconds of the complete ``run_sunmap``
-  selection flow per benchmark application, with the swap search forced
-  from-scratch (``MapperConfig(incremental=False)``) vs the default
-  incremental path.
+The case matrix spans the paper's benchmark applications and synthetic
+scale points from ``repro.apps.synthetic``.
 
-Results land in ``BENCH_mapping.json`` at the repo root, recorded
-honestly like ``BENCH_kernel.json``: per-case numbers, geomeans (overall
-and MP/SM-only), and a ``notes`` field stating where the delta engine
-wins and where the exact Δ of a swap is genuinely most of the work.
-
-The case matrix spans the paper's benchmark applications (small, dense
-— every core carries several flows, so a swap's exact Δ covers a third
-of the commodity sequence) and synthetic scale points from
-``repro.apps.synthetic`` (the regime the ROADMAP's production-scale
-ambitions target, where swaps stay local and splicing pays).
+Results land in ``BENCH_mapping.json`` at the repo root with the
+machine-speed calibration they were measured at.
 
 Usage::
 
-    python benchmarks/bench_mapping.py            # full run, rewrites current
+    python benchmarks/bench_mapping.py            # full run, rewrites the record
     python benchmarks/bench_mapping.py --smoke    # reduced budget (CI)
     python benchmarks/bench_mapping.py --smoke --check
-        # exit 1 if evals/sec regressed > 30% vs the committed current
+        # exit 1 if evals/sec regressed > 30% vs the committed record
 
-``--check`` compares freshly measured current-path evals/sec against the
-committed ``current`` section *before* rewriting it, normalized by the
-recorded machine-speed calibration, so an engine regression fails CI
-while machine-to-machine variance does not.
+``--check`` compares freshly measured evals/sec against the committed
+record *before* writing, normalized by the recorded machine-speed
+calibration, so a routing regression fails CI while machine-to-machine
+variance does not.
 """
 
 from __future__ import annotations
@@ -56,14 +41,10 @@ from bench_kernel import _calibrate, _geomean  # noqa: E402
 from repro.apps import load_application  # noqa: E402
 from repro.apps.synthetic import random_core_graph  # noqa: E402
 from repro.core.constraints import Constraints  # noqa: E402
-from repro.core.evaluate import evaluate_mapping  # noqa: E402
 from repro.core.greedy import initial_greedy_mapping  # noqa: E402
-from repro.core.mapper import MapperConfig  # noqa: E402
 from repro.core.memo import MemoizedMappingEvaluator  # noqa: E402
 from repro.physical.estimate import NetworkEstimator  # noqa: E402
-from repro.routing.incremental import swap_assignment  # noqa: E402
 from repro.routing.library import make_routing  # noqa: E402
-from repro.sunmap import run_sunmap  # noqa: E402
 from repro.topology.library import make_topology  # noqa: E402
 
 BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_mapping.json"
@@ -71,24 +52,6 @@ BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_mapping.json"
 #: Acceptable evals/sec ratio vs the committed numbers before --check
 #: fails (a >30% regression), after machine-speed normalization.
 MIN_CHECK_RATIO = 0.7
-
-#: Honest context for readers of the committed record.
-NOTES = (
-    "baseline = from-scratch evaluation of every swap candidate (the "
-    "pre-engine path, still selectable via MapperConfig(incremental="
-    "False)); current = the shipped evaluate_swap delta path, which "
-    "self-tunes between delta and from-scratch per context. Both are "
-    "bit-identical (asserted during measurement). The delta engine wins "
-    "where routing decisions are load-independent (DO everywhere; "
-    "butterfly, unique-quadrant pairs) and on large sparse apps where a "
-    "swap's ripple stays local; on the small dense paper apps with "
-    "congestion-coupled MP/SM routing the exact delta of a swap "
-    "genuinely re-routes ~1/3 of the commodities (measured ground "
-    "truth) and throughput stays near parity — the adaptive layer caps "
-    "the downside at the probe cadence. The issue's 3x MP/SM target is "
-    "not reachable bit-identically on the paper apps; the geomeans "
-    "below record what is."
-)
 
 
 def _app(name: str):
@@ -119,13 +82,6 @@ EVAL_CASES = [
 
 SMOKE_EVAL_CASES = ["vopd-mesh-MP", "mpeg4-mesh-SM", "syn32-mesh-DO"]
 
-FLOW_CASES = [
-    # app, routing, link capacity (None = paper default)
-    ("vopd", "MP", None),
-    ("mpeg4", "SM", None),
-    ("dsp", "MP", 1000.0),
-]
-
 
 def _candidates(base: dict, num_slots: int, limit: int) -> list:
     occupied = sorted(base.values())
@@ -136,20 +92,9 @@ def _candidates(base: dict, num_slots: int, limit: int) -> list:
 
 
 def measure_evals(
-    app_name: str,
-    topo_name: str,
-    code: str,
-    reps: int,
-    limit: int,
-) -> tuple[float, float]:
-    """(baseline, current) evaluations/sec over one swap stream.
-
-    Old and new are timed interleaved (old round, new round, repeat;
-    best-of-reps each) on the identical candidate list, with fresh memo
-    instances per round so neither side benefits from exact-hit
-    caching. One verification pass asserts the two paths agree
-    float-exactly before any timing is recorded.
-    """
+    app_name: str, topo_name: str, code: str, reps: int, limit: int
+) -> float:
+    """Evaluations/sec of one swap stream (best of ``reps``)."""
     app = _app(app_name)
     topology = make_topology(topo_name, app.num_cores)
     routing = make_routing(code)
@@ -157,165 +102,65 @@ def measure_evals(
     estimator = NetworkEstimator()
     base = initial_greedy_mapping(app, topology)
     cands = _candidates(base, topology.num_slots, limit)
-
-    # Warm topology-resident caches + verify bit-identity on a sample.
-    # The verification memo is pinned to the delta engine — adaptively
-    # it would serve small MP/SM cases from-scratch and the assertion
-    # would compare evaluate_mapping with itself.
-    memo = MemoizedMappingEvaluator(
-        app, topology, routing, constraints, estimator
-    )
-    memo._delta_mode = True
-    memo._probes_left = 0
-    for s1, s2 in cands[: min(8, len(cands))]:
-        new_ev = memo.evaluate_swap(base, s1, s2, with_floorplan=False)
-        ref = evaluate_mapping(
-            app, topology, swap_assignment(base, s1, s2), routing,
-            constraints, estimator=estimator, with_floorplan=False,
-        )
-        assert new_ev.avg_hops == ref.avg_hops
-        assert new_ev.power_mw == ref.power_mw
-        assert new_ev.max_link_load == ref.max_link_load
-
-    t_old = t_new = math.inf
-    for _ in range(reps):
-        memo = MemoizedMappingEvaluator(
-            app, topology, routing, constraints, estimator
-        )
-        start = time.perf_counter()
-        for s1, s2 in cands:
-            memo.evaluate(
-                swap_assignment(base, s1, s2), with_floorplan=False
-            )
-        t_old = min(t_old, time.perf_counter() - start)
+    best = math.inf
+    # One unmeasured pass warms the topology-resident caches.
+    for rep in range(reps + 1):
         memo = MemoizedMappingEvaluator(
             app, topology, routing, constraints, estimator
         )
         start = time.perf_counter()
         for s1, s2 in cands:
             memo.evaluate_swap(base, s1, s2, with_floorplan=False)
-        t_new = min(t_new, time.perf_counter() - start)
-    n = len(cands)
-    return round(n / t_old, 1), round(n / t_new, 1)
+        if rep:
+            best = min(best, time.perf_counter() - start)
+    return round(len(cands) / best, 1)
 
 
-def full_flow(app_name: str, routing: str, capacity, incremental: bool):
-    app = load_application(app_name)
-    constraints = (
-        Constraints() if capacity is None
-        else Constraints(link_capacity_mb_s=capacity)
-    )
-    start = time.perf_counter()
-    report = run_sunmap(
-        app, routing=routing, objective="hops", constraints=constraints,
-        config=MapperConfig(
-            converge=True, max_rounds=10, incremental=incremental
-        ),
-    )
-    wall = time.perf_counter() - start
-    return report.best_topology_name, wall
-
-
-def measure(smoke: bool = False, reps: int = 4) -> tuple[dict, dict]:
-    """(baseline, current) sections, measured interleaved."""
+def measure(smoke: bool = False, reps: int = 4) -> dict:
     if smoke:
         cases = [c for c in EVAL_CASES if c[0] in SMOKE_EVAL_CASES]
-        reps = 2
-        limit = 60
+        reps, limit = 2, 60
     else:
-        cases = EVAL_CASES
-        limit = 200
-    base_evals = {}
-    cur_evals = {}
-    for label, app_name, topo_name, code in cases:
-        old, new = measure_evals(app_name, topo_name, code, reps, limit)
-        base_evals[label] = old
-        cur_evals[label] = new
-    base_flows = {}
-    cur_flows = {}
-    for app_name, routing, capacity in FLOW_CASES:
-        if smoke and app_name != "vopd":
-            continue
-        best_old = best_new = math.inf
-        winner = None
-        for _ in range(1 if smoke else 2):
-            winner, wall = full_flow(app_name, routing, capacity, False)
-            best_old = min(best_old, wall)
-            winner_new, wall = full_flow(app_name, routing, capacity, True)
-            assert winner_new == winner  # identical selection either way
-            best_new = min(best_new, wall)
-        base_flows[app_name] = {"seconds": round(best_old, 3), "winner": winner}
-        cur_flows[app_name] = {"seconds": round(best_new, 3), "winner": winner}
-    calibration = _calibrate()
-    baseline = {
-        "evals_per_sec": base_evals,
-        "full_flow": base_flows,
-        "calibration_ops_per_sec": calibration,
+        cases, limit = EVAL_CASES, 200
+    evals = {
+        label: measure_evals(app_name, topo_name, code, reps, limit)
+        for label, app_name, topo_name, code in cases
     }
-    current = {
-        "evals_per_sec": cur_evals,
-        "full_flow": cur_flows,
-        "calibration_ops_per_sec": calibration,
-    }
-    return baseline, current
+    return {"evals_per_sec": evals, "calibration_ops_per_sec": _calibrate()}
 
 
-def _eval_ratios(current: dict, reference: dict) -> list[float]:
-    ratios = []
-    for case, value in current.get("evals_per_sec", {}).items():
-        ref = reference.get("evals_per_sec", {}).get(case)
-        if ref:
-            ratios.append(value / ref)
-    return ratios
-
-
-def _flow_ratio(current: dict, reference: dict) -> float | None:
-    cur = current.get("full_flow", {})
-    ref = reference.get("full_flow", {})
-    shared = [k for k in cur if k in ref]
-    if not shared:
+def _normalized_ratio(fresh: dict, committed: dict) -> float | None:
+    """Geomean fresh/committed evals/sec over shared cases, divided by
+    the machine-speed ratio of the two calibrations."""
+    ratios = [
+        value / committed["evals_per_sec"][case]
+        for case, value in fresh["evals_per_sec"].items()
+        if committed.get("evals_per_sec", {}).get(case)
+    ]
+    ratio = _geomean(ratios)
+    if ratio is None:
         return None
-    cur_total = sum(cur[k]["seconds"] for k in shared)
-    ref_total = sum(ref[k]["seconds"] for k in shared)
-    return ref_total / cur_total if cur_total else None
-
-
-def _speedups(baseline: dict, current: dict) -> dict:
-    per_case = {}
-    mp_sm = []
-    for case, new in current["evals_per_sec"].items():
-        old = baseline["evals_per_sec"].get(case)
-        if not old:
-            continue
-        ratio = round(new / old, 2)
-        per_case[case] = ratio
-        if case.rsplit("-", 1)[-1] in ("MP", "SM"):
-            mp_sm.append(new / old)
-    overall = _geomean(list(per_case.values()))
-    return {
-        "evals_per_sec": per_case,
-        "evals_per_sec_geomean": None if overall is None else round(overall, 2),
-        "evals_per_sec_mp_sm_geomean": (
-            None if not mp_sm else round(_geomean(mp_sm), 2)
-        ),
-        "full_flow": (
-            None
-            if _flow_ratio(current, baseline) is None
-            else round(_flow_ratio(current, baseline), 2)
-        ),
-    }
+    committed_cal = committed.get("calibration_ops_per_sec")
+    fresh_cal = fresh.get("calibration_ops_per_sec")
+    machine = fresh_cal / committed_cal if committed_cal and fresh_cal else 1.0
+    print(
+        f"evals/sec vs committed: {ratio:.2f}x raw, machine speed "
+        f"{machine:.2f}x, normalized {ratio / machine:.2f}x "
+        f"(gate: >= {MIN_CHECK_RATIO})"
+    )
+    return ratio / machine
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--smoke", action="store_true",
-        help="reduced budget: three eval cases, one flow, two reps",
+        help="reduced budget: three eval cases, two reps",
     )
     parser.add_argument(
         "--check", action="store_true",
-        help="exit 1 if current-path evals/sec regressed more than 30%% "
-        "versus the committed BENCH_mapping.json",
+        help="exit 1 if evals/sec regressed more than 30%% versus the "
+        "committed BENCH_mapping.json",
     )
     parser.add_argument(
         "--json", default=None, metavar="PATH",
@@ -336,69 +181,22 @@ def main(argv: list[str] | None = None) -> int:
     if BENCH_PATH.exists():
         committed = json.loads(BENCH_PATH.read_text(encoding="utf-8"))
 
-    baseline, current = measure(smoke=args.smoke)
+    fresh = measure(smoke=args.smoke)
 
-    # Regression gate: fresh current-path evals/sec vs the committed
-    # current, normalized by the machine-speed calibration.
     check_failed = False
-    if args.check and committed.get("current"):
-        ratio = _geomean(_eval_ratios(current, committed["current"]))
-        if ratio is not None:
-            committed_cal = committed["current"].get(
-                "calibration_ops_per_sec"
-            )
-            fresh_cal = current.get("calibration_ops_per_sec")
-            if committed_cal and fresh_cal:
-                machine = fresh_cal / committed_cal
-                normalized = ratio / machine
-                print(
-                    f"evals/sec vs committed: {ratio:.2f}x raw, machine "
-                    f"speed {machine:.2f}x, normalized {normalized:.2f}x "
-                    f"(gate: >= {MIN_CHECK_RATIO})"
-                )
-            else:
-                normalized = ratio
-                print(
-                    f"evals/sec vs committed: {ratio:.2f}x "
-                    f"(no calibration recorded; gate: >= {MIN_CHECK_RATIO})"
-                )
-            if normalized < MIN_CHECK_RATIO:
-                print("PERF REGRESSION: mapping evals/sec dropped >30%")
-                check_failed = True
+    if args.check and committed:
+        normalized = _normalized_ratio(fresh, committed)
+        if normalized is not None and normalized < MIN_CHECK_RATIO:
+            print("PERF REGRESSION: mapping evals/sec dropped >30%")
+            check_failed = True
 
-    record = {
-        "schema": 1,
-        "baseline": baseline,
-        "current": current,
-        "speedup": _speedups(baseline, current),
-        "notes": NOTES,
-        "smoke": args.smoke,
-    }
+    record = {"schema": 2, **fresh, "smoke": args.smoke}
     out_path.write_text(
-        json.dumps(record, indent=1, sort_keys=True) + "\n",
-        encoding="utf-8",
+        json.dumps(record, indent=1, sort_keys=True) + "\n", encoding="utf-8"
     )
-
     print(f"wrote {out_path}")
-    for case, new in current["evals_per_sec"].items():
-        old = baseline["evals_per_sec"][case]
-        print(
-            f"evals {case:16s} old {old:9,.0f}/s  new {new:9,.0f}/s  "
-            f"{new / old:.2f}x"
-        )
-    for app_name in current["full_flow"]:
-        old = baseline["full_flow"][app_name]["seconds"]
-        new = current["full_flow"][app_name]["seconds"]
-        print(
-            f"flow  {app_name:16s} old {old:8.3f}s  new {new:8.3f}s  "
-            f"{old / new if new else float('nan'):.2f}x"
-        )
-    sp = record["speedup"]
-    print(
-        f"geomean evals/sec {sp['evals_per_sec_geomean']}x "
-        f"(MP/SM {sp['evals_per_sec_mp_sm_geomean']}x), "
-        f"full flow {sp['full_flow']}x"
-    )
+    for case, value in fresh["evals_per_sec"].items():
+        print(f"evals {case:16s} {value:9,.0f}/s")
     return 1 if check_failed else 0
 
 

@@ -22,6 +22,7 @@ from repro.core.exploration import (
 )
 from repro.core.greedy import initial_greedy_mapping
 from repro.core.mapper import MapperConfig, map_onto
+from repro.core.memo import swap_assignment
 from repro.core.objectives import (
     AreaObjective,
     BandwidthObjective,
@@ -49,6 +50,7 @@ __all__ = [
     "initial_greedy_mapping",
     "MapperConfig",
     "map_onto",
+    "swap_assignment",
     "Objective",
     "HopDelayObjective",
     "AreaObjective",

@@ -29,7 +29,7 @@ from repro.core.coregraph import CoreGraph
 from repro.core.evaluate import MappingEvaluation
 from repro.core.greedy import initial_greedy_mapping
 from repro.core.mapper import _resolve, _score
-from repro.core.memo import MemoizedMappingEvaluator
+from repro.core.memo import MemoizedMappingEvaluator, swap_assignment
 from repro.errors import ReproError
 from repro.physical.estimate import NetworkEstimator
 from repro.topology.base import Topology
@@ -60,9 +60,6 @@ class AnnealingConfig:
     cooling: float = 0.997
     seed: int = 0
     floorplan_each_step: bool = False
-    #: Route each move as a delta against the current state through the
-    #: incremental engine (bit-identical; off = from-scratch A/B path).
-    incremental: bool = True
 
     def __post_init__(self):
         if self.iterations < 1:
@@ -97,8 +94,6 @@ def _random_swap_slots(
 
 def _random_swap(assignment: dict, num_slots: int, rng: random.Random) -> dict:
     """Swap two slots (possibly moving a core into a free slot)."""
-    from repro.routing.incremental import swap_assignment
-
     s1, s2 = _random_swap_slots(assignment, num_slots, rng)
     if s1 == s2:
         return dict(assignment)
@@ -144,20 +139,9 @@ def simulated_annealing_map(
         return _score(ev, objective)
 
     def run_swap(base, s1, s2):
-        # Delta evaluation against the current state: the previous
-        # move's record is the engine's most recent, so accepted walks
-        # stay incremental end to end.
-        if config.incremental:
-            ev = memo.evaluate_swap(
-                base.assignment, s1, s2, with_floorplan=with_floorplan
-            )
-        else:
-            from repro.routing.incremental import swap_assignment
-
-            ev = memo.evaluate(
-                swap_assignment(base.assignment, s1, s2),
-                with_floorplan=with_floorplan,
-            )
+        ev = memo.evaluate_swap(
+            base.assignment, s1, s2, with_floorplan=with_floorplan
+        )
         return _score(ev, objective)
 
     if initial_assignment is None:

@@ -124,45 +124,6 @@ def evaluate_mapping(
 
     commodities = core_graph.commodities()
     result = routing.route_all(topology, assignment, commodities)
-    return finish_evaluation(
-        core_graph,
-        topology,
-        routing.code,
-        assignment,
-        result,
-        result.weighted_average_hops(),
-        constraints,
-        estimator,
-        with_floorplan,
-    )
-
-
-def finish_evaluation(
-    core_graph: CoreGraph,
-    topology: Topology,
-    routing_code: str,
-    assignment: dict[int, int],
-    result: RoutingResult,
-    avg_hops: float,
-    constraints: Constraints,
-    estimator: NetworkEstimator,
-    with_floorplan: bool,
-    fast_power: PowerBreakdown | None = None,
-) -> MappingEvaluation:
-    """Shared evaluation tail: feasibility checks, floorplan/power/area.
-
-    Both :func:`evaluate_mapping` (from-scratch routing) and the
-    incremental delta engine (:mod:`repro.routing.incremental`, which
-    splices ``result`` from a base evaluation) funnel through here, so a
-    candidate is measured identically whichever way it was routed.
-
-    Args:
-        avg_hops: precomputed ``result.weighted_average_hops()`` — the
-            incremental path supplies it from running partial sums.
-        fast_power: optional precomputed fast-mode power breakdown
-            (ignored when ``with_floorplan`` is set, where power depends
-            on floorplanned link lengths).
-    """
     bw_ok, max_load = bandwidth_feasible(result, topology, constraints)
     overflow = 0.0 if bw_ok else bandwidth_overflow(result, topology, constraints)
     qos_ok, violations = qos_feasible(result, constraints)
@@ -170,10 +131,10 @@ def finish_evaluation(
     evaluation = MappingEvaluation(
         core_graph=core_graph,
         topology=topology,
-        routing_code=routing_code,
+        routing_code=routing.code,
         assignment=dict(assignment),
         routing_result=result,
-        avg_hops=avg_hops,
+        avg_hops=result.weighted_average_hops(),
         max_link_load=max_load,
         bandwidth_feasible=bw_ok,
         overflow_mb_s=overflow,
@@ -215,12 +176,8 @@ def finish_evaluation(
         )
     else:
         # Fast mode: power from nominal link lengths, no area numbers.
-        evaluation.power = (
-            fast_power
-            if fast_power is not None
-            else estimator.network_power_mw(
-                topology, result, lengths_mm=None, pitch_mm=pitch
-            )
+        evaluation.power = estimator.network_power_mw(
+            topology, result, lengths_mm=None, pitch_mm=pitch
         )
         evaluation.power_mw = evaluation.power.total_mw
         evaluation.area_feasible = True

@@ -58,18 +58,12 @@ class MapperConfig:
         floorplan_in_loop: force floorplanning on/off inside the swap
             loop; None = automatic (on iff the objective or constraints
             need it).
-        incremental: route swap candidates as deltas against the round's
-            base through the incremental engine
-            (:mod:`repro.routing.incremental`) — bit-identical results,
-            measured speedups in ``BENCH_mapping.json``. Off = the
-            from-scratch path (kept for A/B benchmarking).
     """
 
     swap_rounds: int = 1
     converge: bool = True
     max_rounds: int = 8
     floorplan_in_loop: bool | None = None
-    incremental: bool = True
 
 
 def _resolve(routing, objective):
@@ -144,17 +138,9 @@ def map_onto(
         return ev
 
     def run_swap(base: MappingEvaluation, s1: int, s2: int) -> MappingEvaluation:
-        if config.incremental:
-            ev = memo.evaluate_swap(
-                base.assignment, s1, s2, with_floorplan=fp_in_loop
-            )
-        else:
-            from repro.routing.incremental import swap_assignment
-
-            ev = memo.evaluate(
-                swap_assignment(base.assignment, s1, s2),
-                with_floorplan=fp_in_loop,
-            )
+        ev = memo.evaluate_swap(
+            base.assignment, s1, s2, with_floorplan=fp_in_loop
+        )
         _score(ev, objective)
         if collector is not None:
             collector.append(ev)
@@ -179,9 +165,8 @@ def map_onto(
 def _best_swap(base: MappingEvaluation, run_swap) -> MappingEvaluation | None:
     """Evaluate every pairwise slot swap of ``base``; return the best.
 
-    ``run_swap(base, s1, s2)`` evaluates one slot swap — normally as a
-    delta against the base's routing (the incremental engine), which is
-    why this enumerates slot pairs instead of building candidate dicts.
+    ``run_swap(base, s1, s2)`` evaluates one slot swap of the base
+    (:meth:`~repro.core.memo.MemoizedMappingEvaluator.evaluate_swap`).
     """
     topology = base.topology
     occupied = sorted(base.assignment.values())

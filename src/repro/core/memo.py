@@ -9,71 +9,56 @@ is pure waste: :func:`evaluate_mapping` is deterministic in its inputs.
 
 :class:`MemoizedMappingEvaluator` wraps one search's evaluation context
 (core graph, topology, routing function, constraints, estimator) around
-PR-1's content-keyed :class:`~repro.engine.cache.EvaluationCache`, keyed
+the engine's content-keyed :class:`~repro.engine.cache.EvaluationCache`, keyed
 by assignment fingerprint plus the floorplan flag. Hits return the
 previously evaluated :class:`~repro.core.evaluate.MappingEvaluation`
 object itself — callers treat evaluations as immutable apart from the
 ``cost`` field, which objectives re-assign idempotently.
 
-:meth:`~MemoizedMappingEvaluator.evaluate_swap` is the searches' fast
-path: a candidate that differs from a base assignment by one slot swap
-is routed as a delta through the incremental engine
-(:mod:`repro.routing.incremental`) instead of from scratch. The memo
-stays the outer layer — an exact-assignment hit still short-circuits
-everything — and misses land in the same cache, so both entry points
-interoperate on one store.
-
-Whether the delta actually beats from-scratch depends on the workload:
-load-independent routing (DO, unique-path quadrants) and large sparse
-applications splice most of the sequence, while small dense core graphs
-under congestion-coupled MP/SM genuinely change a third of their routes
-per swap. Since both paths are bit-identical, ``evaluate_swap``
-self-tunes: it probes the non-current path on a fixed cadence, tracks
-per-path EWMA timings, and serves each (application, topology, routing)
-context with whichever evaluator is measurably faster — the delta
-engine's wins are kept and its overhead-bound cases cost at most the
-probe cadence.
+The searches hand their candidates in as slot swaps of a base
+assignment (:meth:`~MemoizedMappingEvaluator.evaluate_swap`); a swap is
+applied and then evaluated through the same memo, so both entry points
+share one store. What makes a candidate cheap is the interned routing
+underneath (:mod:`repro.routing.shortest`), not a second evaluator.
 """
 
 from __future__ import annotations
 
-from time import perf_counter
 from typing import TYPE_CHECKING
 
 from repro.core.constraints import Constraints
 from repro.core.coregraph import CoreGraph
-from repro.core.evaluate import (
-    MappingEvaluation,
-    evaluate_mapping,
-    finish_evaluation,
-)
+from repro.core.evaluate import MappingEvaluation, evaluate_mapping
 from repro.physical.estimate import NetworkEstimator
 from repro.routing.base import RoutingFunction
 from repro.topology.base import Topology
 
 if TYPE_CHECKING:  # runtime import is lazy: engine's package __init__
     from repro.engine.cache import EvaluationCache  # imports the mapper
-    from repro.routing.incremental import BaseRouting, IncrementalRoutingEngine
 
-#: evaluate_swap probes the non-current evaluator once per this many
-#: misses, so a mode that turns out faster is discovered at a bounded
-#: (~1/PROBE_EVERY) cost while the other keeps serving the search.
-PROBE_EVERY = 24
 
-#: EWMA smoothing for per-mode timings (weight of the newest sample).
-_EWMA_ALPHA = 0.25
+def swap_assignment(
+    assignment: dict[int, int], s1: int, s2: int
+) -> dict[int, int]:
+    """Apply the slot swap (s1, s2) and return a new assignment.
 
-#: Required advantage before switching modes (hysteresis against noise).
-_SWITCH_MARGIN = 0.90
-
-#: Learned evaluator modes per (app name, flow count, topology, routing)
-#: context, shared process-wide: every search over the same context
-#: (fresh memos per map_onto, selection flows, benchmark reps) starts
-#: with the mode its predecessors converged to instead of re-paying the
-#: adaptation lag. A stale or colliding hint only mis-picks the
-#: *starting* mode — probing corrects it. Bounded by _MODE_HINTS_MAX.
-_MODE_HINTS: dict[tuple, bool] = {}
-_MODE_HINTS_MAX = 4096
+    Preserves the input dict's key order (``dict(assignment)`` plus
+    in-place reassignment), matching how the swap search and the
+    annealer have always built candidates — key order feeds through to
+    ``MappingEvaluation.assignment`` and the floorplanner.
+    """
+    swapped = dict(assignment)
+    c1 = c2 = None
+    for core, slot in assignment.items():
+        if slot == s1:
+            c1 = core
+        elif slot == s2:
+            c2 = core
+    if c1 is not None:
+        swapped[c1] = s2
+    if c2 is not None:
+        swapped[c2] = s1
+    return swapped
 
 
 class MemoizedMappingEvaluator:
@@ -99,13 +84,6 @@ class MemoizedMappingEvaluator:
         "estimator",
         "cache",
         "_context",
-        "_engine",
-        "_delta_mode",
-        "_swap_misses",
-        "_mode_ewma",
-        "_mode_hint_key",
-        "_probes_left",
-        "_probe_early",
     )
 
     def __init__(
@@ -123,33 +101,6 @@ class MemoizedMappingEvaluator:
         self.routing = routing
         self.constraints = constraints
         self.estimator = estimator
-        self._engine = None
-        # Initial evaluator mode: a hint learned by earlier searches
-        # over the same context, else a structural guess —
-        # load-independent routing (DO) and larger applications splice
-        # enough to start on the delta path; small dense apps start
-        # from-scratch. Probing corrects either way within a few dozen
-        # candidates.
-        self._mode_hint_key = (
-            core_graph.name,
-            core_graph.num_flows,
-            topology.name,
-            routing.code,
-        )
-        hint = _MODE_HINTS.get(self._mode_hint_key)
-        self._delta_mode = (
-            hint
-            if hint is not None
-            else routing.code == "DO" or len(core_graph.commodities()) >= 24
-        )
-        # Probing budget: a search with a learned hint only re-checks a
-        # few times (cheap insurance against stale hints); an unhinted
-        # one probes early and more often. Once spent, the converged
-        # mode serves the rest of the search at zero probing cost.
-        self._probes_left = 3 if hint is not None else 8
-        self._probe_early = hint is None
-        self._swap_misses = 0
-        self._mode_ewma: dict[bool, float | None] = {True: None, False: None}
         if cache is None:
             from repro.engine.cache import EvaluationCache
 
@@ -195,6 +146,25 @@ class MemoizedMappingEvaluator:
     ) -> MappingEvaluation:
         """Route/check/measure ``assignment``, or return the cached
         evaluation of a bit-identical earlier one."""
+        return self._memoized(assignment, with_floorplan)
+
+    def evaluate_swap(
+        self,
+        base_assignment: dict[int, int],
+        s1: int,
+        s2: int,
+        with_floorplan: bool,
+    ) -> MappingEvaluation:
+        """:meth:`evaluate` of ``swap_assignment(base_assignment, s1, s2)``."""
+        return self._memoized(
+            swap_assignment(base_assignment, s1, s2), with_floorplan
+        )
+
+    def _memoized(
+        self, assignment: dict[int, int], with_floorplan: bool
+    ) -> MappingEvaluation:
+        # The shared body of both entry points (one memo lookup per
+        # candidate, whichever way it arrived).
         key = (
             self._context,
             tuple(sorted(assignment.items())),
@@ -214,128 +184,3 @@ class MemoizedMappingEvaluator:
         )
         self.cache.put(key, evaluation)
         return evaluation
-
-    # ------------------------------------------------------------------
-    # incremental (delta) evaluation
-    # ------------------------------------------------------------------
-    @property
-    def engine(self) -> IncrementalRoutingEngine:
-        """The lazily created incremental delta-routing engine."""
-        if self._engine is None:
-            # Lazy import: repro.routing.incremental imports repro.core
-            # modules, which import this one.
-            from repro.routing.incremental import IncrementalRoutingEngine
-
-            self._engine = IncrementalRoutingEngine(
-                self.core_graph, self.topology, self.routing, self.estimator
-            )
-        return self._engine
-
-    def evaluate_swap(
-        self,
-        base_assignment: dict[int, int],
-        s1: int,
-        s2: int,
-        with_floorplan: bool,
-    ) -> MappingEvaluation:
-        """Evaluate the slot swap (s1, s2) of ``base_assignment`` as a
-        delta against its base routing.
-
-        Bit-identical to ``evaluate(swap_assignment(base, s1, s2), ...)``
-        — the incremental engine splices the clean routing prefix and
-        re-routes only the dirty suffix (see
-        :mod:`repro.routing.incremental`). The memo stays the outer
-        layer: an exact hit on the swapped assignment returns the cached
-        evaluation without touching the engine, and misses are stored
-        under the same key a from-scratch evaluation would use.
-
-        Self-tuning: because the delta and from-scratch evaluators
-        produce identical results, misses are timed per evaluator (the
-        non-current one is probed every ``PROBE_EVERY`` misses) and the
-        faster one serves this context — so workloads whose swap delta
-        is genuinely most of the sequence never pay the delta engine's
-        bookkeeping for long.
-        """
-        from repro.routing.incremental import swap_assignment
-
-        swapped = swap_assignment(base_assignment, s1, s2)
-        swapped_key = tuple(sorted(swapped.items()))
-        key = (self._context, swapped_key, with_floorplan)
-        hit = self.cache.get(key)
-        if hit is not None:
-            return hit
-        self._swap_misses += 1
-        use_delta = self._delta_mode
-        # Probe the other evaluator early once when unhinted (so short
-        # searches adapt within their first round), then on a fixed
-        # cadence until the probing budget is spent.
-        if self._probes_left > 0 and (
-            (self._probe_early and self._swap_misses == 4)
-            or self._swap_misses % PROBE_EVERY == 0
-        ):
-            use_delta = not use_delta
-            self._probes_left -= 1
-        start = perf_counter()
-        if use_delta:
-            engine = self.engine
-            base_record = engine.record_for(base_assignment)
-            record = engine.swap_record(base_record, s1, s2, key=swapped_key)
-            evaluation = self._evaluate_record(record, with_floorplan)
-        else:
-            evaluation = evaluate_mapping(
-                self.core_graph,
-                self.topology,
-                swapped,
-                self.routing,
-                self.constraints,
-                estimator=self.estimator,
-                with_floorplan=with_floorplan,
-            )
-        elapsed = perf_counter() - start
-        ewma = self._mode_ewma[use_delta]
-        self._mode_ewma[use_delta] = (
-            elapsed
-            if ewma is None
-            else ewma + _EWMA_ALPHA * (elapsed - ewma)
-        )
-        current = self._mode_ewma[self._delta_mode]
-        other = self._mode_ewma[not self._delta_mode]
-        if (
-            current is not None
-            and other is not None
-            and other < current * _SWITCH_MARGIN
-        ):
-            self._delta_mode = not self._delta_mode
-        if current is not None and other is not None:
-            if len(_MODE_HINTS) >= _MODE_HINTS_MAX:
-                _MODE_HINTS.clear()
-            _MODE_HINTS[self._mode_hint_key] = self._delta_mode
-        self.cache.put(key, evaluation)
-        return evaluation
-
-    def _evaluate_record(
-        self, record: BaseRouting, with_floorplan: bool
-    ) -> MappingEvaluation:
-        """Measure a spliced routing record exactly like a from-scratch
-        evaluation: shared checks/floorplan tail, with fast-mode power
-        resumed from the record's partial sums.
-
-        No assignment validation here: a slot swap of a structurally
-        valid base assignment is valid by construction (injectivity and
-        slot ranges are preserved), and bases come from prior validated
-        evaluations.
-        """
-        engine = self.engine
-        fast_power = None if with_floorplan else engine.fast_power(record)
-        return finish_evaluation(
-            self.core_graph,
-            self.topology,
-            self.routing.code,
-            record.assignment,
-            record.result(),
-            engine.average_hops(record),
-            self.constraints,
-            self.estimator,
-            with_floorplan,
-            fast_power=fast_power,
-        )

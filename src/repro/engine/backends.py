@@ -50,7 +50,7 @@ _WRITE_ERRORS = obs_metrics.REGISTRY.counter(
 #: types or the cache-key composition change incompatibly; stores written
 #: under another version are discarded on open (cold start, never a
 #: crash and never stale payloads).
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 def key_fingerprint(key: tuple) -> str:

@@ -108,8 +108,6 @@ class NetworkEstimator:
         routed,
         lengths_mm: dict | None = None,
         pitch_mm: float = 2.0,
-        switch_dynamic: float = 0.0,
-        link_dynamic: float = 0.0,
     ) -> tuple[float, float]:
         """Accumulate switch/link dynamic power over routed commodities.
 
@@ -120,20 +118,14 @@ class NetworkEstimator:
         traffic"). The wire term inlines link_dynamic_power_mw with the
         identical operation order (bit-identical floats).
 
-        ``switch_dynamic``/``link_dynamic`` seed the accumulators: the
-        incremental engine resumes from a per-commodity partial sum and
-        adds only the re-routed suffix, producing the same float result
-        as a full walk because the additions happen in the same order.
-
         Accumulation is two-level — each commodity's terms fold into a
         per-commodity subtotal (starting at 0.0) which is then added to
-        the running total. A commodity's contribution is therefore one
-        float that depends only on its own paths, which is what lets
-        the incremental engine splice cached contributions with a
-        single addition per commodity.
+        the running total; the golden power figures pin that order.
         """
         entries, nominal = self._physical_tables(topology)
         link_energy = self.tech.link_energy_pj_per_bit_mm
+        switch_dynamic = 0.0
+        link_dynamic = 0.0
         for rc in routed:
             rc_switch = 0.0
             rc_link = 0.0

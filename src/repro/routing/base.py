@@ -19,10 +19,9 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from functools import cached_property
 
 from repro.core.coregraph import Commodity
-from repro.routing.loads import EdgeLoads
+from repro.routing.loads import EdgeLoads, edge_index
 from repro.topology.base import SW, Topology
 
 
@@ -39,15 +38,9 @@ class RoutedCommodity:
     dst_slot: int
     paths: list[tuple[list, float]] = field(default_factory=list)
 
-    @cached_property
+    @property
     def hops(self) -> float:
-        """Bandwidth-weighted switch count over this commodity's paths.
-
-        Cached: ``weighted_average_hops``, QoS checks and report stats
-        all re-read it per evaluation, and the incremental engine splices
-        the same :class:`RoutedCommodity` objects into many candidate
-        evaluations. ``paths`` is treated as immutable once routed.
-        """
+        """Bandwidth-weighted switch count over this commodity's paths."""
         if self.commodity.value <= 0:
             return 0.0
         total = 0
@@ -142,36 +135,6 @@ class RoutingFunction(ABC):
         routing sees its own earlier chunks.
         """
 
-    def load_independent(
-        self, topology: Topology, src_slot: int, dst_slot: int
-    ) -> bool:
-        """Whether this function's routing decision for the slot pair is
-        the same under *every* possible load ledger.
-
-        The incremental engine (:mod:`repro.routing.incremental`) uses
-        this to replay a clean commodity's recorded ledger additions
-        instead of re-searching: a ``True`` answer is a proof obligation
-        that :meth:`route_commodity` would return the identical paths
-        regardless of accumulated traffic (e.g. dimension-ordered
-        routes, or a quadrant with a single minimum-hop path under
-        hop-dominant weights). Defaults to ``False`` (always re-route).
-        """
-        return False
-
-    def search_edges(
-        self, topology: Topology, src_slot: int, dst_slot: int
-    ) -> frozenset | None:
-        """Directed edges whose loads can influence this pair's routing.
-
-        The incremental engine skips re-searching a clean load-dependent
-        commodity when none of these edges diverged from its base
-        evaluation (with the application-constant ``hop_scale``, equal
-        inputs mean a bit-identical search). ``None`` — the default —
-        means "potentially every edge": the commodity is always
-        re-routed when anything diverged.
-        """
-        return None
-
     def route_all(
         self,
         topology: Topology,
@@ -186,7 +149,7 @@ class RoutingFunction(ABC):
             commodities: commodities in decreasing value order (Figure 5,
                 step 2).
         """
-        loads = EdgeLoads()
+        loads = EdgeLoads(edge_index(topology))
         loads.load_bound = ledger_load_bound(topology, commodities)
         routed = []
         for c in commodities:

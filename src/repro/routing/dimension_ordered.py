@@ -23,13 +23,6 @@ class DimensionOrderedRouting(RoutingFunction):
     code = "DO"
     name = "dimension-ordered"
 
-    def load_independent(
-        self, topology: Topology, src_slot: int, dst_slot: int
-    ) -> bool:
-        """Always: the dimension-ordered path ignores the ledger, so the
-        incremental engine's delta is fully O(Δ) for DO routing."""
-        return True
-
     def route_commodity(
         self,
         topology: Topology,

@@ -3,53 +3,140 @@
 The mapping algorithm (Figure 5) routes commodities one at a time and
 "increases edge weights in Path by vl(dk)"; :class:`EdgeLoads` is that
 running ledger. Loads are in MB/s, keyed by directed graph edge.
+
+The ledger is interned: every edge has an integer id and the loads live
+in one flat list indexed by it. A ledger built for a topology
+(:func:`edge_index`) shares the topology's ids — the ids the interned
+Dijkstra (:mod:`repro.routing.shortest`) reads loads by — so routing
+updates and reads the ledger without hashing node tuples. A ledger
+built without one interns edges on first use.
 """
 
 from __future__ import annotations
 
 
-class EdgeLoads:
-    """Accumulated bandwidth per directed edge of a topology graph."""
+def edge_index(topology) -> tuple[dict, list]:
+    """Per-topology integer edge ids: ``({(u, v): id}, [edge by id])``.
 
-    def __init__(self):
-        self._loads: dict[tuple, float] = {}
+    Ids follow ``topology.graph.edges()`` order. Cached on the topology
+    (dropped by ``Topology.__getstate__``); the graph is immutable once
+    built, and a fault overlay interns its own surviving graph, so a
+    dead link never receives an id.
+    """
+    cached = topology.__dict__.get("_edge_index_cache")
+    if cached is None:
+        edges = list(topology.graph.edges())
+        cached = ({edge: i for i, edge in enumerate(edges)}, edges)
+        topology.__dict__["_edge_index_cache"] = cached
+    return cached
+
+
+class EdgeLoads:
+    """Accumulated bandwidth per directed edge of a topology graph.
+
+    Args:
+        index: an :func:`edge_index` to share (never mutated: an edge
+            outside it makes this ledger copy the index first); ``None``
+            starts a private, growing index.
+
+    Only *touched* edges — those :meth:`add`/:meth:`add_path` reached,
+    even with a zero value — count as entries: :meth:`items` yields
+    them in first-touch order (the order of the dict ledger this
+    replaced, which ``BandwidthObjective`` sums its RMS over) and
+    ``len`` counts them.
+    """
+
+    __slots__ = (
+        "_ids", "_edges", "_owned", "_load", "_seen", "_order", "_total",
+        "load_bound",
+    )
+
+    def __init__(self, index: tuple[dict, list] | None = None):
+        if index is None:
+            self._ids: dict = {}
+            self._edges: list = []
+            self._owned = True
+        else:
+            self._ids, self._edges = index
+            self._owned = False
+        n = len(self._edges)
+        self._load = [0.0] * n
+        self._seen = bytearray(n)
+        self._order: list[int] = []
         self._total = 0.0
         #: Optional precomputed upper bound on any single edge load over
         #: the whole routing run (set by ``route_all`` from the commodity
         #: list). When present, the hop-dominant Dijkstra scale is
-        #: derived from it instead of the running ledger total, making
-        #: the scale identical for every evaluation of the same
-        #: application — the property the incremental engine's
-        #: skip-unchanged-search proof rests on. ``None`` keeps the
-        #: legacy running-total formula.
+        #: derived from it instead of the running ledger total, so the
+        #: scale is a constant of the application. ``None`` keeps the
+        #: running-total formula.
         self.load_bound: float | None = None
+
+    def bind(self, index: tuple[dict, list]) -> None:
+        """Re-key this ledger onto ``index`` (an :func:`edge_index`),
+        keeping its loads, first-touch order and total; a no-op when it
+        already uses that index. The interned searches read loads by
+        the topology's edge ids, so routing binds the ledger it is
+        given."""
+        if self._ids is not index[0]:
+            state = self.__getstate__()
+            self.__init__(index)
+            self._refill(*state)
+
+    def edge_id(self, edge: tuple) -> int:
+        """The id of directed edge ``(u, v)``, interning it if new."""
+        eid = self._ids.get(edge)
+        if eid is None:
+            if not self._owned:  # never grow a shared topology index
+                self._ids = dict(self._ids)
+                self._edges = list(self._edges)
+                self._owned = True
+            eid = len(self._edges)
+            self._ids[edge] = eid
+            self._edges.append(edge)
+            self._load.append(0.0)
+            self._seen.append(0)
+        return eid
 
     def add(self, u, v, value: float) -> None:
         """Add ``value`` MB/s of traffic to edge ``u -> v``."""
-        self._loads[(u, v)] = self._loads.get((u, v), 0.0) + value
-        self._total += value
+        self.add_path((u, v), value)
 
-    def add_path(self, path: list, value: float) -> None:
-        """Add ``value`` MB/s along every edge of a node path."""
-        loads = self._loads
+    def add_path(self, path: list, value: float, edge_ids=None) -> None:
+        """Add ``value`` MB/s along every edge of a node path.
+
+        ``edge_ids`` — the path's edge ids, as the interned searches
+        return them — skips the per-edge id lookup.
+        """
+        if edge_ids is None:
+            edge_id = self.edge_id
+            edge_ids = [edge_id(edge) for edge in zip(path, path[1:])]
+        load = self._load
+        seen = self._seen
         total = self._total
-        for edge in zip(path, path[1:]):
-            loads[edge] = loads.get(edge, 0.0) + value
+        for eid in edge_ids:
+            if not seen[eid]:
+                seen[eid] = 1
+                self._order.append(eid)
+            load[eid] += value
             total += value
         self._total = total
 
     def get(self, u, v) -> float:
-        return self._loads.get((u, v), 0.0)
+        eid = self._ids.get((u, v))
+        return 0.0 if eid is None else self._load[eid]
 
-    def items(self):
-        return self._loads.items()
+    def items(self) -> list[tuple[tuple, float]]:
+        """``[((u, v), MB/s), ...]`` over touched edges, first touch first."""
+        edges = self._edges
+        load = self._load
+        return [(edges[eid], load[eid]) for eid in self._order]
 
     @property
-    def edge_map(self) -> dict:
-        """The live ``{(u, v): MB/s}`` ledger (read-only by convention);
-        lets hot search loops bind one ``dict.get`` instead of calling
-        :meth:`get` per edge relaxation."""
-        return self._loads
+    def by_edge_id(self) -> list[float]:
+        """The live per-edge-id load list (read-only by convention): the
+        interned searches index it directly."""
+        return self._load
 
     @property
     def total(self) -> float:
@@ -63,144 +150,57 @@ class EdgeLoads:
         :meth:`~repro.topology.base.Topology.channel_multiplicities` —
         divides each listed edge's load by its parallel-channel count,
         so the result is the worst *per-channel* load of a fabric with
-        fat links. ``None`` (every channel single) keeps the fast path.
+        fat links. ``None`` (every channel single) skips the division.
         """
+        load = self._load
         if edges is None:
-            return max(self._loads.values(), default=0.0)
-        loads_get = self._loads.get
+            return max((load[eid] for eid in self._order), default=0.0)
+        ids_get = self._ids.get
+        divisors_get = divisors.get if divisors else None
         best = 0.0
-        if divisors:
-            divisors_get = divisors.get
-            for e in edges:
-                edge = tuple(e)
-                load = loads_get(edge, 0.0) / divisors_get(edge, 1)
-                if load > best:
-                    best = load
-            return best
         for e in edges:
-            load = loads_get(tuple(e), 0.0)
-            if load > best:
-                best = load
+            edge = tuple(e)
+            eid = ids_get(edge)
+            value = 0.0 if eid is None else load[eid]
+            if divisors_get is not None:
+                value = value / divisors_get(edge, 1)
+            if value > best:
+                best = value
         return best
 
     def copy(self) -> "EdgeLoads":
-        clone = EdgeLoads()
-        clone._loads = dict(self._loads)
+        clone = EdgeLoads.__new__(EdgeLoads)
+        clone._owned = self._owned
+        clone._ids = dict(self._ids) if self._owned else self._ids
+        clone._edges = list(self._edges) if self._owned else self._edges
+        clone._load = list(self._load)
+        clone._seen = bytearray(self._seen)
+        clone._order = list(self._order)
         clone._total = self._total
         clone.load_bound = self.load_bound
         return clone
 
-    def snapshot(self) -> tuple[dict, float]:
-        """Checkpoint of the ledger: ``(edge-map copy, total)``.
+    def __getstate__(self) -> tuple:
+        """Pickle only the touched edges, not the topology's whole index:
+        the ledger rebuilt from them matches in every observable
+        (:meth:`items` order, :meth:`get`, :attr:`total`)."""
+        return self.items(), self._total, self.load_bound
 
-        One dict copy; the incremental engine stores these at sparse
-        positions along the commodity sequence and rolls forward from
-        the nearest one instead of journaling every addition (per-edge
-        undo journals measurably taxed the routing hot path).
-        """
-        return dict(self._loads), self._total
+    def __setstate__(self, state: tuple) -> None:
+        self.__init__()
+        self._refill(*state)
+
+    def _refill(self, touched: list, total: float, load_bound) -> None:
+        for edge, value in touched:
+            eid = self.edge_id(edge)
+            self._seen[eid] = 1
+            self._order.append(eid)
+            self._load[eid] = value
+        self._total = total
+        self.load_bound = load_bound
 
     def __len__(self) -> int:
-        return len(self._loads)
+        return len(self._order)
 
     def __repr__(self) -> str:
-        return f"EdgeLoads(edges={len(self._loads)}, max={self.max_load():.1f})"
-
-
-class RecordingEdgeLoads(EdgeLoads):
-    """An :class:`EdgeLoads` that logs every addition per segment.
-
-    The incremental mapping engine (:mod:`repro.routing.incremental`)
-    routes through this ledger, marking one *segment* per commodity
-    (:meth:`begin_segment`). A segment is the flat ``(edge, value)``
-    sequence of ledger additions the routing function performed, in
-    application order.
-
-    A logged segment is an exact redo: :meth:`replay_segment` re-applies
-    the additions against any ledger state with the identical float
-    operations (same values added to the same edges in the same order),
-    which is how the engine both restores checkpoints (roll forward from
-    a sparse :meth:`~EdgeLoads.snapshot`) and splices commodities whose
-    routing decision is provably unchanged, without re-searching.
-    """
-
-    def __init__(self):
-        super().__init__()
-        #: Per-commodity addition logs, in routing order.
-        self.segments: list[list[tuple[tuple, float]]] = []
-        self._ops: list[tuple[tuple, float]] | None = None
-
-    @classmethod
-    def resumed(
-        cls,
-        snapshot: tuple[dict, float],
-        segments: list[list[tuple[tuple, float]]],
-        load_bound: float | None,
-    ) -> "RecordingEdgeLoads":
-        """A recording ledger starting from a checkpoint.
-
-        ``snapshot`` is an :meth:`EdgeLoads.snapshot` (copied here, the
-        stored checkpoint stays pristine); ``segments`` are the logs of
-        the commodities *before* the checkpoint — aliased, not copied,
-        since segments are immutable once recorded.
-        """
-        ledger, total = snapshot
-        fork = cls()
-        fork._loads = dict(ledger)
-        fork._total = total
-        fork.segments = list(segments)
-        fork.load_bound = load_bound
-        return fork
-
-    def begin_segment(self) -> None:
-        """Open a new log segment (one per routed commodity)."""
-        self._ops = []
-        self.segments.append(self._ops)
-
-    def add(self, u, v, value: float) -> None:
-        edge = (u, v)
-        self._ops.append((edge, value))
-        self._loads[edge] = self._loads.get(edge, 0.0) + value
-        self._total += value
-
-    def add_path(self, path: list, value: float) -> None:
-        loads = self._loads
-        ops = self._ops
-        total = self._total
-        for edge in zip(path, path[1:]):
-            ops.append((edge, value))
-            loads[edge] = loads.get(edge, 0.0) + value
-            total += value
-        self._total = total
-
-    def replay_segment(self, ops: list[tuple[tuple, float]]) -> None:
-        """Re-apply a recorded segment's additions as a new segment.
-
-        Float-identical to re-running the routing calls that produced
-        ``ops`` whenever the routing decision is provably unchanged: the
-        same edges receive the same values in the same order, only the
-        starting ledger differs. The segment list is aliased into this
-        recording (segments are immutable once recorded).
-        """
-        self.segments.append(ops)
-        self._ops = None  # no live segment: additions must replay whole
-        loads = self._loads
-        loads_get = loads.get
-        total = self._total
-        for edge, value in ops:
-            loads[edge] = loads_get(edge, 0.0) + value
-            total += value
-        self._total = total
-
-    def plain(self) -> EdgeLoads:
-        """A log-free :class:`EdgeLoads` view sharing this ledger.
-
-        Stored on evaluations so memo-cached results do not retain
-        segment logs; the underlying dict is shared, not copied (ledgers
-        are read-only once routing completes).
-        """
-        view = EdgeLoads()
-        view._loads = self._loads
-        view._total = self._total
-        view.load_bound = self.load_bound
-        return view
+        return f"EdgeLoads(edges={len(self)}, max={self.max_load():.1f})"

@@ -17,14 +17,10 @@ from repro.routing.base import RoutingFunction
 from repro.routing.loads import EdgeLoads
 from repro.routing.shortest import (
     _dijkstra_min_hop,
-    _unique_min_hop_path,
     hop_scale,
-    min_hop_then_load,
-    quadrant_search_entry,
-    search_edge_set,
-    topology_routing_view,
+    topology_search,
 )
-from repro.topology.base import Topology, term
+from repro.topology.base import Topology
 
 
 class MinimumPathRouting(RoutingFunction):
@@ -37,26 +33,6 @@ class MinimumPathRouting(RoutingFunction):
         #: Disable to measure the cost of whole-graph search (ablation).
         self.use_quadrant = use_quadrant
 
-    def _search_graph(self, topology: Topology, src_slot, dst_slot):
-        if self.use_quadrant:
-            return topology.quadrant_subgraph(src_slot, dst_slot)
-        return topology_routing_view(topology, src_slot, dst_slot)
-
-    def load_independent(
-        self, topology: Topology, src_slot: int, dst_slot: int
-    ) -> bool:
-        """True when the search graph has a single minimum-hop path: the
-        hop-dominant weights provably pick it whatever the loads are
-        (see :func:`~repro.routing.shortest._unique_min_hop_path`)."""
-        if self.use_quadrant:
-            unique, _, _ = quadrant_search_entry(topology, src_slot, dst_slot)
-            return unique is not None
-        graph = self._search_graph(topology, src_slot, dst_slot)
-        return (
-            _unique_min_hop_path(graph, term(src_slot), term(dst_slot))
-            is not None
-        )
-
     def route_commodity(
         self,
         topology: Topology,
@@ -65,31 +41,16 @@ class MinimumPathRouting(RoutingFunction):
         value: float,
         loads: EdgeLoads,
     ) -> list[tuple[list, float]]:
-        if not self.use_quadrant:
-            graph = self._search_graph(topology, src_slot, dst_slot)
-            path = min_hop_then_load(
-                graph, term(src_slot), term(dst_slot), loads, value
-            )
-            loads.add_path(path, value)
-            return [(path, value)]
-        # Quadrant fast path: one cached lookup resolves either the
-        # pair's forced minimum path or the Dijkstra search context.
-        unique, succ, num_nodes = quadrant_search_entry(
-            topology, src_slot, dst_slot
+        # One cached lookup resolves either the pair's forced minimum
+        # path or the interned graph for the load-aware search.
+        search = topology_search(
+            topology, src_slot, dst_slot, self.use_quadrant
         )
-        if unique is not None:
-            path = list(unique)
+        loads.bind(search.index)
+        if search.unique is not None:
+            path, eids = list(search.unique), search.unique_eids
         else:
-            scale = hop_scale(loads, value, num_nodes)
-            path = _dijkstra_min_hop(
-                succ, term(src_slot), term(dst_slot), loads.edge_map, scale
-            )
-        loads.add_path(path, value)
+            scale = hop_scale(loads, value, search.num_nodes)
+            path, eids = _dijkstra_min_hop(search, loads.by_edge_id, scale)
+        loads.add_path(path, value, eids)
         return [(path, value)]
-
-    def search_edges(
-        self, topology: Topology, src_slot: int, dst_slot: int
-    ) -> frozenset | None:
-        if self.use_quadrant:
-            return search_edge_set(topology, src_slot, dst_slot)
-        return None  # whole-graph search: any diverged edge may matter

@@ -1,75 +1,82 @@
 """Load-aware shortest-path search used by MP/SM/SA routing.
 
-Two weightings:
+Two weightings, one Dijkstra kernel (:func:`_dijkstra_min_hop`, edge
+weight ``hop + load / scale``):
 
-* :func:`min_hop_then_load` — hop count dominates; accumulated load only
-  breaks ties. The load term of a whole path is scaled to stay below 1,
-  so a path can never trade an extra hop for less load. This implements
-  Figure 5's Dijkstra-on-quadrant with "edge weights increased by vl(dk)".
-* :func:`load_then_hops` — load dominates; a tiny per-hop epsilon keeps
-  zero-load searches minimal. Used by split-across-all-paths routing,
-  which may leave the quadrant to avoid congestion.
+* :func:`min_hop_then_load` — hop count dominates (``hop = 1.0``);
+  accumulated load only breaks ties. The load term of a whole path is
+  scaled to stay below 1 (:func:`hop_scale`), so a path can never trade
+  an extra hop for less load. This implements Figure 5's
+  Dijkstra-on-quadrant with "edge weights increased by vl(dk)".
+* :func:`load_then_hops` — load dominates (``scale = 1.0``); a tiny
+  per-hop epsilon keeps zero-load searches minimal. Used by
+  split-across-all-paths routing, which may leave the quadrant to avoid
+  congestion.
 
-Both run a faithful in-module port of networkx's Dijkstra
-(:func:`_dijkstra_path`) over a cached adjacency snapshot of the search
-graph: identical float accumulation, identical heap tie-breaking (push
-counter) and identical strict-improvement predecessor updates, so the
-returned paths are bit-for-bit the ones ``nx.dijkstra_path`` produced —
-without the per-call dispatch, argument mapping and filtered-view
-iteration overhead that dominated the mapper's profile. The adjacency
-snapshot per graph object is safe because topology graphs (and their
-cached quadrant views) are immutable after construction.
+**Interned search.** Routing runs on integers, not node tuples. The
+topology's edges carry ids (:func:`~repro.routing.loads.edge_index`, in
+``graph.edges()`` order) and the ledger is one flat load list by edge
+id. Each slot pair's search graph — its quadrant, or its routing view
+(all switches, the two endpoint terminals only) — is interned once per
+topology as a :class:`SearchGraph`: local node ids in ``graph._adj``
+order, CSR rows of ``(successor local id, edge id)`` in that same
+order, and the pair's unique minimum-hop path when it has one. The
+kernel keeps its ``dist``/``seen``/``pred`` state in lists and returns
+the path together with its edge ids, which the ledger adds by id.
+
+**Bit-identity.** The kernel is a faithful port of networkx's
+``_dijkstra_multisource``: ``seen[source] = 0`` (an int), each edge
+cost computed before it is added to the node distance
+(``dist_v + (hop + load / scale)``, the same float rounding), a
+monotonically increasing push counter as the heap tie-break,
+predecessors overwritten only on strict improvement, and successors
+relaxed in ``_adj`` order — so it returns exactly the path
+``nx.dijkstra_path`` returns under the equivalent weight function. The
+two weightings share the kernel without changing a bit: ``load / 1.0``
+is exact and float addition commutes, so ``eps + load / 1.0`` equals
+the ``load + eps`` of a dedicated least-load search.
 """
 
 from __future__ import annotations
 
 from heapq import heappop, heappush
 from itertools import islice
-from weakref import WeakKeyDictionary
 
 import networkx as nx
 
 from repro.errors import UnroutableError
-from repro.routing.loads import EdgeLoads
-from repro.topology.base import is_switch
+from repro.routing.loads import EdgeLoads, edge_index
+from repro.topology.base import is_switch, term
 
-#: graph object -> (successor lists in ``G._adj`` order, node count).
-#: Values hold only node tuples, never the key graph, so weak keying
-#: actually collects entries when a graph dies.
-_succ_cache: WeakKeyDictionary = WeakKeyDictionary()
-
-#: graph object -> {(src, dst): unique min-hop path or None}.
-_single_path_cache: WeakKeyDictionary = WeakKeyDictionary()
+_INF = float("inf")
 
 
-def _successors(graph: nx.DiGraph) -> tuple[dict, int]:
-    """Snapshot ``graph``'s adjacency as plain lists (cached).
+def _intern(graph: nx.DiGraph, edge_id) -> tuple[list, dict, list]:
+    """``(nodes, local ids, CSR rows)`` of ``graph``'s adjacency.
 
-    Neighbor order matches ``graph._adj`` iteration exactly — that order
-    decides Dijkstra's heap tie-breaking, so it must be preserved. For
-    induced-subgraph views (``G.subgraph(nodes)``) the snapshot is built
-    from the parent's adjacency filtered by the node set — the same
-    order the view's FilterAdjacency yields, minus its per-item wrapper
-    overhead.
+    Node and successor order match ``graph._adj`` iteration exactly —
+    that order decides Dijkstra's heap tie-breaking, so it must be
+    preserved. For induced-subgraph views (``G.subgraph(nodes)``, the
+    quadrants) the rows are built from the parent's adjacency filtered
+    by the node set — the same order the view's FilterAdjacency yields,
+    minus its per-item wrapper overhead.
     """
-    cached = _succ_cache.get(graph)
-    if cached is None:
-        node_filter = getattr(graph, "_NODE_OK", None)
-        keep_nodes = getattr(node_filter, "nodes", None)
-        parent = getattr(graph, "_graph", None)
-        if keep_nodes is not None and parent is not None:
-            parent_adj = parent._adj
-            succ = {
-                v: [u for u in parent_adj[v] if u in keep_nodes]
-                for v in parent_adj
-                if v in keep_nodes
-            }
-        else:
-            adj = graph._adj
-            succ = {v: list(adj[v]) for v in adj}
-        cached = (succ, len(succ))
-        _succ_cache[graph] = cached
-    return cached
+    keep = getattr(getattr(graph, "_NODE_OK", None), "nodes", None)
+    parent = getattr(graph, "_graph", None)
+    if keep is not None and parent is not None:
+        adj = parent._adj
+        nodes = [v for v in adj if v in keep]
+        succ = [[u for u in adj[v] if u in keep] for v in nodes]
+    else:
+        adj = graph._adj
+        nodes = list(adj)
+        succ = [list(adj[v]) for v in nodes]
+    local = {v: i for i, v in enumerate(nodes)}
+    rows = [
+        [(local[u], edge_id((v, u))) for u in successors]
+        for v, successors in zip(nodes, succ)
+    ]
+    return nodes, local, rows
 
 
 def _unique_min_hop_path(graph: nx.DiGraph, src, dst) -> list | None:
@@ -81,27 +88,58 @@ def _unique_min_hop_path(graph: nx.DiGraph, src, dst) -> list | None:
     path summing strictly below 1, so an ``h``-hop path always
     outweighs an ``(h+1)``-hop one — Dijkstra's result is provably a
     minimum-hop path, and when only one exists the loads cannot change
-    the answer. The cache is per (graph, src, dst); diverse pairs store
-    ``None`` and take the full load-aware search.
+    the answer.
     """
-    per_graph = _single_path_cache.get(graph)
-    if per_graph is None:
-        per_graph = {}
-        _single_path_cache[graph] = per_graph
-    key = (src, dst)
-    try:
-        return per_graph[key]
-    except KeyError:
-        pass
     try:
         first_two = list(islice(nx.all_shortest_paths(graph, src, dst), 2))
     except nx.NetworkXNoPath:
         raise UnroutableError(
             f"no route from {src} to {dst}: endpoints are partitioned"
         ) from None
-    path = first_two[0] if len(first_two) == 1 else None
-    per_graph[key] = path
-    return path
+    return first_two[0] if len(first_two) == 1 else None
+
+
+class SearchGraph:
+    """One ``src -> dst`` search graph, interned for the kernel.
+
+    Attributes:
+        nodes: local id -> graph node.
+        rows: local id -> ``[(successor local id, edge id), ...]``.
+        blocked: per local id, ``True`` for nodes the search must not
+            enter (third-core terminals when the rows are the whole
+            topology's); the kernel starts its searched set from it.
+        src, dst: the endpoints' local ids.
+        num_nodes: nodes the search can visit (the :func:`hop_scale`
+            path-length bound).
+        unique, unique_eids: the single minimum-hop path and its edge
+            ids when the graph has exactly one (a hop-dominant search is
+            forced onto it whatever the loads), else ``None``.
+        index: the :func:`~repro.routing.loads.edge_index` the edge ids
+            come from (``None`` when interned into a ledger's own ids).
+    """
+
+    __slots__ = (
+        "nodes", "rows", "blocked", "src", "dst", "num_nodes", "unique",
+        "unique_eids", "index",
+    )
+
+    def __init__(
+        self, graph, src, dst, interned, edge_id, blocked=(), index=None
+    ):
+        self.unique = _unique_min_hop_path(graph, src, dst)
+        self.unique_eids = None if self.unique is None else [
+            edge_id(edge) for edge in zip(self.unique, self.unique[1:])
+        ]
+        nodes, local, rows = interned
+        self.nodes = nodes
+        self.rows = rows
+        self.index = index
+        self.blocked = [False] * len(nodes)
+        for node in blocked:
+            self.blocked[local[node]] = True
+        self.num_nodes = len(nodes) - len(blocked)
+        self.src = local[src]
+        self.dst = local[dst]
 
 
 def routing_view(graph: nx.DiGraph, src, dst) -> nx.DiGraph:
@@ -117,106 +155,108 @@ def routing_view(graph: nx.DiGraph, src, dst) -> nx.DiGraph:
     return nx.subgraph_view(graph, filter_node=keep)
 
 
-def topology_routing_view(topology, src_slot: int, dst_slot: int):
-    """A per-(src, dst) :func:`routing_view` cached on the topology.
+def topology_search(
+    topology, src_slot: int, dst_slot: int, quadrant: bool = True
+) -> SearchGraph:
+    """The interned search graph of a slot pair (cached on the topology).
 
-    Cached on the topology object (like its quadrant views) rather than
-    in a weak-keyed map: subgraph views strongly reference their parent
-    graph, so a WeakKeyDictionary keyed by graph would never collect
-    its entries. The cache dies with the topology and is dropped by
-    ``Topology.__getstate__`` when jobs pickle to worker processes.
+    ``quadrant=True`` interns the pair's quadrant (Section 4.3; the
+    whole graph when the quadrant is trivial), ``False`` its routing
+    view. Quadrant views each get their own rows; the whole graph and
+    every routing view share the topology's rows, the routing views
+    blocking third-core terminals instead — skipping a node the view
+    would not list leaves every other push, and so every tie-break,
+    unchanged. The cache dies with the topology and is dropped by
+    ``Topology.__getstate__``.
     """
-    from repro.topology.base import term
-
-    cache = topology.__dict__.setdefault("_routing_view_cache", {})
-    key = (src_slot, dst_slot)
-    view = cache.get(key)
-    if view is None:
-        view = routing_view(
-            topology.graph, term(src_slot), term(dst_slot)
-        )
-        cache[key] = view
-    return view
-
-
-def _reconstruct(dist: dict, pred: dict, target) -> list:
-    if target not in dist:
-        raise UnroutableError(
-            f"no route to {target}: endpoints are partitioned"
-        )
-    path = [target]
-    while (prev := pred.get(path[-1])) is not None:
-        path.append(prev)
-    path.reverse()
-    return path
+    cache = topology.__dict__.get("_search_cache")
+    if cache is None:
+        cache = topology.__dict__["_search_cache"] = {}
+    key = (quadrant, src_slot, dst_slot)
+    search = cache.get(key)
+    if search is not None:
+        return search
+    index = edge_index(topology)
+    edge_id = index[0].__getitem__
+    src, dst = term(src_slot), term(dst_slot)
+    graph = (
+        topology.quadrant_subgraph(src_slot, dst_slot) if quadrant
+        else routing_view(topology.graph, src, dst)
+    )
+    blocked = ()
+    if quadrant and graph is not topology.graph:
+        interned = _intern(graph, edge_id)
+    else:
+        interned = topology.__dict__.get("_csr_cache")
+        if interned is None:
+            interned = _intern(topology.graph, edge_id)
+            topology.__dict__["_csr_cache"] = interned
+        if not quadrant:
+            blocked = [
+                n for n in interned[0]
+                if not is_switch(n) and n != src and n != dst
+            ]
+    search = cache[key] = SearchGraph(
+        graph, src, dst, interned, edge_id, blocked, index=index
+    )
+    return search
 
 
 def _dijkstra_min_hop(
-    succ: dict, source, target, loads_map: dict, scale: float
-) -> list:
-    """Faithful port of ``networkx._dijkstra_multisource`` with the
-    hop-dominant edge weight ``1.0 + load / scale`` inlined.
+    search: SearchGraph, load: list, scale: float, hop: float = 1.0
+) -> tuple[list, list]:
+    """Dijkstra over ``search`` with edge weight ``hop + load / scale``.
 
-    Mirrors the original exactly where it matters for bit-identity:
-    ``seen[source] = 0`` (int), the edge cost computed *before* being
-    added to the node distance (same float rounding), a monotonically
-    increasing push counter as the heap tie-break, predecessor
-    overwritten only on strict improvement, and path reconstruction by
-    walking first predecessors from the target.
+    ``load`` is the ledger's per-edge-id list
+    (:attr:`~repro.routing.loads.EdgeLoads.by_edge_id`). Returns the
+    ``src -> dst`` node path and its edge ids. See the module docstring
+    for why this is bit-identical to ``nx.dijkstra_path``.
     """
-    dist = {}
-    seen = {source: 0}
-    pred = {}
-    loads_get = loads_map.get
+    rows = search.rows
+    source = search.src
+    target = search.dst
+    n = len(rows)
+    done = search.blocked[:]  # searched nodes, plus the blocked ones
+    seen = [_INF] * n
+    seen[source] = 0
+    pred = [-1] * n
+    pred_edge = pred[:]
     fringe = [(0, 0, source)]
     counter = 1
+    pop = heappop
+    push = heappush
     while fringe:
-        dist_v, _, v = heappop(fringe)
-        if v in dist:
+        dist_v, _, v = pop(fringe)
+        if done[v]:
             continue  # already searched this node
-        dist[v] = dist_v
+        done[v] = True
         if v == target:
             break
-        for u in succ[v]:
-            vu_dist = dist_v + (1.0 + loads_get((v, u), 0.0) / scale)
-            if u in dist:
+        for u, e in rows[v]:
+            if done[u]:
                 continue
-            if u not in seen or vu_dist < seen[u]:
+            vu_dist = dist_v + (hop + load[e] / scale)
+            if vu_dist < seen[u]:
                 seen[u] = vu_dist
-                heappush(fringe, (vu_dist, counter, u))
+                push(fringe, (vu_dist, counter, u))
                 counter += 1
                 pred[u] = v
-    return _reconstruct(dist, pred, target)
-
-
-def _dijkstra_least_load(
-    succ: dict, source, target, loads_map: dict, eps: float
-) -> list:
-    """As :func:`_dijkstra_min_hop` but with the load-dominant weight
-    ``load + eps`` inlined (split-across-all-paths routing)."""
-    dist = {}
-    seen = {source: 0}
-    pred = {}
-    loads_get = loads_map.get
-    fringe = [(0, 0, source)]
-    counter = 1
-    while fringe:
-        dist_v, _, v = heappop(fringe)
-        if v in dist:
-            continue
-        dist[v] = dist_v
-        if v == target:
-            break
-        for u in succ[v]:
-            vu_dist = dist_v + (loads_get((v, u), 0.0) + eps)
-            if u in dist:
-                continue
-            if u not in seen or vu_dist < seen[u]:
-                seen[u] = vu_dist
-                heappush(fringe, (vu_dist, counter, u))
-                counter += 1
-                pred[u] = v
-    return _reconstruct(dist, pred, target)
+                pred_edge[u] = e
+    else:
+        raise UnroutableError(
+            f"no route to {search.nodes[target]}: endpoints are partitioned"
+        )
+    nodes = search.nodes
+    path = [nodes[target]]
+    eids = []
+    v = target
+    while v != source:
+        eids.append(pred_edge[v])
+        v = pred[v]
+        path.append(nodes[v])
+    path.reverse()
+    eids.reverse()
+    return path, eids
 
 
 def hop_scale(loads: EdgeLoads, value: float, num_nodes: int) -> float:
@@ -226,13 +266,9 @@ def hop_scale(loads: EdgeLoads, value: float, num_nodes: int) -> float:
     (set by ``route_all`` from the commodity list) the scale is a
     constant of the (application, topology, slot pair) — every single
     edge load is bounded by the final ledger total, which the bound
-    dominates, so hop dominance holds throughout the run. A
-    history-independent scale means two evaluations that agree on the
-    loads inside a commodity's search graph run the bit-identical
-    Dijkstra even when their ledgers differ elsewhere — the property the
-    incremental engine's skip-unchanged-search shortcut rests on.
-    Without a bound, fall back to the legacy running-total formula
-    (direct callers outside ``route_all``).
+    dominates, so hop dominance holds throughout the run. Without a
+    bound, fall back to the running-total formula (direct callers
+    outside ``route_all``).
     """
     bound = loads.load_bound
     if bound is not None:
@@ -240,75 +276,37 @@ def hop_scale(loads: EdgeLoads, value: float, num_nodes: int) -> float:
     return max(1.0, (loads.total + value) * (num_nodes + 1))
 
 
-def search_edge_set(topology, src_slot: int, dst_slot: int) -> frozenset | None:
-    """All directed edges the quadrant search for a slot pair can read.
-
-    The incremental engine skips re-searching a clean commodity when
-    none of these edges diverged from the base ledger. Returns ``None``
-    when the quadrant is the whole topology graph (trivial quadrant,
-    e.g. Clos) — meaning "any diverged edge may matter, never skip".
-    Cached on the topology per slot pair, like the quadrant views.
-    """
-    cache = topology.__dict__.setdefault("_search_edges_cache", {})
-    key = (src_slot, dst_slot)
-    entry = cache.get(key, False)
-    if entry is False:
-        graph = topology.quadrant_subgraph(src_slot, dst_slot)
-        if graph is topology.graph:
-            entry = None
-        else:
-            entry = frozenset(graph.edges())
-        cache[key] = entry
-    return entry
-
-
-def quadrant_search_entry(
-    topology, src_slot: int, dst_slot: int
-) -> tuple[list | None, dict | None, int]:
-    """One-lookup search context for hop-dominant quadrant routing.
-
-    Returns ``(unique_path, succ, num_nodes)``: either the pair's single
-    minimum-hop path (``succ`` is ``None``) or the quadrant's adjacency
-    snapshot for the load-aware Dijkstra. Cached on the topology object
-    keyed by slot pair, so the per-commodity hot path of MP/SM routing
-    costs one dict lookup instead of quadrant fetch + weak-cache walks.
-    """
-    cache = topology.__dict__.setdefault("_mp_search_cache", {})
-    key = (src_slot, dst_slot)
-    entry = cache.get(key)
-    if entry is None:
-        from repro.topology.base import term
-
-        graph = topology.quadrant_subgraph(src_slot, dst_slot)
-        unique = _unique_min_hop_path(
-            graph, term(src_slot), term(dst_slot)
-        )
-        if unique is not None:
-            entry = (unique, None, 0)
-        else:
-            succ, num_nodes = _successors(graph)
-            entry = (None, succ, num_nodes)
-        cache[key] = entry
-    return entry
+def _search_of(graph, src, dst, loads: EdgeLoads) -> SearchGraph:
+    if isinstance(graph, SearchGraph):
+        return graph
+    return SearchGraph(
+        graph, src, dst, _intern(graph, loads.edge_id), loads.edge_id
+    )
 
 
 def min_hop_then_load(
-    graph: nx.DiGraph, src, dst, loads: EdgeLoads, value: float
+    graph, src, dst, loads: EdgeLoads, value: float
 ) -> list:
-    """Minimum-hop path, breaking ties by least accumulated traffic."""
-    single = _unique_min_hop_path(graph, src, dst)
-    if single is not None:
-        return list(single)
-    succ, num_nodes = _successors(graph)
+    """Minimum-hop path, breaking ties by least accumulated traffic.
+
+    ``graph`` is a :class:`SearchGraph` for ``src -> dst``, or any
+    networkx graph (interned on the spot, its edges into ``loads``).
+    """
+    search = _search_of(graph, src, dst, loads)
+    if search.unique is not None:
+        return list(search.unique)
     # Scale so a full path's load terms sum < 1 (see hop_scale).
-    scale = hop_scale(loads, value, num_nodes)
-    return _dijkstra_min_hop(succ, src, dst, loads.edge_map, scale)
+    scale = hop_scale(loads, value, search.num_nodes)
+    return _dijkstra_min_hop(search, loads.by_edge_id, scale)[0]
 
 
 def load_then_hops(
-    graph: nx.DiGraph, src, dst, loads: EdgeLoads, value: float
+    graph, src, dst, loads: EdgeLoads, value: float
 ) -> list:
-    """Least-loaded path; hops only matter between equally loaded paths."""
-    succ, _ = _successors(graph)
+    """Least-loaded path; hops only matter between equally loaded paths.
+
+    ``graph`` is as for :func:`min_hop_then_load`.
+    """
+    search = _search_of(graph, src, dst, loads)
     eps = max(1e-9, (loads.total + value) * 1e-6)
-    return _dijkstra_least_load(succ, src, dst, loads.edge_map, eps)
+    return _dijkstra_min_hop(search, loads.by_edge_id, 1.0, eps)[0]

@@ -23,9 +23,7 @@ from repro.routing.shortest import (
     _dijkstra_min_hop,
     hop_scale,
     load_then_hops,
-    quadrant_search_entry,
-    search_edge_set,
-    topology_routing_view,
+    topology_search,
 )
 from repro.topology.base import Topology, term
 
@@ -34,65 +32,37 @@ DEFAULT_CHUNKS = 4
 
 
 def _merge(paths: list[tuple[list, float]]) -> list[tuple[list, float]]:
-    """Merge duplicate paths, preserving first-seen order."""
-    merged: dict[tuple, list] = {}
-    order = []
+    """Merge duplicate paths, preserving first-seen order.
+
+    A linear scan: a commodity has a handful of chunks, and paths from
+    one search graph share node objects, so list equality is cheap.
+    """
+    merged: list[list] = []
     for path, bw in paths:
-        key = tuple(path)
-        if key not in merged:
-            merged[key] = [path, 0.0]
-            order.append(key)
-        merged[key][1] += bw
-    return [(merged[k][0], merged[k][1]) for k in order]
+        for entry in merged:
+            if entry[0] == path:
+                break
+        else:
+            entry = [path, 0.0]
+            merged.append(entry)
+        entry[1] += bw
+    return [(path, bw) for path, bw in merged]
 
 
-class _SplitRoutingBase(RoutingFunction):
-    """Common chunked-routing driver for SM and SA."""
+class _SplitRouting(RoutingFunction):
+    """Chunk count shared by SM and SA."""
 
     def __init__(self, chunks: int = DEFAULT_CHUNKS):
         if chunks < 1:
             raise ValueError("chunks must be >= 1")
         self.chunks = chunks
 
-    def _search_graph(self, topology: Topology, src_slot: int, dst_slot: int):
-        raise NotImplementedError
 
-    def _chunk_path(self, graph, src, dst, loads, value):
-        raise NotImplementedError
-
-    def route_commodity(
-        self,
-        topology: Topology,
-        src_slot: int,
-        dst_slot: int,
-        value: float,
-        loads: EdgeLoads,
-    ) -> list[tuple[list, float]]:
-        graph = self._search_graph(topology, src_slot, dst_slot)
-        src, dst = term(src_slot), term(dst_slot)
-        chunk_bw = value / self.chunks
-        paths = []
-        for _ in range(self.chunks):
-            path = self._chunk_path(graph, src, dst, loads, chunk_bw)
-            loads.add_path(path, chunk_bw)
-            paths.append((path, chunk_bw))
-        return _merge(paths)
-
-
-class SplitMinPathRouting(_SplitRoutingBase):
+class SplitMinPathRouting(_SplitRouting):
     """Paper routing function "SM": split across minimum paths."""
 
     code = "SM"
     name = "split-traffic-minimum-paths"
-
-    def load_independent(
-        self, topology: Topology, src_slot: int, dst_slot: int
-    ) -> bool:
-        """True when the quadrant has a single minimum-hop path: SM's
-        hop-dominant chunk searches are all forced onto it, so the whole
-        commodity routes identically under any ledger."""
-        unique, _, _ = quadrant_search_entry(topology, src_slot, dst_slot)
-        return unique is not None
 
     def route_commodity(
         self,
@@ -106,32 +76,25 @@ class SplitMinPathRouting(_SplitRoutingBase):
         # minimum-hop path forces every chunk onto it: record each
         # chunk's traffic separately (the ledger accumulates exactly as
         # in the per-chunk search) without re-searching.
-        unique, succ, num_nodes = quadrant_search_entry(
-            topology, src_slot, dst_slot
-        )
+        search = topology_search(topology, src_slot, dst_slot)
+        loads.bind(search.index)
         chunk_bw = value / self.chunks
-        if unique is not None:
-            path = list(unique)
+        if search.unique is not None:
+            path, eids = list(search.unique), search.unique_eids
             for _ in range(self.chunks):
-                loads.add_path(path, chunk_bw)
+                loads.add_path(path, chunk_bw, eids)
             return _merge([(path, chunk_bw)] * self.chunks)
-        src, dst = term(src_slot), term(dst_slot)
-        loads_map = loads.edge_map
+        load = loads.by_edge_id
         paths = []
         for _ in range(self.chunks):
-            scale = hop_scale(loads, chunk_bw, num_nodes)
-            path = _dijkstra_min_hop(succ, src, dst, loads_map, scale)
-            loads.add_path(path, chunk_bw)
+            scale = hop_scale(loads, chunk_bw, search.num_nodes)
+            path, eids = _dijkstra_min_hop(search, load, scale)
+            loads.add_path(path, chunk_bw, eids)
             paths.append((path, chunk_bw))
         return _merge(paths)
 
-    def search_edges(
-        self, topology: Topology, src_slot: int, dst_slot: int
-    ) -> frozenset | None:
-        return search_edge_set(topology, src_slot, dst_slot)
 
-
-class SplitAllPathRouting(_SplitRoutingBase):
+class SplitAllPathRouting(_SplitRouting):
     """Paper routing function "SA": split across all paths."""
 
     code = "SA"
@@ -140,8 +103,21 @@ class SplitAllPathRouting(_SplitRoutingBase):
     def __init__(self, chunks: int = 2 * DEFAULT_CHUNKS):
         super().__init__(chunks)
 
-    def _search_graph(self, topology, src_slot, dst_slot):
-        return topology_routing_view(topology, src_slot, dst_slot)
-
-    def _chunk_path(self, graph, src, dst, loads, value):
-        return load_then_hops(graph, src, dst, loads, value)
+    def route_commodity(
+        self,
+        topology: Topology,
+        src_slot: int,
+        dst_slot: int,
+        value: float,
+        loads: EdgeLoads,
+    ) -> list[tuple[list, float]]:
+        search = topology_search(topology, src_slot, dst_slot, quadrant=False)
+        loads.bind(search.index)
+        src, dst = term(src_slot), term(dst_slot)
+        chunk_bw = value / self.chunks
+        paths = []
+        for _ in range(self.chunks):
+            path = load_then_hops(search, src, dst, loads, chunk_bw)
+            loads.add_path(path, chunk_bw)
+            paths.append((path, chunk_bw))
+        return _merge(paths)

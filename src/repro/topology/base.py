@@ -138,9 +138,9 @@ class Topology(ABC):
         state.pop("_sim_layout_cache", None)
         state.pop("_phys_tables_cache", None)
         state.pop("_static_power_cache", None)
-        state.pop("_mp_search_cache", None)
-        state.pop("_routing_view_cache", None)
-        state.pop("_search_edges_cache", None)
+        state.pop("_edge_index_cache", None)
+        state.pop("_csr_cache", None)
+        state.pop("_search_cache", None)
         return state
 
     # ------------------------------------------------------------------
