@@ -537,20 +537,14 @@ def cmd_serve(args) -> int:
 
     from repro.service import DesignService
 
+    journal = _journal(args)
     service = DesignService(
-        jobs=args.jobs,
-        cache_backend=args.cache,
-        batch_window_s=args.batch_window,
+        engine=ExplorationEngine(
+            jobs=args.jobs, cache_backend=args.cache, journal=journal
+        ),
         max_inflight=args.max_inflight,
         max_request_bytes=args.max_request_bytes,
     )
-    journal = _journal(args)
-    if journal is not None:
-        # The BatchingEngine facade mirrors the inner engine's journal
-        # reference at construction; attach to both so journaled
-        # service computations replay on the next start with --resume.
-        service.engine.inner.journal = journal
-        service.engine.journal = journal
     backend = service.engine.cache.backend
     print(
         f"design service on {args.host}:{args.port} "
@@ -798,11 +792,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=8787)
-    p.add_argument(
-        "--batch-window", type=float, default=0.005, metavar="SECONDS",
-        help="straggler window for merging concurrent requests into "
-        "one engine pass (0 disables the wait)",
-    )
     p.add_argument(
         "--max-inflight", type=int, default=None, metavar="N",
         help="admission budget: at most N computations in flight; "

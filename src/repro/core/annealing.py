@@ -15,11 +15,6 @@ fully deterministic given their seed.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    from repro.engine.cache import EvaluationCache
-
 import math
 import random
 from dataclasses import dataclass
@@ -109,19 +104,17 @@ def simulated_annealing_map(
     estimator: NetworkEstimator | None = None,
     config: AnnealingConfig | None = None,
     initial_assignment: dict | None = None,
-    cache: EvaluationCache | None = None,
 ) -> MappingEvaluation:
     """Anneal over slot-swap moves.
+
+    A revisited assignment (walks returning to an earlier state) is
+    served from the run's memo, never routed twice.
 
     Args:
         initial_assignment: starting point; defaults to the greedy seed.
             Passing the swap search's result turns annealing into a
             refinement pass (the returned mapping is never worse than
             the starting one).
-        cache: optional shared :class:`~repro.engine.cache.
-            EvaluationCache`; ``None`` uses a private per-run cache.
-            Either way a revisited assignment (walks returning to an
-            earlier state) is never routed twice.
     """
     routing, objective = _resolve(routing, objective)
     constraints = constraints or Constraints()
@@ -130,8 +123,7 @@ def simulated_annealing_map(
     rng = random.Random(config.seed)
     with_floorplan = config.floorplan_each_step or objective.needs_floorplan
     memo = MemoizedMappingEvaluator(
-        core_graph, topology, routing, constraints, estimator,
-        cache=cache, objective=objective,
+        core_graph, topology, routing, constraints, estimator
     )
 
     def run(assignment):
@@ -204,15 +196,11 @@ def random_search_map(
     estimator: NetworkEstimator | None = None,
     iterations: int = 1500,
     seed: int = 0,
-    cache: EvaluationCache | None = None,
 ) -> MappingEvaluation:
     """Uniform random assignments — the unstructured baseline.
 
-    Args:
-        cache: optional shared :class:`~repro.engine.cache.
-            EvaluationCache`, like the other optimizers; ``None`` uses a
-            private per-run cache. Either way duplicate random samples
-            (likely on small topologies) are never routed twice.
+    Duplicate random samples (likely on small topologies) are served
+    from the run's memo, never routed twice.
     """
     routing, objective = _resolve(routing, objective)
     constraints = constraints or Constraints()
@@ -221,8 +209,7 @@ def random_search_map(
     slots = list(range(topology.num_slots))
     n = core_graph.num_cores
     memo = MemoizedMappingEvaluator(
-        core_graph, topology, routing, constraints, estimator,
-        cache=cache, objective=objective,
+        core_graph, topology, routing, constraints, estimator
     )
 
     best: MappingEvaluation | None = None

@@ -21,11 +21,6 @@ knob measured by ``bench_ablation_swap``.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    from repro.engine.cache import EvaluationCache
-
 import math
 from dataclasses import dataclass
 from itertools import combinations
@@ -91,18 +86,15 @@ def map_onto(
     estimator: NetworkEstimator | None = None,
     config: MapperConfig | None = None,
     collector: list | None = None,
-    cache: EvaluationCache | None = None,
 ) -> MappingEvaluation:
     """Map a core graph onto one topology and return the best evaluation.
+
+    Evaluations are memoized per assignment for the length of the
+    search, so the swap search never routes the same assignment twice.
 
     Args:
         collector: optional list receiving *every* evaluated mapping
             (used for the Pareto exploration of Figure 9(b)).
-        cache: optional shared :class:`~repro.engine.cache.
-            EvaluationCache` memoizing per-assignment evaluations
-            (content-keyed); ``None`` uses a private per-search cache,
-            so the swap search never routes the same assignment twice
-            either way.
 
     Raises:
         MappingInfeasibleError: if the application has more cores than
@@ -126,8 +118,7 @@ def map_onto(
         )
 
     memo = MemoizedMappingEvaluator(
-        core_graph, topology, routing, constraints, estimator,
-        cache=cache, objective=objective,
+        core_graph, topology, routing, constraints, estimator
     )
 
     def run(assignment: dict[int, int]) -> MappingEvaluation:

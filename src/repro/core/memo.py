@@ -9,11 +9,12 @@ is pure waste: :func:`evaluate_mapping` is deterministic in its inputs.
 
 :class:`MemoizedMappingEvaluator` wraps one search's evaluation context
 (core graph, topology, routing function, constraints, estimator) around
-the engine's content-keyed :class:`~repro.engine.cache.EvaluationCache`, keyed
-by assignment fingerprint plus the floorplan flag. Hits return the
-previously evaluated :class:`~repro.core.evaluate.MappingEvaluation`
-object itself — callers treat evaluations as immutable apart from the
-``cost`` field, which objectives re-assign idempotently.
+a private dict keyed by the sorted assignment plus the floorplan flag;
+the context is fixed by construction, so it needs no place in the key,
+and the memo lives and dies with its search. Hits return the previously
+evaluated :class:`~repro.core.evaluate.MappingEvaluation` object itself
+— callers treat evaluations as immutable apart from the ``cost`` field,
+which objectives re-assign idempotently.
 
 The searches hand their candidates in as slot swaps of a base
 assignment (:meth:`~MemoizedMappingEvaluator.evaluate_swap`); a swap is
@@ -24,7 +25,7 @@ underneath (:mod:`repro.routing.shortest`), not a second evaluator.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from dataclasses import dataclass
 
 from repro.core.constraints import Constraints
 from repro.core.coregraph import CoreGraph
@@ -32,9 +33,6 @@ from repro.core.evaluate import MappingEvaluation, evaluate_mapping
 from repro.physical.estimate import NetworkEstimator
 from repro.routing.base import RoutingFunction
 from repro.topology.base import Topology
-
-if TYPE_CHECKING:  # runtime import is lazy: engine's package __init__
-    from repro.engine.cache import EvaluationCache  # imports the mapper
 
 
 def swap_assignment(
@@ -61,20 +59,16 @@ def swap_assignment(
     return swapped
 
 
+@dataclass
+class MemoStats:
+    """Hit/miss counters of one search's memo."""
+
+    hits: int = 0
+    misses: int = 0
+
+
 class MemoizedMappingEvaluator:
-    """Evaluate assignments through a content-keyed cache.
-
-    Args:
-        cache: an :class:`~repro.engine.cache.EvaluationCache` to share
-            across searches (pass the same instance to several
-            ``map_onto`` calls to pool their work); ``None`` creates a
-            private unbounded cache for this search.
-
-    With a private cache the key is just the assignment (the context is
-    fixed by construction); with a shared cache the key is prefixed by
-    content fingerprints of the whole evaluation context, so two
-    searches can never serve each other stale results.
-    """
+    """Evaluate assignments of one search context through a private memo."""
 
     __slots__ = (
         "core_graph",
@@ -82,8 +76,8 @@ class MemoizedMappingEvaluator:
         "routing",
         "constraints",
         "estimator",
-        "cache",
-        "_context",
+        "stats",
+        "_store",
     )
 
     def __init__(
@@ -93,53 +87,14 @@ class MemoizedMappingEvaluator:
         routing: RoutingFunction,
         constraints: Constraints,
         estimator: NetworkEstimator,
-        cache: EvaluationCache | None = None,
-        objective=None,
     ):
         self.core_graph = core_graph
         self.topology = topology
         self.routing = routing
         self.constraints = constraints
         self.estimator = estimator
-        if cache is None:
-            from repro.engine.cache import EvaluationCache
-
-            self.cache = EvaluationCache(max_entries=None)
-            self._context = None
-        else:
-            self.cache = cache
-            # Lazy import: repro.engine.fingerprint imports the mapper,
-            # which imports this module.
-            from repro.engine.fingerprint import (
-                constraints_fingerprint,
-                core_graph_fingerprint,
-                estimator_fingerprint,
-                objective_fingerprint,
-                topology_fingerprint,
-            )
-
-            # The objective is part of the shared-cache key even though
-            # it does not influence routing: callers re-assign
-            # ``evaluation.cost`` after scoring, and two searches with
-            # different objectives must therefore never share the
-            # MappingEvaluation objects the cache hands back.
-            self._context = (
-                core_graph_fingerprint(core_graph),
-                topology_fingerprint(topology),
-                type(routing).__name__,
-                routing.code,
-                tuple(sorted(vars(routing).items())),
-                constraints_fingerprint(constraints),
-                estimator_fingerprint(estimator),
-                None if objective is None else objective_fingerprint(
-                    objective
-                ),
-            )
-
-    @property
-    def stats(self):
-        """Hit/miss counters of the underlying cache."""
-        return self.cache.stats
+        self.stats = MemoStats()
+        self._store: dict[tuple, MappingEvaluation] = {}
 
     def evaluate(
         self, assignment: dict[int, int], with_floorplan: bool
@@ -165,14 +120,12 @@ class MemoizedMappingEvaluator:
     ) -> MappingEvaluation:
         # The shared body of both entry points (one memo lookup per
         # candidate, whichever way it arrived).
-        key = (
-            self._context,
-            tuple(sorted(assignment.items())),
-            with_floorplan,
-        )
-        hit = self.cache.get(key)
+        key = (tuple(sorted(assignment.items())), with_floorplan)
+        hit = self._store.get(key)
         if hit is not None:
+            self.stats.hits += 1
             return hit
+        self.stats.misses += 1
         evaluation = evaluate_mapping(
             self.core_graph,
             self.topology,
@@ -182,5 +135,5 @@ class MemoizedMappingEvaluator:
             estimator=self.estimator,
             with_floorplan=with_floorplan,
         )
-        self.cache.put(key, evaluation)
+        self._store[key] = evaluation
         return evaluation

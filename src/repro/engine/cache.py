@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING
 from repro.engine.backends import CacheBackend, MemoryBackend
 from repro.obs import metrics as obs_metrics
 
-if TYPE_CHECKING:  # break the jobs -> core -> memo -> cache cycle
+if TYPE_CHECKING:  # annotation only: jobs pulls in the domain layers
     from repro.engine.jobs import JobResult
 
 _HITS = obs_metrics.REGISTRY.counter(
@@ -102,11 +102,9 @@ class EvaluationCache:
     manages its own capacity — ``max_entries`` then only retains its
     ``0``-disables-caching meaning.
 
-    The store is payload-agnostic: the engine keeps
-    :class:`~repro.engine.jobs.JobResult` records in it, while the
-    mapping search (:mod:`repro.core.memo`) memoizes raw
-    :class:`~repro.core.evaluate.MappingEvaluation` objects keyed by
-    assignment fingerprint.
+    It holds the engine's :class:`~repro.engine.jobs.JobResult`
+    records; the mapping search's per-assignment memo
+    (:mod:`repro.core.memo`) is a private dict and never touches it.
 
     ``write_only=True`` turns every lookup into a miss while still
     persisting results — the design service's ``cache: "refresh"``

@@ -19,6 +19,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Sequence
 from itertools import product
+from threading import Lock
 
 from repro.core.constraints import Constraints
 from repro.core.coregraph import CoreGraph
@@ -78,6 +79,11 @@ class ExplorationEngine:
         retry_policy: :class:`~repro.engine.resilience.RetryPolicy` for
             the executor built from ``jobs`` (ignored when an explicit
             ``executor`` is passed — configure that executor directly).
+
+    ``run`` is safe to call from several threads at once (the design
+    service shares one engine across its worker threads): the cache and
+    journal lock internally, and :attr:`lock` guards the cumulative
+    counters below.
     """
 
     def __init__(
@@ -100,12 +106,13 @@ class ExplorationEngine:
             )
         self.cache = cache
         self.journal = journal
+        #: Guards :attr:`failure_stats` and :attr:`passes`.
+        self.lock = Lock()
         #: Cumulative failure counts by kind (``crash``/``timeout``/
         #: ``error``) across every ``run`` on this engine.
         self.failure_stats: Counter = Counter()
-        #: Failures surfaced by the most recent ``run`` call (empty when
-        #: it completed cleanly or raised).
-        self.last_failures: list[JobFailure] = []
+        #: ``run`` calls on this engine.
+        self.passes = 0
 
     # ------------------------------------------------------------------
     # core execution
@@ -137,8 +144,8 @@ class ExplorationEngine:
         exception, matching pre-resilience behaviour; ``"skip"``
         returns the failure in the result list (``ok`` is False) so one
         poisoned point degrades a sweep instead of killing it.
-        Failures are never cached or journaled. Per-run stats land in
-        :attr:`last_failures` / :attr:`failure_stats`.
+        Failures are never cached or journaled; they are counted in
+        :attr:`failure_stats`.
         """
         with obs_trace.span(
             "engine.run", jobs=len(jobs), executor=self.executor.name
@@ -156,12 +163,14 @@ class ExplorationEngine:
             raise ReproError(
                 f"on_failure must be 'raise' or 'skip', got {on_failure!r}"
             )
+        with self.lock:
+            self.passes += 1
         results: list[JobResult | None] = [None] * len(jobs)
         pending: list[tuple[int, EvaluationJob | SimulationJob]] = []
         keys: dict[int, tuple] = {}
         first_index_for_key: dict[tuple, int] = {}
         duplicates: dict[int, list[int]] = {}
-        failures: list[JobFailure] = []
+        failures = 0
         # Grouped jobs (batched simulation): the group executes as one
         # unit but caches/journals per point, so a group shrinks to its
         # cache-missing points before execution and the stored entries
@@ -235,13 +244,13 @@ class ExplorationEngine:
             if isinstance(result, JobFailure):
                 # Terminal infrastructure failure: never cached, never
                 # journaled — a flaky worker must not poison warm state.
-                self.failure_stats[result.failure_kind] += 1
+                with self.lock:
+                    self.failure_stats[result.failure_kind] += 1
                 _FAILURES.inc(failure=result.failure_kind)
                 _JOBS.inc(kind=job_kind(jobs[index]), status="failed")
                 if on_failure == "raise":
-                    self.last_failures = []
                     raise result.to_exception()
-                failures.append(result)
+                failures += 1
                 results[index] = result.retagged(
                     jobs[index].tag, cached=False
                 )
@@ -278,8 +287,7 @@ class ExplorationEngine:
                 results[dup_index] = result.retagged(
                     jobs[dup_index].tag, cached=True
                 )
-        self.last_failures = failures
-        sp.set("failures", len(failures))
+        sp.set("failures", failures)
         assert all(r is not None for r in results)
         return results  # type: ignore[return-value]
 

@@ -1,52 +1,23 @@
-"""Request dedup and cross-request batching for the design service.
+"""Request-level dedup for the design service.
 
-Two mechanisms turn N concurrent design requests into less-than-N
-engine work, both without changing a single result bit:
-
-* :class:`InFlightTable` — *request-level* dedup. Identical requests
-  (same normalized contract fingerprint) that overlap in time share one
-  computation: the first becomes the owner, the rest await its future.
-  This is the request-granularity analogue of the engine's in-batch
-  job dedup, and it is what makes a thundering herd of identical
-  queries cost one evaluation pass.
-
-* :class:`BatchingEngine` — *job-level* batching. Request handlers run
-  in worker threads and each eventually calls ``engine.run(jobs)``;
-  concurrent calls rendezvous here, their job lists are concatenated
-  and executed as **one** pass of the inner
-  :class:`~repro.engine.engine.ExplorationEngine`. One pass means one
-  executor fan-out (a single process-pool dispatch instead of several
-  small ones) and engine-level dedup *across* requests: two different
-  requests sharing a candidate evaluate it once.
-
-Bit-identity: the engine reduces results by submission index and every
-job's seed is content-derived, so ``inner.run(a + b)`` sliced back into
-``a`` and ``b`` is element-wise identical to ``inner.run(a)`` and
-``inner.run(b)`` — batching composition can never leak into results.
+:class:`InFlightTable` turns N concurrent identical design requests
+into one computation, without changing a single result bit: requests
+with the same normalized contract fingerprint that overlap in time
+share one computation — the first becomes the owner, the rest await
+its future. This is the request-granularity analogue of the engine's
+in-batch job dedup, and it is what makes a thundering herd of
+identical queries cost one evaluation pass.
 """
 
 from __future__ import annotations
 
 import asyncio
-import time
-from threading import Event, Lock
 
-from repro.engine.engine import ExplorationEngine
-from repro.engine.jobs import JobResult
-from repro.engine.resilience import JobFailure
-from repro.errors import ReproError
 from repro.obs import metrics as obs_metrics
 
 _DEDUPED = obs_metrics.REGISTRY.counter(
     "repro_service_deduped_total",
     "Requests that joined an identical in-flight computation",
-)
-_BATCHES = obs_metrics.REGISTRY.counter(
-    "repro_service_batches_total", "Merged engine passes run by the batcher"
-)
-_BATCHED_REQUESTS = obs_metrics.REGISTRY.counter(
-    "repro_service_batched_requests_total",
-    "run() submissions folded into merged passes",
 )
 
 
@@ -101,137 +72,3 @@ class InFlightTable:
     def __len__(self) -> int:
         """Number of computations currently in flight."""
         return len(self._futures)
-
-
-class _Submission:
-    """One ``run()`` call waiting for its slice of a merged batch."""
-
-    __slots__ = ("jobs", "on_failure", "results", "exception", "done")
-
-    def __init__(self, jobs: list, on_failure: str = "raise"):
-        """Wrap one caller's job list ahead of the merge."""
-        self.jobs = jobs
-        self.on_failure = on_failure
-        self.results: list[JobResult] | None = None
-        self.exception: BaseException | None = None
-        self.done = Event()
-
-
-class BatchingEngine(ExplorationEngine):
-    """Engine façade that merges concurrent ``run()`` calls into one pass.
-
-    Behaves exactly like the wrapped engine — same cache, same executor,
-    same job-list builders — but when several threads call :meth:`run`
-    at once, their job lists are concatenated and executed as a single
-    inner pass. The leader (first submitter to win the flush lock) waits
-    ``window_s`` for stragglers, drains everything queued, runs it, and
-    hands each submission its own result slice.
-
-    ``window_s`` trades latency for batching: 0 disables the straggler
-    wait (merging then only happens while a previous pass is running,
-    which is still the common case under load).
-    """
-
-    def __init__(self, inner: ExplorationEngine, window_s: float = 0.005):
-        """Wrap ``inner``; do not submit to ``inner`` directly afterwards."""
-        self.inner = inner
-        self.window_s = window_s
-        self.executor = inner.executor
-        self.cache = inner.cache
-        self.journal = inner.journal
-        # Failure stats accumulate on the inner engine (the merged
-        # passes run there); expose the same counter object.
-        self.failure_stats = inner.failure_stats
-        self.last_failures = inner.last_failures
-        self._mutex = Lock()          # guards _pending
-        self._flush_lock = Lock()     # held by the current leader
-        self._pending: list[_Submission] = []
-        #: Merged-pass counters (observability + batching tests).
-        self.batches = 0
-        self.batched_requests = 0
-        self.largest_batch = 0
-
-    def run(self, jobs, on_failure: str = "raise") -> list[JobResult]:
-        """Execute a batch, possibly merged with concurrent callers' work.
-
-        Results are the caller's own submission slice, in its submission
-        order — indistinguishable from ``inner.run(jobs)``.
-
-        ``on_failure`` applies to the *caller's slice only*: the merged
-        inner pass always runs with ``on_failure="skip"`` so one
-        request's infrastructure failure cannot poison co-batched
-        requests, then each submission's own policy decides whether its
-        slice raises or keeps the typed failures.
-        """
-        if on_failure not in ("raise", "skip"):
-            raise ReproError(
-                f"on_failure must be 'raise' or 'skip', got {on_failure!r}"
-            )
-        jobs = list(jobs)
-        if not jobs:
-            return []
-        submission = _Submission(jobs, on_failure)
-        with self._mutex:
-            self._pending.append(submission)
-        while True:
-            # Try to become the leader. Losing just means another
-            # thread is flushing — our submission may be in its batch.
-            if self._flush_lock.acquire(blocking=False):
-                try:
-                    if not submission.done.is_set():
-                        if self.window_s > 0:
-                            time.sleep(self.window_s)
-                        self._drain()
-                finally:
-                    self._flush_lock.release()
-            # A submission enqueued between a leader's final drain and
-            # its lock release is picked up by this timed retry.
-            if submission.done.wait(timeout=0.05):
-                break
-        if submission.exception is not None:
-            raise submission.exception
-        return submission.results
-
-    def _drain(self) -> None:
-        """Run every queued submission as merged inner passes."""
-        while True:
-            with self._mutex:
-                batch, self._pending = self._pending, []
-            if not batch:
-                return
-            self._execute(batch)
-
-    def _execute(self, batch: list[_Submission]) -> None:
-        """One merged pass: concatenate, run, slice back, wake waiters."""
-        merged: list = []
-        for submission in batch:
-            merged.extend(submission.jobs)
-        self.batches += 1
-        self.batched_requests += len(batch)
-        self.largest_batch = max(self.largest_batch, len(batch))
-        _BATCHES.inc()
-        _BATCHED_REQUESTS.inc(len(batch))
-        try:
-            # Always skip inside the merged pass: a JobFailure belongs
-            # to exactly one submission's slice, and only that
-            # submission's on_failure policy may turn it into a raise.
-            results = self.inner.run(merged, on_failure="skip")
-        except BaseException as exc:
-            for submission in batch:
-                submission.exception = exc
-                submission.done.set()
-            return
-        offset = 0
-        for submission in batch:
-            chunk = results[offset:offset + len(submission.jobs)]
-            offset += len(submission.jobs)
-            if submission.on_failure == "raise":
-                failed = next(
-                    (r for r in chunk if isinstance(r, JobFailure)), None
-                )
-                if failed is not None:
-                    submission.exception = failed.to_exception()
-                    submission.done.set()
-                    continue
-            submission.results = chunk
-            submission.done.set()

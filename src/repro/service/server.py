@@ -3,15 +3,14 @@
 :class:`DesignService` is the front door the ROADMAP's service layer
 asks for: it accepts concurrent design requests (``select`` /
 ``synthesize`` / ``campaign``, plus the ``health`` and ``metrics``
-probes), validates
-them against the contract (:mod:`repro.service.contract`), dedupes
-identical requests in flight
-(:class:`~repro.service.jobqueue.InFlightTable`), batches the engine
-jobs of overlapping requests into single executor passes
-(:class:`~repro.service.jobqueue.BatchingEngine`), and streams each
-response as soon as its computation lands — over a newline-delimited
-JSON TCP protocol (:meth:`DesignService.serve`) or directly in-process
-(:meth:`DesignService.handle`, which is also what the tests drive).
+probes), validates them against the contract
+(:mod:`repro.service.contract`), dedupes identical requests in flight
+(:class:`~repro.service.jobqueue.InFlightTable`), runs each computation
+on one shared :class:`~repro.engine.engine.ExplorationEngine`, and
+streams each response as soon as its computation lands — over a
+newline-delimited JSON TCP protocol (:meth:`DesignService.serve`) or
+directly in-process (:meth:`DesignService.handle`, which is also what
+the tests drive).
 
 The service degrades before it collapses: an optional ``max_inflight``
 budget rejects over-capacity computations with the typed retryable
@@ -25,7 +24,7 @@ Every handler calls the exact public flow a direct caller would —
 :func:`~repro.synthesis.generate.synthesize_topologies`,
 :func:`~repro.simulation.campaign.run_campaign` — so a response's
 ``result`` payload is byte-identical to the direct call, regardless of
-cache backend, batching or dedup (asserted in the service tests).
+cache backend, concurrency or dedup (asserted in the service tests).
 
 Compute runs in worker threads (``asyncio.to_thread``), so the event
 loop stays free to accept, validate and dedupe requests while the
@@ -63,7 +62,7 @@ from repro.service.contract import (
     parse_request,
     DesignResponse,
 )
-from repro.service.jobqueue import BatchingEngine, InFlightTable
+from repro.service.jobqueue import InFlightTable
 from repro.simulation.campaign import CampaignConfig, run_campaign
 from repro.sunmap import run_sunmap
 from repro.synthesis.generate import SynthesisConfig, synthesize_topologies
@@ -93,10 +92,8 @@ class DesignService:
     """One service instance: shared engine, in-flight table, counters.
 
     Args:
-        engine: explicit inner engine (overrides ``jobs`` and
-            ``cache_backend``). The service wraps it in a
-            :class:`~repro.service.jobqueue.BatchingEngine`; do not
-            submit to it directly while the service is live.
+        engine: explicit engine (overrides ``jobs`` and
+            ``cache_backend``), shared by every worker thread.
         jobs: engine worker processes (1 = in-thread serial execution).
         cache_backend: evaluation-cache storage — a
             :class:`~repro.engine.backends.CacheBackend` or a
@@ -104,8 +101,6 @@ class DesignService:
             With a persistent backend (``"sqlite:..."``/``"dir:..."``)
             the service starts warm: requests already answered by any
             earlier process cost zero evaluations.
-        batch_window_s: straggler window of the job batcher (see
-            :class:`~repro.service.jobqueue.BatchingEngine`).
         max_inflight: admission-control budget — the number of request
             *computations* allowed to run concurrently (in-flight dedup
             joiners are free: they cost no engine work). Past the
@@ -123,7 +118,6 @@ class DesignService:
         engine: ExplorationEngine | None = None,
         jobs: int = 1,
         cache_backend=None,
-        batch_window_s: float = 0.005,
         max_inflight: int | None = None,
         max_request_bytes: int = 1_048_576,
     ):
@@ -132,22 +126,22 @@ class DesignService:
             raise ReproError("max_inflight must be at least 1")
         if max_request_bytes < 1024:
             raise ReproError("max_request_bytes must be at least 1024")
-        inner = engine or ExplorationEngine(
+        self.engine = engine or ExplorationEngine(
             jobs=jobs, cache_backend=cache_backend
         )
-        self.engine = BatchingEngine(inner, window_s=batch_window_s)
         self.inflight = InFlightTable()
         self._ids = itertools.count(1)
         self.max_inflight = max_inflight
         self.max_request_bytes = max_request_bytes
+        # The counters below are mutated on the event-loop thread only,
+        # so plain ints suffice.
         #: Requests received (including invalid ones).
         self.requests = 0
         #: Requests actually computed (excludes in-flight dedup joins).
         self.computed = 0
         #: Requests rejected by admission control.
         self.busy_rejections = 0
-        #: Computations currently admitted (all state below is mutated
-        #: on the event-loop thread only, so plain ints suffice).
+        #: Computations currently admitted.
         self._admitted = 0
         #: EWMA of recent compute times, feeding the busy response's
         #: ``retry_after_s`` hint.
@@ -262,7 +256,9 @@ class DesignService:
         _INFLIGHT.set(self._admitted)
         start = perf_counter()
         try:
-            return await asyncio.to_thread(self._compute, request)
+            result = await asyncio.to_thread(self._compute, request)
+            self.computed += 1
+            return result
         finally:
             self._admitted -= 1
             _INFLIGHT.set(self._admitted)
@@ -280,8 +276,14 @@ class DesignService:
         return min(30.0, max(0.05, self._ewma_compute_s))
 
     def health(self) -> dict:
-        """The ``health`` probe payload: load, budget and cache stats."""
+        """The ``health`` probe payload: load, budget and cache stats.
+
+        ``batches`` counts ``run`` passes on the shared engine.
+        """
         stats = self.engine.cache.stats
+        with self.engine.lock:
+            failures = dict(self.engine.failure_stats)
+            passes = self.engine.passes
         return {
             "status": "ok",
             "in_flight": self._admitted,
@@ -297,8 +299,8 @@ class DesignService:
                 "evictions": stats.evictions,
                 "write_errors": stats.write_errors,
             },
-            "job_failures": dict(self.engine.failure_stats),
-            "batches": self.engine.batches,
+            "job_failures": failures,
+            "batches": passes,
         }
 
     def metrics(self) -> dict:
@@ -318,18 +320,16 @@ class DesignService:
             "synthesize": self._run_synthesize,
             "campaign": self._run_campaign,
         }[request.kind]
-        result = handler(request.params, engine)
-        self.computed += 1
-        return result
+        return handler(request.params, engine)
 
     def _engine_for(self, cache_control: str) -> ExplorationEngine:
         """Engine honouring the request's cache-control value.
 
-        ``default`` shares the batching engine (warm reads, warm
-        writes, cross-request batching); ``bypass`` runs on a private
-        in-memory engine (no shared reads or writes); ``refresh`` runs
-        write-only over the shared backend, overwriting warm entries
-        with freshly computed — bit-identical — results.
+        ``default`` shares the service engine (warm reads, warm
+        writes); ``bypass`` runs on a private in-memory engine (no
+        shared reads or writes); ``refresh`` runs write-only over the
+        shared backend, overwriting warm entries with freshly computed
+        — bit-identical — results.
         """
         if cache_control == "default":
             return self.engine

@@ -618,10 +618,12 @@ def run_campaign(
             :attr:`CampaignResult.failures` and builds curves from the
             survivors.
         deadline_s: optional wall-clock budget; the sweep runs in
-            per-(fault variant, pattern) chunks and stops scheduling
-            new chunks once the budget is spent, returning partial
-            results flagged :attr:`CampaignResult.degraded` (at least
-            the first chunk always runs). ``None`` (default) runs the
+            units — per-(fault variant, pattern) chunks on the exact
+            lane, per-fault-variant groups on the batch lane — and
+            stops scheduling new units once the budget is spent,
+            returning partial results flagged
+            :attr:`CampaignResult.degraded` (at least the first unit
+            always runs). ``None`` (default) runs the exact lane's
             whole sweep as a single engine pass.
 
     Raises:
@@ -659,62 +661,44 @@ def run_campaign(
     ]
     per_variant = len(job_list) // len(fault_seeds)
     started = time.perf_counter()
+    # One loop over execution units, with one deadline check. Batch
+    # lane: one vectorized group per fault variant (a group shares a
+    # fabric, so one batch layout advances its rates × patterns × seeds
+    # sweep in lockstep; the engine still caches and journals it per
+    # point). Exact lane: the whole sweep as one engine pass (one
+    # executor fan-out) or, under a deadline, one chunk per (fault
+    # variant, pattern), so an expired deadline skips whole curve
+    # groups. The first unit always runs, so a degraded result is
+    # partial, never empty.
     if config.sim_engine == "batch":
-        # Fast lane: one vectorized group per fault variant (each group
-        # shares a fabric, so one batch layout advances its whole
-        # rates × patterns × seeds sweep in lockstep). Groups are
-        # content-keyed per point inside the engine, so cache/journal/
-        # resume behave exactly as in the exact lane; a group-level
-        # infrastructure failure loses that variant's points only.
-        groups = [
-            BatchSimulationJob(
-                points=tuple(
-                    job_list[gi * per_variant:(gi + 1) * per_variant]
-                ),
-                tag="batch" if fs is None else f"batch/f{fs}",
-            )
-            for gi, fs in enumerate(fault_seeds)
-        ]
-        deadline = (
-            None if deadline_s is None else time.monotonic() + deadline_s
-        )
-        outcomes = []
-        for gi, group in enumerate(groups):
-            if (
-                deadline is not None
-                and gi > 0
-                and time.monotonic() >= deadline
-            ):
-                result.degraded = True
-                result.skipped_points = len(job_list) - gi * per_variant
-                break
-            group_outcome = engine.run([group], on_failure=on_failure)[0]
-            if isinstance(group_outcome, JobFailure):
-                outcomes.extend([group_outcome] * len(group.points))
-            else:
-                outcomes.extend(group_outcome.value)
+        size = per_variant
     elif deadline_s is None:
-        # One engine pass: exactly the pre-deadline execution shape
-        # (one executor fan-out, maximal batching).
-        outcomes = engine.run(job_list, on_failure=on_failure)
+        size = len(job_list)
     else:
-        # Chunk by (fault variant, pattern): coarse enough to keep the
-        # executor busy, fine enough that an expired deadline skips
-        # whole recognisable curve groups. The first chunk always runs,
-        # so a degraded result is partial, never empty.
-        outcomes = []
-        deadline = time.monotonic() + deadline_s
-        chunk = len(config.rates) * len(config.seeds)
-        for start in range(0, len(job_list), chunk):
-            if start > 0 and time.monotonic() >= deadline:
-                result.degraded = True
-                result.skipped_points = len(job_list) - start
-                break
-            outcomes.extend(
-                engine.run(
-                    job_list[start:start + chunk], on_failure=on_failure
-                )
-            )
+        size = len(config.rates) * len(config.seeds)
+    deadline = None if deadline_s is None else time.monotonic() + deadline_s
+    outcomes = []
+    for start in range(0, len(job_list), size):
+        if deadline is not None and start and time.monotonic() >= deadline:
+            result.degraded = True
+            result.skipped_points = len(job_list) - start
+            break
+        unit = job_list[start:start + size]
+        if config.sim_engine == "exact":
+            outcomes.extend(engine.run(unit, on_failure=on_failure))
+            continue
+        fault_seed = fault_seeds[start // per_variant]
+        group = BatchSimulationJob(
+            points=tuple(unit),
+            tag="batch" if fault_seed is None else f"batch/f{fault_seed}",
+        )
+        outcome = engine.run([group], on_failure=on_failure)[0]
+        # A group-level infrastructure failure loses that variant's
+        # points only.
+        if isinstance(outcome, JobFailure):
+            outcomes.extend([outcome] * len(unit))
+        else:
+            outcomes.extend(outcome.value)
     wall = time.perf_counter() - started
     result.runtime = {
         "sim_engine": config.sim_engine,

@@ -4,7 +4,8 @@
 :func:`~repro.core.evaluate.evaluate_mapping` of the swapped assignment
 exactly — same paths, float-equal loads (order and values), hops, power,
 cost and feasibility — for every routing function and topology family,
-across swap sequences; and the memo stays the outer layer.
+across swap sequences; the memo stays the outer layer; and it is private
+to its search, so mapping never touches the engine's cache metrics.
 """
 
 from __future__ import annotations
@@ -12,13 +13,21 @@ from __future__ import annotations
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.apps import vopd
 from repro.apps.synthetic import random_core_graph
+from repro.core.annealing import (
+    AnnealingConfig,
+    random_search_map,
+    simulated_annealing_map,
+)
 from repro.core.constraints import Constraints
 from repro.core.evaluate import evaluate_mapping
 from repro.core.greedy import initial_greedy_mapping
+from repro.core.mapper import map_onto
 from repro.core.memo import MemoizedMappingEvaluator, swap_assignment
 from repro.core.objectives import make_objective
 from repro.errors import UnsupportedRoutingError
+from repro.obs.metrics import get_registry
 from repro.physical.estimate import NetworkEstimator
 from repro.routing.library import make_routing
 from repro.topology.library import make_topology
@@ -146,3 +155,41 @@ def test_swap_assignment_moves_cores_and_keeps_key_order():
     assert list(swap_assignment(base, 1, 5)) == [2, 0, 1]
     assert swap_assignment(base, 3, 7) == {2: 5, 0: 1, 1: 7}  # to a free slot
     assert base == {2: 5, 0: 1, 1: 3}  # the input is not mutated
+
+
+def _cache_series() -> dict:
+    """Every ``repro_cache_*`` family's series in the process registry."""
+    return {
+        name: family["series"]
+        for name, family in get_registry().snapshot().items()
+        if name.startswith("repro_cache_")
+    }
+
+
+def test_mapping_searches_leave_the_cache_metrics_untouched():
+    app = vopd()
+    topology = make_topology("mesh", app.num_cores)
+    before = _cache_series()
+    swap = map_onto(app, topology)
+    annealed = simulated_annealing_map(
+        app, topology, config=AnnealingConfig(iterations=60)
+    )
+    sampled = random_search_map(app, topology, iterations=40)
+    assert _cache_series() == before
+    for evaluation in (swap, annealed, sampled):
+        assert evaluation.assignment  # each search really ran
+
+
+def test_memo_stats_count_each_lookup_once():
+    app = random_core_graph(5, seed=3)
+    topology = make_topology("mesh", 6)
+    memo = MemoizedMappingEvaluator(
+        app, topology, make_routing("MP"), Constraints(), NetworkEstimator()
+    )
+    base = initial_greedy_mapping(app, topology)
+    memo.evaluate(base, with_floorplan=False)
+    memo.evaluate(base, with_floorplan=False)
+    memo.evaluate(base, with_floorplan=True)  # the flag is part of the key
+    memo.evaluate_swap(base, 0, 1, with_floorplan=False)
+    memo.evaluate_swap(base, 0, 1, with_floorplan=False)
+    assert (memo.stats.hits, memo.stats.misses) == (2, 3)

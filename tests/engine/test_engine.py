@@ -2,10 +2,13 @@
 
 The engine's contract is that results are bit-identical to the serial
 path no matter which executor runs the jobs or in which order they
-finish — same winners, same costs, same assignments, same seeds.
+finish — same winners, same costs, same assignments, same seeds — and
+no matter how many threads call ``run`` on one engine at once.
 """
 
 import random
+import sys
+import threading
 
 import pytest
 
@@ -180,6 +183,84 @@ class TestCache:
         second = engine.run_one(job_for(tiny_app))
         assert not first.cached and not second.cached
         assert len(cache) == 0
+
+
+def result_digest(result: JobResult) -> tuple:
+    """Everything observable about one evaluation result (minus cached)."""
+    ev = result.evaluation
+    return (
+        result.tag,
+        result.seed,
+        ev.cost,
+        ev.avg_hops,
+        ev.power_mw,
+        tuple(sorted(ev.assignment.items())),
+    )
+
+
+class TestConcurrentRuns:
+    """One engine shared by several threads, as the design service does."""
+
+    TOPOLOGIES = ("mesh", "torus", "hypercube", "ring", "star")
+    #: Repeat runs per thread: after the first, they are cache hits, so
+    #: the counters see many racing updates for little compute.
+    ROUNDS = 10
+
+    def test_overlapping_runs_match_serial_runs(self, vopd_app):
+        names = self.TOPOLOGIES
+        # Thread i runs three consecutive library entries (wrapping), so
+        # every job is shared by several threads and racing on the cache.
+        job_lists = [
+            [job_for(vopd_app, names[(i + k) % len(names)]) for k in range(3)]
+            for i in range(4)
+        ]
+        reference = {
+            r.tag: result_digest(r)
+            for r in ExplorationEngine().run(
+                [job_for(vopd_app, name) for name in names]
+            )
+        }
+        engine = ExplorationEngine()
+        barrier = threading.Barrier(len(job_lists))
+        results: dict[int, list[list[JobResult]]] = {}
+        errors: list[BaseException] = []
+
+        def worker(i: int) -> None:
+            try:
+                barrier.wait()
+                results[i] = [
+                    engine.run(job_lists[i]) for _ in range(self.ROUNDS)
+                ]
+            except BaseException as exc:  # surfaced on the main thread
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=worker, args=(i,))
+            for i in range(len(job_lists))
+        ]
+        # A short switch interval makes the threads interleave inside
+        # the cache's and the engine's read-modify-write updates.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        for i, jobs in enumerate(job_lists):
+            for round_results in results[i]:
+                assert [result_digest(r) for r in round_results] == [
+                    reference[job.tag] for job in jobs
+                ]
+        lookups = self.ROUNDS * sum(len(jobs) for jobs in job_lists)
+        stats = engine.cache.stats
+        assert stats.hits + stats.misses == lookups
+        assert engine.passes == self.ROUNDS * len(job_lists)
+        assert engine.failure_stats == {}
 
 
 class TestSeeds:

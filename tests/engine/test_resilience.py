@@ -17,7 +17,7 @@ import subprocess
 import sys
 import time
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import pytest
@@ -35,7 +35,7 @@ from repro.engine import (
     key_fingerprint,
     open_journal,
 )
-from repro.engine.jobs import JobResult, hash_seed, run_job
+from repro.engine.jobs import JobResult, hash_seed
 from repro.engine.resilience import failure_from
 from repro.errors import (
     JobFailedError,
@@ -354,7 +354,6 @@ class TestEngineFailureHandling:
             engine.run(tiny_jobs(tiny_app))
         assert excinfo.value is sentinel
         assert engine.failure_stats["error"] == 1
-        assert engine.last_failures == []
 
     def test_on_failure_skip_surfaces_typed_failures(self, tiny_app):
         engine = ExplorationEngine(executor=FailingExecutor([0]))
@@ -363,7 +362,6 @@ class TestEngineFailureHandling:
         assert isinstance(results[0], JobFailure)
         assert results[0].tag == jobs[0].tag
         assert results[1].ok
-        assert len(engine.last_failures) == 1
         assert engine.failure_stats["crash"] == 1
 
     def test_failures_are_never_cached_or_journaled(self, tiny_app, tmp_path):
@@ -437,6 +435,22 @@ class TestCampaignResilience:
         dumped = result.to_dict()
         assert dumped["degraded"] is True
         assert dumped["skipped_points"] == 2
+
+    def test_batch_lane_deadline_keeps_the_first_fault_variant(
+        self, tiny_app
+    ):
+        topology = make_topology("mesh", tiny_app.num_cores)
+        config = replace(
+            self.CONFIG, sim_engine="batch", faults=1, fault_seeds=(1, 2)
+        )
+        per_variant = 4  # 2 rates x 2 patterns x 1 seed
+        full = run_campaign(topology, config=config)
+        result = run_campaign(topology, config=config, deadline_s=1e-9)
+        # The first variant's group always runs; the second is shed.
+        assert result.degraded
+        assert result.skipped_points == per_variant
+        assert result.points == [p for p in full.points if p.fault_seed == 1]
+        assert len(result.points) == per_variant
 
 
 def digest(results) -> list[tuple]:

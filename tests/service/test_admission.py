@@ -20,12 +20,8 @@ import json
 
 import pytest
 
-from repro.engine import ExplorationEngine, JobFailure
-from repro.engine.resilience import failure_from
-from repro.errors import ReproError, ServiceBusyError, WorkerCrashError
+from repro.errors import ReproError, ServiceBusyError
 from repro.service import DesignService
-from repro.service.jobqueue import BatchingEngine
-from repro.topology.library import make_topology
 
 CAMPAIGN = {
     "v": 1,
@@ -188,51 +184,6 @@ class TestDeadlineDegradation:
         )
         assert not response["ok"]
         assert response["error"]["type"] == "ContractError"
-
-
-class FailingExecutor:
-    """Stub executor failing the first submitted job of every run."""
-
-    name = "failing"
-
-    def run(self, fn, indexed_jobs):
-        for position, (index, job) in enumerate(indexed_jobs):
-            if position == 0:
-                exc = WorkerCrashError(f"chaos took {job.tag!r}")
-                yield index, failure_from(job, exc, attempts=3, kind="crash")
-            else:
-                yield index, fn(job)
-
-
-class TestBatchingEngineFailures:
-    def jobs(self, vopd_app):
-        engine = ExplorationEngine()
-        return engine.selection_jobs(
-            vopd_app,
-            topologies=[make_topology("mesh", vopd_app.num_cores),
-                        make_topology("ring", vopd_app.num_cores)],
-        )
-
-    def test_on_failure_skip_passes_through(self, vopd_app):
-        batching = BatchingEngine(
-            ExplorationEngine(executor=FailingExecutor()), window_s=0
-        )
-        results = batching.run(self.jobs(vopd_app), on_failure="skip")
-        assert isinstance(results[0], JobFailure)
-        assert results[1].ok
-        assert batching.failure_stats["crash"] == 1
-
-    def test_on_failure_raise_raises_per_submission(self, vopd_app):
-        batching = BatchingEngine(
-            ExplorationEngine(executor=FailingExecutor()), window_s=0
-        )
-        with pytest.raises(WorkerCrashError):
-            batching.run(self.jobs(vopd_app))
-
-    def test_invalid_on_failure_is_rejected(self, vopd_app):
-        batching = BatchingEngine(ExplorationEngine(), window_s=0)
-        with pytest.raises(ReproError):
-            batching.run(self.jobs(vopd_app), on_failure="ignore")
 
 
 class TestOversizedLines:

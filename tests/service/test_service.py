@@ -1,8 +1,8 @@
-"""The design service: bit-identity, dedup, batching, warm starts.
+"""The design service: bit-identity, dedup, warm starts.
 
 The service's central promise: a response's ``result`` payload is
 byte-identical to the equivalent direct library call — whatever cache
-backend serves it, however requests are deduped or batched, and
+backend serves it, however requests are deduped or interleaved, and
 whichever process computed it first.
 """
 
@@ -12,16 +12,13 @@ import asyncio
 import json
 import subprocess
 import sys
-import threading
 from pathlib import Path
 
 import pytest
 
 from repro.core.greedy import initial_greedy_mapping
-from repro.engine import EvaluationJob, ExplorationEngine
 from repro.io import selection_to_dict
 from repro.service import DesignService
-from repro.service.jobqueue import BatchingEngine
 from repro.service.server import submit_async
 from repro.simulation.campaign import (
     CampaignConfig,
@@ -226,50 +223,6 @@ class TestCacheControl:
         assert len(service.engine.cache) == 0  # nothing written through
 
 
-class TestBatching:
-    def test_concurrent_runs_merge_into_one_pass(self, vopd_app):
-        inner = ExplorationEngine()
-        batching = BatchingEngine(inner, window_s=0.25)
-        jobs_a = [_job(vopd_app, "mesh"), _job(vopd_app, "torus")]
-        jobs_b = [_job(vopd_app, "hypercube")]
-        results: dict[str, list] = {}
-
-        def submit(name, jobs):
-            results[name] = batching.run(jobs)
-
-        threads = [
-            threading.Thread(target=submit, args=("a", jobs_a)),
-            threading.Thread(target=submit, args=("b", jobs_b)),
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert batching.batches == 1  # one merged inner pass
-        assert batching.batched_requests == 2
-        assert batching.largest_batch == 2
-        # Slices map back to their own submissions, bit-identically.
-        direct = ExplorationEngine().run(jobs_a + jobs_b)
-        merged = results["a"] + results["b"]
-        assert [r.tag for r in merged] == [r.tag for r in direct]
-        for got, want in zip(merged, direct):
-            assert got.evaluation.cost == want.evaluation.cost
-            assert got.evaluation.assignment == want.evaluation.assignment
-
-    def test_sequential_runs_do_not_wait_for_each_other(self, vopd_app):
-        batching = BatchingEngine(ExplorationEngine(), window_s=0)
-        first = batching.run([_job(vopd_app, "mesh")])
-        second = batching.run([_job(vopd_app, "mesh")])
-        assert batching.batches == 2
-        assert first[0].evaluation.cost == second[0].evaluation.cost
-        assert second[0].cached  # same engine cache underneath
-
-    def test_empty_run_is_a_noop(self):
-        batching = BatchingEngine(ExplorationEngine(), window_s=0)
-        assert batching.run([]) == []
-        assert batching.batches == 0
-
-
 class TestTransport:
     def test_streaming_round_trip_with_errors(self):
         async def scenario():
@@ -344,11 +297,6 @@ class TestCrossProcessWarmStart:
         assert canonical(cold["response"]["result"]) == canonical(
             warm["response"]["result"]
         )
-
-
-def _job(app, topology_name: str) -> EvaluationJob:
-    topology = make_topology(topology_name, app.num_cores)
-    return EvaluationJob(core_graph=app, topology=topology, tag=topology.name)
 
 
 def _child_env() -> dict:
