@@ -24,12 +24,11 @@ Commands mirror the tool's phases and the paper's experiments:
 
 Engine-backed commands accept ``--cache SPEC`` (``sqlite:PATH`` /
 ``dir:PATH``) to persist evaluations across runs — a warm store answers
-repeated work without recomputing, with bit-identical results. They
-also accept ``--journal PATH`` to append every completed evaluation to
-a run journal as it finishes; after a crash or a kill, re-running the
-same command with ``--resume`` replays the journaled prefix and only
-computes what is missing — the output is bit-identical to an
-uninterrupted run.
+repeated work without recomputing, with bit-identical results. The
+store is also how a run resumes: after a crash or a kill, rerunning the
+same command on the same ``--cache`` store serves every finished
+evaluation from it and computes only what is missing — the output is
+bit-identical to an uninterrupted run.
 
 Observability (``docs/OBSERVABILITY.md``): ``--trace PATH`` appends
 structured spans to a JSONL file, ``--metrics PATH`` dumps the process
@@ -52,7 +51,6 @@ from repro.core.exploration import (
 from repro.core.mapper import map_onto
 from repro.core.selector import select_topology
 from repro.engine.engine import ExplorationEngine
-from repro.engine.journal import open_journal
 from repro.errors import ReproError
 from repro.physical.library import AreaPowerLibrary
 from repro.simulation.stats import run_measurement
@@ -99,19 +97,8 @@ def _add_jobs(parser: argparse.ArgumentParser) -> None:
         help="persistent evaluation-cache backend: 'sqlite:PATH' or "
         "'dir:PATH' (default: in-memory). A warm store skips "
         "evaluations from earlier runs; results are identical either "
-        "way",
-    )
-    parser.add_argument(
-        "--journal", default=None, metavar="PATH",
-        help="append-only run journal (JSONL): each completed "
-        "evaluation is recorded as it finishes, so an interrupted "
-        "run can be resumed with --resume",
-    )
-    parser.add_argument(
-        "--resume", action="store_true",
-        help="resume from an existing --journal file: journaled "
-        "results replay bit-identically and only missing work is "
-        "computed (a torn final line from a crash is truncated)",
+        "way, and rerunning a killed command on the same store "
+        "resumes it",
     )
     parser.add_argument(
         "--trace", default=None, metavar="PATH",
@@ -124,22 +111,6 @@ def _add_jobs(parser: argparse.ArgumentParser) -> None:
         help="write the process metrics registry in Prometheus text "
         "format to PATH when the command finishes",
     )
-
-
-def _journal(args):
-    """Open the run journal requested by ``--journal``/``--resume``."""
-    return open_journal(
-        getattr(args, "journal", None),
-        resume=getattr(args, "resume", False),
-    )
-
-
-def _close_journal(journal) -> None:
-    """Report journal counters and release the file handle."""
-    if journal is None:
-        return
-    print(str(journal.stats), file=sys.stderr)
-    journal.close()
 
 
 def _constraints(args) -> Constraints:
@@ -254,38 +225,32 @@ def cmd_select(args) -> int:
         from repro.synthesis import SynthesisConfig
 
         synthesize = SynthesisConfig(fault_tolerance=args.fault_tolerance)
-    journal = _journal(args)
-    try:
-        if args.fallback:
-            report = run_sunmap(
-                app,
-                routing=args.routing,
-                objective=args.objective,
-                constraints=_constraints(args),
-                topologies=topologies,
-                generate=False,
-                jobs=args.jobs,
-                synthesize=synthesize,
-                cache_backend=args.cache,
-                journal=journal,
-            )
-            print(report.summary())
-            if args.save_topology:
-                _save_best_synthesized(report.selection, args.save_topology)
-            return 0
-        selection = select_topology(
+    if args.fallback:
+        report = run_sunmap(
             app,
-            topologies=topologies,
             routing=args.routing,
             objective=args.objective,
             constraints=_constraints(args),
+            topologies=topologies,
+            generate=False,
             jobs=args.jobs,
             synthesize=synthesize,
             cache_backend=args.cache,
-            journal=journal,
         )
-    finally:
-        _close_journal(journal)
+        print(report.summary())
+        if args.save_topology:
+            _save_best_synthesized(report.selection, args.save_topology)
+        return 0
+    selection = select_topology(
+        app,
+        topologies=topologies,
+        routing=args.routing,
+        objective=args.objective,
+        constraints=_constraints(args),
+        jobs=args.jobs,
+        synthesize=synthesize,
+        cache_backend=args.cache,
+    )
     if args.markdown:
         from repro.report import selection_to_markdown
 
@@ -314,20 +279,15 @@ def cmd_synthesize(args) -> int:
         max_candidates=args.max_candidates,
         fault_tolerance=args.fault_tolerance,
     )
-    journal = _journal(args)
-    try:
-        result = synthesize_topologies(
-            app,
-            config=config,
-            routing=args.routing,
-            objective=args.objective,
-            constraints=_constraints(args),
-            jobs=args.jobs,
-            cache_backend=args.cache,
-            journal=journal,
-        )
-    finally:
-        _close_journal(journal)
+    result = synthesize_topologies(
+        app,
+        config=config,
+        routing=args.routing,
+        objective=args.objective,
+        constraints=_constraints(args),
+        jobs=args.jobs,
+        cache_backend=args.cache,
+    )
     print(
         f"synthesized candidates for {app.name} "
         f"[{args.routing}/{result.objective_name}]:"
@@ -351,35 +311,26 @@ def cmd_synthesize(args) -> int:
 def cmd_explore(args) -> int:
     app = _load_app(args)
     topology = make_topology(args.topology, app.num_cores)
-    journal = _journal(args)
-    try:
-        engine = ExplorationEngine(
-            jobs=args.jobs, cache_backend=args.cache, journal=journal
-        )
-        print(
-            f"minimum link bandwidth per routing function on "
-            f"{topology.name}:"
-        )
-        sweep = minimum_bandwidth_per_routing(app, topology, engine=engine)
-        for code, value in sweep.items():
-            text = "unsupported" if value is None else f"{value:8.1f} MB/s"
-            print(f"  {code}: {text}")
-        points, front = area_power_exploration(
-            app,
-            topology,
-            routing=args.routing,
-            constraints=_constraints(args),
-            engine=engine,
-        )
-        print(f"area-power exploration: {len(points)} feasible mappings, "
-              f"{len(front)} Pareto points:")
-        for p in front:
-            print(
-                f"  area {p.area_mm2:7.2f} mm2   power {p.power_mw:7.1f} mW"
-            )
-        return 0
-    finally:
-        _close_journal(journal)
+    engine = ExplorationEngine(jobs=args.jobs, cache_backend=args.cache)
+    print(
+        f"minimum link bandwidth per routing function on {topology.name}:"
+    )
+    sweep = minimum_bandwidth_per_routing(app, topology, engine=engine)
+    for code, value in sweep.items():
+        text = "unsupported" if value is None else f"{value:8.1f} MB/s"
+        print(f"  {code}: {text}")
+    points, front = area_power_exploration(
+        app,
+        topology,
+        routing=args.routing,
+        constraints=_constraints(args),
+        engine=engine,
+    )
+    print(f"area-power exploration: {len(points)} feasible mappings, "
+          f"{len(front)} Pareto points:")
+    for p in front:
+        print(f"  area {p.area_mm2:7.2f} mm2   power {p.power_mw:7.1f} mW")
+    return 0
 
 
 def _csv(text: str, cast):
@@ -477,19 +428,14 @@ def _cmd_simulate(args) -> int:
         fault_seeds=_csv(args.fault_seeds, int),
         sim_engine=args.sim_engine,
     )
-    journal = _journal(args)
-    try:
-        result = run_campaign(
-            topology,
-            core_graph=app,
-            assignment=assignment,
-            config=config,
-            jobs=args.jobs,
-            cache_backend=args.cache,
-            journal=journal,
-        )
-    finally:
-        _close_journal(journal)
+    result = run_campaign(
+        topology,
+        core_graph=app,
+        assignment=assignment,
+        config=config,
+        jobs=args.jobs,
+        cache_backend=args.cache,
+    )
     if args.markdown:
         from repro.report import campaign_to_markdown
 
@@ -508,20 +454,15 @@ def cmd_generate(args) -> int:
         topologies = [load_topology(args.topology_file)]
     elif args.topology:
         topologies = [make_topology(args.topology, app.num_cores)]
-    journal = _journal(args)
-    try:
-        report = run_sunmap(
-            app,
-            routing=args.routing,
-            objective=args.objective,
-            constraints=_constraints(args),
-            topologies=topologies,
-            jobs=args.jobs,
-            cache_backend=args.cache,
-            journal=journal,
-        )
-    finally:
-        _close_journal(journal)
+    report = run_sunmap(
+        app,
+        routing=args.routing,
+        objective=args.objective,
+        constraints=_constraints(args),
+        topologies=topologies,
+        jobs=args.jobs,
+        cache_backend=args.cache,
+    )
     print(report.summary())
     if args.output and report.systemc is not None:
         with open(args.output, "w", encoding="utf-8") as handle:
@@ -537,11 +478,9 @@ def cmd_serve(args) -> int:
 
     from repro.service import DesignService
 
-    journal = _journal(args)
     service = DesignService(
-        engine=ExplorationEngine(
-            jobs=args.jobs, cache_backend=args.cache, journal=journal
-        ),
+        jobs=args.jobs,
+        cache_backend=args.cache,
         max_inflight=args.max_inflight,
         max_request_bytes=args.max_request_bytes,
     )
@@ -555,8 +494,6 @@ def cmd_serve(args) -> int:
         asyncio.run(service.serve(args.host, args.port))
     except KeyboardInterrupt:
         print("design service stopped", file=sys.stderr)
-    finally:
-        _close_journal(journal)
     return 0
 
 

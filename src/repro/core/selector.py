@@ -20,7 +20,7 @@ from repro.core.coregraph import CoreGraph
 from repro.core.evaluate import MappingEvaluation
 from repro.core.mapper import MapperConfig
 from repro.core.objectives import make_objective
-from repro.engine.engine import ExplorationEngine
+from repro.engine.engine import ExplorationEngine, resolve_engine
 from repro.physical.estimate import NetworkEstimator
 from repro.topology.base import Topology
 from repro.topology.library import standard_library
@@ -126,7 +126,6 @@ def select_topology(
     engine: ExplorationEngine | None = None,
     synthesize=None,
     cache_backend=None,
-    journal=None,
 ) -> SelectionResult:
     """Map onto every library topology and choose the best.
 
@@ -142,11 +141,9 @@ def select_topology(
             engine across calls to reuse its evaluation cache.
         cache_backend: persistent cache storage spec (e.g.
             ``"sqlite:evals.db"``, ``"dir:.cache"``) for the engine
-            built when ``engine`` is not given.
-        journal: optional :class:`~repro.engine.journal.RunJournal`;
-            completed evaluations are appended and (on a resume
-            journal) replayed bit-identically, so an interrupted
-            selection resumes instead of restarting.
+            built when ``engine`` is not given; rerunning an
+            interrupted selection on the same store resumes it. Passing
+            it together with ``engine`` is a :class:`ValueError`.
         synthesize: race automatically synthesized custom fabrics
             against the library in the same table: a
             :class:`~repro.synthesis.SynthesisConfig`, or ``True`` for
@@ -174,12 +171,7 @@ def select_topology(
             "select_topology received an empty topologies list; pass None "
             "for the standard library or at least one topology instance"
         )
-    if engine is None:
-        engine = ExplorationEngine(
-            jobs=jobs, cache_backend=cache_backend, journal=journal
-        )
-    elif journal is not None and engine.journal is None:
-        engine.journal = journal
+    engine = resolve_engine(engine, jobs, cache_backend)
     selection = SelectionResult(
         objective_name=objective_name, routing_code=routing
     )

@@ -16,8 +16,10 @@ Public surface:
   :class:`ProcessExecutor` — the executor plugins;
 * :class:`RetryPolicy` / :class:`JobFailure` / :func:`classify_failure`
   — the crash-tolerance layer (retries with deterministic backoff,
-  typed terminal failures);
-* :class:`RunJournal` — append-only run journal for resumable sweeps.
+  typed terminal failures).
+
+A killed run resumes by rerunning it on the same persistent backend:
+finished jobs come back as cache hits and only the rest is computed.
 """
 
 from repro.engine.backends import (
@@ -43,7 +45,6 @@ from repro.engine.jobs import (
     execute_simulation_job,
     run_job,
 )
-from repro.engine.journal import JournalStats, RunJournal, open_journal
 from repro.engine.resilience import (
     DEFAULT_RETRY_POLICY,
     JobFailure,
@@ -61,11 +62,9 @@ __all__ = [
     "ExplorationEngine",
     "JobFailure",
     "JobResult",
-    "JournalStats",
     "MemoryBackend",
     "ProcessExecutor",
     "RetryPolicy",
-    "RunJournal",
     "SQLiteBackend",
     "SerialExecutor",
     "SimulationJob",
@@ -75,6 +74,5 @@ __all__ = [
     "key_fingerprint",
     "make_backend",
     "make_executor",
-    "open_journal",
     "run_job",
 ]

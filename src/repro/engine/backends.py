@@ -23,6 +23,12 @@ version mismatch discards the store (cold start) instead of guessing at
 old payloads. Values are pickled with the highest protocol; keys are the
 engine's content-derived cache-key tuples, fingerprinted with SHA-256 so
 they are stable across processes and Python hash randomization.
+
+A persistent store is also how a killed run resumes: every finished job
+(and every finished point of a batch-lane group) is written as it
+completes, so rerunning the same command on the same store serves that
+work as cache hits and computes only the rest, bit-identically.
+Failures are never stored, so a rerun retries them.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ import os
 import pickle
 import sqlite3
 from pathlib import Path
-from threading import RLock
+from threading import RLock, get_ident
 from typing import Protocol, runtime_checkable
 
 from repro.obs import metrics as obs_metrics
@@ -182,7 +188,7 @@ class SQLiteBackend:
 
     Layout: an ``entries(fp TEXT PRIMARY KEY, payload BLOB)`` table of
     pickled results keyed by :func:`key_fingerprint`, plus a ``meta``
-    table recording :data:`SCHEMA_VERSION`. WAL journaling and a busy
+    table recording :data:`SCHEMA_VERSION`. Write-ahead logging and a busy
     timeout make concurrent writers from several processes safe (last
     writer wins on the same fingerprint — both wrote bit-identical
     content, so either is correct).
@@ -363,7 +369,8 @@ class DirectoryBackend:
     another version simply sees an empty directory — a cold start with
     zero migration logic. Writes go through a temporary file and
     ``os.replace``, so concurrent writers from any number of processes
-    either publish a complete entry or nothing.
+    and threads either publish a complete entry or nothing (the
+    temporary name is unique per process and thread).
 
     The layout is deliberately artifact-friendly: CI caches the root
     directory between runs to prove cross-run warm hits, and a store can
@@ -412,7 +419,9 @@ class DirectoryBackend:
     def put(self, key: tuple, value: object) -> int:
         """Persist ``value`` atomically; a failed write is dropped."""
         path = self._path(key_fingerprint(key))
-        tmp = path.with_name(f"{path.name}.tmp{os.getpid()}")
+        tmp = path.with_name(
+            f"{path.name}.tmp{os.getpid()}-{get_ident()}"
+        )
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
             tmp.write_bytes(

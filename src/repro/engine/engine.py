@@ -24,7 +24,7 @@ from threading import Lock
 from repro.core.constraints import Constraints
 from repro.core.coregraph import CoreGraph
 from repro.core.mapper import MapperConfig
-from repro.engine.backends import key_fingerprint, make_backend
+from repro.engine.backends import make_backend
 from repro.engine.cache import EvaluationCache
 from repro.engine.executors import Executor, make_executor
 from repro.engine.jobs import (
@@ -35,7 +35,6 @@ from repro.engine.jobs import (
     job_kind,
     run_job,
 )
-from repro.engine.journal import RunJournal
 from repro.engine.resilience import JobFailure, RetryPolicy
 from repro.errors import ReproError
 from repro.obs import metrics as obs_metrics
@@ -71,18 +70,17 @@ class ExplorationEngine:
             instance or a :func:`~repro.engine.backends.make_backend`
             spec string (``"sqlite:results.db"``, ``"dir:.cache"``).
             Persistent backends make warm results survive the process:
-            a second run of the same sweep performs zero evaluations.
-        journal: optional :class:`~repro.engine.journal.RunJournal`.
-            Completed results are appended to it and replayed (by
-            fingerprint, bit-identically) on later runs — a killed
-            sweep resumes where it died. Failures are never journaled.
+            a second run of the same sweep performs zero evaluations,
+            and a rerun of a killed sweep on the same store computes
+            only what the kill lost. Passing both ``cache`` and
+            ``cache_backend`` is a :class:`ValueError`.
         retry_policy: :class:`~repro.engine.resilience.RetryPolicy` for
             the executor built from ``jobs`` (ignored when an explicit
             ``executor`` is passed — configure that executor directly).
 
     ``run`` is safe to call from several threads at once (the design
-    service shares one engine across its worker threads): the cache and
-    journal lock internally, and :attr:`lock` guards the cumulative
+    service shares one engine across its worker threads): the cache
+    locks internally, and :attr:`lock` guards the cumulative
     counters below.
     """
 
@@ -92,10 +90,14 @@ class ExplorationEngine:
         executor: Executor | None = None,
         cache: EvaluationCache | None = None,
         cache_backend=None,
-        journal: RunJournal | None = None,
         retry_policy: RetryPolicy | None = None,
     ):
         """Build the engine (see the class docstring for the knobs)."""
+        if cache is not None and cache_backend is not None:
+            raise ValueError(
+                "pass either cache= or cache_backend=, not both: the "
+                "backend would be ignored"
+            )
         self.executor = executor or make_executor(jobs, policy=retry_policy)
         if cache is None:
             # Not `cache or ...`: an empty cache is falsy (it has __len__).
@@ -105,7 +107,6 @@ class ExplorationEngine:
                 else EvaluationCache(backend=make_backend(cache_backend))
             )
         self.cache = cache
-        self.journal = journal
         #: Guards :attr:`failure_stats` and :attr:`passes`.
         self.lock = Lock()
         #: Cumulative failure counts by kind (``crash``/``timeout``/
@@ -129,11 +130,11 @@ class ExplorationEngine:
         served without executing; duplicate keys within the batch are
         executed once and fanned out to every submitter. A
         :class:`~repro.engine.jobs.BatchSimulationJob` executes as one
-        unit but is content-keyed *per point*: cached/journaled points
-        are served individually, only the missing subset runs, and
-        completed points land in cache and journal one by one — so a
-        killed batch campaign resumes point-exactly, like the exact
-        lane. Results are
+        unit but is content-keyed *per point*: cached points are served
+        individually, only the missing subset runs, and completed points
+        land in the cache one by one — so a killed batch campaign rerun
+        on the same persistent store resumes point-exactly, like the
+        exact lane. Results are
         bit-identical across executors: the reduction is by submission
         index, and per-job seeds are content-derived.
 
@@ -144,7 +145,7 @@ class ExplorationEngine:
         exception, matching pre-resilience behaviour; ``"skip"``
         returns the failure in the result list (``ok`` is False) so one
         poisoned point degrades a sweep instead of killing it.
-        Failures are never cached or journaled; they are counted in
+        Failures are never cached; they are counted in
         :attr:`failure_stats`.
         """
         with obs_trace.span(
@@ -172,7 +173,7 @@ class ExplorationEngine:
         duplicates: dict[int, list[int]] = {}
         failures = 0
         # Grouped jobs (batched simulation): the group executes as one
-        # unit but caches/journals per point, so a group shrinks to its
+        # unit but caches per point, so a group shrinks to its
         # cache-missing points before execution and the stored entries
         # are interchangeable with a later run's differently-composed
         # groups. index -> (job, per-point results, missing idx, keys).
@@ -193,10 +194,6 @@ class ExplorationEngine:
                 missing: list[int] = []
                 for pi, pkey in enumerate(point_keys):
                     hit = self.cache.get(pkey)
-                    if hit is None and self.journal is not None:
-                        hit = self.journal.get(key_fingerprint(pkey))
-                        if hit is not None:
-                            self.cache.put(pkey, hit)
                     if hit is None:
                         point_results.append(None)
                         missing.append(pi)
@@ -219,12 +216,6 @@ class ExplorationEngine:
                 continue
             key = job.cache_key()
             hit = self.cache.get(key)
-            if hit is None and self.journal is not None:
-                hit = self.journal.get(key_fingerprint(key))
-                if hit is not None:
-                    # Promote the replayed result so in-run cache hits
-                    # and the persistent backend see it too.
-                    self.cache.put(key, hit)
             if hit is not None:
                 _JOBS.inc(kind=job_kind(job), status="cached")
                 results[index] = hit.retagged(job.tag, cached=True)
@@ -242,8 +233,8 @@ class ExplorationEngine:
 
         for index, result in self.executor.run(run_job, pending):
             if isinstance(result, JobFailure):
-                # Terminal infrastructure failure: never cached, never
-                # journaled — a flaky worker must not poison warm state.
+                # Terminal infrastructure failure: never cached — a
+                # flaky worker must not poison warm state.
                 with self.lock:
                     self.failure_stats[result.failure_kind] += 1
                 _FAILURES.inc(failure=result.failure_kind)
@@ -263,10 +254,6 @@ class ExplorationEngine:
                 job, point_results, missing, point_keys = groups[index]
                 for pi, point_result in zip(missing, result.value):
                     self.cache.put(point_keys[pi], point_result)
-                    if self.journal is not None:
-                        self.journal.record(
-                            key_fingerprint(point_keys[pi]), point_result
-                        )
                     point_results[pi] = point_result.retagged(
                         job.points[pi].tag, cached=False
                     )
@@ -280,8 +267,6 @@ class ExplorationEngine:
             # detached from the cached entry.
             self.cache.put(keys[index], result)
             _JOBS.inc(kind=job_kind(jobs[index]), status="computed")
-            if self.journal is not None:
-                self.journal.record(key_fingerprint(keys[index]), result)
             results[index] = result.retagged(jobs[index].tag, cached=False)
             for dup_index in duplicates.get(index, ()):
                 results[dup_index] = result.retagged(
@@ -362,6 +347,26 @@ class ExplorationEngine:
             (topology.name, routing, _objective_name(objective)): result
             for (topology, routing, objective), result in zip(grid, results)
         }
+
+
+def resolve_engine(
+    engine: ExplorationEngine | None, jobs: int = 1, cache_backend=None
+) -> ExplorationEngine:
+    """``engine``, or a new one built from ``jobs`` and ``cache_backend``.
+
+    The flow entry points and the design service accept either an
+    explicit engine or the knobs to build one. An explicit engine keeps
+    its own cache, so a ``cache_backend`` passed beside it would be
+    dropped without a word; that combination is a :class:`ValueError`.
+    """
+    if engine is None:
+        return ExplorationEngine(jobs=jobs, cache_backend=cache_backend)
+    if cache_backend is not None:
+        raise ValueError(
+            "pass either engine= or cache_backend=, not both: the "
+            "backend would be ignored"
+        )
+    return engine
 
 
 def _objective_name(objective) -> str:

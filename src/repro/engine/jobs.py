@@ -341,7 +341,7 @@ class BatchSimulationJob:
     point that shares a fabric in lockstep, so a campaign submits one
     of these per fault variant instead of one :class:`SimulationJob`
     per point. The engine treats the group as *content-keyed per
-    point*: each point caches, journals and resumes under its own
+    point*: each point caches (and so resumes) under its own
     ``("bsim", …)`` key — the exact kernel's ``("sim", …)`` entries are
     never served for batch points (the payloads are statistically, not
     bit-wise, equivalent) and vice versa. Batch results are independent

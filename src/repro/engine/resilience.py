@@ -143,8 +143,9 @@ class JobFailure(JobResult):
     the resilience story: how many attempts ran, what kind of failure
     ended it, and — when available — the original exception object so
     ``on_failure="raise"`` can re-raise it faithfully. Failures are
-    never cached or journaled: a transient infrastructure problem must
-    not be served as a warm result.
+    never cached: a transient infrastructure problem must not be served
+    as a warm result, nor replayed when a killed run is rerun on the
+    same persistent store.
     """
 
     #: Attempts actually executed (including the failing one).

@@ -46,7 +46,7 @@ from repro.core.coregraph import CoreGraph
 from repro.core.greedy import initial_greedy_mapping
 from repro.core.selector import select_topology
 from repro.engine.cache import EvaluationCache
-from repro.engine.engine import ExplorationEngine
+from repro.engine.engine import ExplorationEngine, resolve_engine
 from repro.errors import ContractError, ReproError, ServiceBusyError
 from repro.io import (
     core_graph_from_dict,
@@ -92,8 +92,9 @@ class DesignService:
     """One service instance: shared engine, in-flight table, counters.
 
     Args:
-        engine: explicit engine (overrides ``jobs`` and
-            ``cache_backend``), shared by every worker thread.
+        engine: explicit engine (overrides ``jobs``), shared by every
+            worker thread. Passing it together with ``cache_backend`` is
+            a :class:`ValueError`.
         jobs: engine worker processes (1 = in-thread serial execution).
         cache_backend: evaluation-cache storage — a
             :class:`~repro.engine.backends.CacheBackend` or a
@@ -126,9 +127,7 @@ class DesignService:
             raise ReproError("max_inflight must be at least 1")
         if max_request_bytes < 1024:
             raise ReproError("max_request_bytes must be at least 1024")
-        self.engine = engine or ExplorationEngine(
-            jobs=jobs, cache_backend=cache_backend
-        )
+        self.engine = resolve_engine(engine, jobs, cache_backend)
         self.inflight = InFlightTable()
         self._ids = itertools.count(1)
         self.max_inflight = max_inflight

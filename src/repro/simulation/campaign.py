@@ -31,7 +31,7 @@ import time
 from dataclasses import asdict, dataclass, field
 
 from repro.core.coregraph import CoreGraph
-from repro.engine.engine import ExplorationEngine
+from repro.engine.engine import ExplorationEngine, resolve_engine
 from repro.engine.jobs import BatchSimulationJob, SimulationJob
 from repro.engine.resilience import JobFailure
 from repro.errors import SimulationError
@@ -588,7 +588,6 @@ def run_campaign(
     engine: ExplorationEngine | None = None,
     jobs: int = 1,
     cache_backend=None,
-    journal=None,
     on_failure: str = "raise",
     deadline_s: float | None = None,
 ) -> CampaignResult:
@@ -609,10 +608,10 @@ def run_campaign(
             bit-identical regardless of ``jobs``.
         cache_backend: persistent cache storage spec (e.g.
             ``"sqlite:evals.db"``) for the engine built when ``engine``
-            is not given; warm campaign points skip simulation.
-        journal: optional :class:`~repro.engine.journal.RunJournal` —
-            completed points are appended to it, and on a resume
-            journal they replay bit-identically instead of re-running.
+            is not given; warm campaign points skip simulation, so a
+            killed sweep rerun on the same store resumes point-exactly.
+            Passing it together with ``engine`` is a
+            :class:`ValueError`.
         on_failure: ``"raise"`` (default) re-raises the first
             infrastructure failure; ``"skip"`` records failed points in
             :attr:`CampaignResult.failures` and builds curves from the
@@ -639,12 +638,7 @@ def run_campaign(
             "and mapping were given; pass core_graph= and assignment=, "
             "or drop 'app' from CampaignConfig.patterns"
         )
-    if engine is None:
-        engine = ExplorationEngine(
-            jobs=jobs, cache_backend=cache_backend, journal=journal
-        )
-    elif journal is not None and engine.journal is None:
-        engine.journal = journal
+    engine = resolve_engine(engine, jobs, cache_backend)
     job_list = campaign_jobs(
         topology, config, core_graph=core_graph, assignment=assignment
     )
@@ -664,8 +658,7 @@ def run_campaign(
     # One loop over execution units, with one deadline check. Batch
     # lane: one vectorized group per fault variant (a group shares a
     # fabric, so one batch layout advances its rates × patterns × seeds
-    # sweep in lockstep; the engine still caches and journals it per
-    # point). Exact lane: the whole sweep as one engine pass (one
+    # sweep in lockstep; the engine still caches it per point). Exact lane: the whole sweep as one engine pass (one
     # executor fan-out) or, under a deadline, one chunk per (fault
     # variant, pattern), so an expired deadline skips whole curve
     # groups. The first unit always runs, so a degraded result is

@@ -30,7 +30,7 @@ from repro.core.coregraph import CoreGraph
 from repro.core.evaluate import MappingEvaluation
 from repro.core.mapper import MapperConfig
 from repro.core.selector import SelectionResult, select_topology
-from repro.engine.engine import ExplorationEngine
+from repro.engine.engine import ExplorationEngine, resolve_engine
 from repro.errors import MappingInfeasibleError
 from repro.obs import recorder as obs_recorder
 from repro.physical.estimate import NetworkEstimator
@@ -111,7 +111,6 @@ def run_sunmap(
     engine: ExplorationEngine | None = None,
     synthesize=None,
     cache_backend=None,
-    journal=None,
     observability: bool = False,
 ) -> SunmapReport:
     """Run the full SUNMAP flow on an application.
@@ -141,15 +140,14 @@ def run_sunmap(
         cache_backend: persistent evaluation-cache storage (a
             :func:`~repro.engine.backends.make_backend` spec such as
             ``"sqlite:evals.db"``) for the engine built when ``engine``
-            is not given; warm results skip evaluation, bit-identically.
+            is not given; warm results skip evaluation, bit-identically,
+            so rerunning a killed flow on the same store resumes it.
+            Passing it together with ``engine`` is a
+            :class:`ValueError`.
         engine: explicit exploration engine (overrides ``jobs``); its
             evaluation cache is reused by any further calls made with
             the same engine (each fallback attempt uses a different
             routing code, so escalation itself never hits the cache).
-        journal: optional :class:`~repro.engine.journal.RunJournal`
-            shared by every phase of the flow — completed evaluations
-            and simulation points are appended as they finish and
-            replay bit-identically when the same flow resumes.
         observability: record the flow with a
             :class:`~repro.obs.recorder.FlightRecorder` and attach the
             resulting report dict (spans, metric deltas, environment)
@@ -170,14 +168,14 @@ def run_sunmap(
             report = _run_flow(
                 core_graph, routing, objective, constraints, topologies,
                 config, estimator, generate, simulate, routing_fallbacks,
-                jobs, engine, synthesize, cache_backend, journal,
+                jobs, engine, synthesize, cache_backend,
             )
         report.observability = recorder.report.to_dict()
         return report
     return _run_flow(
         core_graph, routing, objective, constraints, topologies, config,
         estimator, generate, simulate, routing_fallbacks, jobs, engine,
-        synthesize, cache_backend, journal,
+        synthesize, cache_backend,
     )
 
 
@@ -196,7 +194,6 @@ def _run_flow(
     engine: ExplorationEngine | None,
     synthesize,
     cache_backend,
-    journal,
 ) -> SunmapReport:
     """Body of :func:`run_sunmap`, optionally under a flight recorder."""
     if topologies is not None:
@@ -208,12 +205,7 @@ def _run_flow(
                 "instance"
             )
     estimator = estimator or NetworkEstimator()
-    if engine is None:
-        engine = ExplorationEngine(
-            jobs=jobs, cache_backend=cache_backend, journal=journal
-        )
-    elif journal is not None and engine.journal is None:
-        engine.journal = journal
+    engine = resolve_engine(engine, jobs, cache_backend)
     attempted: list[str] = []
     selection: SelectionResult | None = None
     for code in (routing, *[c for c in routing_fallbacks if c != routing]):

@@ -35,7 +35,7 @@ from repro.core.coregraph import CoreGraph
 from repro.core.evaluate import MappingEvaluation, nominal_pitch_mm
 from repro.core.exploration import ParetoPoint, pareto_front
 from repro.core.mapper import MapperConfig
-from repro.engine.engine import ExplorationEngine
+from repro.engine.engine import ExplorationEngine, resolve_engine
 from repro.engine.jobs import SynthesisJob, hash_seed
 from repro.errors import TopologyError
 from repro.physical.estimate import NetworkEstimator
@@ -408,7 +408,6 @@ def synthesize_topologies(
     jobs: int = 1,
     engine: ExplorationEngine | None = None,
     cache_backend=None,
-    journal=None,
 ) -> SynthesisResult:
     """Generate and evaluate custom fabrics for an application.
 
@@ -419,19 +418,13 @@ def synthesize_topologies(
 
     ``cache_backend`` gives the auto-built engine persistent storage
     (a :func:`~repro.engine.backends.make_backend` spec); pass
-    ``engine=`` instead to share a cache across calls. ``journal``
-    (a :class:`~repro.engine.journal.RunJournal`) records completed
-    candidate evaluations and replays them bit-identically on resume.
+    ``engine=`` instead to share a cache across calls (passing both is
+    a :class:`ValueError`).
     """
     objective_name = (
         objective if isinstance(objective, str) else objective.name
     )
-    if engine is None:
-        engine = ExplorationEngine(
-            jobs=jobs, cache_backend=cache_backend, journal=journal
-        )
-    elif journal is not None and engine.journal is None:
-        engine.journal = journal
+    engine = resolve_engine(engine, jobs, cache_backend)
     candidates, job_list, pruned = synthesis_jobs(
         core_graph,
         config=config,

@@ -15,6 +15,7 @@ import pickle
 import sqlite3
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -30,6 +31,7 @@ from repro.engine import (
     make_backend,
 )
 from repro.engine.backends import SCHEMA_VERSION, key_fingerprint
+from repro.engine.jobs import JobResult
 
 FAST = MapperConfig(converge=False, swap_rounds=1)
 
@@ -234,6 +236,45 @@ class TestDirectoryBackend:
             for i in range(40):
                 assert store.get((tag, i)) == i
         assert store.corrupt_entries == 0
+
+    def test_concurrent_writers_from_threads(self, tmp_path):
+        # The service's `cache: "refresh"` requests each build their own
+        # write-only cache (with its own lock) over the shared backend,
+        # so threads of one process write the same key concurrently.
+        store = DirectoryBackend(tmp_path / "store")
+        caches = [
+            EvaluationCache(backend=store, write_only=True) for _ in range(4)
+        ]
+        result = JobResult(tag="", value=1.5, seed=3)
+        done = threading.Event()
+
+        def write(cache):
+            for _ in range(300):
+                cache.put(KEY_A, result)
+
+        def read():  # a torn entry read back counts in corrupt_entries
+            while not done.is_set():
+                store.get(KEY_A)
+
+        reader = threading.Thread(target=read)
+        writers = [threading.Thread(target=write, args=(c,)) for c in caches]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            reader.start()
+            for thread in writers:
+                thread.start()
+            for thread in writers:
+                thread.join(timeout=120)
+            done.set()
+            reader.join(timeout=120)
+        finally:
+            done.set()
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in (reader, *writers))
+        assert store.write_errors == 0 and store.corrupt_entries == 0
+        assert store.get(KEY_A) == result
+        assert list(store.dir.glob("??/*.tmp*")) == []
 
 
 class TestMakeBackend:

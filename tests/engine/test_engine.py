@@ -27,7 +27,10 @@ from repro.engine import (
     make_executor,
 )
 from repro.errors import ReproError, UnsupportedRoutingError
+from repro.service import DesignService
+from repro.simulation.campaign import CampaignConfig, run_campaign
 from repro.sunmap import run_sunmap
+from repro.synthesis import synthesize_topologies
 from repro.topology.library import make_topology
 
 #: Single-pass swap search keeps engine tests fast; determinism holds for
@@ -183,6 +186,44 @@ class TestCache:
         second = engine.run_one(job_for(tiny_app))
         assert not first.cached and not second.cached
         assert len(cache) == 0
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda app, spec: ExplorationEngine(
+                cache=EvaluationCache(), cache_backend=spec
+            ),
+            lambda app, spec: select_topology(
+                app, engine=ExplorationEngine(), cache_backend=spec
+            ),
+            lambda app, spec: run_sunmap(
+                app, engine=ExplorationEngine(), cache_backend=spec
+            ),
+            lambda app, spec: run_campaign(
+                make_topology("mesh", app.num_cores),
+                config=CampaignConfig(patterns=("uniform",)),
+                engine=ExplorationEngine(),
+                cache_backend=spec,
+            ),
+            lambda app, spec: synthesize_topologies(
+                app, engine=ExplorationEngine(), cache_backend=spec
+            ),
+            lambda app, spec: DesignService(
+                engine=ExplorationEngine(), cache_backend=spec
+            ),
+        ],
+        ids=[
+            "engine-cache", "select", "sunmap", "campaign", "synthesize",
+            "service",
+        ],
+    )
+    def test_ignored_cache_backend_is_rejected(self, tiny_app, tmp_path, build):
+        # A persistence request the callee could not honour must not be
+        # dropped silently: it is how a killed run resumes.
+        store = tmp_path / "store.db"
+        with pytest.raises(ValueError, match="cache_backend"):
+            build(tiny_app, f"sqlite:{store}")
+        assert not store.exists()
 
 
 def result_digest(result: JobResult) -> tuple:

@@ -5,14 +5,16 @@ their wall-clock budget, transient failures strike N times before a
 success — and the runtime must degrade exactly as specified: innocents
 finish untouched, pools rebuild, retries re-run the *same* seeded job
 bit-identically, exhausted budgets surface as typed
-:class:`~repro.engine.resilience.JobFailure` results, and a journaled
-run killed mid-sweep resumes bit-identically with ``--resume``.
+:class:`~repro.engine.resilience.JobFailure` results, and a run killed
+mid-sweep resumes bit-identically when it is rerun on the same
+persistent ``--cache`` store.
 """
 
 from __future__ import annotations
 
 import os
 import signal
+import sqlite3
 import subprocess
 import sys
 import time
@@ -29,11 +31,9 @@ from repro.engine import (
     JobFailure,
     ProcessExecutor,
     RetryPolicy,
-    RunJournal,
     SerialExecutor,
     classify_failure,
-    key_fingerprint,
-    open_journal,
+    make_backend,
 )
 from repro.engine.jobs import JobResult, hash_seed
 from repro.engine.resilience import failure_from
@@ -365,19 +365,19 @@ class TestEngineFailureHandling:
         assert engine.failure_stats["crash"] == 1
 
     def test_failures_are_never_cached_or_journaled(self, tiny_app, tmp_path):
-        journal = RunJournal(tmp_path / "run.jsonl")
+        store = f"sqlite:{tmp_path / 'store.db'}"
         engine = ExplorationEngine(
-            executor=FailingExecutor([0, 1]), journal=journal
+            executor=FailingExecutor([0, 1]), cache_backend=store
         )
         jobs = tiny_jobs(tiny_app)
         engine.run(jobs, on_failure="skip")
-        assert len(journal) == 0
+        assert len(engine.cache.backend) == 0
         assert engine.cache.get(jobs[0].cache_key()) is None
-        # The same engine retries the work on the next run (no poison).
-        engine.executor = SerialExecutor()
-        results = engine.run(jobs)
-        assert all(r.ok for r in results)
-        assert len(journal) == len(jobs)
+        # A rerun on the same store retries the work (no poison).
+        rerun = ExplorationEngine(cache_backend=store)
+        results = rerun.run(jobs)
+        assert all(r.ok and not r.cached for r in results)
+        assert len(rerun.cache.backend) == len(jobs)
 
     def test_invalid_on_failure_is_rejected(self, tiny_app):
         engine = ExplorationEngine()
@@ -467,139 +467,155 @@ def digest(results) -> list[tuple]:
 
 
 class TestJournal:
+    """Resuming a killed run: a fresh engine on the same persistent store."""
+
     def test_record_then_resume_replays_equal_results(self, tmp_path):
-        path = tmp_path / "run.jsonl"
+        path = tmp_path / "store.db"
         recorded = JobResult(tag="", value=42.5, seed=7)
-        with RunJournal(path) as journal:
-            journal.record("fp-1", recorded)
-            journal.record("fp-2", JobResult(tag="", value=1.0, seed=9))
-        resumed = RunJournal(path, resume=True)
-        assert resumed.stats.loaded == 2
-        assert resumed.get("fp-1") == recorded
-        assert resumed.get("fp-2") is not None
-        assert resumed.get("missing") is None
-        assert "fp-2" in resumed and len(resumed) == 2
-        assert resumed.stats.replayed == 2
-        resumed.close()
-
-    def test_fresh_open_truncates_stale_records(self, tmp_path):
-        path = tmp_path / "run.jsonl"
-        with RunJournal(path) as journal:
-            journal.record("fp-1", JobResult(tag="", value=1.0))
-        with RunJournal(path, resume=False) as journal:
-            assert len(journal) == 0
-        assert path.read_bytes() == b""
-
-    def test_torn_tail_is_truncated_not_trusted(self, tmp_path):
-        path = tmp_path / "run.jsonl"
-        with RunJournal(path) as journal:
-            journal.record("fp-1", JobResult(tag="", value=1.0))
-        intact = path.read_bytes()
-        # A SIGKILL mid-write leaves a partial line with no newline.
-        path.write_bytes(intact + b'{"format":"repro-journal-v1","fing')
-        journal = RunJournal(path, resume=True)
-        assert journal.stats.loaded == 1
-        assert journal.stats.truncated == 1
-        assert journal.get("fp-1") is not None
-        journal.record("fp-2", JobResult(tag="", value=2.0))
-        journal.close()
-        assert RunJournal(path, resume=True).stats.loaded == 2
-        assert path.read_bytes().startswith(intact)
-
-    def test_garbage_file_resumes_as_empty(self, tmp_path):
-        path = tmp_path / "run.jsonl"
-        path.write_bytes(b"not a journal at all\n\x00\xff\n")
-        journal = RunJournal(path, resume=True)
-        assert len(journal) == 0
-        assert journal.stats.truncated == 2
-        assert path.read_bytes() == b""
-
-    def test_open_journal_helper(self, tmp_path):
-        assert open_journal(None) is None
-        assert open_journal("") is None
-        with pytest.raises(ReproError, match="--resume requires"):
-            open_journal(None, resume=True)
-        journal = open_journal(tmp_path / "j.jsonl")
-        assert isinstance(journal, RunJournal)
-        journal.close()
+        store = make_backend(f"sqlite:{path}")
+        store.put(("k", 1), recorded)
+        store.put(("k", 2), JobResult(tag="", value=1.0, seed=9))
+        store.close()
+        reopened = make_backend(f"sqlite:{path}")
+        assert len(reopened) == 2
+        assert reopened.get(("k", 1)) == recorded
+        assert reopened.get(("k", 2)) is not None
+        assert reopened.get(("missing",)) is None
+        reopened.close()
 
     def test_engine_resume_is_bit_identical(self, tiny_app, tmp_path):
-        path = tmp_path / "run.jsonl"
+        store = f"dir:{tmp_path / 'store'}"
         jobs = tiny_jobs(tiny_app, ("mesh", "ring", "star"))
-        with RunJournal(path) as journal:
-            first = ExplorationEngine(journal=journal).run(jobs)
-        # Fresh engine, empty cache: everything must come from replay.
-        journal = RunJournal(path, resume=True)
-        engine = ExplorationEngine(journal=journal)
+        first = ExplorationEngine(cache_backend=store).run(jobs)
+        # Fresh engine, fresh process-local state: everything must come
+        # from the persistent store.
+        engine = ExplorationEngine(cache_backend=store)
         second = engine.run(jobs)
         assert digest(second) == digest(first)
         assert all(r.cached for r in second)
-        assert journal.stats.replayed == len(jobs)
-        assert journal.stats.recorded == 0
-        # And identical to a run that never involved a journal at all.
+        assert engine.cache.stats.hits == len(jobs)
+        assert engine.cache.stats.misses == 0
+        # And identical to a run that never touched a persistent store.
         bare = ExplorationEngine().run(jobs)
         assert digest(bare) == digest(first)
-        journal.close()
 
 
+#: 3 rates x 2 patterns x 2 seeds; long enough per point (~0.1 s) that
+#: the kill below lands mid-sweep rather than after it.
 CLI_CAMPAIGN = [
     "simulate", "--app", "vopd", "--topology", "mesh",
     "--rates", "0.05,0.08,0.1", "--patterns", "uniform,transpose",
-    "--seeds", "1", "--cycles", "800", "--warmup", "150", "--drain", "300",
+    "--seeds", "1,2", "--cycles", "8000", "--warmup", "150",
+    "--drain", "300",
 ]
+CLI_POINTS = 12
+
+
+REPO = Path(__file__).resolve().parents[2]
+
+
+def _cli_env() -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = (
+        str(REPO / "src") + os.pathsep + env.get("PYTHONPATH", "")
+    )
+    return env
 
 
 def run_cli(args, timeout=300):
-    repo = Path(__file__).resolve().parents[2]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = (
-        str(repo / "src") + os.pathsep + env.get("PYTHONPATH", "")
-    )
     return subprocess.run(
         [sys.executable, "-m", "repro.cli", *args],
-        capture_output=True, text=True, timeout=timeout, env=env,
-        cwd=repo,
+        capture_output=True, text=True, timeout=timeout, env=_cli_env(),
+        cwd=REPO,
     )
+
+
+def _sqlite_entries(path: Path) -> int:
+    """Committed entries in a SQLite store another process is writing."""
+    try:
+        conn = sqlite3.connect(f"file:{path}?mode=ro", uri=True)
+        try:
+            return conn.execute("SELECT COUNT(*) FROM entries").fetchone()[0]
+        finally:
+            conn.close()
+    except sqlite3.Error:
+        return 0  # not created yet
+
+
+def _dir_entries(root: Path) -> int:
+    return sum(1 for _ in root.glob("v*/??/*.pkl"))
+
+
+def _counter(prom_text: str, name: str, backend: str) -> float:
+    """One ``{backend=...}`` sample of a Prometheus counter (0 if absent)."""
+    prefix = f'{name}{{backend="{backend}"}} '
+    for line in prom_text.splitlines():
+        if line.startswith(prefix):
+            return float(line[len(prefix):])
+    return 0.0
+
+
+@pytest.fixture(scope="module")
+def clean_campaign_stdout():
+    clean = run_cli(CLI_CAMPAIGN)
+    assert clean.returncode == 0, clean.stderr
+    return clean.stdout
+
+
+def _kill_then_rerun(spec, entries, backend, tmp_path, clean_stdout):
+    """SIGKILL a ``--cache spec`` campaign once its store holds an entry,
+    rerun it on the same store and check it resumed bit-identically."""
+    victim = subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", *CLI_CAMPAIGN, "--cache", spec],
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        env=_cli_env(), cwd=REPO,
+    )
+    # Let it store at least one completed point, then kill it the hard
+    # way (no cleanup handlers run).
+    deadline = time.monotonic() + 120
+    while time.monotonic() < deadline:
+        if entries() > 0:
+            break
+        if victim.poll() is not None:
+            break  # finished whole; the rerun serves everything
+        time.sleep(0.02)
+    if victim.poll() is None:
+        victim.send_signal(signal.SIGKILL)
+    victim.wait(timeout=60)
+    assert entries() > 0
+
+    metrics = tmp_path / "rerun.prom"
+    resumed = run_cli(
+        [*CLI_CAMPAIGN, "--cache", spec, "--metrics", str(metrics)]
+    )
+    assert resumed.returncode == 0, resumed.stderr
+    assert _strip_runtime_lines(resumed.stdout) == _strip_runtime_lines(
+        clean_stdout
+    )
+    prom = metrics.read_text()
+    hits = _counter(prom, "repro_cache_hits_total", backend)
+    misses = _counter(prom, "repro_cache_misses_total", backend)
+    assert hits > 0
+    assert hits + misses == CLI_POINTS
 
 
 class TestCliKillResume:
-    def test_killed_campaign_resumes_bit_identically(self, tmp_path):
-        journal = tmp_path / "campaign.jsonl"
-        repo = Path(__file__).resolve().parents[2]
-        env = dict(os.environ)
-        env["PYTHONPATH"] = (
-            str(repo / "src") + os.pathsep + env.get("PYTHONPATH", "")
+    def test_killed_campaign_resumes_bit_identically(
+        self, tmp_path, clean_campaign_stdout
+    ):
+        store = tmp_path / "store.db"
+        _kill_then_rerun(
+            f"sqlite:{store}", lambda: _sqlite_entries(store), "sqlite",
+            tmp_path, clean_campaign_stdout,
         )
-        victim = subprocess.Popen(
-            [
-                sys.executable, "-m", "repro.cli", *CLI_CAMPAIGN,
-                "--journal", str(journal),
-            ],
-            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-            env=env, cwd=repo,
-        )
-        # Let it journal at least one completed point, then kill it the
-        # hard way (no cleanup handlers run).
-        deadline = time.monotonic() + 120
-        while time.monotonic() < deadline:
-            if journal.exists() and journal.stat().st_size > 0:
-                break
-            if victim.poll() is not None:
-                break  # finished whole; resume will replay everything
-            time.sleep(0.05)
-        if victim.poll() is None:
-            victim.send_signal(signal.SIGKILL)
-        victim.wait(timeout=60)
-        assert journal.exists() and journal.stat().st_size > 0
 
-        resumed = run_cli(
-            [*CLI_CAMPAIGN, "--journal", str(journal), "--resume"]
-        )
-        assert resumed.returncode == 0, resumed.stderr
-        clean = run_cli(CLI_CAMPAIGN)
-        assert clean.returncode == 0, clean.stderr
-        assert _strip_runtime_lines(resumed.stdout) == _strip_runtime_lines(
-            clean.stdout
+    def test_killed_campaign_resumes_on_a_directory_store(
+        self, tmp_path, clean_campaign_stdout
+    ):
+        store = tmp_path / "store"
+        _kill_then_rerun(
+            f"dir:{store}", lambda: _dir_entries(store), "directory",
+            tmp_path, clean_campaign_stdout,
         )
 
 

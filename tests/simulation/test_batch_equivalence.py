@@ -10,7 +10,7 @@ here is exact-reproducible, never flaky.
 
 Also covered: the determinism contract the ``("bsim", …)`` cache keys
 rely on (a point's payload is independent of its batch mates and
-order), the engine's per-point cache/journal/resume handling of
+order), the engine's per-point cache/resume handling of
 :class:`~repro.engine.jobs.BatchSimulationJob` groups, per-lane error
 isolation, and the order-stable ``_mean`` the curves are averaged
 with.
@@ -25,7 +25,6 @@ import pytest
 from repro.engine import ExplorationEngine
 from repro.engine.cache import EvaluationCache
 from repro.engine.jobs import BatchSimulationJob, SimulationJob
-from repro.engine.journal import RunJournal
 from repro.errors import SimulationError
 from repro.simulation.batch import BatchLane, BatchSimulator, simulate_batch
 from repro.simulation.campaign import CampaignConfig, _mean, run_campaign
@@ -182,7 +181,7 @@ class TestCompositionIndependence:
 
 
 class TestEngineGroupPath:
-    """Per-point cache/journal semantics of BatchSimulationJob groups."""
+    """Per-point cache semantics of BatchSimulationJob groups."""
 
     def _group(self, vopd_app, rates=(0.1, 0.2, 0.3, 0.4)):
         topology = make_topology("mesh", vopd_app.num_cores)
@@ -236,16 +235,15 @@ class TestEngineGroupPath:
 
     def test_journal_resume_replays_points_exactly(self, vopd_app, tmp_path):
         group = self._group(vopd_app)
-        path = tmp_path / "run.jsonl"
-        with RunJournal(path) as journal:
-            engine = ExplorationEngine(journal=journal)
-            (original,) = engine.run([group])
-        resumed = RunJournal(path, resume=True)
-        assert resumed.stats.loaded == len(group.points)
-        replay_engine = ExplorationEngine(journal=resumed)
+        store = f"dir:{tmp_path / 'store'}"
+        (original,) = ExplorationEngine(cache_backend=store).run([group])
+        # A fresh engine on the same persistent store (a rerun after a
+        # kill) serves every point and executes none: the whole group
+        # short-circuits as a cached hit.
+        replay_engine = ExplorationEngine(cache_backend=store)
         (replayed,) = replay_engine.run([group])
-        # Every point was served from the journal, none executed: the
-        # whole group short-circuits as a cached hit.
+        assert replay_engine.cache.stats.hits == len(group.points)
+        assert replay_engine.cache.stats.misses == 0
         assert replayed.cached
         assert all(r.cached for r in replayed.value)
         assert [r.value for r in replayed.value] == [
