@@ -1,13 +1,19 @@
 """Mapping-evaluation throughput benchmark with a committed record.
 
-Measures **evals_per_sec** — mapping evaluations per second over a
-pairwise-swap candidate stream per app x topology x routing, through
-``MemoizedMappingEvaluator.evaluate_swap`` (the swap search's and the
-annealer's entry point) with a fresh memo per repetition, so every
-candidate is routed and measured. Best of N repetitions per case.
+Two streams, best of N repetitions per case:
 
-The case matrix spans the paper's benchmark applications and synthetic
-scale points from ``repro.apps.synthetic``.
+* **evals_per_sec** — mapping evaluations per second over a
+  pairwise-swap candidate stream per app x topology x routing, through
+  ``MemoizedMappingEvaluator.evaluate_swap`` (the swap search's and the
+  annealer's entry point) with a fresh memo per repetition and no
+  bound, so every candidate is routed and measured. The case matrix
+  spans the paper's benchmark applications and synthetic scale points
+  from ``repro.apps.synthetic``.
+* **search_candidates_per_sec** — swap candidates resolved per second
+  by a whole ``map_onto`` search (netproc with the hops objective, VOPD
+  with power), where the bounded swap search drops most candidates
+  part-way; **search_pruned_share** is the deterministic fraction it
+  drops.
 
 Results land in ``BENCH_mapping.json`` at the repo root with the
 machine-speed calibration they were measured at.
@@ -17,12 +23,13 @@ Usage::
     python benchmarks/bench_mapping.py            # full run, rewrites the record
     python benchmarks/bench_mapping.py --smoke    # reduced budget (CI)
     python benchmarks/bench_mapping.py --smoke --check
-        # exit 1 if evals/sec regressed > 30% vs the committed record
+        # exit 1 if evals/sec or search candidates/sec regressed > 30%,
+        # or the pruned share fell, vs the committed record
 
-``--check`` compares freshly measured evals/sec against the committed
-record *before* writing, normalized by the recorded machine-speed
-calibration, so a routing regression fails CI while machine-to-machine
-variance does not.
+``--check`` compares freshly measured evals/sec and search
+candidates/sec against the committed record *before* writing,
+normalized by the recorded machine-speed calibration, so a routing or
+pruning regression fails CI while machine-to-machine variance does not.
 """
 
 from __future__ import annotations
@@ -41,6 +48,7 @@ from bench_kernel import _calibrate, _geomean  # noqa: E402
 from repro.apps import load_application  # noqa: E402
 from repro.apps.synthetic import random_core_graph  # noqa: E402
 from repro.core.constraints import Constraints  # noqa: E402
+from repro.core import mapper  # noqa: E402
 from repro.core.greedy import initial_greedy_mapping  # noqa: E402
 from repro.core.memo import MemoizedMappingEvaluator  # noqa: E402
 from repro.physical.estimate import NetworkEstimator  # noqa: E402
@@ -82,6 +90,13 @@ EVAL_CASES = [
 
 SMOKE_EVAL_CASES = ["vopd-mesh-MP", "mpeg4-mesh-SM", "syn32-mesh-DO"]
 
+#: (case label, app, topology, routing, objective) of the map_onto
+#: stream: the flow's netproc search and a floorplanned power search.
+SEARCH_CASES = [
+    ("netproc-hypercube-SM-hops", "netproc", "hypercube", "SM", "hops"),
+    ("vopd-mesh-MP-power", "vopd", "mesh", "MP", "power"),
+]
+
 
 def _candidates(base: dict, num_slots: int, limit: int) -> list:
     occupied = sorted(base.values())
@@ -116,6 +131,49 @@ def measure_evals(
     return round(len(cands) / best, 1)
 
 
+class _CountingMemo(MemoizedMappingEvaluator):
+    """The search's memo, counting the swap candidates it is handed."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.swaps = 0
+
+    def evaluate_swap(self, *args, **kwargs):
+        self.swaps += 1
+        return super().evaluate_swap(*args, **kwargs)
+
+
+def measure_search(
+    app_name: str, topo_name: str, code: str, objective: str, reps: int
+) -> tuple[float, float]:
+    """(candidates/sec, pruned share) of one ``map_onto`` search, best
+    of ``reps`` after one unmeasured warm-up pass."""
+    app = _app(app_name)
+    topology = make_topology(topo_name, app.num_cores)
+    memos: list[_CountingMemo] = []
+
+    def counting_memo(*args):
+        memos.append(_CountingMemo(*args))
+        return memos[-1]
+
+    best = math.inf
+    original = mapper.MemoizedMappingEvaluator
+    mapper.MemoizedMappingEvaluator = counting_memo
+    try:
+        for rep in range(reps + 1):
+            start = time.perf_counter()
+            mapper.map_onto(app, topology, code, objective)
+            if rep:
+                best = min(best, time.perf_counter() - start)
+    finally:
+        mapper.MemoizedMappingEvaluator = original
+    memo = memos[-1]
+    return (
+        round(memo.swaps / best, 1),
+        round(memo.stats.pruned / memo.swaps, 4),
+    )
+
+
 def measure(smoke: bool = False, reps: int = 4) -> dict:
     if smoke:
         cases = [c for c in EVAL_CASES if c[0] in SMOKE_EVAL_CASES]
@@ -126,16 +184,31 @@ def measure(smoke: bool = False, reps: int = 4) -> dict:
         label: measure_evals(app_name, topo_name, code, reps, limit)
         for label, app_name, topo_name, code in cases
     }
-    return {"evals_per_sec": evals, "calibration_ops_per_sec": _calibrate()}
+    searches = {
+        label: measure_search(app_name, topo_name, code, objective, reps)
+        for label, app_name, topo_name, code, objective in SEARCH_CASES
+    }
+    return {
+        "evals_per_sec": evals,
+        "search_candidates_per_sec": {
+            label: rate for label, (rate, _) in searches.items()
+        },
+        "search_pruned_share": {
+            label: share for label, (_, share) in searches.items()
+        },
+        "calibration_ops_per_sec": _calibrate(),
+    }
 
 
-def _normalized_ratio(fresh: dict, committed: dict) -> float | None:
-    """Geomean fresh/committed evals/sec over shared cases, divided by
+def _normalized_ratio(
+    fresh: dict, committed: dict, metric: str = "evals_per_sec"
+) -> float | None:
+    """Geomean fresh/committed ``metric`` over shared cases, divided by
     the machine-speed ratio of the two calibrations."""
     ratios = [
-        value / committed["evals_per_sec"][case]
-        for case, value in fresh["evals_per_sec"].items()
-        if committed.get("evals_per_sec", {}).get(case)
+        value / committed[metric][case]
+        for case, value in fresh[metric].items()
+        if committed.get(metric, {}).get(case)
     ]
     ratio = _geomean(ratios)
     if ratio is None:
@@ -144,7 +217,7 @@ def _normalized_ratio(fresh: dict, committed: dict) -> float | None:
     fresh_cal = fresh.get("calibration_ops_per_sec")
     machine = fresh_cal / committed_cal if committed_cal and fresh_cal else 1.0
     print(
-        f"evals/sec vs committed: {ratio:.2f}x raw, machine speed "
+        f"{metric} vs committed: {ratio:.2f}x raw, machine speed "
         f"{machine:.2f}x, normalized {ratio / machine:.2f}x "
         f"(gate: >= {MIN_CHECK_RATIO})"
     )
@@ -159,8 +232,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--check", action="store_true",
-        help="exit 1 if evals/sec regressed more than 30%% versus the "
-        "committed BENCH_mapping.json",
+        help="exit 1 if evals/sec or search candidates/sec regressed "
+        "more than 30%%, or the pruned share fell, versus the committed "
+        "BENCH_mapping.json",
     )
     parser.add_argument(
         "--json", default=None, metavar="PATH",
@@ -185,10 +259,19 @@ def main(argv: list[str] | None = None) -> int:
 
     check_failed = False
     if args.check and committed:
-        normalized = _normalized_ratio(fresh, committed)
-        if normalized is not None and normalized < MIN_CHECK_RATIO:
-            print("PERF REGRESSION: mapping evals/sec dropped >30%")
-            check_failed = True
+        for metric in ("evals_per_sec", "search_candidates_per_sec"):
+            normalized = _normalized_ratio(fresh, committed, metric)
+            if normalized is not None and normalized < MIN_CHECK_RATIO:
+                print(f"PERF REGRESSION: mapping {metric} dropped >30%")
+                check_failed = True
+        for case, share in fresh["search_pruned_share"].items():
+            recorded = committed.get("search_pruned_share", {}).get(case)
+            if recorded is not None and share < recorded:
+                print(
+                    f"PRUNING REGRESSION: {case} drops {share:.1%} of its "
+                    f"candidates, the record {recorded:.1%}"
+                )
+                check_failed = True
 
     record = {"schema": 2, **fresh, "smoke": args.smoke}
     out_path.write_text(
@@ -197,6 +280,12 @@ def main(argv: list[str] | None = None) -> int:
     print(f"wrote {out_path}")
     for case, value in fresh["evals_per_sec"].items():
         print(f"evals {case:16s} {value:9,.0f}/s")
+    for case, value in fresh["search_candidates_per_sec"].items():
+        share = fresh["search_pruned_share"][case]
+        print(
+            f"search {case:26s} {value:9,.0f} candidates/s, "
+            f"{share:.1%} pruned"
+        )
     return 1 if check_failed else 0
 
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 from repro.floorplan.lp import FloorplanResult
 from repro.routing.base import RoutingResult
+from repro.routing.loads import edge_index
 from repro.topology.base import Topology
 
 #: The paper's conservative maximum link bandwidth (Section 6.1).
@@ -59,6 +60,71 @@ class Constraints:
         )
 
 
+class CapacityTable:
+    """The bandwidth constraints of one topology, by edge id.
+
+    Built once per (topology, capacities) by :func:`capacity_table` and
+    read by :func:`bandwidth_feasible`, :func:`bandwidth_overflow` and
+    :class:`RoutingWatch`, so the swap search's early exit and the final
+    verdict apply the same numbers.
+
+    Attributes:
+        index: the topology's :func:`~repro.routing.loads.edge_index`.
+        net, core: ids of the constrained switch-to-switch edges (in
+            ``net_edges()`` order) and terminal edges (in
+            ``core_edges()`` order; empty when unconstrained).
+        divisor: per edge id, the parallel-channel count its load is
+            divided by for the per-channel check (1 for single
+            channels and terminal links).
+        limit: per edge id, the largest feasible per-channel load (the
+            capacity plus a 1e-9 tolerance); ``inf`` if unconstrained.
+        capacity: per edge id, the edge's total capacity over all its
+            channels (what :func:`bandwidth_overflow` charges against).
+    """
+
+    __slots__ = ("index", "net", "core", "divisor", "limit", "capacity")
+
+    def __init__(self, topology: Topology, constraints: Constraints):
+        self.index = index = edge_index(topology)
+        ids = index[0]
+        n = len(index[1])
+        self.divisor = [1] * n
+        self.limit = [math.inf] * n
+        self.capacity = [math.inf] * n
+        cap = constraints.link_capacity_mb_s
+        mults = topology.channel_multiplicities() or {}
+        self.net = [ids[edge] for edge in topology.net_edges()]
+        for edge, eid in zip(topology.net_edges(), self.net):
+            mult = mults.get(edge, 1)
+            self.divisor[eid] = mult
+            self.limit[eid] = cap + 1e-9
+            self.capacity[eid] = cap * mult
+        core_cap = constraints.core_link_capacity_mb_s
+        if topology.constrain_core_links and core_cap is None:
+            core_cap = cap
+        self.core = []
+        if core_cap is not None:
+            self.core = [ids[edge] for edge in topology.core_edges()]
+            for eid in self.core:
+                self.limit[eid] = core_cap + 1e-9
+                self.capacity[eid] = core_cap
+
+
+def capacity_table(
+    topology: Topology, constraints: Constraints
+) -> CapacityTable:
+    """The :class:`CapacityTable` of ``topology`` under ``constraints``
+    (cached on the topology, dropped by ``Topology.__getstate__``)."""
+    cache = topology.__dict__.get("_capacity_cache")
+    if cache is None:
+        cache = topology.__dict__["_capacity_cache"] = {}
+    key = (constraints.link_capacity_mb_s, constraints.core_link_capacity_mb_s)
+    table = cache.get(key)
+    if table is None:
+        table = cache[key] = CapacityTable(topology, constraints)
+    return table
+
+
 def bandwidth_feasible(
     result: RoutingResult, topology: Topology, constraints: Constraints
 ) -> tuple[bool, float]:
@@ -69,19 +135,19 @@ def bandwidth_feasible(
     the worst *per-channel* load: an edge with multiplicity ``m``
     carries ``m`` times the single-link capacity.
     """
-    net_load = result.loads.max_load(
-        topology.net_edges(), divisors=topology.channel_multiplicities()
-    )
-    feasible = net_load <= constraints.link_capacity_mb_s + 1e-9
-    max_load = net_load
-
-    core_cap = constraints.core_link_capacity_mb_s
-    if topology.constrain_core_links and core_cap is None:
-        core_cap = constraints.link_capacity_mb_s
-    if core_cap is not None:
-        core_load = result.loads.max_load(topology.core_edges())
-        feasible = feasible and core_load <= core_cap + 1e-9
-        max_load = max(max_load, core_load)
+    table = capacity_table(topology, constraints)
+    load = result.loads.by_index(table.index)
+    divisor = table.divisor
+    limit = table.limit
+    feasible = True
+    max_load = 0.0
+    for eids in (table.net, table.core):
+        for eid in eids:
+            value = load[eid] / divisor[eid]
+            if value > limit[eid]:
+                feasible = False
+            if value > max_load:
+                max_load = value
     return feasible, max_load
 
 
@@ -98,10 +164,7 @@ def qos_feasible(
         return True, []
     violations = []
     for rc in result.routed:
-        worst = max(
-            (sum(1 for n in path if n[0] == "sw") for path, _ in rc.paths),
-            default=0,
-        )
+        worst = rc.worst_hops()
         if worst > bound:
             violations.append((rc.src_slot, rc.dst_slot, worst))
     return not violations, violations
@@ -117,21 +180,99 @@ def bandwidth_overflow(
     several placements share the same bottleneck (e.g. an unsplittable
     600 MB/s flow) but differ elsewhere.
     """
-    cap = constraints.link_capacity_mb_s
-    mults = topology.channel_multiplicities() or {}
-    overflow = sum(
-        max(0.0, result.loads.get(u, v) - cap * mults.get((u, v), 1))
-        for u, v in topology.net_edges()
-    )
-    core_cap = constraints.core_link_capacity_mb_s
-    if topology.constrain_core_links and core_cap is None:
-        core_cap = constraints.link_capacity_mb_s
-    if core_cap is not None:
-        overflow += sum(
-            max(0.0, result.loads.get(u, v) - core_cap)
-            for u, v in topology.core_edges()
-        )
+    table = capacity_table(topology, constraints)
+    load = result.loads.by_index(table.index)
+    capacity = table.capacity
+    overflow = 0.0
+    for eid in table.net:
+        overflow += max(0.0, load[eid] - capacity[eid])
+    if table.core:
+        core = 0.0
+        for eid in table.core:
+            core += max(0.0, load[eid] - capacity[eid])
+        overflow += core
     return overflow
+
+
+class RoutingWatch:
+    """Abandons a routing run once its mapping provably loses.
+
+    The swap search (:mod:`repro.core.mapper`) passes one as the
+    ``stop`` hook of :meth:`~repro.routing.base.RoutingFunction.route_all`
+    for a candidate that must strictly beat an evaluation with sort key
+    ``key`` (:meth:`~repro.core.evaluate.MappingEvaluation.sort_key`).
+    Link loads and QoS violations only grow as commodities are added,
+    so the watch stops the run:
+
+    * against a feasible key, as soon as any constrained link exceeds
+      its :class:`CapacityTable` limit or any flow its hop bound — the
+      candidate is infeasible, and every infeasible mapping loses;
+    * against an infeasible key ``(1, violations, overflow, …)``, once
+      the candidate is infeasible and its partial ``(QoS violations,
+      overflow)`` already beats the key's lexicographically. The
+      running overflow sums per-edge excesses in touch order, so a
+      small relative margin absorbs its rounding: a near-tie is never
+      abandoned.
+    """
+
+    __slots__ = (
+        "table", "max_hops", "feasible_key", "key_violations",
+        "key_overflow", "violations", "violated", "overflow", "excess",
+    )
+
+    def __init__(self, topology: Topology, constraints: Constraints, key):
+        self.table = capacity_table(topology, constraints)
+        self.max_hops = constraints.max_flow_hops
+        self.feasible_key = key[0] == 0
+        self.key_violations = key[1]
+        self.key_overflow = key[2]
+        self.violations = 0
+        self.violated = False
+        self.overflow = 0.0
+        self.excess: dict[int, float] = {}
+
+    def __call__(self, rc, loads) -> bool:
+        # ``route_all``'s ledger is keyed by the topology's edge ids.
+        load = loads.by_edge_id
+        table = self.table
+        divisor = table.divisor
+        limit = table.limit
+        max_hops = self.max_hops
+        if self.feasible_key:
+            for eids in rc.edge_ids:
+                for eid in eids:
+                    if load[eid] / divisor[eid] > limit[eid]:
+                        return True
+            return max_hops is not None and rc.worst_hops() > max_hops
+        violated = self.violated
+        if max_hops is not None and rc.worst_hops() > max_hops:
+            self.violations += 1
+            violated = True
+        capacity = table.capacity
+        excess = self.excess
+        overflow = self.overflow
+        for eids in rc.edge_ids:
+            for eid in eids:
+                value = load[eid]
+                if value / divisor[eid] > limit[eid]:
+                    violated = True
+                over = value - capacity[eid]
+                if over > 0.0:
+                    overflow += over - excess.get(eid, 0.0)
+                    excess[eid] = over
+        self.overflow = overflow
+        self.violated = violated
+        if not violated:
+            return False
+        if self.violations != self.key_violations:
+            return self.violations > self.key_violations
+        return beyond(overflow, self.key_overflow)
+
+
+def beyond(value: float, reference: float) -> bool:
+    """Whether ``value`` exceeds ``reference`` by more than a 1e-9
+    relative margin (the swap search's guard against rounding)."""
+    return value > reference + 1e-9 * max(1.0, abs(reference))
 
 
 def area_feasible(

@@ -104,7 +104,8 @@ def evaluate_mapping(
     constraints: Constraints,
     estimator: NetworkEstimator | None = None,
     with_floorplan: bool = True,
-) -> MappingEvaluation:
+    bound=None,
+) -> MappingEvaluation | None:
     """Route, check and measure one mapping.
 
     Args:
@@ -113,6 +114,11 @@ def evaluate_mapping(
         with_floorplan: run the LP floorplanner (needed for area/power
             numbers and area feasibility). Disable inside hop-objective
             swap loops for speed; re-enable for the final report.
+        bound: optional :class:`~repro.core.mapper.SwapBound` the
+            mapping must strictly beat. Work stops as soon as it
+            provably cannot — before routing, mid-routing, or before
+            the floorplan and power walk — and the result is ``None``;
+            a mapping that might win is evaluated in full.
 
     Raises:
         MappingInfeasibleError: if the assignment is structurally invalid
@@ -121,9 +127,16 @@ def evaluate_mapping(
     _validate_assignment(core_graph, topology, assignment)
     if estimator is None:
         estimator = NetworkEstimator()
+    if bound is not None and bound.hops_cut(core_graph, topology, assignment):
+        return None
 
     commodities = core_graph.commodities()
-    result = routing.route_all(topology, assignment, commodities)
+    result = routing.route_all(
+        topology, assignment, commodities,
+        stop=None if bound is None else bound.watch(topology, constraints),
+    )
+    if result is None:
+        return None
     bw_ok, max_load = bandwidth_feasible(result, topology, constraints)
     overflow = 0.0 if bw_ok else bandwidth_overflow(result, topology, constraints)
     qos_ok, violations = qos_feasible(result, constraints)
@@ -141,6 +154,8 @@ def evaluate_mapping(
         qos_feasible=qos_ok,
         qos_violations=violations,
     )
+    if bound is not None and bound.loses(evaluation):
+        return None
 
     pitch = nominal_pitch_mm(core_graph)
     if with_floorplan:
@@ -190,6 +205,11 @@ def evaluate_mapping(
     evaluation.resources = topology.resource_summary(
         routes=routes, mapped_slots=list(assignment.values())
     )
+    # Edge ids are working data of this evaluation (the routing watch,
+    # the power walk). A finished evaluation drops them, as its pickle
+    # does, so memos and in-memory caches hold no more than node paths.
+    for rc in result.routed:
+        rc.edge_ids = None
     return evaluation
 
 

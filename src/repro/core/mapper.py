@@ -17,6 +17,29 @@ how MPEG4 finds split-routable placements for its 910 MB/s flow).
 ``MapperConfig.converge`` extends the paper's single swap pass to
 steepest-descent rounds until no swap improves — an optional quality
 knob measured by ``bench_ablation_swap``.
+
+**Bounded swap search.** A swap candidate only matters if its sort key
+strictly beats its *bound*: the base mapping, or the best candidate so
+far once one beats the base (:class:`SwapBound`). Most candidates lose,
+so evaluation stops as soon as a candidate provably cannot win:
+
+1. before routing, when the objective's lower bound (for hops, the
+   bandwidth-weighted hop distance of the mapped slots) already exceeds
+   a feasible bound's cost;
+2. mid-routing, once a link overflows against a feasible bound, or the
+   partial (QoS violations, overflow) loses to an infeasible one
+   (:class:`~repro.core.constraints.RoutingWatch`);
+3. after routing, when the routing alone fixes the candidate's sort
+   key — it is bandwidth- or QoS-infeasible, or the objective is
+   ``routing_only`` — and that key does not beat the bound: no
+   floorplan, power walk or resource summary.
+
+Estimated quantities are compared with a 1e-9 relative margin, so a
+near-tie is always evaluated in full. Dropped candidates never enter
+the memo and are never returned; the search returns the same
+evaluation, bit for bit, as the unbounded one. With a ``collector``
+(the Pareto exploration wants every candidate measured) every
+candidate is evaluated in full.
 """
 
 from __future__ import annotations
@@ -25,7 +48,7 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 
-from repro.core.constraints import Constraints
+from repro.core.constraints import Constraints, RoutingWatch, beyond
 from repro.core.coregraph import CoreGraph
 from repro.core.evaluate import MappingEvaluation
 from repro.core.greedy import initial_greedy_mapping
@@ -94,7 +117,8 @@ def map_onto(
 
     Args:
         collector: optional list receiving *every* evaluated mapping
-            (used for the Pareto exploration of Figure 9(b)).
+            (used for the Pareto exploration of Figure 9(b)); with one
+            attached, no swap candidate is dropped early.
 
     Raises:
         MappingInfeasibleError: if the application has more cores than
@@ -128,10 +152,14 @@ def map_onto(
             collector.append(ev)
         return ev
 
-    def run_swap(base: MappingEvaluation, s1: int, s2: int) -> MappingEvaluation:
+    def run_swap(
+        base: MappingEvaluation, s1: int, s2: int, bound
+    ) -> MappingEvaluation | None:
         ev = memo.evaluate_swap(
-            base.assignment, s1, s2, with_floorplan=fp_in_loop
+            base.assignment, s1, s2, with_floorplan=fp_in_loop, bound=bound
         )
+        if ev is None:
+            return None
         _score(ev, objective)
         if collector is not None:
             collector.append(ev)
@@ -139,10 +167,11 @@ def map_onto(
 
     best = run(initial_greedy_mapping(core_graph, topology))
 
+    bounded = objective if collector is None else None
     rounds = config.max_rounds if config.converge else config.swap_rounds
     for _ in range(rounds):
-        candidate = _best_swap(best, run_swap)
-        if candidate is None or candidate.sort_key() >= best.sort_key():
+        candidate = _best_swap(best, run_swap, bounded)
+        if candidate is None:
             break
         best = candidate
 
@@ -153,21 +182,65 @@ def map_onto(
     return _score(final, objective)
 
 
-def _best_swap(base: MappingEvaluation, run_swap) -> MappingEvaluation | None:
-    """Evaluate every pairwise slot swap of ``base``; return the best.
+class SwapBound:
+    """The sort key a swap candidate must strictly beat, and the
+    exact tests that prove a candidate cannot (see the module
+    docstring). :func:`~repro.core.evaluate.evaluate_mapping` asks them
+    in order."""
 
-    ``run_swap(base, s1, s2)`` evaluates one slot swap of the base
-    (:meth:`~repro.core.memo.MemoizedMappingEvaluator.evaluate_swap`).
+    __slots__ = ("key", "objective")
+
+    def __init__(self, key: tuple, objective: Objective):
+        self.key = key
+        self.objective = objective
+
+    def hops_cut(self, core_graph, topology, assignment) -> bool:
+        """Cut-off 1: the objective's lower bound already loses to a
+        feasible bound."""
+        if self.key[0] != 0:
+            return False
+        floor = self.objective.lower_bound(core_graph, topology, assignment)
+        return floor is not None and beyond(floor, self.key[2])
+
+    def watch(self, topology: Topology, constraints: Constraints):
+        """Cut-off 2: the ``stop`` hook for ``route_all``."""
+        return RoutingWatch(topology, constraints, self.key)
+
+    def loses(self, evaluation: MappingEvaluation) -> bool:
+        """Cut-off 3, on a routed but unmeasured evaluation: whether its
+        routing alone proves it does not beat the bound. Measuring can
+        only make a key worse (an area violation), never better."""
+        if evaluation.bandwidth_feasible and evaluation.qos_feasible:
+            if not self.objective.routing_only:
+                return False
+            _score(evaluation, self.objective)
+        return not evaluation.sort_key() < self.key
+
+
+def _best_swap(
+    base: MappingEvaluation, run_swap, objective: Objective | None = None
+) -> MappingEvaluation | None:
+    """Evaluate every pairwise slot swap of ``base``; return the best
+    one that strictly beats it (the earliest on ties), or ``None``.
+
+    ``run_swap(base, s1, s2, bound)`` evaluates one slot swap of the
+    base (:meth:`~repro.core.memo.MemoizedMappingEvaluator.evaluate_swap`).
+    With an ``objective`` each candidate is bounded by a
+    :class:`SwapBound` on the key to beat; without one (``bound`` is
+    ``None``) every candidate is evaluated in full.
     """
     topology = base.topology
     occupied = sorted(base.assignment.values())
     free = sorted(set(range(topology.num_slots)) - set(occupied))
 
     best: MappingEvaluation | None = None
+    key = base.sort_key()
+    bound = SwapBound(key, objective) if objective is not None else None
     candidates = list(combinations(occupied, 2))
     candidates += [(s, f) for s in occupied for f in free]
     for s1, s2 in candidates:
-        ev = run_swap(base, s1, s2)
-        if best is None or ev.sort_key() < best.sort_key():
-            best = ev
+        ev = run_swap(base, s1, s2, bound)
+        if ev is not None and ev.sort_key() < key:
+            best, key = ev, ev.sort_key()
+            bound = bound and SwapBound(key, objective)
     return best

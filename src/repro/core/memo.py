@@ -21,6 +21,13 @@ assignment (:meth:`~MemoizedMappingEvaluator.evaluate_swap`); a swap is
 applied and then evaluated through the same memo, so both entry points
 share one store. What makes a candidate cheap is the interned routing
 underneath (:mod:`repro.routing.shortest`), not a second evaluator.
+
+The pairwise-swap search may also pass a
+:class:`~repro.core.mapper.SwapBound`: a candidate that provably cannot
+beat it is dropped part-way through its evaluation and comes back as
+``None`` (counted in ``stats.pruned``). The store only ever holds full
+evaluations, so a later lookup of a dropped assignment — under another
+bound, or none — evaluates it afresh.
 """
 
 from __future__ import annotations
@@ -61,10 +68,12 @@ def swap_assignment(
 
 @dataclass
 class MemoStats:
-    """Hit/miss counters of one search's memo."""
+    """Hit/miss counters of one search's memo; ``pruned`` counts the
+    misses a bound dropped before they were fully evaluated."""
 
     hits: int = 0
     misses: int = 0
+    pruned: int = 0
 
 
 class MemoizedMappingEvaluator:
@@ -109,15 +118,21 @@ class MemoizedMappingEvaluator:
         s1: int,
         s2: int,
         with_floorplan: bool,
-    ) -> MappingEvaluation:
-        """:meth:`evaluate` of ``swap_assignment(base_assignment, s1, s2)``."""
+        bound=None,
+    ) -> MappingEvaluation | None:
+        """:meth:`evaluate` of ``swap_assignment(base_assignment, s1, s2)``.
+
+        With a ``bound`` (a :class:`~repro.core.mapper.SwapBound`), a
+        candidate that provably cannot beat it returns ``None`` and is
+        not stored.
+        """
         return self._memoized(
-            swap_assignment(base_assignment, s1, s2), with_floorplan
+            swap_assignment(base_assignment, s1, s2), with_floorplan, bound
         )
 
     def _memoized(
-        self, assignment: dict[int, int], with_floorplan: bool
-    ) -> MappingEvaluation:
+        self, assignment: dict[int, int], with_floorplan: bool, bound=None
+    ) -> MappingEvaluation | None:
         # The shared body of both entry points (one memo lookup per
         # candidate, whichever way it arrived).
         key = (tuple(sorted(assignment.items())), with_floorplan)
@@ -134,6 +149,10 @@ class MemoizedMappingEvaluator:
             self.constraints,
             estimator=self.estimator,
             with_floorplan=with_floorplan,
+            bound=bound,
         )
+        if evaluation is None:
+            self.stats.pruned += 1
+            return None
         self._store[key] = evaluation
         return evaluation

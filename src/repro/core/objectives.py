@@ -5,7 +5,10 @@ constraints").
 An objective turns a :class:`~repro.core.evaluate.MappingEvaluation` into
 a scalar cost (lower is better) and declares whether it needs the
 floorplanner inside the swap loop (area/power do; hop delay does not,
-which keeps Figure 6(a)-style runs fast).
+which keeps Figure 6(a)-style runs fast). Two more declarations let the
+swap search drop a losing candidate early (:mod:`repro.core.mapper`):
+``routing_only`` (the cost is known once the mapping is routed) and
+:meth:`Objective.lower_bound` (a cost no routing of a mapping can beat).
 
 The extra ``bandwidth`` objective minimizes the worst link load; mapping
 with it yields the *minimum feasible link bandwidth* of a routing
@@ -17,7 +20,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 
-from repro.errors import ReproError
+from repro.errors import ReproError, TopologyError
 
 
 class Objective(ABC):
@@ -25,10 +28,19 @@ class Objective(ABC):
 
     name: str = "?"
     needs_floorplan: bool = False
+    #: The cost reads only routing outcomes (``avg_hops``, link loads),
+    #: never area or power, so a candidate can be ranked right after
+    #: routing.
+    routing_only: bool = False
 
     @abstractmethod
     def cost(self, evaluation) -> float:
         """Cost of an evaluated mapping."""
+
+    def lower_bound(self, core_graph, topology, assignment) -> float | None:
+        """A cost no routing of ``assignment`` can go below, or ``None``
+        when the objective offers none (the default)."""
+        return None
 
     def __repr__(self) -> str:
         return f"Objective({self.name})"
@@ -39,9 +51,28 @@ class HopDelayObjective(Objective):
 
     name = "hops"
     needs_floorplan = False
+    routing_only = True
 
     def cost(self, evaluation) -> float:
         return evaluation.avg_hops
+
+    def lower_bound(self, core_graph, topology, assignment) -> float | None:
+        """Bandwidth-weighted hop distance between the mapped slots: no
+        routed path crosses fewer switches than
+        :meth:`~repro.topology.base.Topology.hop_distance`. ``None`` when
+        a pair is disconnected (routing then reports it)."""
+        hop_distance = topology.hop_distance
+        total = 0.0
+        weighted = 0.0
+        try:
+            for c in core_graph.commodities():
+                total += c.value
+                weighted += c.value * hop_distance(
+                    assignment[c.src], assignment[c.dst]
+                )
+        except TopologyError:
+            return None
+        return weighted / total if total > 0 else 0.0
 
 
 class AreaObjective(Objective):
@@ -79,6 +110,7 @@ class BandwidthObjective(Objective):
 
     name = "bandwidth"
     needs_floorplan = False
+    routing_only = True
 
     def cost(self, evaluation) -> float:
         loads = [v for _, v in evaluation.routing_result.loads.items()]
@@ -113,6 +145,12 @@ class WeightedObjective(Objective):
         self.weights = {"hops": hops, "area": area, "power": power}
         self.refs = {"hops": hops_ref, "area": area_ref, "power": power_ref}
         self.needs_floorplan = area > 0 or power > 0
+
+    @property
+    def routing_only(self) -> bool:
+        # A property, not instance state: the objective fingerprint
+        # keys on instance attributes.
+        return not self.needs_floorplan
 
     def cost(self, evaluation) -> float:
         total = 0.0

@@ -16,6 +16,7 @@ from repro.physical.switch_area import SwitchConfig, channel_area_mm2
 from repro.physical.switch_power import BITS_PER_MB
 from repro.physical.technology import TECH_100NM, Technology
 from repro.routing.base import RoutingResult
+from repro.routing.loads import edge_index
 from repro.topology.base import SW, Topology, is_switch
 
 
@@ -102,6 +103,49 @@ class NetworkEstimator:
             return lengths_mm[(u, v)]
         return topology.graph.edges[u, v]["length"] * pitch_mm
 
+    def _wire_energy_by_id(
+        self, topology: Topology, lengths_mm: dict | None, pitch_mm: float
+    ) -> list[float]:
+        """Per edge id, ``link_energy * length`` (pJ/bit) with the
+        floorplanned length when known, else the nominal one.
+
+        The nominal table depends only on (topology, tech, pitch), so it
+        is cached on the topology beside the physical tables.
+        """
+        cache = None
+        if lengths_mm is None:
+            cache = topology.__dict__.setdefault("_phys_tables_cache", {})
+            key = ("wire", type(self).__name__, self.tech, pitch_mm)
+            wire = cache.get(key)
+            if wire is not None:
+                return wire
+        _, nominal = self._physical_tables(topology)
+        link_energy = self.tech.link_energy_pj_per_bit_mm
+        wire = []
+        for edge in edge_index(topology)[1]:
+            if lengths_mm is not None and edge in lengths_mm:
+                length = lengths_mm[edge]
+            else:
+                length = nominal[edge] * pitch_mm
+            wire.append(link_energy * length)
+        if cache is not None:
+            cache[key] = wire
+        return wire
+
+    def _head_energy_by_id(self, topology: Topology) -> list:
+        """Per edge id, the switching energy (pJ/bit) of the edge's head
+        switch, or ``None`` when the head is a terminal."""
+        cache = topology.__dict__.setdefault("_phys_tables_cache", {})
+        key = ("head", type(self).__name__, self.tech)
+        heads = cache.get(key)
+        if heads is None:
+            entries, _ = self._physical_tables(topology)
+            heads = cache[key] = [
+                entries[v].energy_pj_per_bit if v[0] == SW else None
+                for _, v in edge_index(topology)[1]
+            ]
+        return heads
+
     def dynamic_power_terms(
         self,
         topology: Topology,
@@ -112,40 +156,38 @@ class NetworkEstimator:
         """Accumulate switch/link dynamic power over routed commodities.
 
         Walks every path of ``routed`` (an iterable of
-        :class:`~repro.routing.base.RoutedCommodity`), charging switch
-        and wire energy per bit (Section 5: "power dissipation for the
-        switches and links are calculated based on the average
-        traffic"). The wire term inlines link_dynamic_power_mw with the
-        identical operation order (bit-identical floats).
+        :class:`~repro.routing.base.RoutedCommodity`) by edge id,
+        charging switch and wire energy per bit (Section 5: "power
+        dissipation for the switches and links are calculated based on
+        the average traffic"). A path starts at a terminal, so its
+        switches are the heads of its edges, in path order. The wire
+        term inlines link_dynamic_power_mw with the identical operation
+        order (bit-identical floats).
 
         Accumulation is two-level — each commodity's terms fold into a
         per-commodity subtotal (starting at 0.0) which is then added to
         the running total; the golden power figures pin that order.
         """
-        entries, nominal = self._physical_tables(topology)
-        link_energy = self.tech.link_energy_pj_per_bit_mm
+        heads = self._head_energy_by_id(topology)
+        wire = self._wire_energy_by_id(topology, lengths_mm, pitch_mm)
+        ids = edge_index(topology)[0]
         switch_dynamic = 0.0
         link_dynamic = 0.0
         for rc in routed:
             rc_switch = 0.0
             rc_link = 0.0
-            for path, bw in rc.paths:
+            edge_ids = rc.edge_ids
+            for i, (path, bw) in enumerate(rc.paths):
+                eids = (
+                    edge_ids[i] if edge_ids is not None
+                    else [ids[edge] for edge in zip(path, path[1:])]
+                )
                 bits_per_s = bw * BITS_PER_MB
-                for node in path:
-                    if node[0] == SW:
-                        rc_switch += (
-                            bits_per_s
-                            * entries[node].energy_pj_per_bit
-                            * 1e-9
-                        )
-                for edge in zip(path, path[1:]):
-                    if lengths_mm is not None and edge in lengths_mm:
-                        length = lengths_mm[edge]
-                    else:
-                        length = nominal[edge] * pitch_mm
-                    rc_link += (
-                        bits_per_s * (link_energy * length) * 1e-12 * 1e3
-                    )
+                for eid in eids:
+                    energy = heads[eid]
+                    if energy is not None:
+                        rc_switch += bits_per_s * energy * 1e-9
+                    rc_link += bits_per_s * wire[eid] * 1e-12 * 1e3
             switch_dynamic += rc_switch
             link_dynamic += rc_link
         return switch_dynamic, link_dynamic

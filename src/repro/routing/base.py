@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 from repro.core.coregraph import Commodity
 from repro.routing.loads import EdgeLoads, edge_index
-from repro.topology.base import SW, Topology
+from repro.topology.base import Topology
 
 
 @dataclass
@@ -30,27 +30,45 @@ class RoutedCommodity:
     """Routing outcome for one commodity.
 
     ``paths`` holds ``(node_path, bandwidth)`` pairs whose bandwidths sum
-    to the commodity value (a single pair for unsplit routing).
+    to the commodity value (a single pair for unsplit routing). Every
+    path runs from the source terminal to the destination terminal
+    through switches only.
+
+    ``edge_ids`` runs parallel to ``paths``: each path's edge ids in the
+    topology's :func:`~repro.routing.loads.edge_index`, as the routing
+    function produced them. They are working data: pickling drops them
+    (so a stored evaluation's bytes do not depend on them), an
+    unpickled commodity reads ``None``, and so does one whose mapping
+    evaluation has finished. They take no part in equality or ``repr``.
     """
 
     commodity: Commodity
     src_slot: int
     dst_slot: int
     paths: list[tuple[list, float]] = field(default_factory=list)
+    edge_ids: list[list[int]] | None = field(
+        default=None, compare=False, repr=False
+    )
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state.pop("edge_ids", None)
+        return state
 
     @property
     def hops(self) -> float:
-        """Bandwidth-weighted switch count over this commodity's paths."""
+        """Bandwidth-weighted switch count over this commodity's paths
+        (a path's switches are all its nodes but the two terminals)."""
         if self.commodity.value <= 0:
             return 0.0
         total = 0
         for path, bw in self.paths:
-            count = 0
-            for n in path:
-                if n[0] == SW:
-                    count += 1
-            total = total + bw * count
+            total = total + bw * (len(path) - 2)
         return total / self.commodity.value
+
+    def worst_hops(self) -> int:
+        """Switch count of this commodity's longest path."""
+        return max((len(path) - 2 for path, _ in self.paths), default=0)
 
     def validate_conservation(self, tol: float = 1e-6) -> bool:
         routed = sum(bw for _, bw in self.paths)
@@ -127,12 +145,14 @@ class RoutingFunction(ABC):
         dst_slot: int,
         value: float,
         loads: EdgeLoads,
-    ) -> list[tuple[list, float]]:
+    ) -> list[tuple[list, float, list[int]]]:
         """Route one commodity and **record its traffic in ``loads``**.
 
-        Returns ``(path, bandwidth)`` pairs summing to ``value``. The
-        method must call ``loads.add_path`` itself so that multi-chunk
-        routing sees its own earlier chunks.
+        Returns ``(path, bandwidth, edge ids)`` triples whose bandwidths
+        sum to ``value``; the edge ids are the path's ids in
+        ``edge_index(topology)``. The method must call
+        ``loads.add_path`` itself so that multi-chunk routing sees its
+        own earlier chunks.
         """
 
     def route_all(
@@ -140,7 +160,8 @@ class RoutingFunction(ABC):
         topology: Topology,
         slot_of: dict[int, int],
         commodities: list[Commodity],
-    ) -> RoutingResult:
+        stop=None,
+    ) -> RoutingResult | None:
         """Route every commodity in the given (already sorted) order.
 
         Args:
@@ -148,6 +169,11 @@ class RoutingFunction(ABC):
             slot_of: core index -> terminal slot (the mapping function).
             commodities: commodities in decreasing value order (Figure 5,
                 step 2).
+            stop: optional ``stop(routed_commodity, loads) -> bool``,
+                asked after each commodity; ``True`` abandons the run
+                and ``route_all`` returns ``None`` (the swap search's
+                early exit for a candidate that provably loses, see
+                :class:`~repro.core.constraints.RoutingWatch`).
         """
         loads = EdgeLoads(edge_index(topology))
         loads.load_bound = ledger_load_bound(topology, commodities)
@@ -155,12 +181,17 @@ class RoutingFunction(ABC):
         for c in commodities:
             src = slot_of[c.src]
             dst = slot_of[c.dst]
-            paths = self.route_commodity(topology, src, dst, c.value, loads)
-            routed.append(
-                RoutedCommodity(
-                    commodity=c, src_slot=src, dst_slot=dst, paths=paths
-                )
+            routes = self.route_commodity(topology, src, dst, c.value, loads)
+            rc = RoutedCommodity(
+                commodity=c,
+                src_slot=src,
+                dst_slot=dst,
+                paths=[(path, bw) for path, bw, _ in routes],
+                edge_ids=[eids for _, _, eids in routes],
             )
+            routed.append(rc)
+            if stop is not None and stop(rc, loads):
+                return None
         return RoutingResult(routed=routed, loads=loads)
 
     def __repr__(self) -> str:

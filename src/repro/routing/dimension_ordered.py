@@ -13,8 +13,29 @@ combination as unsupported.
 from __future__ import annotations
 
 from repro.routing.base import RoutingFunction
-from repro.routing.loads import EdgeLoads
+from repro.routing.loads import EdgeLoads, edge_index
 from repro.topology.base import Topology
+
+
+def dor_route(topology: Topology, src_slot: int, dst_slot: int):
+    """``(path, edge ids)`` of a slot pair's dimension-ordered route.
+
+    Cached on the topology like the interned search graphs (and dropped
+    by ``Topology.__getstate__``): the route depends on the slot pair
+    alone. Callers copy the path before handing it out.
+    """
+    cache = topology.__dict__.get("_dor_cache")
+    if cache is None:
+        cache = topology.__dict__["_dor_cache"] = {}
+    key = (src_slot, dst_slot)
+    route = cache.get(key)
+    if route is None:
+        path = topology.dor_path(src_slot, dst_slot)
+        ids = edge_index(topology)[0]
+        route = cache[key] = (
+            path, [ids[edge] for edge in zip(path, path[1:])]
+        )
+    return route
 
 
 class DimensionOrderedRouting(RoutingFunction):
@@ -30,7 +51,8 @@ class DimensionOrderedRouting(RoutingFunction):
         dst_slot: int,
         value: float,
         loads: EdgeLoads,
-    ) -> list[tuple[list, float]]:
-        path = topology.dor_path(src_slot, dst_slot)
-        loads.add_path(path, value)
-        return [(path, value)]
+    ) -> list[tuple[list, float, list[int]]]:
+        path, eids = dor_route(topology, src_slot, dst_slot)
+        loads.bind(edge_index(topology))
+        loads.add_path(path, value, eids)
+        return [(list(path), value, eids)]

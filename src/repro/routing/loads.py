@@ -138,6 +138,15 @@ class EdgeLoads:
         interned searches index it directly."""
         return self._load
 
+    def by_index(self, index: tuple[dict, list]) -> list[float]:
+        """Loads in ``index``'s edge-id order (an :func:`edge_index`):
+        the live list when this ledger shares that index, else a copy
+        built edge by edge."""
+        if self._ids is index[0]:
+            return self._load
+        get = self.get
+        return [get(u, v) for u, v in index[1]]
+
     @property
     def total(self) -> float:
         """Sum of load over all edges (an upper bound on any single load)."""

@@ -40,7 +40,7 @@ class MinimumPathRouting(RoutingFunction):
         dst_slot: int,
         value: float,
         loads: EdgeLoads,
-    ) -> list[tuple[list, float]]:
+    ) -> list[tuple[list, float, list[int]]]:
         # One cached lookup resolves either the pair's forced minimum
         # path or the interned graph for the load-aware search.
         search = topology_search(
@@ -53,4 +53,4 @@ class MinimumPathRouting(RoutingFunction):
             scale = hop_scale(loads, value, search.num_nodes)
             path, eids = _dijkstra_min_hop(search, loads.by_edge_id, scale)
         loads.add_path(path, value, eids)
-        return [(path, value)]
+        return [(path, value, eids)]

@@ -22,7 +22,8 @@ topology as a :class:`SearchGraph`: local node ids in ``graph._adj``
 order, CSR rows of ``(successor local id, edge id)`` in that same
 order, and the pair's unique minimum-hop path when it has one. The
 kernel keeps its ``dist``/``seen``/``pred`` state in lists and returns
-the path together with its edge ids, which the ledger adds by id.
+the path together with its edge ids, which the ledger adds by id and
+the routed commodity keeps.
 
 **Bit-identity.** The kernel is a faithful port of networkx's
 ``_dijkstra_multisource``: ``seen[source] = 0`` (an int), each edge
@@ -302,11 +303,13 @@ def min_hop_then_load(
 
 def load_then_hops(
     graph, src, dst, loads: EdgeLoads, value: float
-) -> list:
+) -> tuple[list, list]:
     """Least-loaded path; hops only matter between equally loaded paths.
 
-    ``graph`` is as for :func:`min_hop_then_load`.
+    ``graph`` is as for :func:`min_hop_then_load`. Returns the path and
+    its edge ids, which split-across-all-paths routing adds to the
+    ledger and keeps.
     """
     search = _search_of(graph, src, dst, loads)
     eps = max(1e-9, (loads.total + value) * 1e-6)
-    return _dijkstra_min_hop(search, loads.by_edge_id, 1.0, eps)[0]
+    return _dijkstra_min_hop(search, loads.by_edge_id, 1.0, eps)

@@ -31,22 +31,26 @@ from repro.topology.base import Topology, term
 DEFAULT_CHUNKS = 4
 
 
-def _merge(paths: list[tuple[list, float]]) -> list[tuple[list, float]]:
-    """Merge duplicate paths, preserving first-seen order.
+def _merge(
+    paths: list[tuple[list, float, list[int]]]
+) -> list[tuple[list, float, list[int]]]:
+    """Merge duplicate ``(path, bw, edge ids)`` chunks, preserving
+    first-seen order.
 
-    A linear scan: a commodity has a handful of chunks, and paths from
-    one search graph share node objects, so list equality is cheap.
+    A linear scan over a commodity's handful of chunks. Chunks share a
+    source node, so two are the same path exactly when their edge-id
+    lists are equal — an integer comparison, no node tuples involved.
     """
     merged: list[list] = []
-    for path, bw in paths:
+    for path, bw, eids in paths:
         for entry in merged:
-            if entry[0] == path:
+            if entry[2] == eids:
                 break
         else:
-            entry = [path, 0.0]
+            entry = [path, 0.0, eids]
             merged.append(entry)
         entry[1] += bw
-    return [(path, bw) for path, bw in merged]
+    return [(path, bw, eids) for path, bw, eids in merged]
 
 
 class _SplitRouting(RoutingFunction):
@@ -71,7 +75,7 @@ class SplitMinPathRouting(_SplitRouting):
         dst_slot: int,
         value: float,
         loads: EdgeLoads,
-    ) -> list[tuple[list, float]]:
+    ) -> list[tuple[list, float, list[int]]]:
         # Hop count dominates SM's weight, so a quadrant with a single
         # minimum-hop path forces every chunk onto it: record each
         # chunk's traffic separately (the ledger accumulates exactly as
@@ -83,14 +87,14 @@ class SplitMinPathRouting(_SplitRouting):
             path, eids = list(search.unique), search.unique_eids
             for _ in range(self.chunks):
                 loads.add_path(path, chunk_bw, eids)
-            return _merge([(path, chunk_bw)] * self.chunks)
+            return _merge([(path, chunk_bw, eids)] * self.chunks)
         load = loads.by_edge_id
         paths = []
         for _ in range(self.chunks):
             scale = hop_scale(loads, chunk_bw, search.num_nodes)
             path, eids = _dijkstra_min_hop(search, load, scale)
             loads.add_path(path, chunk_bw, eids)
-            paths.append((path, chunk_bw))
+            paths.append((path, chunk_bw, eids))
         return _merge(paths)
 
 
@@ -110,14 +114,14 @@ class SplitAllPathRouting(_SplitRouting):
         dst_slot: int,
         value: float,
         loads: EdgeLoads,
-    ) -> list[tuple[list, float]]:
+    ) -> list[tuple[list, float, list[int]]]:
         search = topology_search(topology, src_slot, dst_slot, quadrant=False)
         loads.bind(search.index)
         src, dst = term(src_slot), term(dst_slot)
         chunk_bw = value / self.chunks
         paths = []
         for _ in range(self.chunks):
-            path = load_then_hops(search, src, dst, loads, chunk_bw)
-            loads.add_path(path, chunk_bw)
-            paths.append((path, chunk_bw))
+            path, eids = load_then_hops(search, src, dst, loads, chunk_bw)
+            loads.add_path(path, chunk_bw, eids)
+            paths.append((path, chunk_bw, eids))
         return _merge(paths)

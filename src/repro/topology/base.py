@@ -141,6 +141,8 @@ class Topology(ABC):
         state.pop("_edge_index_cache", None)
         state.pop("_csr_cache", None)
         state.pop("_search_cache", None)
+        state.pop("_dor_cache", None)
+        state.pop("_capacity_cache", None)
         return state
 
     # ------------------------------------------------------------------

@@ -1,0 +1,193 @@
+"""The bounded swap search is exact.
+
+``map_onto`` without a collector stops evaluating a swap candidate once
+it provably cannot beat its bound (:class:`~repro.core.mapper.SwapBound`);
+with a collector it evaluates every candidate in full. Both must return
+the same evaluation — same assignment, cost and sort key, and the same
+pickled bytes — across the paper's four applications, the ``hops``,
+``power``, ``area`` and ``bandwidth`` objectives, MP/SM/SA/DO routing
+and the constraint variants that drive each cut-off (link overflow,
+core-link capacity, the QoS hop bound, the area ceiling). A
+synthesized fabric goes through ``execute_synthesis_job`` the same way.
+
+The matrix is a covering selection, not the full product: every app
+meets every routing function under the hops objective, and the
+floorplanned objectives (an LP per candidate on the reference path)
+run on the smaller cases.
+"""
+
+from __future__ import annotations
+
+import pickle
+
+import pytest
+
+from repro.apps import load_application
+from repro.core import mapper, memo
+from repro.core.constraints import Constraints
+from repro.core.evaluate import evaluate_mapping
+from repro.core.greedy import initial_greedy_mapping
+from repro.core.mapper import map_onto
+from repro.engine.jobs import SynthesisJob, execute_synthesis_job
+from repro.routing.library import make_routing
+from repro.synthesis.fabric import CandidateSpec
+from repro.topology.library import make_topology
+
+#: (app, topology, routing, objective, constraint variant).
+CASES = [
+    # hops: every app under every routing function
+    ("vopd", "mesh", "DO", "hops", "default"),
+    ("vopd", "torus", "MP", "hops", "flow_hops"),
+    ("vopd", "hypercube", "SM", "hops", "core_link"),
+    ("vopd", "mesh", "SA", "hops", "default"),
+    ("mpeg4", "mesh", "MP", "hops", "default"),
+    ("mpeg4", "torus", "SM", "hops", "flow_hops"),
+    ("mpeg4", "mesh", "DO", "hops", "core_link"),
+    ("mpeg4", "butterfly", "SA", "hops", "default"),
+    ("dsp", "butterfly", "MP", "hops", "area"),
+    ("dsp", "mesh", "SM", "hops", "area"),
+    ("dsp", "torus", "DO", "hops", "flow_hops"),
+    ("dsp", "clos", "SA", "hops", "core_link"),
+    ("netproc", "hypercube", "MP", "hops", "default"),
+    ("netproc", "mesh", "SM", "hops", "core_link"),
+    ("netproc", "mesh", "DO", "hops", "flow_hops"),
+    ("netproc", "clos", "SA", "hops", "default"),
+    # bandwidth: routing-only cost, no hop bound
+    ("vopd", "butterfly", "MP", "bandwidth", "default"),
+    ("mpeg4", "mesh", "SM", "bandwidth", "core_link"),
+    ("dsp", "torus", "SA", "bandwidth", "flow_hops"),
+    ("netproc", "clos", "MP", "bandwidth", "default"),
+    # power and area: the floorplanner runs inside the swap loop
+    ("dsp", "mesh", "MP", "power", "default"),
+    ("dsp", "butterfly", "SM", "power", "flow_hops"),
+    ("dsp", "hypercube", "DO", "power", "area"),
+    ("mpeg4", "torus", "MP", "power", "default"),
+    ("vopd", "mesh", "MP", "area", "area"),
+    ("dsp", "hypercube", "SA", "area", "core_link"),
+]
+
+
+def _constraints(variant, core_graph, topology) -> Constraints:
+    if variant == "default":
+        return Constraints()
+    if variant == "core_link":
+        return Constraints(core_link_capacity_mb_s=400.0)
+    if variant == "flow_hops":
+        return Constraints(max_flow_hops=3)
+    # A ceiling just under the greedy mapping's area, so the search
+    # starts infeasible and some swaps fit.
+    greedy = evaluate_mapping(
+        core_graph, topology, initial_greedy_mapping(core_graph, topology),
+        make_routing("MP"), Constraints(),
+    )
+    return Constraints(max_area_mm2=0.99 * greedy.area_mm2)
+
+
+def _assert_same(pruned, full):
+    assert pruned.assignment == full.assignment
+    assert pruned.cost == full.cost
+    assert pruned.sort_key() == full.sort_key()
+    assert pickle.dumps(pruned) == pickle.dumps(full)
+
+
+@pytest.mark.parametrize(
+    "app, topo, code, objective, variant", CASES,
+    ids=["-".join(case) for case in CASES],
+)
+def test_pruned_search_matches_collector_search(
+    app, topo, code, objective, variant
+):
+    core_graph = load_application(app)
+    topology = make_topology(topo, core_graph.num_cores)
+    constraints = _constraints(variant, core_graph, topology)
+    collected = []
+    full = map_onto(
+        core_graph, topology, code, objective, constraints,
+        collector=collected,
+    )
+    pruned = map_onto(core_graph, topology, code, objective, constraints)
+    assert collected
+    _assert_same(pruned, full)
+
+
+def test_synthesized_fabric_job_matches_collector_job(vopd_app):
+    spec = CandidateSpec(
+        strategy="greedy",
+        num_switches=4,
+        max_cluster_size=3,
+        max_switch_degree=4,
+        link_capacity_mb_s=500.0,
+    )
+    results = [
+        execute_synthesis_job(
+            SynthesisJob(vopd_app, spec, "MP", "hops", collect=collect)
+        )
+        for collect in (True, False)
+    ]
+    full, pruned = (r.evaluation for r in results)
+    assert results[0].collected and not results[1].collected
+    _assert_same(pruned, full)
+
+
+@pytest.mark.parametrize(
+    "app, topo, objective, cutoff",
+    [
+        ("vopd", "mesh", "hops", "hops_cut"),
+        ("vopd", "butterfly", "power", "watch"),
+        ("mpeg4", "mesh", "hops", "watch"),
+        ("mpeg4", "torus", "power", "loses"),
+    ],
+)
+def test_each_cutoff_drops_candidates(app, topo, objective, cutoff, monkeypatch):
+    """The differential cases above exercise real pruning: each cut-off
+    drops candidates on a paper app, and dropped candidates never reach
+    the memo's store."""
+    fired = []
+
+    def watch(bound, topology, constraints):
+        inner = original_watch(bound, topology, constraints)
+
+        def stop(rc, loads):
+            if inner(rc, loads):
+                fired.append("watch")
+                return True
+            return False
+        return stop
+
+    def hops_cut(bound, *args):
+        if original_hops_cut(bound, *args):
+            fired.append("hops_cut")
+            return True
+        return False
+
+    def loses(bound, evaluation):
+        if original_loses(bound, evaluation):
+            fired.append("loses")
+            return True
+        return False
+
+    original_watch = mapper.SwapBound.watch
+    original_hops_cut = mapper.SwapBound.hops_cut
+    original_loses = mapper.SwapBound.loses
+    monkeypatch.setattr(mapper.SwapBound, "watch", watch)
+    monkeypatch.setattr(mapper.SwapBound, "hops_cut", hops_cut)
+    monkeypatch.setattr(mapper.SwapBound, "loses", loses)
+    stores = []
+    original_init = memo.MemoizedMappingEvaluator.__init__
+
+    def init(self, *args):
+        original_init(self, *args)
+        stores.append(self)
+
+    monkeypatch.setattr(memo.MemoizedMappingEvaluator, "__init__", init)
+
+    core_graph = load_application(app)
+    topology = make_topology(topo, core_graph.num_cores)
+    map_onto(
+        core_graph, topology, "MP", objective,
+        config=mapper.MapperConfig(max_rounds=2),
+    )
+    assert cutoff in fired
+    (search,) = stores
+    assert search.stats.pruned == len(fired)
+    assert search.stats.misses == len(search._store) + search.stats.pruned

@@ -163,7 +163,7 @@ def test_load_then_hops_matches_networkx(name, pick, ops, value):
     src, dst = term(src_slot), term(dst_slot)
     loads = _ledger(topology, ops)
     search = topology_search(topology, src_slot, dst_slot, quadrant=False)
-    path = split.load_then_hops(search, src, dst, loads, value)
+    path, eids = split.load_then_hops(search, src, dst, loads, value)
 
     view = routing_view(topology.graph, src, dst)
     eps = max(1e-9, (loads.total + value) * 1e-6)
@@ -171,7 +171,9 @@ def test_load_then_hops_matches_networkx(name, pick, ops, value):
         view, src, dst, weight=lambda u, v, _: loads.get(u, v) + eps
     )
     assert path == expected
-    assert shortest.load_then_hops(view, src, dst, loads, value) == expected
+    ids, _ = edge_index(topology)
+    assert eids == [ids[edge] for edge in zip(path, path[1:])]
+    assert shortest.load_then_hops(view, src, dst, loads, value)[0] == expected
 
 
 # ----------------------------------------------------------------------

@@ -54,12 +54,12 @@ class TestLoadThenHops:
         loads = EdgeLoads()
         for u, v in [("s", "a"), ("a", "t"), ("s", "b"), ("b", "t")]:
             loads.add(u, v, 500.0)
-        path = load_then_hops(g, "s", "t", loads, 10.0)
+        path, _ = load_then_hops(g, "s", "t", loads, 10.0)
         assert path == ["s", "c", "d", "t"]
 
     def test_zero_load_is_minimal(self):
         g = diamond()
-        path = load_then_hops(g, "s", "t", EdgeLoads(), 10.0)
+        path, _ = load_then_hops(g, "s", "t", EdgeLoads(), 10.0)
         assert len(path) == 3
 
 
