@@ -30,6 +30,15 @@ Usage::
 candidates/sec against the committed record *before* writing,
 normalized by the recorded machine-speed calibration, so a routing or
 pruning regression fails CI while machine-to-machine variance does not.
+
+Re-recording one entry after a change that moves only that entry
+keeps the rest of the record and its calibration. The change is timed
+in ten pairs, alternating which side runs first: the previous commit
+measures its MP/SM ``evals_per_sec`` cases (full budget), and the
+change measures the entry. Each pair scales the change's rate by the
+geomean of recorded over measured MP/SM rates of the previous commit
+in the same pair, which puts it on the record's machine speed; the
+entry is the median of the ten scaled rates.
 """
 
 from __future__ import annotations

@@ -117,8 +117,8 @@ def evaluate_mapping(
         bound: optional :class:`~repro.core.mapper.SwapBound` the
             mapping must strictly beat. Work stops as soon as it
             provably cannot — before routing, mid-routing, or before
-            the floorplan and power walk — and the result is ``None``;
-            a mapping that might win is evaluated in full.
+            the floorplan LP and power walk — and the result is
+            ``None``; a mapping that might win is evaluated in full.
 
     Raises:
         MappingInfeasibleError: if the assignment is structurally invalid
@@ -160,6 +160,10 @@ def evaluate_mapping(
     pitch = nominal_pitch_mm(core_graph)
     if with_floorplan:
         used = estimator.used_switches(topology, result)
+        if bound is not None and bound.power_floor(
+            evaluation, estimator, used, pitch
+        ):
+            return None
         try:
             floorplan = floorplan_mapping(
                 topology,

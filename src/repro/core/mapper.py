@@ -32,7 +32,11 @@ so evaluation stops as soon as a candidate provably cannot win:
 3. after routing, when the routing alone fixes the candidate's sort
    key — it is bandwidth- or QoS-infeasible, or the objective is
    ``routing_only`` — and that key does not beat the bound: no
-   floorplan, power walk or resource summary.
+   floorplan, power walk or resource summary;
+4. before the floorplan LP, when the objective's floor over every
+   floorplan (for power, the power with each placed link at its length
+   floor, :func:`~repro.floorplan.lp.link_length_floors`) already
+   exceeds a feasible bound's cost.
 
 Estimated quantities are compared with a 1e-9 relative margin, so a
 near-tie is always evaluated in full. Dropped candidates never enter
@@ -184,7 +188,7 @@ def map_onto(
 
 class SwapBound:
     """The sort key a swap candidate must strictly beat, and the
-    exact tests that prove a candidate cannot (see the module
+    four exact tests that prove a candidate cannot (see the module
     docstring). :func:`~repro.core.evaluate.evaluate_mapping` asks them
     in order."""
 
@@ -205,6 +209,21 @@ class SwapBound:
     def watch(self, topology: Topology, constraints: Constraints):
         """Cut-off 2: the ``stop`` hook for ``route_all``."""
         return RoutingWatch(topology, constraints, self.key)
+
+    def power_floor(
+        self, evaluation: MappingEvaluation, estimator, used_switches,
+        pitch_mm: float,
+    ) -> bool:
+        """Cut-off 4, on a routed candidate about to be floorplanned:
+        the objective's floor over every floorplan already loses to a
+        feasible bound. A candidate whose floorplan fails or breaks the
+        area constraint is infeasible and loses to that bound anyway."""
+        if self.key[0] != 0:
+            return False
+        floor = self.objective.lower_bound_routed(
+            evaluation, estimator, used_switches, pitch_mm
+        )
+        return floor is not None and beyond(floor, self.key[2])
 
     def loses(self, evaluation: MappingEvaluation) -> bool:
         """Cut-off 3, on a routed but unmeasured evaluation: whether its

@@ -7,8 +7,10 @@ a scalar cost (lower is better) and declares whether it needs the
 floorplanner inside the swap loop (area/power do; hop delay does not,
 which keeps Figure 6(a)-style runs fast). Two more declarations let the
 swap search drop a losing candidate early (:mod:`repro.core.mapper`):
-``routing_only`` (the cost is known once the mapping is routed) and
-:meth:`Objective.lower_bound` (a cost no routing of a mapping can beat).
+``routing_only`` (the cost is known once the mapping is routed),
+:meth:`Objective.lower_bound` (a cost no routing of a mapping can beat)
+and :meth:`Objective.lower_bound_routed` (a cost no floorplan of a
+routed mapping can beat).
 
 The extra ``bandwidth`` objective minimizes the worst link load; mapping
 with it yields the *minimum feasible link bandwidth* of a routing
@@ -21,6 +23,7 @@ import math
 from abc import ABC, abstractmethod
 
 from repro.errors import ReproError, TopologyError
+from repro.floorplan.lp import link_length_floors
 
 
 class Objective(ABC):
@@ -40,6 +43,14 @@ class Objective(ABC):
     def lower_bound(self, core_graph, topology, assignment) -> float | None:
         """A cost no routing of ``assignment`` can go below, or ``None``
         when the objective offers none (the default)."""
+        return None
+
+    def lower_bound_routed(
+        self, evaluation, estimator, used_switches, pitch_mm
+    ) -> float | None:
+        """A cost no floorplan of the routed, not yet floorplanned
+        ``evaluation`` can go below, or ``None`` when the objective
+        offers none (the default)."""
         return None
 
     def __repr__(self) -> str:
@@ -97,6 +108,28 @@ class PowerObjective(Objective):
         if evaluation.power_mw is None:
             raise ReproError("power objective requires a floorplanned evaluation")
         return evaluation.power_mw
+
+    def lower_bound_routed(
+        self, evaluation, estimator, used_switches, pitch_mm
+    ) -> float | None:
+        """The network power with every placed link at its length floor
+        (:func:`~repro.floorplan.lp.link_length_floors`). Power is linear
+        in each link's length with non-negative coefficients (wire
+        energy of the traffic it carries, repeater leakage), and the
+        floors go through the same accumulation as the floorplanned
+        lengths, so no floorplan gives less."""
+        topology = evaluation.topology
+        floors = link_length_floors(
+            topology,
+            evaluation.assignment,
+            evaluation.core_graph,
+            used_switches=used_switches,
+            tech=estimator.tech,
+        )
+        return estimator.network_power_mw(
+            topology, evaluation.routing_result,
+            lengths_mm=floors, pitch_mm=pitch_mm,
+        ).total_mw
 
 
 class BandwidthObjective(Objective):

@@ -59,6 +59,19 @@ class Block:
             return math.sqrt(self.area_mm2)
         return math.sqrt(self.area_mm2 * self.aspect_max)
 
+    @property
+    def height_min(self) -> float:
+        """Smallest legal height (soft) or the fixed height (hard)."""
+        if not self.is_soft:
+            return math.sqrt(self.area_mm2)
+        return math.sqrt(self.area_mm2 / self.aspect_max)
+
+    @property
+    def height_max(self) -> float:
+        if not self.is_soft:
+            return math.sqrt(self.area_mm2)
+        return math.sqrt(self.area_mm2 / self.aspect_min)
+
 
 @dataclass(frozen=True)
 class BlockRect:

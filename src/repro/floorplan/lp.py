@@ -14,8 +14,19 @@ exact positions and soft-block sizes minimizing chip width + height:
   always overlap-free and area-conserving even where the tangent
   approximation was loose.
 
+The LP goes straight to HiGHS, the solver behind
+``scipy.optimize.linprog(method="highs")``, through scipy's bundled
+bindings (``scipy.optimize._highspy._core``): the model is built row-wise
+from the per-block pattern and solved with exactly the options
+``linprog`` sets, so its solution is bit-identical to ``linprog``'s on
+the same model (``tests/floorplan/test_lp_highs.py`` checks this against
+the dense ``linprog`` model) without the wrapper's input cleaning,
+option checks and dense-to-sparse conversion.
+
 The resulting block rectangles give the design area / aspect-ratio
-feasibility checks and the link lengths used for power estimation.
+feasibility checks and the link lengths used for power estimation;
+:func:`link_length_floors` bounds those lengths from below without an
+LP (the power-bounded swap search, :mod:`repro.core.mapper`).
 """
 
 from __future__ import annotations
@@ -24,14 +35,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize._highspy import _core as _highs
 
 from repro.core.coregraph import CoreGraph
 from repro.errors import FloorplanError
 from repro.floorplan.blocks import Block, BlockRect
-from repro.floorplan.positions import derive_columns
+from repro.floorplan.positions import core_block, derive_columns, switch_areas
 from repro.physical.technology import TECH_100NM, Technology
-from repro.topology.base import Topology, is_term
+from repro.topology.base import Topology, term
 
 #: Wiring-channel margin between blocks and columns (mm).
 DEFAULT_CHANNEL_MM = 0.15
@@ -74,40 +85,33 @@ class FloorplanResult:
         return max(0.0, 1.0 - self.block_area_mm2 / self.area_mm2)
 
     # ------------------------------------------------------------------
+    def _centers(self, assignment: dict) -> dict:
+        """Physical center of every placed topology-graph node."""
+        centers = {key: rect.center for key, rect in self.rects.items()}
+        for core, slot in assignment.items():
+            rect = self.rects.get(("core", core))
+            if rect is not None:
+                centers[term(slot)] = rect.center
+        return centers
+
     def node_center(self, topology: Topology, assignment: dict, node):
         """Physical center of a topology-graph node, or None if pruned."""
-        if is_term(node):
-            slot_to_core = {s: c for c, s in assignment.items()}
-            core = slot_to_core.get(node[1])
-            if core is None:
-                return None
-            rect = self.rects.get(("core", core))
-        else:
-            rect = self.rects.get(node)
-        return rect.center if rect is not None else None
+        return self._centers(assignment).get(node)
 
     def link_lengths(
         self, topology: Topology, assignment: dict
     ) -> dict[tuple, float]:
         """Manhattan length (mm) of every placed topology link."""
+        centers = self._centers(assignment)
         lengths = {}
-        slot_to_core = {s: c for c, s in assignment.items()}
         for u, v in topology.graph.edges():
-            cu = self._center(u, slot_to_core)
-            cv = self._center(v, slot_to_core)
+            cu = centers.get(u)
+            cv = centers.get(v)
             if cu is None or cv is None:
                 continue
             dist = abs(cu[0] - cv[0]) + abs(cu[1] - cv[1])
             lengths[(u, v)] = max(dist, MIN_LINK_MM)
         return lengths
-
-    def _center(self, node, slot_to_core):
-        if is_term(node):
-            core = slot_to_core.get(node[1])
-            rect = self.rects.get(("core", core)) if core is not None else None
-        else:
-            rect = self.rects.get(node)
-        return rect.center if rect is not None else None
 
     def validate(self) -> None:
         """Check legality; raises :class:`FloorplanError` on violation."""
@@ -130,59 +134,64 @@ class FloorplanResult:
 
 
 # ----------------------------------------------------------------------
+#: HiGHS options: exactly those ``scipy.optimize.linprog(method="highs")``
+#: sets, so the solve is bit-identical to it (dual simplex, presolve on,
+#: silent). ``passOptions`` copies them into each solver.
+_HIGHS_OPTIONS = _highs.HighsOptions()
+_HIGHS_OPTIONS.presolve = "on"
+_HIGHS_OPTIONS.simplex_strategy = 1  # dual simplex
+_HIGHS_OPTIONS.output_flag = False
+_HIGHS_OPTIONS.log_to_console = False
+_HIGHS_OPTIONS.highs_debug_level = 0  # no debug checks
+
+
 def _solve_lp(
     columns: list[list[Block]],
     channel: float,
     max_aspect: float | None,
 ) -> tuple[np.ndarray, list[Block]]:
-    """Solve the sizing LP; returns (solution vector, flat block list)."""
+    """Solve the sizing LP; returns (solution vector, flat block list).
+
+    Every constraint is a ``<=`` row with at most three nonzeros, built
+    straight into HiGHS's row-wise sparse format.
+    """
     n_cols = len(columns)
     blocks: list[Block] = [b for col in columns for b in col]
-    n_blocks = len(blocks)
     # Variable layout: [X_0..X_{C-1}] then per block (y, w, h), then H.
-    def xvar(c):
-        return c
-
-    def yvar(i):
-        return n_cols + 3 * i
-
-    def wvar(i):
-        return n_cols + 3 * i + 1
-
-    def hvar(i):
-        return n_cols + 3 * i + 2
-
-    hv = n_cols + 3 * n_blocks
+    hv = n_cols + 3 * len(blocks)
     n_vars = hv + 1
 
-    rows_a: list[np.ndarray] = []
-    rows_b: list[float] = []
+    starts = [0]
+    indices: list[int] = []
+    values: list[float] = []
+    rhs: list[float] = []
 
-    def add(coeffs: dict[int, float], rhs: float) -> None:
-        row = np.zeros(n_vars)
-        for idx, val in coeffs.items():
-            row[idx] += val
-        rows_a.append(row)
-        rows_b.append(rhs)
+    def add(row_indices, row_values, bound: float) -> None:
+        indices.extend(row_indices)
+        values.extend(row_values)
+        starts.append(len(indices))
+        rhs.append(bound)
 
-    flat_index = 0
+    lower = [0.0] * n_vars
+    upper = [_highs.kHighsInf] * n_vars
+    i = 0
     for c, col in enumerate(columns):
         prev_y = None
         for block in col:
-            i = flat_index
-            flat_index += 1
+            y, w, h = n_cols + 3 * i, n_cols + 3 * i + 1, n_cols + 3 * i + 2
+            lower[w], upper[w] = block.width_min, block.width_max
+            lower[h], upper[h] = block.height_min, block.height_max
             # Width fits the column (with channel margin).
-            coeffs = {wvar(i): 1.0, xvar(c): -1.0}
             if c > 0:
-                coeffs[xvar(c - 1)] = 1.0
-            add(coeffs, -channel)
-            # Stacking below the previous block of the column.
-            if prev_y is not None:
-                j = prev_y
-                add({yvar(j): 1.0, hvar(j): 1.0, yvar(i): -1.0}, -channel)
-            prev_y = i
+                add((w, c, c - 1), (1.0, -1.0, 1.0), -channel)
+            else:
+                add((w, c), (1.0, -1.0), -channel)
+            # Stacking above the previous block of the column.
+            if prev_y is not None:  # the previous block's (y, h)
+                add((prev_y, prev_y + 2, y), (1.0, 1.0, -1.0), -channel)
+            prev_y = y
             # Below the chip top.
-            add({yvar(i): 1.0, hvar(i): 1.0, hv: -1.0}, 0.0)
+            add((y, h, hv), (1.0, 1.0, -1.0), 0.0)
             # Soft-block area tangents: h >= 2A/w0 - (A/w0^2) w.
             if block.is_soft:
                 w_lo, w_hi = block.width_min, block.width_max
@@ -190,43 +199,44 @@ def _solve_lp(
                     frac = t / max(1, TANGENT_CUTS - 1)
                     w0 = w_lo * (w_hi / w_lo) ** frac
                     area = block.area_mm2
-                    add(
-                        {hvar(i): -1.0, wvar(i): -area / w0**2},
-                        -2.0 * area / w0,
-                    )
+                    add((h, w), (-1.0, -area / w0**2), -2.0 * area / w0)
+            i += 1
     # Chip aspect-ratio constraints.
     if max_aspect is not None:
-        add({hv: 1.0, xvar(n_cols - 1): -max_aspect}, 0.0)
-        add({xvar(n_cols - 1): 1.0, hv: -max_aspect}, 0.0)
+        add((hv, n_cols - 1), (1.0, -max_aspect), 0.0)
+        add((n_cols - 1, hv), (1.0, -max_aspect), 0.0)
 
-    bounds: list[tuple] = []
-    for c in range(n_cols):
-        bounds.append((0.0, None))
-    for block in blocks:
-        bounds.append((0.0, None))  # y
-        bounds.append((block.width_min, block.width_max))  # w
-        if block.is_soft:
-            h_lo = math.sqrt(block.area_mm2 / block.aspect_max)
-            h_hi = math.sqrt(block.area_mm2 / block.aspect_min)
-        else:
-            h_lo = h_hi = math.sqrt(block.area_mm2)
-        bounds.append((h_lo, h_hi))  # h
-    bounds.append((0.0, None))  # H
-
-    cost = np.zeros(n_vars)
-    cost[xvar(n_cols - 1)] = 1.0  # W
+    cost = [0.0] * n_vars
+    cost[n_cols - 1] = 1.0  # W
     cost[hv] = 1.0  # H
 
-    res = linprog(
-        cost,
-        A_ub=np.vstack(rows_a),
-        b_ub=np.array(rows_b),
-        bounds=bounds,
-        method="highs",
-    )
-    if not res.success:
-        raise FloorplanError(f"floorplan LP failed: {res.message}")
-    return res.x, blocks
+    lp = _highs.HighsLp()
+    lp.num_col_ = n_vars
+    lp.num_row_ = len(rhs)
+    lp.col_cost_ = cost
+    lp.col_lower_ = lower
+    lp.col_upper_ = upper
+    lp.row_lower_ = [-_highs.kHighsInf] * len(rhs)
+    lp.row_upper_ = rhs
+    matrix = lp.a_matrix_
+    matrix.format_ = _highs.MatrixFormat.kRowwise
+    matrix.num_col_ = n_vars
+    matrix.num_row_ = len(rhs)
+    matrix.start_ = starts
+    matrix.index_ = indices
+    matrix.value_ = values
+
+    highs = _highs._Highs()
+    highs.passOptions(_HIGHS_OPTIONS)
+    if highs.passModel(lp) == _highs.HighsStatus.kError:
+        raise FloorplanError("floorplan LP failed: HiGHS rejected the model")
+    highs.run()
+    status = highs.getModelStatus()
+    if status != _highs.HighsModelStatus.kOptimal:
+        raise FloorplanError(
+            f"floorplan LP failed: {highs.modelStatusToString(status)}"
+        )
+    return np.array(highs.getSolution().col_value), blocks
 
 
 def _legalize(
@@ -278,8 +288,7 @@ def _legalize(
                 # Widen to fill the column (within aspect bounds); the
                 # freed height tightens the chip without re-solving.
                 w = min(block.width_max, inner)
-                h = max(block.area_mm2 / w,
-                        math.sqrt(block.area_mm2 / block.aspect_max))
+                h = max(block.area_mm2 / w, block.height_min)
             x = x0 + channel / 2.0 + (inner - w) / 2.0
             rects[block.key] = BlockRect(block=block, x=x, y=y, w=w, h=h)
             keys.append(block.key)
@@ -334,3 +343,44 @@ def floorplan_mapping(
     result = _legalize(columns, solution, blocks, channel_mm, max_aspect)
     result.validate()
     return result
+
+
+def link_length_floors(
+    topology: Topology,
+    assignment: dict[int, int],
+    core_graph: CoreGraph,
+    used_switches: set | None = None,
+    tech: Technology = TECH_100NM,
+) -> dict[tuple, float]:
+    """A floor on every link length :func:`floorplan_mapping` can give
+    this mapping, without solving the LP.
+
+    Two blocks that do not overlap have centres at least
+    ``min((w_u + w_v) / 2, (h_u + h_v) / 2)`` apart (Manhattan), and
+    legalization keeps every block at least its minimum width and
+    height (the LP honours its width bounds up to the solver's
+    feasibility tolerance, far inside the wiring channel that separates
+    placed blocks), so the same expression over the minimum sizes —
+    floored at ``MIN_LINK_MM`` like :meth:`FloorplanResult.link_lengths`
+    — bounds each placed link's length from below. Keys are the links
+    between the mapped cores and ``used_switches`` (default: every
+    switch), the blocks the floorplanner places.
+    """
+    areas = switch_areas(topology, tech)
+    placed = topology.switches if used_switches is None else used_switches
+    sizes = {}
+    for sw in placed:
+        side = math.sqrt(areas[sw])  # a hard square block
+        sizes[sw] = (side, side)
+    for core, slot in assignment.items():
+        block = core_block(core_graph, core)
+        sizes[term(slot)] = (block.width_min, block.height_min)
+    floors = {}
+    for u, v in topology.graph.edges():
+        su = sizes.get(u)
+        sv = sizes.get(v)
+        if su is None or sv is None:
+            continue
+        gap = min((su[0] + sv[0]) / 2.0, (su[1] + sv[1]) / 2.0)
+        floors[(u, v)] = max(gap, MIN_LINK_MM)
+    return floors

@@ -21,8 +21,8 @@ import math
 from repro.core.coregraph import CoreGraph
 from repro.errors import FloorplanError
 from repro.floorplan.blocks import Block
+from repro.physical.estimate import switch_config
 from repro.physical.library import AreaPowerLibrary
-from repro.physical.switch_area import SwitchConfig
 from repro.physical.technology import TECH_100NM, Technology
 from repro.topology.base import Topology, term
 
@@ -30,7 +30,7 @@ from repro.topology.base import Topology, term
 MAX_CORES_PER_COLUMN = 4
 
 
-def _core_block(core_graph: CoreGraph, core_index: int) -> Block:
+def core_block(core_graph: CoreGraph, core_index: int) -> Block:
     core = core_graph.core(core_index)
     return Block(
         key=("core", core_index),
@@ -42,22 +42,30 @@ def _core_block(core_graph: CoreGraph, core_index: int) -> Block:
     )
 
 
-def _switch_block(
-    topology: Topology, sw, library: AreaPowerLibrary
-) -> Block:
-    n_in, n_out = topology.switch_ports(sw)
-    cfg = SwitchConfig(
-        n_in=n_in,
-        n_out=n_out,
-        flit_width_bits=library.tech.flit_width_bits,
-        buffer_depth_flits=library.tech.buffer_depth_flits,
-    )
-    return Block(
-        key=sw,
-        name=f"sw{sw[1]}",
-        area_mm2=library.entry(cfg).area_mm2,
-        is_soft=False,
-    )
+def switch_areas(topology: Topology, tech: Technology) -> dict:
+    """Area (mm^2) of every switch by the switch area model.
+
+    Depends only on the topology and the technology point, so the table
+    is cached on the topology beside the estimator's physical tables
+    (and, like them, dropped when the topology is pickled).
+    """
+    cache = topology.__dict__.setdefault("_phys_tables_cache", {})
+    key = ("switch_areas", tech)
+    areas = cache.get(key)
+    if areas is None:
+        library = AreaPowerLibrary(tech)
+        areas = cache[key] = {
+            sw: library.entry(switch_config(topology, sw, tech)).area_mm2
+            for sw in topology.switches
+        }
+    return areas
+
+
+def _switch_block(sw, areas: dict) -> Block:
+    # A fresh block per floorplan: floorplans pickled together (a
+    # collected search) then share no block objects, so a result's
+    # pickled bytes do not depend on the cached table.
+    return Block(key=sw, name=f"sw{sw[1]}", area_mm2=areas[sw], is_soft=False)
 
 
 def _chunk_columns(blocks: list[Block], per_column: int) -> list[list[Block]]:
@@ -73,16 +81,16 @@ def _direct_columns(
     topology: Topology,
     slot_to_core: dict[int, int],
     core_graph: CoreGraph,
-    library: AreaPowerLibrary,
+    areas: dict,
 ) -> list[list[Block]]:
     """Group blocks by the x coordinate of their topology position."""
     entries = []  # (x, y, order, block)
     for sw in topology.switches:
         x, y = topology.position(sw)
-        entries.append((x, y, 1, _switch_block(topology, sw, library)))
+        entries.append((x, y, 1, _switch_block(sw, areas)))
     for slot, core_index in slot_to_core.items():
         x, y = topology.position(term(slot))
-        entries.append((x, y, 0, _core_block(core_graph, core_index)))
+        entries.append((x, y, 0, core_block(core_graph, core_index)))
     xs = sorted({round(x, 6) for x, _, _, _ in entries})
     columns = []
     for x in xs:
@@ -98,14 +106,14 @@ def _indirect_columns(
     topology: Topology,
     slot_to_core: dict[int, int],
     core_graph: CoreGraph,
-    library: AreaPowerLibrary,
+    areas: dict,
     used_switches: set | None,
 ) -> list[list[Block]]:
     """Figure 10(b)-style layout: cores split around the switch stages."""
     slots = sorted(slot_to_core)
     half = math.ceil(len(slots) / 2)
-    left = [_core_block(core_graph, slot_to_core[s]) for s in slots[:half]]
-    right = [_core_block(core_graph, slot_to_core[s]) for s in slots[half:]]
+    left = [core_block(core_graph, slot_to_core[s]) for s in slots[:half]]
+    right = [core_block(core_graph, slot_to_core[s]) for s in slots[half:]]
 
     stages = getattr(topology, "stages", None)
     if stages is None:
@@ -115,7 +123,7 @@ def _indirect_columns(
     stage_columns = []
     for stage in stages():
         column = [
-            _switch_block(topology, sw, library)
+            _switch_block(sw, areas)
             for sw in stage
             if used_switches is None or sw in used_switches
         ]
@@ -134,7 +142,6 @@ def derive_columns(
     core_graph: CoreGraph,
     used_switches: set | None = None,
     tech: Technology = TECH_100NM,
-    library: AreaPowerLibrary | None = None,
 ) -> list[list[Block]]:
     """Column structure for a mapping.
 
@@ -142,13 +149,12 @@ def derive_columns(
         assignment: core index -> terminal slot (the ``map`` function).
         used_switches: optional pruning set for multistage topologies.
     """
-    if library is None:
-        library = AreaPowerLibrary(tech)
+    areas = switch_areas(topology, tech)
     slot_to_core = {slot: core for core, slot in assignment.items()}
     if len(slot_to_core) != len(assignment):
         raise FloorplanError("assignment maps two cores to one slot")
     if topology.kind == "direct":
-        return _direct_columns(topology, slot_to_core, core_graph, library)
+        return _direct_columns(topology, slot_to_core, core_graph, areas)
     return _indirect_columns(
-        topology, slot_to_core, core_graph, library, used_switches
+        topology, slot_to_core, core_graph, areas, used_switches
     )

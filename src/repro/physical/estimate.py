@@ -34,6 +34,18 @@ class PowerBreakdown:
         return self.switch_dynamic + self.link_dynamic + self.clock + self.leakage
 
 
+def switch_config(topology: Topology, sw, tech: Technology) -> SwitchConfig:
+    """The configuration of switch ``sw``: its port counts at the
+    technology's flit width and buffer depth."""
+    n_in, n_out = topology.switch_ports(sw)
+    return SwitchConfig(
+        n_in=n_in,
+        n_out=n_out,
+        flit_width_bits=tech.flit_width_bits,
+        buffer_depth_flits=tech.buffer_depth_flits,
+    )
+
+
 class NetworkEstimator:
     """Computes network area/power for an evaluated mapping."""
 
@@ -42,15 +54,6 @@ class NetworkEstimator:
         self.library = AreaPowerLibrary(tech)
 
     # ------------------------------------------------------------------
-    def switch_config(self, topology: Topology, sw) -> SwitchConfig:
-        n_in, n_out = topology.switch_ports(sw)
-        return SwitchConfig(
-            n_in=n_in,
-            n_out=n_out,
-            flit_width_bits=self.tech.flit_width_bits,
-            buffer_depth_flits=self.tech.buffer_depth_flits,
-        )
-
     def _physical_tables(self, topology: Topology) -> tuple[dict, dict]:
         """Per-topology lookup tables for the power/area walks.
 
@@ -68,7 +71,7 @@ class NetworkEstimator:
         tables = cache.get(key)
         if tables is None:
             entries = {
-                sw: self.library.entry(self.switch_config(topology, sw))
+                sw: self.library.entry(switch_config(topology, sw, self.tech))
                 for sw in topology.switches
             }
             lengths = {

@@ -136,6 +136,7 @@ def test_synthesized_fabric_job_matches_collector_job(vopd_app):
         ("vopd", "butterfly", "power", "watch"),
         ("mpeg4", "mesh", "hops", "watch"),
         ("mpeg4", "torus", "power", "loses"),
+        ("vopd", "mesh", "power", "power_floor"),
     ],
 )
 def test_each_cutoff_drops_candidates(app, topo, objective, cutoff, monkeypatch):
@@ -166,12 +167,20 @@ def test_each_cutoff_drops_candidates(app, topo, objective, cutoff, monkeypatch)
             return True
         return False
 
+    def power_floor(bound, *args):
+        if original_power_floor(bound, *args):
+            fired.append("power_floor")
+            return True
+        return False
+
     original_watch = mapper.SwapBound.watch
     original_hops_cut = mapper.SwapBound.hops_cut
     original_loses = mapper.SwapBound.loses
+    original_power_floor = mapper.SwapBound.power_floor
     monkeypatch.setattr(mapper.SwapBound, "watch", watch)
     monkeypatch.setattr(mapper.SwapBound, "hops_cut", hops_cut)
     monkeypatch.setattr(mapper.SwapBound, "loses", loses)
+    monkeypatch.setattr(mapper.SwapBound, "power_floor", power_floor)
     stores = []
     original_init = memo.MemoizedMappingEvaluator.__init__
 

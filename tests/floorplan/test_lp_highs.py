@@ -1,0 +1,154 @@
+"""The direct HiGHS solve is bit-identical to ``scipy.optimize.linprog``.
+
+:func:`repro.floorplan.lp._solve_lp` builds the sizing LP row-wise and
+hands it to HiGHS itself. The reference here is the same model built
+the straightforward way — one dense row per constraint, variable bounds
+as ``(lo, hi)`` pairs — and solved by ``linprog(method="highs")``. The
+two solution vectors must be equal element for element, and where
+``linprog`` reports failure the direct solve must raise
+:class:`~repro.errors.FloorplanError`.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linprog
+
+from repro.apps import load_application
+from repro.errors import FloorplanError
+from repro.floorplan.blocks import Block
+from repro.floorplan.lp import DEFAULT_CHANNEL_MM, TANGENT_CUTS, _solve_lp
+from repro.floorplan.positions import derive_columns
+from repro.topology.library import make_topology
+
+
+def _dense_model(columns, channel, max_aspect):
+    """(cost, A_ub, b_ub, bounds) of the sizing LP, one dense row per
+    constraint: width-in-column, stacking, below-top, tangent cuts per
+    soft block, then the two chip aspect rows."""
+    n_cols = len(columns)
+    blocks = [b for col in columns for b in col]
+    hv = n_cols + 3 * len(blocks)
+    n_vars = hv + 1
+    rows, rhs = [], []
+
+    def add(coeffs, bound):
+        row = np.zeros(n_vars)
+        for idx, val in coeffs.items():
+            row[idx] += val
+        rows.append(row)
+        rhs.append(bound)
+
+    i = 0
+    for c, col in enumerate(columns):
+        prev = None
+        for block in col:
+            y, w, h = n_cols + 3 * i, n_cols + 3 * i + 1, n_cols + 3 * i + 2
+            coeffs = {w: 1.0, c: -1.0}
+            if c > 0:
+                coeffs[c - 1] = 1.0
+            add(coeffs, -channel)
+            if prev is not None:
+                add({prev: 1.0, prev + 2: 1.0, y: -1.0}, -channel)
+            prev = y
+            add({y: 1.0, h: 1.0, hv: -1.0}, 0.0)
+            if block.is_soft:
+                w_lo, w_hi = block.width_min, block.width_max
+                for t in range(TANGENT_CUTS):
+                    frac = t / max(1, TANGENT_CUTS - 1)
+                    w0 = w_lo * (w_hi / w_lo) ** frac
+                    area = block.area_mm2
+                    add({h: -1.0, w: -area / w0**2}, -2.0 * area / w0)
+            i += 1
+    if max_aspect is not None:
+        add({hv: 1.0, n_cols - 1: -max_aspect}, 0.0)
+        add({n_cols - 1: 1.0, hv: -max_aspect}, 0.0)
+
+    bounds = [(0.0, None)] * n_cols
+    for block in blocks:
+        if block.is_soft:
+            h_lo = math.sqrt(block.area_mm2 / block.aspect_max)
+            h_hi = math.sqrt(block.area_mm2 / block.aspect_min)
+        else:
+            h_lo = h_hi = math.sqrt(block.area_mm2)
+        bounds += [(0.0, None), (block.width_min, block.width_max), (h_lo, h_hi)]
+    bounds.append((0.0, None))
+    cost = np.zeros(n_vars)
+    cost[n_cols - 1] = 1.0
+    cost[hv] = 1.0
+    return cost, np.vstack(rows), np.array(rhs), bounds
+
+
+def _assert_matches_linprog(columns, channel, max_aspect):
+    cost, a_ub, b_ub, bounds = _dense_model(columns, channel, max_aspect)
+    ref = linprog(cost, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
+    if not ref.success:
+        with pytest.raises(FloorplanError):
+            _solve_lp(columns, channel, max_aspect)
+        return ref
+    x, blocks = _solve_lp(columns, channel, max_aspect)
+    assert blocks == [b for col in columns for b in col]
+    assert np.array_equal(x, ref.x)
+    return ref
+
+
+@st.composite
+def _blocks(draw, index):
+    area = draw(st.floats(0.05, 20.0))
+    if draw(st.booleans()):
+        return Block(key=("sw", index), name=f"b{index}", area_mm2=area,
+                     is_soft=False)
+    aspect_min = draw(st.floats(0.2, 1.0))
+    aspect_max = draw(st.floats(aspect_min, 5.0))
+    return Block(key=("core", index), name=f"b{index}", area_mm2=area,
+                 aspect_min=aspect_min, aspect_max=aspect_max)
+
+
+@st.composite
+def _columns(draw):
+    shape = draw(st.lists(st.integers(1, 4), min_size=1, max_size=6))
+    index = iter(range(sum(shape)))
+    return [[draw(_blocks(next(index))) for _ in range(n)] for n in shape]
+
+
+#: No bound, the flow's default, or a bound near 1.0 (below it no chip
+#: satisfies both ``H <= a W`` and ``W <= a H``, so the LP is infeasible).
+_MAX_ASPECT = st.one_of(
+    st.none(), st.just(3.0), st.floats(0.9, 1.1)
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    columns=_columns(),
+    channel=st.one_of(st.just(DEFAULT_CHANNEL_MM), st.floats(0.0, 0.5)),
+    max_aspect=_MAX_ASPECT,
+)
+def test_solve_matches_linprog(columns, channel, max_aspect):
+    _assert_matches_linprog(columns, channel, max_aspect)
+
+
+def test_infeasible_aspect_bound_raises():
+    columns = [[Block(key=("core", 0), name="a", area_mm2=1.0)]]
+    ref = _assert_matches_linprog(columns, DEFAULT_CHANNEL_MM, 0.95)
+    assert not ref.success
+
+
+@pytest.mark.parametrize("app", ["vopd", "dsp", "mpeg4"])
+@pytest.mark.parametrize(
+    "topo", ["mesh", "torus", "hypercube", "clos", "butterfly"]
+)
+def test_paper_floorplans_match_linprog(app, topo):
+    core_graph = load_application(app)
+    topology = make_topology(topo, core_graph.num_cores)
+    assignment = {i: i for i in range(core_graph.num_cores)}
+    columns = derive_columns(topology, assignment, core_graph)
+    for max_aspect in (None, 3.0):
+        assert _assert_matches_linprog(
+            columns, DEFAULT_CHANNEL_MM, max_aspect
+        ).success

@@ -82,3 +82,20 @@ class TestIndirectColumns:
             col for col in columns if all(b.key[0] == "sw" for b in col)
         ]
         assert len(switch_cols) == 3
+
+
+class TestSwitchBlocks:
+    @pytest.mark.parametrize("topo_name", ["mesh", "clos"])
+    def test_blocks_are_fresh_per_call(self, vopd_app, topo_name):
+        """Switch areas are cached per topology, but every call builds its
+        own blocks: floorplans pickled together (a collected search)
+        share no block objects, so a result's pickled bytes do not
+        depend on the cache."""
+        topo = make_topology(topo_name, 12)
+        first, second = (
+            [b for col in derive_columns(topo, identity(12), vopd_app)
+             for b in col]
+            for _ in range(2)
+        )
+        assert first == second
+        assert all(a is not b for a, b in zip(first, second))
