@@ -9,8 +9,8 @@ Expected: each stage is no worse than the previous; the converged search
 is what finds the bandwidth-feasible butterfly placement.
 
 Alongside the quality numbers the experiment reports the search's
-mapping-evaluations/sec (candidates evaluated per wall second through
-the memoized swap evaluator), so regressions in evaluation throughput
+mapping-evaluations/sec (candidates evaluated per wall second by the
+swap search with a collector, so every candidate is measured), so regressions in evaluation throughput
 are visible in the ablation output too. ``--smoke`` restricts the run
 to the mesh case for CI.
 """

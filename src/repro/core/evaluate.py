@@ -211,7 +211,8 @@ def evaluate_mapping(
     )
     # Edge ids are working data of this evaluation (the routing watch,
     # the power walk). A finished evaluation drops them, as its pickle
-    # does, so memos and in-memory caches hold no more than node paths.
+    # does, so collectors and in-memory caches hold no more than node
+    # paths.
     for rc in result.routed:
         rc.edge_ids = None
     return evaluation

@@ -39,11 +39,14 @@ so evaluation stops as soon as a candidate provably cannot win:
    exceeds a feasible bound's cost.
 
 Estimated quantities are compared with a 1e-9 relative margin, so a
-near-tie is always evaluated in full. Dropped candidates never enter
-the memo and are never returned; the search returns the same
+near-tie is always evaluated in full. The bound only tightens, so a
+candidate whose assignment the search has already visited cannot beat
+it either and is skipped before routing
+(:class:`~repro.core.memo.MemoizedMappingEvaluator`). Dropped and
+skipped candidates are never returned; the search returns the same
 evaluation, bit for bit, as the unbounded one. With a ``collector``
 (the Pareto exploration wants every candidate measured) every
-candidate is evaluated in full.
+candidate, revisits included, is evaluated in full.
 """
 
 from __future__ import annotations
@@ -77,15 +80,14 @@ class MapperConfig:
             butterfly placement). ``bench_ablation_swap`` quantifies the
             difference against the single-pass variant.
         max_rounds: safety bound for ``converge`` mode.
-        floorplan_in_loop: force floorplanning on/off inside the swap
-            loop; None = automatic (on iff the objective or constraints
-            need it).
+
+    The swap loop floorplans each candidate iff the objective or an
+    area constraint needs it.
     """
 
     swap_rounds: int = 1
     converge: bool = True
     max_rounds: int = 8
-    floorplan_in_loop: bool | None = None
 
 
 def _resolve(routing, objective):
@@ -116,9 +118,6 @@ def map_onto(
 ) -> MappingEvaluation:
     """Map a core graph onto one topology and return the best evaluation.
 
-    Evaluations are memoized per assignment for the length of the
-    search, so the swap search never routes the same assignment twice.
-
     Args:
         collector: optional list receiving *every* evaluated mapping
             (used for the Pareto exploration of Figure 9(b)); with one
@@ -139,11 +138,9 @@ def map_onto(
     estimator = estimator or NetworkEstimator()
     config = config or MapperConfig()
 
-    fp_in_loop = config.floorplan_in_loop
-    if fp_in_loop is None:
-        fp_in_loop = (
-            objective.needs_floorplan or constraints.max_area_mm2 is not None
-        )
+    fp_in_loop = (
+        objective.needs_floorplan or constraints.max_area_mm2 is not None
+    )
 
     memo = MemoizedMappingEvaluator(
         core_graph, topology, routing, constraints, estimator
@@ -179,9 +176,10 @@ def map_onto(
             break
         best = candidate
 
-    # Final authoritative evaluation with the floorplanner on, so every
-    # reported mapping carries area/power numbers and a real area check
-    # (a cache hit when the search already floorplanned this winner).
+    if fp_in_loop:
+        return best
+    # Final evaluation with the floorplanner on, so every reported
+    # mapping carries area/power numbers and a real area check.
     final = memo.evaluate(best.assignment, with_floorplan=True)
     return _score(final, objective)
 

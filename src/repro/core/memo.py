@@ -1,33 +1,23 @@
-"""Assignment-level memoization of :func:`~repro.core.evaluate.evaluate_mapping`.
-
-The pairwise-swap search (:mod:`repro.core.mapper`) and the annealing
-refinement (:mod:`repro.core.annealing`) both revisit assignments — the
-swap that undoes the previous round's best move, annealing walks that
-return to an earlier state, the final authoritative re-evaluation of the
-winning assignment. Routing and floorplanning the same assignment twice
-is pure waste: :func:`evaluate_mapping` is deterministic in its inputs.
+"""The swap search's evaluation context and its set of visited assignments.
 
 :class:`MemoizedMappingEvaluator` wraps one search's evaluation context
 (core graph, topology, routing function, constraints, estimator) around
-a private dict keyed by the sorted assignment plus the floorplan flag;
-the context is fixed by construction, so it needs no place in the key,
-and the memo lives and dies with its search. Hits return the previously
-evaluated :class:`~repro.core.evaluate.MappingEvaluation` object itself
-— callers treat evaluations as immutable apart from the ``cost`` field,
-which objectives re-assign idempotently.
+:func:`~repro.core.evaluate.evaluate_mapping`, and records every
+assignment the search has handed it. It lives and dies with its search.
 
-The searches hand their candidates in as slot swaps of a base
-assignment (:meth:`~MemoizedMappingEvaluator.evaluate_swap`); a swap is
-applied and then evaluated through the same memo, so both entry points
-share one store. What makes a candidate cheap is the interned routing
-underneath (:mod:`repro.routing.shortest`), not a second evaluator.
+The pairwise-swap search (:mod:`repro.core.mapper`) hands in its
+candidates as slot swaps of a base assignment, optionally with a
+:class:`~repro.core.mapper.SwapBound`; one that provably cannot beat
+the bound is dropped part-way and comes back as ``None``
+(``stats.pruned``).
 
-The pairwise-swap search may also pass a
-:class:`~repro.core.mapper.SwapBound`: a candidate that provably cannot
-beat it is dropped part-way through its evaluation and comes back as
-``None`` (counted in ``stats.pruned``). The store only ever holds full
-evaluations, so a later lookup of a dropped assignment — under another
-bound, or none — evaluates it afresh.
+The bound only tightens during a search: every assignment seen so far
+either lost to the bound of its time or became that bound. So a
+bounded candidate whose assignment was already visited cannot strictly
+beat the current bound either; it comes back as ``None`` without being
+routed (counted in ``stats.hits``). Without a bound (a collector
+search, which wants every candidate measured) a revisit is evaluated
+in full again.
 """
 
 from __future__ import annotations
@@ -48,8 +38,8 @@ def swap_assignment(
     """Apply the slot swap (s1, s2) and return a new assignment.
 
     Preserves the input dict's key order (``dict(assignment)`` plus
-    in-place reassignment), matching how the swap search and the
-    annealer have always built candidates — key order feeds through to
+    in-place reassignment), matching how the swap search has always
+    built candidates — key order feeds through to
     ``MappingEvaluation.assignment`` and the floorplanner.
     """
     swapped = dict(assignment)
@@ -66,10 +56,17 @@ def swap_assignment(
     return swapped
 
 
+def _key(assignment: dict[int, int]) -> tuple[int, ...]:
+    """The visited-set key: the slots in core order, as one flat tuple
+    so the set adds no per-core pairs for the garbage collector to track."""
+    return tuple(map(assignment.__getitem__, sorted(assignment)))
+
+
 @dataclass
 class MemoStats:
-    """Hit/miss counters of one search's memo; ``pruned`` counts the
-    misses a bound dropped before they were fully evaluated."""
+    """Counters of one search: ``hits`` are bounded revisits skipped
+    without routing, ``misses`` are evaluations started, and ``pruned``
+    counts the misses a bound dropped before they were fully evaluated."""
 
     hits: int = 0
     misses: int = 0
@@ -77,7 +74,8 @@ class MemoStats:
 
 
 class MemoizedMappingEvaluator:
-    """Evaluate assignments of one search context through a private memo."""
+    """Evaluate assignments of one search context, skipping bounded
+    revisits."""
 
     __slots__ = (
         "core_graph",
@@ -86,7 +84,7 @@ class MemoizedMappingEvaluator:
         "constraints",
         "estimator",
         "stats",
-        "_store",
+        "_visited",
     )
 
     def __init__(
@@ -103,14 +101,13 @@ class MemoizedMappingEvaluator:
         self.constraints = constraints
         self.estimator = estimator
         self.stats = MemoStats()
-        self._store: dict[tuple, MappingEvaluation] = {}
+        self._visited: set[tuple] = set()
 
     def evaluate(
         self, assignment: dict[int, int], with_floorplan: bool
     ) -> MappingEvaluation:
-        """Route/check/measure ``assignment``, or return the cached
-        evaluation of a bit-identical earlier one."""
-        return self._memoized(assignment, with_floorplan)
+        """Route/check/measure ``assignment`` and mark it visited."""
+        return self._evaluate(assignment, _key(assignment), with_floorplan)
 
     def evaluate_swap(
         self,
@@ -123,23 +120,23 @@ class MemoizedMappingEvaluator:
         """:meth:`evaluate` of ``swap_assignment(base_assignment, s1, s2)``.
 
         With a ``bound`` (a :class:`~repro.core.mapper.SwapBound`), a
-        candidate that provably cannot beat it returns ``None`` and is
-        not stored.
+        candidate that provably cannot beat it returns ``None``; an
+        already visited one does so without being routed.
         """
-        return self._memoized(
-            swap_assignment(base_assignment, s1, s2), with_floorplan, bound
-        )
-
-    def _memoized(
-        self, assignment: dict[int, int], with_floorplan: bool, bound=None
-    ) -> MappingEvaluation | None:
-        # The shared body of both entry points (one memo lookup per
-        # candidate, whichever way it arrived).
-        key = (tuple(sorted(assignment.items())), with_floorplan)
-        hit = self._store.get(key)
-        if hit is not None:
+        assignment = swap_assignment(base_assignment, s1, s2)
+        key = _key(assignment)
+        if bound is not None and key in self._visited:
             self.stats.hits += 1
-            return hit
+            return None
+        return self._evaluate(assignment, key, with_floorplan, bound)
+
+    def _evaluate(
+        self, assignment: dict[int, int], key: tuple, with_floorplan: bool,
+        bound=None,
+    ) -> MappingEvaluation | None:
+        # The shared body of both entry points; neither calls the other,
+        # so a wrapper around either sees each lookup once.
+        self._visited.add(key)
         self.stats.misses += 1
         evaluation = evaluate_mapping(
             self.core_graph,
@@ -153,6 +150,4 @@ class MemoizedMappingEvaluator:
         )
         if evaluation is None:
             self.stats.pruned += 1
-            return None
-        self._store[key] = evaluation
         return evaluation

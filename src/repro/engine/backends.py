@@ -95,9 +95,8 @@ class CacheBackend(Protocol):
     """Anything that can store evaluation results for the cache.
 
     Implementations map cache-key tuples to arbitrary picklable result
-    objects (:class:`~repro.engine.jobs.JobResult` from the engine,
-    :class:`~repro.core.evaluate.MappingEvaluation` from the mapping
-    memo). ``get`` returns ``None`` for a miss — including any entry
+    objects (the engine stores :class:`~repro.engine.jobs.JobResult`
+    records). ``get`` returns ``None`` for a miss — including any entry
     that cannot be read back faithfully; ``put`` returns the number of
     entries evicted to make room (0 for unbounded stores).
     """

@@ -103,8 +103,9 @@ class EvaluationCache:
     ``0``-disables-caching meaning.
 
     It holds the engine's :class:`~repro.engine.jobs.JobResult`
-    records; the mapping search's per-assignment memo
-    (:mod:`repro.core.memo`) is a private dict and never touches it.
+    records; the mapping search's visited set
+    (:mod:`repro.core.memo`) is private to its search and never
+    touches it.
 
     ``write_only=True`` turns every lookup into a miss while still
     persisting results — the design service's ``cache: "refresh"``

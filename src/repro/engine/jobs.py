@@ -22,7 +22,6 @@ that routes each kind to its executor function.
 from __future__ import annotations
 
 import hashlib
-import random
 from dataclasses import astuple, dataclass, field, replace
 
 from repro.core.constraints import Constraints
@@ -496,8 +495,6 @@ def execute_synthesis_job(job: SynthesisJob) -> JobResult:
 
     seed = job.resolved_seed()
     collector: list[MappingEvaluation] | None = [] if job.collect else None
-    rng_state = random.getstate()
-    random.seed(seed)
     try:
         topology = build_candidate(job.core_graph, job.spec)
         evaluation = map_onto(
@@ -517,8 +514,6 @@ def execute_synthesis_job(job: SynthesisJob) -> JobResult:
             error_type=type(exc).__name__,
             seed=seed,
         )
-    finally:
-        random.setstate(rng_state)
     return JobResult(
         tag=job.tag,
         evaluation=evaluation,
@@ -560,17 +555,12 @@ def execute_job(job: EvaluationJob) -> JobResult:
     """Run one candidate's mapping search; the executor-side entry point.
 
     Must be a module-level function so :class:`ProcessExecutor` can pickle
-    it. The global RNG is seeded deterministically for the duration of the
-    job and restored afterwards: the current mapper is fully
-    deterministic, but this guarantees any future stochastic search
-    (annealing restarts, randomized tie-breaks) stays reproducible and
-    executor-independent — without clobbering the caller's own
-    ``random`` state when the job runs in-process.
+    it. The mapping search is deterministic and draws no random numbers,
+    so the result does not depend on the executor; the job's seed is
+    only reported in :attr:`JobResult.seed`.
     """
     seed = job.resolved_seed()
     collector: list[MappingEvaluation] | None = [] if job.collect else None
-    rng_state = random.getstate()
-    random.seed(seed)
     try:
         evaluation = map_onto(
             job.core_graph,
@@ -589,8 +579,6 @@ def execute_job(job: EvaluationJob) -> JobResult:
             error_type=type(exc).__name__,
             seed=seed,
         )
-    finally:
-        random.setstate(rng_state)
     return JobResult(
         tag=job.tag,
         evaluation=evaluation,

@@ -1,11 +1,12 @@
-"""Memoized evaluation of slot-swap candidates.
+"""Evaluation of slot-swap candidates and the search's visited set.
 
 ``MemoizedMappingEvaluator.evaluate_swap`` must equal a from-scratch
 :func:`~repro.core.evaluate.evaluate_mapping` of the swapped assignment
 exactly — same paths, float-equal loads (order and values), hops, power,
 cost and feasibility — for every routing function and topology family,
-across swap sequences; the memo stays the outer layer; and it is private
-to its search, so mapping never touches the engine's cache metrics.
+across swap sequences. A bounded revisit is skipped without routing, an
+unbounded one is evaluated again; and the evaluator is private to its
+search, so mapping never touches the engine's cache metrics.
 """
 
 from __future__ import annotations
@@ -15,15 +16,11 @@ from hypothesis import strategies as st
 
 from repro.apps import vopd
 from repro.apps.synthetic import random_core_graph
-from repro.core.annealing import (
-    AnnealingConfig,
-    random_search_map,
-    simulated_annealing_map,
-)
+from repro.core import memo as memo_module
 from repro.core.constraints import Constraints
 from repro.core.evaluate import evaluate_mapping
 from repro.core.greedy import initial_greedy_mapping
-from repro.core.mapper import map_onto
+from repro.core.mapper import SwapBound, map_onto
 from repro.core.memo import MemoizedMappingEvaluator, swap_assignment
 from repro.core.objectives import make_objective
 from repro.errors import UnsupportedRoutingError
@@ -120,6 +117,18 @@ def test_swap_sequence_matches_from_scratch(
         _assert_identical(swapped, scratch)
 
 
+def _counting_evaluate_mapping(monkeypatch) -> list:
+    """Count the memo module's calls of ``evaluate_mapping``."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return evaluate_mapping(*args, **kwargs)
+
+    monkeypatch.setattr(memo_module, "evaluate_mapping", counted)
+    return calls
+
+
 @SLOW
 @given(
     st.integers(4, 7),
@@ -129,24 +138,40 @@ def test_swap_sequence_matches_from_scratch(
     st.integers(0, 11),
     st.integers(0, 11),
 )
-def test_memo_swap_hit_returns_same_object(
+def test_memo_bounded_revisit_is_skipped_unbounded_is_evaluated(
     n_cores, seed, topo_name, code, a, b
 ):
-    """Evaluating the identical swap twice must serve the memoized
-    evaluation object — the memo stays the outer layer."""
+    """A visited assignment cannot beat a bound: under one it comes back
+    as ``None`` without routing. Without a bound it is evaluated again,
+    value-equal to the first evaluation."""
     app = random_core_graph(n_cores, seed=seed)
     topology = make_topology(topo_name, 12)
     memo = MemoizedMappingEvaluator(
         app, topology, make_routing(code), Constraints(), NetworkEstimator()
     )
     base = initial_greedy_mapping(app, topology)
+    objective = make_objective("hops")
     s1, s2 = a % topology.num_slots, b % topology.num_slots
     first = memo.evaluate_swap(base, s1, s2, with_floorplan=False)
     again = memo.evaluate_swap(base, s1, s2, with_floorplan=False)
-    assert again is first
-    assert memo.evaluate(
-        swap_assignment(base, s1, s2), with_floorplan=False
-    ) is first
+    assert again is not first
+    first.cost = objective.cost(first)
+    again.cost = objective.cost(again)
+    _assert_identical(again, first)
+    assert (memo.stats.hits, memo.stats.misses) == (0, 2)
+
+    calls = []
+    original = memo_module.evaluate_mapping
+    memo_module.evaluate_mapping = lambda *args, **kw: calls.append(args)
+    try:
+        bound = SwapBound(first.sort_key(), objective)
+        assert memo.evaluate_swap(
+            base, s1, s2, with_floorplan=False, bound=bound
+        ) is None
+    finally:
+        memo_module.evaluate_mapping = original
+    assert calls == []
+    assert (memo.stats.hits, memo.stats.misses) == (1, 2)
 
 
 def test_swap_assignment_moves_cores_and_keeps_key_order():
@@ -171,25 +196,53 @@ def test_mapping_searches_leave_the_cache_metrics_untouched():
     topology = make_topology("mesh", app.num_cores)
     before = _cache_series()
     swap = map_onto(app, topology)
-    annealed = simulated_annealing_map(
-        app, topology, config=AnnealingConfig(iterations=60)
-    )
-    sampled = random_search_map(app, topology, iterations=40)
     assert _cache_series() == before
-    for evaluation in (swap, annealed, sampled):
-        assert evaluation.assignment  # each search really ran
+    assert swap.assignment  # the search really ran
 
 
-def test_memo_stats_count_each_lookup_once():
+def test_memo_stats_count_each_lookup_once(monkeypatch):
+    calls = _counting_evaluate_mapping(monkeypatch)
     app = random_core_graph(5, seed=3)
     topology = make_topology("mesh", 6)
     memo = MemoizedMappingEvaluator(
         app, topology, make_routing("MP"), Constraints(), NetworkEstimator()
     )
     base = initial_greedy_mapping(app, topology)
-    memo.evaluate(base, with_floorplan=False)
-    memo.evaluate(base, with_floorplan=False)
-    memo.evaluate(base, with_floorplan=True)  # the flag is part of the key
-    memo.evaluate_swap(base, 0, 1, with_floorplan=False)
-    memo.evaluate_swap(base, 0, 1, with_floorplan=False)
-    assert (memo.stats.hits, memo.stats.misses) == (2, 3)
+    first = memo.evaluate(base, with_floorplan=False)
+    memo.evaluate(base, with_floorplan=False)  # evaluate never skips
+    bound = SwapBound(first.sort_key(), make_objective("hops"))
+    memo.evaluate_swap(base, 0, 1, with_floorplan=False, bound=bound)
+    assert memo.evaluate_swap(
+        base, 0, 1, with_floorplan=False, bound=bound
+    ) is None
+    assert (memo.stats.hits, memo.stats.misses) == (1, 3)
+    assert len(calls) == memo.stats.misses
+
+
+def test_floorplan_in_loop_search_evaluates_once_per_miss(monkeypatch):
+    """With the floorplanner in the swap loop the winner is returned as
+    evaluated: no final re-evaluation beyond the search's misses."""
+    calls = _counting_evaluate_mapping(monkeypatch)
+    searches = []
+    original_init = MemoizedMappingEvaluator.__init__
+
+    def init(self, *args):
+        original_init(self, *args)
+        searches.append(self)
+
+    swaps = []
+    original_swap = MemoizedMappingEvaluator.evaluate_swap
+
+    def evaluate_swap(self, *args, **kwargs):
+        swaps.append(args[1:3])
+        return original_swap(self, *args, **kwargs)
+
+    monkeypatch.setattr(MemoizedMappingEvaluator, "__init__", init)
+    monkeypatch.setattr(MemoizedMappingEvaluator, "evaluate_swap", evaluate_swap)
+    app = random_core_graph(5, seed=3)
+    best = map_onto(app, make_topology("mesh", 6), objective="power")
+    (search,) = searches
+    assert best.floorplan is not None
+    assert len(calls) == search.stats.misses
+    # The greedy seed plus every swap not skipped as a visited revisit.
+    assert search.stats.misses == 1 + len(swaps) - search.stats.hits
