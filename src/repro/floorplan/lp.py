@@ -23,6 +23,15 @@ the same model (``tests/floorplan/test_lp_highs.py`` checks this against
 the dense ``linprog`` model) without the wrapper's input cleaning,
 option checks and dense-to-sparse conversion.
 
+The bindings are one extension module, but importing it by name runs
+``scipy/optimize/__init__.py``, which pulls in scipy.linalg,
+scipy.sparse and the rest of scipy.optimize (~500 modules; about 0.5 s
+and 35 MB on a shared 2-core VM) that the floorplanner never calls.
+:func:`_load_highs` instead loads the extension file straight from
+scipy's package directory and registers it under its full name, so
+``import repro`` never imports ``scipy.optimize``, and a later
+``import scipy.optimize`` (``linprog``) reuses the same module object.
+
 The resulting block rectangles give the design area / aspect-ratio
 feasibility checks and the link lengths used for power estimation;
 :func:`link_length_floors` bounds those lengths from below without an
@@ -31,11 +40,16 @@ LP (the power-bounded swap search, :mod:`repro.core.mapper`).
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import sys
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
+from pathlib import Path
 
+# Imported here, not on the first solve (the bindings import it then),
+# so its load time stays out of the first timed LP.
 import numpy as np
-from scipy.optimize._highspy import _core as _highs
 
 from repro.core.coregraph import CoreGraph
 from repro.errors import FloorplanError
@@ -134,6 +148,43 @@ class FloorplanResult:
 
 
 # ----------------------------------------------------------------------
+_HIGHS_MODULE = "scipy.optimize._highspy._core"
+
+
+def _load_highs():
+    """scipy's HiGHS bindings, loaded without importing ``scipy.optimize``.
+
+    Reuses the module if it is already imported; otherwise finds scipy's
+    directory without executing scipy, loads ``optimize/_highspy/_core``
+    from it, and registers it in :data:`sys.modules` under its full name
+    (removed again if loading fails), as the import system would.
+    """
+    module = sys.modules.get(_HIGHS_MODULE)
+    if module is not None:
+        return module
+    scipy_spec = importlib.util.find_spec("scipy")
+    if scipy_spec is None:
+        raise ModuleNotFoundError("No module named 'scipy'", name="scipy")
+    directory = Path(scipy_spec.submodule_search_locations[0], "optimize", "_highspy")
+    finder = FileFinder(str(directory), (ExtensionFileLoader, EXTENSION_SUFFIXES))
+    spec = finder.find_spec(_HIGHS_MODULE)
+    if spec is None:
+        raise ImportError(
+            f"scipy's HiGHS bindings (_core) not found in {directory}",
+            name=_HIGHS_MODULE,
+        )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[_HIGHS_MODULE] = module
+    try:
+        spec.loader.exec_module(module)
+    except BaseException:
+        del sys.modules[_HIGHS_MODULE]
+        raise
+    return module
+
+
+_highs = _load_highs()
+
 #: HiGHS options: exactly those ``scipy.optimize.linprog(method="highs")``
 #: sets, so the solve is bit-identical to it (dual simplex, presolve on,
 #: silent). ``passOptions`` copies them into each solver.

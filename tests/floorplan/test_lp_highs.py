@@ -7,11 +7,25 @@ as ``(lo, hi)`` pairs — and solved by ``linprog(method="highs")``. The
 two solution vectors must be equal element for element, and where
 ``linprog`` reports failure the direct solve must raise
 :class:`~repro.errors.FloorplanError`.
+
+The bindings are loaded without importing ``scipy.optimize``; fresh
+interpreters check that importing repro leaves ``scipy.optimize`` out,
+and that in either import order both solvers share one bindings module.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import json
 import math
+import os
+import pickle
+import re
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -152,3 +166,86 @@ def test_paper_floorplans_match_linprog(app, topo):
         assert _assert_matches_linprog(
             columns, DEFAULT_CHANNEL_MM, max_aspect
         ).success
+
+
+# ----------------------------------------------------------------------
+_HIGHS_MODULE = "scipy.optimize._highspy._core"
+
+
+def _run_fresh(script: str, stdin: bytes = b"") -> object:
+    """Run ``script`` in a fresh interpreter; returns its JSON stdout."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        input=stdin,
+        capture_output=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    return json.loads(proc.stdout)
+
+
+def test_importing_repro_skips_scipy_optimize():
+    loaded = _run_fresh(textwrap.dedent(f"""
+        import json, sys
+        import repro, repro.cli, repro.service
+        from repro.floorplan import lp
+        print(json.dumps([
+            "scipy.optimize" in sys.modules,
+            lp._highs is sys.modules.get({_HIGHS_MODULE!r}),
+        ]))
+    """))
+    assert loaded == [False, True]
+
+
+def test_missing_bindings_raise_import_error(monkeypatch, tmp_path):
+    from repro.floorplan import lp
+
+    scipy_spec = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+    scipy_spec.submodule_search_locations = [str(tmp_path)]
+    monkeypatch.delitem(sys.modules, _HIGHS_MODULE)
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name: scipy_spec)
+    searched = str(tmp_path / "optimize" / "_highspy")
+    with pytest.raises(ImportError, match=re.escape(searched)):
+        lp._load_highs()
+    assert _HIGHS_MODULE not in sys.modules
+
+
+#: The two import orders: repro's loader first, or scipy.optimize's own.
+_IMPORT_ORDERS = {
+    "repro-first": "import repro.floorplan.lp\nimport scipy.optimize\n",
+    "scipy-first": "import scipy.optimize\nimport repro.floorplan.lp\n",
+}
+
+
+@pytest.mark.parametrize("order", sorted(_IMPORT_ORDERS))
+def test_one_bindings_module_in_either_import_order(order):
+    core_graph = load_application("vopd")
+    topology = make_topology("mesh", core_graph.num_cores)
+    assignment = {i: i for i in range(core_graph.num_cores)}
+    columns = derive_columns(topology, assignment, core_graph)
+    model = _dense_model(columns, DEFAULT_CHANNEL_MM, 3.0)
+    script = _IMPORT_ORDERS[order] + textwrap.dedent(f"""
+        import gc, json, pickle, sys, types
+        import numpy as np
+        from scipy.optimize import linprog
+        from repro.floorplan.lp import _highs, _solve_lp
+        columns, (cost, a_ub, b_ub, bounds) = pickle.load(sys.stdin.buffer)
+        ref = linprog(cost, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
+        x, _ = _solve_lp(columns, {DEFAULT_CHANNEL_MM!r}, 3.0)
+        cores = [
+            m for m in gc.get_objects()
+            if isinstance(m, types.ModuleType) and m.__name__ == {_HIGHS_MODULE!r}
+        ]
+        print(json.dumps([
+            len(cores),
+            sys.modules[{_HIGHS_MODULE!r}] is _highs,
+            bool(ref.success),
+            bool(np.array_equal(x, ref.x)),
+        ]))
+    """)
+    result = _run_fresh(script, pickle.dumps((columns, model)))
+    assert result == [1, True, True, True]

@@ -6,9 +6,10 @@ mapped slots already loses. That is exact only if no routing function
 ever routes a commodity across fewer switches than
 :meth:`~repro.topology.base.Topology.hop_distance`. This checks it for
 MP, SM, SA and DO (where defined) on every library topology,
-synthesized fabrics and fault overlays — together with the path shape
-the hop counts rely on (terminal, switches only, terminal) and the edge
-ids each routed commodity carries.
+synthesized fabrics and fault overlays — for MP and SM, which route over
+minimum paths only, the hop distance is met exactly — together with the
+path shape the hop counts rely on (terminal, switches only, terminal)
+and the edge ids each routed commodity carries.
 """
 
 from __future__ import annotations
@@ -43,6 +44,10 @@ FABRICS = (
     "faulted-torus",
     "faulted-hypercube",
 )
+
+#: Routings that only use minimum-hop paths: their every routed path
+#: crosses exactly ``hop_distance`` switches, not just at least that many.
+SHORTEST_PATH_CODES = ("MP", "SM")
 
 SLOW = settings(
     max_examples=40,
@@ -95,7 +100,10 @@ def test_hop_distance_bounds_every_routed_path(name, n_cores, seed):
                 assert not is_switch(path[0]) and not is_switch(path[-1])
                 assert all(is_switch(node) for node in path[1:-1])
                 assert eids == [ids[edge] for edge in zip(path, path[1:])]
-                assert floor <= len(path) - 2, (code, path)
+                if code in SHORTEST_PATH_CODES:
+                    assert len(path) - 2 == floor, (code, path)
+                else:
+                    assert floor <= len(path) - 2, (code, path)
 
 
 def test_edge_ids_take_no_part_in_equality_or_repr():
