@@ -14,9 +14,9 @@ Public surface:
   backends carry warm results across processes and CI runs;
 * :func:`make_executor`, :class:`SerialExecutor`,
   :class:`ProcessExecutor` — the executor plugins;
-* :class:`RetryPolicy` / :class:`JobFailure` / :func:`classify_failure`
-  — the crash-tolerance layer (retries with deterministic backoff,
-  typed terminal failures).
+* :class:`JobFailure` / :func:`classify_failure` — the crash-tolerance
+  layer (a fixed retry budget with deterministic backoff, typed
+  terminal failures that the engine re-raises).
 
 A killed run resumes by rerunning it on the same persistent backend:
 finished jobs come back as cache hits and only the rest is computed.
@@ -45,17 +45,11 @@ from repro.engine.jobs import (
     execute_simulation_job,
     run_job,
 )
-from repro.engine.resilience import (
-    DEFAULT_RETRY_POLICY,
-    JobFailure,
-    RetryPolicy,
-    classify_failure,
-)
+from repro.engine.resilience import JobFailure, classify_failure
 
 __all__ = [
     "CacheBackend",
     "CacheStats",
-    "DEFAULT_RETRY_POLICY",
     "DirectoryBackend",
     "EvaluationCache",
     "EvaluationJob",
@@ -64,7 +58,6 @@ __all__ = [
     "JobResult",
     "MemoryBackend",
     "ProcessExecutor",
-    "RetryPolicy",
     "SQLiteBackend",
     "SerialExecutor",
     "SimulationJob",

@@ -58,6 +58,10 @@ _WRITE_ERRORS = obs_metrics.REGISTRY.counter(
 #: crash and never stale payloads).
 SCHEMA_VERSION = 2
 
+#: Seconds a SQLite connection waits on a lock held by another writer
+#: before the operation fails (and a ``put`` is dropped).
+SQLITE_BUSY_TIMEOUT_S = 30.0
+
 
 def key_fingerprint(key: tuple) -> str:
     """Stable hex fingerprint of a cache-key tuple.
@@ -206,10 +210,9 @@ class SQLiteBackend:
 
     name = "sqlite"
 
-    def __init__(self, path: str | Path, timeout_s: float = 30.0):
+    def __init__(self, path: str | Path):
         """Open (or create) the store at ``path``."""
         self.path = str(path)
-        self.timeout_s = timeout_s
         self.corrupt_entries = 0
         self.write_errors = 0
         self._lock = RLock()
@@ -238,7 +241,7 @@ class SQLiteBackend:
         # serializes access with its own lock (plus self._lock here).
         conn = sqlite3.connect(
             self.path,
-            timeout=self.timeout_s,
+            timeout=SQLITE_BUSY_TIMEOUT_S,
             isolation_level=None,
             check_same_thread=False,
         )
@@ -461,7 +464,7 @@ def make_backend(spec) -> CacheBackend:
     * an existing :class:`CacheBackend` instance — returned as is;
     * ``None`` or ``"memory"`` — a fresh unbounded :class:`MemoryBackend`;
     * ``"sqlite:PATH"`` — :class:`SQLiteBackend` at PATH;
-    * ``"dir:PATH"`` (or ``"directory:PATH"``) — :class:`DirectoryBackend`;
+    * ``"dir:PATH"`` — :class:`DirectoryBackend`;
     * a bare path — SQLite when it ends in ``.db``/``.sqlite``/
       ``.sqlite3``, a directory store otherwise.
     """
@@ -478,8 +481,6 @@ def make_backend(spec) -> CacheBackend:
         return SQLiteBackend(text[len("sqlite:"):])
     if text.startswith("dir:"):
         return DirectoryBackend(text[len("dir:"):])
-    if text.startswith("directory:"):
-        return DirectoryBackend(text[len("directory:"):])
     if text.endswith((".db", ".sqlite", ".sqlite3")):
         return SQLiteBackend(text)
     return DirectoryBackend(text)

@@ -35,8 +35,7 @@ from repro.engine.jobs import (
     job_kind,
     run_job,
 )
-from repro.engine.resilience import JobFailure, RetryPolicy
-from repro.errors import ReproError
+from repro.engine.resilience import JobFailure
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.topology.base import Topology
@@ -74,9 +73,6 @@ class ExplorationEngine:
             and a rerun of a killed sweep on the same store computes
             only what the kill lost. Passing both ``cache`` and
             ``cache_backend`` is a :class:`ValueError`.
-        retry_policy: :class:`~repro.engine.resilience.RetryPolicy` for
-            the executor built from ``jobs`` (ignored when an explicit
-            ``executor`` is passed — configure that executor directly).
 
     ``run`` is safe to call from several threads at once (the design
     service shares one engine across its worker threads): the cache
@@ -90,7 +86,6 @@ class ExplorationEngine:
         executor: Executor | None = None,
         cache: EvaluationCache | None = None,
         cache_backend=None,
-        retry_policy: RetryPolicy | None = None,
     ):
         """Build the engine (see the class docstring for the knobs)."""
         if cache is not None and cache_backend is not None:
@@ -98,7 +93,7 @@ class ExplorationEngine:
                 "pass either cache= or cache_backend=, not both: the "
                 "backend would be ignored"
             )
-        self.executor = executor or make_executor(jobs, policy=retry_policy)
+        self.executor = executor or make_executor(jobs)
         if cache is None:
             # Not `cache or ...`: an empty cache is falsy (it has __len__).
             cache = (
@@ -109,8 +104,8 @@ class ExplorationEngine:
         self.cache = cache
         #: Guards :attr:`failure_stats` and :attr:`passes`.
         self.lock = Lock()
-        #: Cumulative failure counts by kind (``crash``/``timeout``/
-        #: ``error``) across every ``run`` on this engine.
+        #: Cumulative failure counts by kind (``crash``/``error``)
+        #: across every ``run`` on this engine.
         self.failure_stats: Counter = Counter()
         #: ``run`` calls on this engine.
         self.passes = 0
@@ -121,7 +116,6 @@ class ExplorationEngine:
     def run(
         self,
         jobs: Sequence[EvaluationJob | SimulationJob],
-        on_failure: str = "raise",
     ) -> list[JobResult]:
         """Execute a batch; results come back in submission order.
 
@@ -138,32 +132,20 @@ class ExplorationEngine:
         bit-identical across executors: the reduction is by submission
         index, and per-job seeds are content-derived.
 
-        ``on_failure`` decides what a terminal
-        :class:`~repro.engine.resilience.JobFailure` (a job the
-        resilience layer could not complete — retries exhausted or a
-        fatal error) does: ``"raise"`` (default) re-raises the original
-        exception, matching pre-resilience behaviour; ``"skip"``
-        returns the failure in the result list (``ok`` is False) so one
-        poisoned point degrades a sweep instead of killing it.
-        Failures are never cached; they are counted in
-        :attr:`failure_stats`.
+        A terminal :class:`~repro.engine.resilience.JobFailure` (a job
+        the resilience layer could not complete — retries exhausted or
+        a fatal error) is counted in :attr:`failure_stats` and its
+        original exception re-raised. Failures are never cached.
         """
         with obs_trace.span(
             "engine.run", jobs=len(jobs), executor=self.executor.name
-        ) as sp:
-            return self._run(jobs, on_failure, sp)
+        ):
+            return self._run(jobs)
 
     def _run(
-        self,
-        jobs: Sequence[EvaluationJob | SimulationJob],
-        on_failure: str,
-        sp,
+        self, jobs: Sequence[EvaluationJob | SimulationJob]
     ) -> list[JobResult]:
         """Body of :meth:`run`, wrapped in the ``engine.run`` span."""
-        if on_failure not in ("raise", "skip"):
-            raise ReproError(
-                f"on_failure must be 'raise' or 'skip', got {on_failure!r}"
-            )
         with self.lock:
             self.passes += 1
         results: list[JobResult | None] = [None] * len(jobs)
@@ -171,7 +153,6 @@ class ExplorationEngine:
         keys: dict[int, tuple] = {}
         first_index_for_key: dict[tuple, int] = {}
         duplicates: dict[int, list[int]] = {}
-        failures = 0
         # Grouped jobs (batched simulation): the group executes as one
         # unit but caches per point, so a group shrinks to its
         # cache-missing points before execution and the stored entries
@@ -239,17 +220,7 @@ class ExplorationEngine:
                     self.failure_stats[result.failure_kind] += 1
                 _FAILURES.inc(failure=result.failure_kind)
                 _JOBS.inc(kind=job_kind(jobs[index]), status="failed")
-                if on_failure == "raise":
-                    raise result.to_exception()
-                failures += 1
-                results[index] = result.retagged(
-                    jobs[index].tag, cached=False
-                )
-                for dup_index in duplicates.get(index, ()):
-                    results[dup_index] = result.retagged(
-                        jobs[dup_index].tag, cached=False
-                    )
-                continue
+                raise result.to_exception()
             if index in groups:
                 job, point_results, missing, point_keys = groups[index]
                 for pi, point_result in zip(missing, result.value):
@@ -272,7 +243,6 @@ class ExplorationEngine:
                 results[dup_index] = result.retagged(
                     jobs[dup_index].tag, cached=True
                 )
-        sp.set("failures", failures)
         assert all(r is not None for r in results)
         return results  # type: ignore[return-value]
 

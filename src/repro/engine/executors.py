@@ -7,13 +7,13 @@ fans jobs out over :class:`concurrent.futures.ProcessPoolExecutor`; jobs
 carry deterministic seeds (:meth:`EvaluationJob.resolved_seed`), so both
 executors produce bit-identical results.
 
-Both executors run under a :class:`~repro.engine.resilience.RetryPolicy`
-(crash-tolerant execution): transient failures — a worker killed
-mid-job, a per-job wall-clock timeout, an ``OSError`` — are retried with
+Both executors share the fixed retry budget of
+:mod:`~repro.engine.resilience` (crash-tolerant execution): transient
+failures — a worker killed mid-job, an ``OSError`` — are retried with
 deterministic backoff, a broken pool is rebuilt and only the lost jobs
 resubmitted, and a job that exhausts its budget yields a typed
 :class:`~repro.engine.resilience.JobFailure` result instead of tearing
-down the sweep. Retries re-run the same seeded job, so success after a
+down the pool. Retries re-run the same seeded job, so success after a
 retry is bit-identical to first-try success.
 """
 
@@ -29,15 +29,15 @@ from typing import Protocol
 
 from repro.engine.jobs import EvaluationJob, JobResult, job_kind
 from repro.engine.resilience import (
-    DEFAULT_RETRY_POLICY,
+    MAX_ATTEMPTS,
     RETRIES,
-    RetryPolicy,
     _failure_kind,
+    backoff_s,
     classify_failure,
     failure_from,
     run_with_retries,
 )
-from repro.errors import JobTimeoutError, ReproError, WorkerCrashError
+from repro.errors import ReproError, WorkerCrashError
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 
@@ -50,7 +50,7 @@ _QUEUE_WAIT = obs_metrics.REGISTRY.histogram(
 )
 _REBUILDS = obs_metrics.REGISTRY.counter(
     "repro_engine_pool_rebuilds_total",
-    "Process pools rebuilt after a crash or timeout kill",
+    "Process pools rebuilt after a worker crash",
 )
 _QUARANTINED = obs_metrics.REGISTRY.counter(
     "repro_engine_quarantined_total",
@@ -60,16 +60,16 @@ _QUARANTINED = obs_metrics.REGISTRY.counter(
 IndexedJobs = Iterable[tuple[int, EvaluationJob]]
 JobFn = Callable[[EvaluationJob], JobResult]
 
-#: Destination queues for a retried job (see ``_Pending.dest``): ``MAIN``
-#: is the shared pool, ``QUARANTINE`` the one-worker isolation pool for
-#: crash/timeout suspects.
+#: Destination queues for a retried job (the ``dest`` of a delayed
+#: retry): ``MAIN`` is the shared pool, ``QUARANTINE`` the one-worker
+#: isolation pool for crash suspects.
 _MAIN, _QUARANTINE = "main", "quarantine"
 
 
-def _run_inline(fn, job, policy: RetryPolicy, executor_name: str) -> JobResult:
+def _run_inline(fn, job, executor_name: str) -> JobResult:
     """Run one job in-process, observing its latency and a job span."""
     start = time.perf_counter()
-    result = run_with_retries(fn, job, policy)
+    result, attempts = run_with_retries(fn, job)
     duration = time.perf_counter() - start
     kind = job_kind(job)
     _JOB_SECONDS.observe(duration, kind=kind)
@@ -79,7 +79,7 @@ def _run_inline(fn, job, policy: RetryPolicy, executor_name: str) -> JobResult:
         kind=kind,
         tag=str(getattr(job, "tag", "")),
         executor=executor_name,
-        attempts=getattr(result, "attempts", 1),
+        attempts=attempts,
         ok=bool(getattr(result, "ok", True)),
     )
     return result
@@ -101,33 +101,27 @@ class SerialExecutor:
     """Run every job inline, in submission order (the reference path).
 
     Shares the process executor's retry semantics for transient in-job
-    failures; per-job timeouts cannot be preempted in-process and are
-    ignored (documented on :class:`RetryPolicy`).
+    failures.
     """
 
     name = "serial"
-
-    def __init__(self, policy: RetryPolicy | None = None):
-        """Create the executor under ``policy`` (``None`` = defaults)."""
-        self.policy = policy or DEFAULT_RETRY_POLICY
 
     def run(
         self, fn: JobFn, indexed_jobs: IndexedJobs
     ) -> Iterator[tuple[int, JobResult]]:
         """Execute each job inline and yield its result immediately."""
         for index, job in indexed_jobs:
-            yield index, _run_inline(fn, job, self.policy, self.name)
+            yield index, _run_inline(fn, job, self.name)
 
 
 class _Inflight:
     """Bookkeeping for one submitted future."""
 
-    __slots__ = ("index", "attempt", "deadline", "submitted")
+    __slots__ = ("index", "attempt", "submitted")
 
-    def __init__(self, index: int, attempt: int, deadline: float | None):
+    def __init__(self, index: int, attempt: int):
         self.index = index
         self.attempt = attempt
-        self.deadline = deadline
         #: ``perf_counter`` at submission (observability: execute time).
         self.submitted = time.perf_counter()
 
@@ -150,29 +144,15 @@ class ProcessExecutor:
     a time, so the next crash identifies the culprit exactly and
     innocent neighbours never burn their own retry budget on someone
     else's bomb.
-
-    Per-job timeouts (``policy.timeout_s``) are enforced through the
-    pool future's deadline: an expired job's worker is killed (the only
-    way to reclaim the slot), the job is charged a
-    :class:`~repro.errors.JobTimeoutError` attempt and quarantined for
-    its retry, and the other in-flight jobs are resubmitted uncharged.
     """
 
     name = "process"
 
-    def __init__(
-        self,
-        max_workers: int | None = None,
-        policy: RetryPolicy | None = None,
-    ):
+    def __init__(self, max_workers: int | None = None):
         """Create the executor (``None`` = one worker per CPU)."""
         if max_workers is not None and max_workers < 1:
             raise ReproError("process executor needs at least one worker")
         self.max_workers = max_workers or os.cpu_count() or 1
-        self.policy = policy or DEFAULT_RETRY_POLICY
-        #: Pools rebuilt after a crash or timeout kill (observability;
-        #: cumulative across ``run`` calls).
-        self.pool_rebuilds = 0
 
     def run(
         self, fn: JobFn, indexed_jobs: IndexedJobs
@@ -181,14 +161,12 @@ class ProcessExecutor:
         indexed = list(indexed_jobs)
         if not indexed:
             return
-        if len(indexed) == 1 and self.policy.timeout_s is None:
+        if len(indexed) == 1:
             # A pool for one job is pure overhead — but the job still
             # runs under the same retry/failure-capture wrapper, so
-            # behaviour does not depend on sweep size. (With a timeout
-            # configured, the pool path runs even for one job: a wall
-            # clock needs a killable worker.)
+            # behaviour does not depend on sweep size.
             index, job = indexed[0]
-            yield index, _run_inline(fn, job, self.policy, self.name)
+            yield index, _run_inline(fn, job, self.name)
             return
         yield from self._run_pool(fn, indexed)
 
@@ -199,7 +177,6 @@ class ProcessExecutor:
         self, fn: JobFn, indexed: list[tuple[int, EvaluationJob]]
     ) -> Iterator[tuple[int, JobResult]]:
         """Crash-tolerant bounded dispatch over rebuildable pools."""
-        policy = self.policy
         jobs = dict(indexed)
         # Enqueue timestamps (observability): queue wait is measured from
         # the first time a job entered the dispatch queue to its final
@@ -253,10 +230,11 @@ class ProcessExecutor:
                     if delayed:
                         time.sleep(max(0.0, delayed[0][0] - now))
                     continue
+                # Wake for the earliest backoff to expire, if any.
                 done, _ = wait(
                     list(inflight) + list(solo_inflight),
-                    timeout=self._wait_timeout(
-                        inflight, solo_inflight, delayed, now
+                    timeout=(
+                        max(0.0, delayed[0][0] - now) if delayed else None
                     ),
                     return_when=FIRST_COMPLETED,
                 )
@@ -292,52 +270,22 @@ class ProcessExecutor:
                     # go to quarantine uncharged for exact attribution.
                     main_crashed.extend(inflight.values())
                     inflight.clear()
-                    yield from self._crashed(
+                    for entry, outcome in self._crashed(
                         jobs, main_crashed, quarantine, delayed, now
-                    )
+                    ):
+                        self._observe_done(jobs, entry, enqueued, ok=False)
+                        yield entry.index, outcome
                     pool = self._rebuild(pool, inflight, waiting)
                 if solo_crashed:
                     # The quarantine pool runs one job: culprit known.
-                    yield from self._crashed(
+                    for entry, outcome in self._crashed(
                         jobs, solo_crashed, quarantine, delayed, now
-                    )
+                    ):
+                        self._observe_done(jobs, entry, enqueued, ok=False)
+                        yield entry.index, outcome
                     self._shutdown(solo, kill=True)
                     solo = None
-                    self._count_rebuild()
-
-                expired = [
-                    (future, entry)
-                    for future, entry in inflight.items()
-                    if entry.deadline is not None
-                    and entry.deadline <= now
-                    and not future.done()
-                ]
-                if expired:
-                    for future, entry in expired:
-                        del inflight[future]
-                        outcome = self._timed_out(jobs, entry, delayed, now)
-                        if outcome is not None:
-                            yield entry.index, outcome
-                    # Killing the stuck worker breaks the whole pool;
-                    # the other in-flight jobs are innocent — resubmit
-                    # them uncharged.
-                    pool = self._rebuild(pool, inflight, waiting)
-                solo_expired = [
-                    (future, entry)
-                    for future, entry in solo_inflight.items()
-                    if entry.deadline is not None
-                    and entry.deadline <= now
-                    and not future.done()
-                ]
-                if solo_expired:
-                    for future, entry in solo_expired:
-                        del solo_inflight[future]
-                        outcome = self._timed_out(jobs, entry, delayed, now)
-                        if outcome is not None:
-                            yield entry.index, outcome
-                    self._shutdown(solo, kill=True)
-                    solo = None
-                    self._count_rebuild()
+                    _REBUILDS.inc()
             completed = True
         finally:
             self._shutdown(pool, kill=not completed)
@@ -368,22 +316,10 @@ class ProcessExecutor:
             ok=ok,
         )
 
-    def _count_rebuild(self) -> None:
-        """Bump both the legacy attribute and the registry counter."""
-        self.pool_rebuilds += 1
-        _REBUILDS.inc()
-
-    def _submit(
-        self, pool, fn, job, index: int, attempt: int, table: dict
-    ) -> None:
+    @staticmethod
+    def _submit(pool, fn, job, index: int, attempt: int, table: dict) -> None:
         """Submit one job and record its in-flight bookkeeping."""
-        future = pool.submit(fn, job)
-        deadline = (
-            None
-            if self.policy.timeout_s is None
-            else time.monotonic() + self.policy.timeout_s
-        )
-        table[future] = _Inflight(index, attempt, deadline)
+        table[pool.submit(fn, job)] = _Inflight(index, attempt)
 
     def _rebuild(self, pool, inflight: dict, waiting: deque):
         """Kill a broken pool; recover its lost jobs uncharged."""
@@ -391,15 +327,15 @@ class ProcessExecutor:
             waiting.append((entry.index, entry.attempt))
         inflight.clear()
         self._shutdown(pool, kill=True)
-        self._count_rebuild()
+        _REBUILDS.inc()
         return ProcessPoolExecutor(max_workers=self.max_workers)
 
     @staticmethod
     def _shutdown(pool, kill: bool) -> None:
         """Shut a pool down; ``kill=True`` terminates worker processes.
 
-        Termination is the only way to reclaim workers running wedged
-        or abandoned jobs; ``_processes`` is stdlib-internal but stable,
+        Termination is the only way to reclaim workers running
+        abandoned jobs; ``_processes`` is stdlib-internal but stable,
         and guarded so a refactor degrades to a plain shutdown.
         """
         if kill:
@@ -414,23 +350,7 @@ class ProcessExecutor:
             pass
 
     @staticmethod
-    def _wait_timeout(
-        inflight: dict, solo_inflight: dict, delayed: list, now: float
-    ) -> float | None:
-        """How long ``wait`` may block before a deadline needs service."""
-        horizon: float | None = None
-        for table in (inflight, solo_inflight):
-            for entry in table.values():
-                if entry.deadline is not None and (
-                    horizon is None or entry.deadline < horizon
-                ):
-                    horizon = entry.deadline
-        if delayed and (horizon is None or delayed[0][0] < horizon):
-            horizon = delayed[0][0]
-        return None if horizon is None else max(0.0, horizon - now)
-
     def _retry_or_fail(
-        self,
         jobs: dict,
         entry: _Inflight,
         exc: BaseException,
@@ -438,14 +358,14 @@ class ProcessExecutor:
         now: float,
         dest: str,
     ):
-        """Schedule a retry under the policy, or return a failure."""
+        """Schedule a retry within the budget, or return a failure."""
         job = jobs[entry.index]
-        if classify_failure(exc) and entry.attempt < self.policy.max_attempts:
+        if classify_failure(exc) and entry.attempt < MAX_ATTEMPTS:
             RETRIES.inc(kind=job_kind(job))
             if dest == _QUARANTINE:
                 _QUARANTINED.inc()
             seed = getattr(job, "resolved_seed", lambda: 0)()
-            ready = now + self.policy.delay_s(entry.attempt, seed)
+            ready = now + backoff_s(entry.attempt, seed)
             delayed.append((ready, entry.index, entry.attempt + 1, dest))
             return None
         return failure_from(job, exc, entry.attempt, _failure_kind(exc))
@@ -457,6 +377,7 @@ class ProcessExecutor:
         retry it in quarantine, where its next crash cannot take
         neighbours down). Multiple suspects are indistinguishable: all
         go to quarantine *uncharged*, where crashes are attributable.
+        Yields ``(entry, failure)`` for a culprit whose budget is spent.
         """
         if len(crashed) == 1:
             entry = crashed[0]
@@ -468,45 +389,21 @@ class ProcessExecutor:
                 jobs, entry, exc, delayed, now, dest=_QUARANTINE
             )
             if outcome is not None:
-                yield entry.index, outcome
+                yield entry, outcome
             return
         for entry in crashed:
             _QUARANTINED.inc()
             quarantine.append((entry.index, entry.attempt))
 
-    def _timed_out(self, jobs, entry: _Inflight, delayed: list, now: float):
-        """Charge a job that exceeded its wall-clock budget."""
-        exc = JobTimeoutError(
-            f"job {getattr(jobs[entry.index], 'tag', '') or entry.index!r} "
-            f"exceeded its {self.policy.timeout_s:g}s wall-clock budget"
-        )
-        return self._retry_or_fail(
-            jobs, entry, exc, delayed, now, dest=_QUARANTINE
-        )
 
-
-def make_executor(
-    jobs: int | None = None,
-    name: str | None = None,
-    policy: RetryPolicy | None = None,
-) -> Executor:
-    """Build an executor from a ``--jobs``-style count or an explicit name.
+def make_executor(jobs: int | None = None) -> Executor:
+    """Build an executor from a ``--jobs``-style count.
 
     ``jobs=1`` (or ``None``) → serial; ``jobs>1`` → process pool with
     that many workers; ``jobs=0`` → process pool sized to the machine.
-    ``policy`` configures retry/timeout resilience (``None`` =
-    :data:`~repro.engine.resilience.DEFAULT_RETRY_POLICY`).
     """
-    if name is not None:
-        if name == "serial":
-            return SerialExecutor(policy=policy)
-        if name == "process":
-            return ProcessExecutor(max_workers=jobs or None, policy=policy)
-        raise ReproError(
-            f"unknown executor {name!r}; choose from ['serial', 'process']"
-        )
     if jobs is None or jobs == 1:
-        return SerialExecutor(policy=policy)
+        return SerialExecutor()
     if jobs < 0:
         raise ReproError(f"jobs must be >= 0, got {jobs}")
-    return ProcessExecutor(max_workers=jobs or None, policy=policy)
+    return ProcessExecutor(max_workers=jobs or None)

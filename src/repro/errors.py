@@ -61,12 +61,11 @@ class RetryableError(ReproError):
     """Base class for transient infrastructure failures worth retrying.
 
     The resilience layer (:mod:`repro.engine.resilience`) re-runs a job
-    whose failure is retryable — a crashed worker, an exceeded
-    wall-clock budget, a flaky filesystem — because the job itself is
-    deterministic: success after a retry is bit-identical to first-try
-    success. Domain errors (an infeasible mapping, an unroutable
-    fabric) are *not* retryable: re-running deterministic work cannot
-    change a deterministic answer.
+    whose failure is retryable — a crashed worker, a flaky filesystem —
+    because the job itself is deterministic: success after a retry is
+    bit-identical to first-try success. Domain errors (an infeasible
+    mapping, an unroutable fabric) are *not* retryable: re-running
+    deterministic work cannot change a deterministic answer.
     """
 
 
@@ -79,22 +78,12 @@ class WorkerCrashError(RetryableError):
     """
 
 
-class JobTimeoutError(RetryableError):
-    """Raised when a job exceeded its per-job wall-clock budget.
-
-    The stuck worker is killed (reclaiming the pool slot) and the job
-    is retried under the policy like any other transient failure.
-    """
-
-
 class JobFailedError(ReproError):
     """Raised when a job failed permanently (retries exhausted or fatal).
 
-    ``ExplorationEngine.run(on_failure="raise")`` — the default — maps a
-    :class:`~repro.engine.resilience.JobFailure` result back to the
-    original exception when one was captured, and to this class
-    otherwise; ``on_failure="skip"`` returns the failure in the result
-    list instead.
+    :meth:`~repro.engine.ExplorationEngine.run` maps a terminal
+    :class:`~repro.engine.resilience.JobFailure` back to the original
+    exception when one was captured, and to this class otherwise.
     """
 
 

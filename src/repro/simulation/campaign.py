@@ -33,7 +33,6 @@ from dataclasses import asdict, dataclass, field
 from repro.core.coregraph import CoreGraph
 from repro.engine.engine import ExplorationEngine, resolve_engine
 from repro.engine.jobs import BatchSimulationJob, SimulationJob
-from repro.engine.resilience import JobFailure
 from repro.errors import SimulationError
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
@@ -258,27 +257,6 @@ def detect_saturation(
     return None
 
 
-@dataclass(frozen=True)
-class CampaignFailure:
-    """One sweep point the resilience runtime could not complete.
-
-    Produced under ``run_campaign(on_failure="skip")``: the point's
-    coordinates plus the terminal
-    :class:`~repro.engine.resilience.JobFailure` story (kind, message,
-    attempts). Failed points are excluded from curves and histograms —
-    the curve over the surviving seeds stays honest — and surfaced here
-    so a degraded sweep is never mistaken for a complete one.
-    """
-
-    pattern: str
-    rate: float
-    seed: int
-    fault_seed: int | None
-    kind: str
-    error: str
-    attempts: int
-
-
 @dataclass
 class CampaignResult:
     """Everything one campaign produced.
@@ -292,8 +270,6 @@ class CampaignResult:
             forwarded during the measurement window, summed over rates,
             seeds and fault variants (``{pattern: {switch_label:
             flits}}``).
-        failures: points lost to infrastructure failures (see
-            :class:`CampaignFailure`; empty on a clean run).
         degraded: the campaign hit its ``deadline_s`` and returned
             partial results.
         skipped_points: sweep points never executed because the
@@ -310,7 +286,6 @@ class CampaignResult:
     points: list[CampaignPoint] = field(default_factory=list)
     curves: dict[str, CampaignCurve] = field(default_factory=dict)
     switch_loads: dict[str, dict[str, int]] = field(default_factory=dict)
-    failures: list[CampaignFailure] = field(default_factory=list)
     degraded: bool = False
     skipped_points: int = 0
     runtime: dict | None = None
@@ -389,11 +364,8 @@ class CampaignResult:
             },
             "points": [_point_dict(p) for p in self.points],
         }
-        # Resilience keys appear only on imperfect runs, so clean
-        # campaign dictionaries stay byte-identical to pre-resilience
-        # output (same contract as the fault keys above).
-        if self.failures:
-            data["failures"] = [asdict(f) for f in self.failures]
+        # Deadline keys appear only on partial runs (same contract as
+        # the fault keys above).
         if self.degraded:
             data["degraded"] = True
             data["skipped_points"] = self.skipped_points
@@ -447,19 +419,6 @@ class CampaignResult:
             )[:3]
             hot = ", ".join(f"{name} ({flits})" for name, flits in hottest)
             lines.append(f"hottest switches  {pattern}: {hot}")
-        if self.failures:
-            kinds = ", ".join(
-                f"{f.pattern}@{f.rate:g}/s{f.seed} ({f.kind})"
-                for f in self.failures[:5]
-            )
-            more = (
-                f" and {len(self.failures) - 5} more"
-                if len(self.failures) > 5
-                else ""
-            )
-            lines.append(
-                f"failed points     {len(self.failures)}: {kinds}{more}"
-            )
         if self.degraded:
             lines.append(
                 "DEGRADED          deadline expired; "
@@ -588,7 +547,6 @@ def run_campaign(
     engine: ExplorationEngine | None = None,
     jobs: int = 1,
     cache_backend=None,
-    on_failure: str = "raise",
     deadline_s: float | None = None,
 ) -> CampaignResult:
     """Sweep a topology across patterns, rates and seeds.
@@ -612,10 +570,6 @@ def run_campaign(
             killed sweep rerun on the same store resumes point-exactly.
             Passing it together with ``engine`` is a
             :class:`ValueError`.
-        on_failure: ``"raise"`` (default) re-raises the first
-            infrastructure failure; ``"skip"`` records failed points in
-            :attr:`CampaignResult.failures` and builds curves from the
-            survivors.
         deadline_s: optional wall-clock budget; the sweep runs in
             units — per-(fault variant, pattern) chunks on the exact
             lane, per-fault-variant groups on the batch lane — and
@@ -628,6 +582,10 @@ def run_campaign(
     Raises:
         SimulationError: invalid config, or ``"app"`` swept without a
             core graph and assignment.
+
+    A point the engine could not complete within its retry budget
+    re-raises that point's original exception; nothing is cached for
+    it, so a rerun on the same store retries it.
     """
     config = config or CampaignConfig()
     if APP_PATTERN in config.patterns and (
@@ -678,20 +636,14 @@ def run_campaign(
             break
         unit = job_list[start:start + size]
         if config.sim_engine == "exact":
-            outcomes.extend(engine.run(unit, on_failure=on_failure))
+            outcomes.extend(engine.run(unit))
             continue
         fault_seed = fault_seeds[start // per_variant]
         group = BatchSimulationJob(
             points=tuple(unit),
             tag="batch" if fault_seed is None else f"batch/f{fault_seed}",
         )
-        outcome = engine.run([group], on_failure=on_failure)[0]
-        # A group-level infrastructure failure loses that variant's
-        # points only.
-        if isinstance(outcome, JobFailure):
-            outcomes.extend([outcome] * len(unit))
-        else:
-            outcomes.extend(outcome.value)
+        outcomes.extend(engine.run([group])[0].value)
     wall = time.perf_counter() - started
     result.runtime = {
         "sim_engine": config.sim_engine,
@@ -711,19 +663,6 @@ def run_campaign(
     )
     for i, (job, outcome) in enumerate(zip(job_list, outcomes)):
         fault_seed = fault_seeds[i // per_variant]
-        if isinstance(outcome, JobFailure):
-            result.failures.append(
-                CampaignFailure(
-                    pattern=job.pattern,
-                    rate=job.rate,
-                    seed=job.traffic_seed,
-                    fault_seed=fault_seed,
-                    kind=outcome.failure_kind,
-                    error=outcome.error or "",
-                    attempts=outcome.attempts,
-                )
-            )
-            continue
         outcome.raise_if_error()
         result.points.append(
             CampaignPoint(

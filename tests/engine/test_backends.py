@@ -285,9 +285,6 @@ class TestMakeBackend:
         assert isinstance(sqlite_store, SQLiteBackend)
         sqlite_store.close()
         assert isinstance(make_backend(f"dir:{tmp_path}/d"), DirectoryBackend)
-        assert isinstance(
-            make_backend(f"directory:{tmp_path}/d2"), DirectoryBackend
-        )
         suffixed = make_backend(str(tmp_path / "b.sqlite3"))
         assert isinstance(suffixed, SQLiteBackend)
         suffixed.close()

@@ -84,12 +84,6 @@ class TestExecutors:
         with pytest.raises(ReproError):
             make_executor(-2)
 
-    def test_named_executor(self):
-        assert isinstance(make_executor(name="serial"), SerialExecutor)
-        assert isinstance(make_executor(name="process"), ProcessExecutor)
-        with pytest.raises(ReproError):
-            make_executor(name="threads")
-
 
 class TestCache:
     def test_second_run_is_served_from_cache(self, tiny_app):

@@ -1,13 +1,12 @@
 """Chaos suite for the resilient execution runtime.
 
-Workers are killed mid-job (``os._exit`` crash bombs), jobs sleep past
-their wall-clock budget, transient failures strike N times before a
-success — and the runtime must degrade exactly as specified: innocents
-finish untouched, pools rebuild, retries re-run the *same* seeded job
-bit-identically, exhausted budgets surface as typed
-:class:`~repro.engine.resilience.JobFailure` results, and a run killed
-mid-sweep resumes bit-identically when it is rerun on the same
-persistent ``--cache`` store.
+Workers are killed mid-job (``os._exit`` crash bombs) and transient
+failures strike N times before a success — and the runtime must degrade
+exactly as specified: innocents finish untouched, pools rebuild, retries
+re-run the *same* seeded job bit-identically, exhausted budgets surface
+as typed :class:`~repro.engine.resilience.JobFailure` results that the
+engine re-raises, and a run killed mid-sweep resumes bit-identically
+when it is rerun on the same persistent ``--cache`` store.
 """
 
 from __future__ import annotations
@@ -30,13 +29,20 @@ from repro.engine import (
     ExplorationEngine,
     JobFailure,
     ProcessExecutor,
-    RetryPolicy,
     SerialExecutor,
     classify_failure,
     make_backend,
 )
 from repro.engine.jobs import JobResult, hash_seed
-from repro.engine.resilience import failure_from
+from repro.engine.resilience import (
+    BACKOFF_BASE_S,
+    BACKOFF_FACTOR,
+    JITTER,
+    MAX_ATTEMPTS,
+    MAX_BACKOFF_S,
+    backoff_s,
+    failure_from,
+)
 from repro.errors import (
     JobFailedError,
     MappingInfeasibleError,
@@ -45,13 +51,15 @@ from repro.errors import (
     ServiceBusyError,
     WorkerCrashError,
 )
-from repro.simulation.campaign import CampaignConfig, run_campaign
+from repro.obs import RingSink, add_sink, remove_sink
+from repro.obs import metrics as obs_metrics
+from repro.simulation.campaign import (
+    CampaignConfig,
+    campaign_jobs,
+    run_campaign,
+)
 from repro.topology.library import make_topology
 
-#: Retries with near-zero backoff keep the chaos tests fast.
-FAST_RETRY = RetryPolicy(
-    max_attempts=3, backoff_base_s=0.001, max_backoff_s=0.002
-)
 FAST_MAPPER = MapperConfig(converge=False, swap_rounds=1)
 
 
@@ -65,7 +73,7 @@ class ChaosJob:
     """
 
     tag: str
-    action: str = "ok"   # ok | crash | sleep | flaky | fatal | pid
+    action: str = "ok"   # ok | crash | flaky | fatal | pid
     value: float = 0.0
     scratch: str | None = None
     fail_times: int = 0
@@ -95,8 +103,6 @@ def chaos_fn(job: ChaosJob) -> JobResult:
     attempt = _bump_attempts(job)
     if job.action == "crash":
         os._exit(17)
-    if job.action == "sleep":
-        time.sleep(job.value)
     if job.action == "flaky" and attempt <= job.fail_times:
         raise OSError(f"transient failure #{attempt} of {job.tag}")
     if job.action == "fatal":
@@ -136,34 +142,18 @@ class TestFailureTaxonomy:
 
 
 class TestRetryPolicy:
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"max_attempts": 0},
-            {"backoff_base_s": -1.0},
-            {"max_backoff_s": -0.1},
-            {"jitter": 1.5},
-            {"timeout_s": 0.0},
-        ],
-    )
-    def test_invalid_knobs_are_rejected(self, kwargs):
-        with pytest.raises(ReproError):
-            RetryPolicy(**kwargs)
-
     def test_backoff_is_deterministic_in_seed_and_attempt(self):
-        policy = RetryPolicy()
-        assert policy.delay_s(2, 123) == policy.delay_s(2, 123)
-        assert policy.delay_s(1, 123) != policy.delay_s(2, 123)
+        assert backoff_s(2, 123) == backoff_s(2, 123)
+        assert backoff_s(1, 123) != backoff_s(2, 123)
+        assert backoff_s(1, 123) != backoff_s(1, 124)
 
     def test_backoff_is_bounded(self):
-        policy = RetryPolicy(
-            backoff_base_s=0.1, backoff_factor=3.0, max_backoff_s=0.5,
-            jitter=0.5,
-        )
         for attempt in range(1, 10):
-            delay = policy.delay_s(attempt, seed=7)
-            base = min(0.5, 0.1 * 3.0 ** (attempt - 1))
-            assert base * 0.5 <= delay <= base
+            delay = backoff_s(attempt, seed=7)
+            base = min(
+                MAX_BACKOFF_S, BACKOFF_BASE_S * BACKOFF_FACTOR ** (attempt - 1)
+            )
+            assert base * (1 - JITTER) <= delay <= base
 
 
 class TestJobFailure:
@@ -195,12 +185,12 @@ class TestJobFailure:
 
     def test_retagged_preserves_the_failure_subclass(self):
         failure = failure_from(
-            ChaosJob("t"), OSError("pipe"), attempts=2, kind="timeout"
+            ChaosJob("t"), WorkerCrashError("died"), attempts=2, kind="crash"
         )
         copy = failure.retagged("renamed", cached=False)
         assert isinstance(copy, JobFailure)
         assert copy.attempts == 2
-        assert copy.failure_kind == "timeout"
+        assert copy.failure_kind == "crash"
         assert copy.tag == "renamed"
 
 
@@ -210,7 +200,7 @@ class TestSerialResilience:
             "flaky", action="flaky", value=4.5,
             scratch=str(tmp_path), fail_times=2,
         )
-        result = run_all(SerialExecutor(policy=FAST_RETRY), [flaky])[0]
+        result = run_all(SerialExecutor(), [flaky])[0]
         assert result.ok
         assert attempts_of(tmp_path, flaky) == 3
         # A retried success is indistinguishable from a first-try one.
@@ -221,18 +211,42 @@ class TestSerialResilience:
         doomed = ChaosJob(
             "doomed", action="flaky", scratch=str(tmp_path), fail_times=99
         )
-        result = run_all(SerialExecutor(policy=FAST_RETRY), [doomed])[0]
+        result = run_all(SerialExecutor(), [doomed])[0]
         assert isinstance(result, JobFailure)
-        assert result.attempts == FAST_RETRY.max_attempts
-        assert attempts_of(tmp_path, doomed) == FAST_RETRY.max_attempts
+        assert result.attempts == MAX_ATTEMPTS
+        assert attempts_of(tmp_path, doomed) == MAX_ATTEMPTS
 
     def test_fatal_error_is_not_retried(self, tmp_path):
         fatal = ChaosJob("fatal", action="fatal", scratch=str(tmp_path))
-        result = run_all(SerialExecutor(policy=FAST_RETRY), [fatal])[0]
+        result = run_all(SerialExecutor(), [fatal])[0]
         assert isinstance(result, JobFailure)
         assert result.attempts == 1
         assert result.failure_kind == "error"
         assert attempts_of(tmp_path, fatal) == 1
+
+    def test_job_span_reports_the_real_attempt_count(self, tmp_path, spans):
+        flaky = ChaosJob(
+            "flaky", action="flaky", scratch=str(tmp_path), fail_times=2
+        )
+        run_all(SerialExecutor(), [flaky, ChaosJob("fatal", action="fatal")])
+        attrs = [span["attrs"] for span in job_spans(spans)]
+        assert [(a["tag"], a["attempts"], a["ok"]) for a in attrs] == [
+            ("flaky", 3, True),
+            ("fatal", 1, False),
+        ]
+
+
+@pytest.fixture
+def spans():
+    """Install a RingSink for the duration of one test."""
+    sink = RingSink()
+    add_sink(sink)
+    yield sink
+    remove_sink(sink)
+
+
+def job_spans(sink: RingSink) -> list[dict]:
+    return [s for s in sink.spans() if s["name"] == "engine.job"]
 
 
 class TestProcessResilience:
@@ -243,40 +257,40 @@ class TestProcessResilience:
             ChaosJob("b", value=2.0),
             ChaosJob("c", value=3.0),
         ]
-        executor = ProcessExecutor(
-            max_workers=2,
-            policy=RetryPolicy(
-                max_attempts=2, backoff_base_s=0.001, max_backoff_s=0.002
-            ),
+        rebuilds = obs_metrics.REGISTRY.counter(
+            "repro_engine_pool_rebuilds_total"
         )
-        results = run_all(executor, jobs)
+        before = rebuilds.value()
+        results = run_all(ProcessExecutor(max_workers=2), jobs)
         bomb = results[1]
         assert isinstance(bomb, JobFailure)
         assert bomb.failure_kind == "crash"
-        assert bomb.attempts == 2
+        assert bomb.attempts == MAX_ATTEMPTS == 3
         assert "worker process died" in bomb.error
         for index, value in ((0, 1.0), (2, 2.0), (3, 3.0)):
             assert results[index].ok
             assert results[index].value == value
-        assert executor.pool_rebuilds >= 1
+        assert rebuilds.value() - before >= 1
 
-    def test_wedged_job_is_timed_out_and_killed(self):
+    def test_every_job_gets_one_span_even_when_it_crashed(
+        self, tmp_path, spans
+    ):
         jobs = [
-            ChaosJob("wedged", action="sleep", value=60.0),
-            ChaosJob("quick", value=7.0),
+            ChaosJob("a", value=1.0),
+            ChaosJob("bomb", action="crash", scratch=str(tmp_path)),
+            ChaosJob("c", value=3.0),
         ]
-        executor = ProcessExecutor(
-            max_workers=2,
-            policy=RetryPolicy(max_attempts=1, timeout_s=0.5),
-        )
-        start = time.monotonic()
-        results = run_all(executor, jobs)
-        assert time.monotonic() - start < 30.0  # nobody waited the 60s out
-        wedged = results[0]
-        assert isinstance(wedged, JobFailure)
-        assert wedged.failure_kind == "timeout"
-        assert "wall-clock budget" in wedged.error
-        assert results[1].ok and results[1].value == 7.0
+        results = run_all(ProcessExecutor(max_workers=2), jobs)
+        assert sorted(results) == [0, 1, 2]
+        by_tag = {}
+        for span in job_spans(spans):
+            by_tag.setdefault(span["attrs"]["tag"], []).append(span)
+        assert sorted(by_tag) == ["a", "bomb", "c"]
+        assert all(len(found) == 1 for found in by_tag.values())
+        (bomb,) = by_tag["bomb"]
+        assert bomb["attrs"]["ok"] is False
+        assert bomb["attrs"]["attempts"] == MAX_ATTEMPTS
+        assert by_tag["a"][0]["attrs"]["ok"] is True
 
     def test_pool_flaky_retry_matches_clean_run(self, tmp_path):
         flaky = ChaosJob(
@@ -284,7 +298,7 @@ class TestProcessResilience:
             scratch=str(tmp_path), fail_times=1,
         )
         results = run_all(
-            ProcessExecutor(max_workers=2, policy=FAST_RETRY),
+            ProcessExecutor(max_workers=2),
             [flaky, ChaosJob("peer", value=1.0)],
         )
         assert results[0].ok
@@ -294,21 +308,10 @@ class TestProcessResilience:
 
     def test_single_job_runs_in_process_without_timeout(self):
         result = run_all(
-            ProcessExecutor(max_workers=4, policy=FAST_RETRY),
+            ProcessExecutor(max_workers=4),
             [ChaosJob("solo", action="pid")],
         )[0]
         assert result.value == os.getpid()  # fast path: no pool spawned
-
-    def test_single_job_uses_a_pool_when_a_timeout_is_set(self):
-        result = run_all(
-            ProcessExecutor(
-                max_workers=4,
-                policy=RetryPolicy(max_attempts=1, timeout_s=30.0),
-            ),
-            [ChaosJob("solo", action="pid")],
-        )[0]
-        assert result.ok
-        assert result.value != os.getpid()  # a killable worker ran it
 
 
 class FailingExecutor:
@@ -355,34 +358,25 @@ class TestEngineFailureHandling:
         assert excinfo.value is sentinel
         assert engine.failure_stats["error"] == 1
 
-    def test_on_failure_skip_surfaces_typed_failures(self, tiny_app):
-        engine = ExplorationEngine(executor=FailingExecutor([0]))
-        jobs = tiny_jobs(tiny_app)
-        results = engine.run(jobs, on_failure="skip")
-        assert isinstance(results[0], JobFailure)
-        assert results[0].tag == jobs[0].tag
-        assert results[1].ok
-        assert engine.failure_stats["crash"] == 1
-
     def test_failures_are_never_cached_or_journaled(self, tiny_app, tmp_path):
         store = f"sqlite:{tmp_path / 'store.db'}"
         engine = ExplorationEngine(
-            executor=FailingExecutor([0, 1]), cache_backend=store
+            executor=FailingExecutor([1]), cache_backend=store
         )
         jobs = tiny_jobs(tiny_app)
-        engine.run(jobs, on_failure="skip")
-        assert len(engine.cache.backend) == 0
-        assert engine.cache.get(jobs[0].cache_key()) is None
-        # A rerun on the same store retries the work (no poison).
+        with pytest.raises(WorkerCrashError):
+            engine.run(jobs)
+        assert engine.failure_stats["crash"] == 1
+        # The finished neighbour is stored; the failed job is not.
+        assert len(engine.cache.backend) == 1
+        assert engine.cache.get(jobs[0].cache_key()) is not None
+        assert engine.cache.get(jobs[1].cache_key()) is None
+        # A rerun on the same store retries the failed work (no poison).
         rerun = ExplorationEngine(cache_backend=store)
         results = rerun.run(jobs)
-        assert all(r.ok and not r.cached for r in results)
+        assert all(r.ok for r in results)
+        assert [r.cached for r in results] == [True, False]
         assert len(rerun.cache.backend) == len(jobs)
-
-    def test_invalid_on_failure_is_rejected(self, tiny_app):
-        engine = ExplorationEngine()
-        with pytest.raises(ReproError):
-            engine.run(tiny_jobs(tiny_app), on_failure="ignore")
 
 
 class TestCampaignResilience:
@@ -395,27 +389,45 @@ class TestCampaignResilience:
         drain=20,
     )
 
-    def test_failed_points_degrade_the_sweep(self, tiny_app):
+    def test_failed_exact_lane_chunk_reraises_and_caches_nothing(
+        self, tiny_app
+    ):
         topology = make_topology("mesh", tiny_app.num_cores)
-        engine = ExplorationEngine(executor=FailingExecutor([0]))
-        result = run_campaign(
-            topology, config=self.CONFIG, engine=engine, on_failure="skip"
+        sentinel = OSError("chaos took an exact-lane point")
+        engine = ExplorationEngine(
+            executor=FailingExecutor([1], exception=sentinel)
         )
-        assert len(result.failures) == 1
-        failure = result.failures[0]
-        assert failure.kind == "crash"
-        assert failure.attempts == 3
-        assert (failure.pattern, failure.rate) in {
-            ("uniform", 0.05), ("transpose", 0.05),
-        }
-        assert len(result.points) == 3  # the other points survived
-        assert "failed points" in result.summary()
-        assert result.to_dict()["failures"][0]["kind"] == "crash"
+        # Under a deadline the exact lane runs one chunk per pattern;
+        # the first chunk's second point fails.
+        with pytest.raises(OSError) as excinfo:
+            run_campaign(
+                topology, config=self.CONFIG, engine=engine, deadline_s=60.0
+            )
+        assert excinfo.value is sentinel
+        assert engine.failure_stats["crash"] == 1
+        jobs = campaign_jobs(topology, self.CONFIG)
+        assert engine.cache.get(jobs[0].cache_key()) is not None
+        assert engine.cache.get(jobs[1].cache_key()) is None
+        assert len(engine.cache) == 1  # the rest never ran
+
+    def test_failed_batch_lane_group_reraises_and_caches_nothing(
+        self, tiny_app
+    ):
+        topology = make_topology("mesh", tiny_app.num_cores)
+        config = replace(self.CONFIG, sim_engine="batch")
+        sentinel = WorkerCrashError("chaos took the batch group")
+        engine = ExplorationEngine(
+            executor=FailingExecutor([0], exception=sentinel)
+        )
+        with pytest.raises(WorkerCrashError) as excinfo:
+            run_campaign(topology, config=config, engine=engine)
+        assert excinfo.value is sentinel
+        assert engine.failure_stats["crash"] == 1
+        assert len(engine.cache) == 0
 
     def test_clean_run_report_shape_is_unchanged(self, tiny_app):
         topology = make_topology("mesh", tiny_app.num_cores)
         result = run_campaign(topology, config=self.CONFIG)
-        assert result.failures == []
         assert not result.degraded
         for absent in ("failures", "degraded", "skipped_points"):
             assert absent not in result.to_dict()
