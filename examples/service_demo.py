@@ -1,7 +1,7 @@
 """Design service demo: one warm engine answering concurrent requests.
 
 Starts an in-process :class:`repro.service.DesignService` backed by a
-persistent directory cache, fires a burst of concurrent requests at it
+persistent SQLite cache, fires a burst of concurrent requests at it
 — including deliberate duplicates and one invalid request — and shows
 what the service layer buys you:
 
@@ -14,8 +14,9 @@ what the service layer buys you:
 
 Run:  PYTHONPATH=src python examples/service_demo.py [cache-dir]
 
-CI runs this script in the smoke job with the cache directory restored
-from the previous run's artifact, proving cross-run warm hits.
+The cache lives in ``<cache-dir>/evals.db``. CI runs this script in the
+smoke job with the cache directory restored from the previous run's
+artifact, proving cross-run warm hits.
 """
 
 import asyncio
@@ -67,8 +68,9 @@ def describe(response: dict) -> str:
 
 async def main() -> None:
     cache_dir = sys.argv[1] if len(sys.argv) > 1 else ".sunmap-cache"
-    service = DesignService(cache_backend=f"dir:{cache_dir}")
-    print(f"design service with persistent cache at {cache_dir}/")
+    store = f"{cache_dir}/evals.db"
+    service = DesignService(cache_backend=f"sqlite:{store}")
+    print(f"design service with persistent cache at {store}")
 
     start = time.perf_counter()
     responses = await asyncio.gather(

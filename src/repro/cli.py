@@ -22,13 +22,13 @@ Commands mirror the tool's phases and the paper's experiments:
   concurrent JSON requests against one warm, optionally persistent,
   evaluation cache (``docs/SERVICE_API.md``).
 
-Engine-backed commands accept ``--cache SPEC`` (``sqlite:PATH`` /
-``dir:PATH``) to persist evaluations across runs — a warm store answers
-repeated work without recomputing, with bit-identical results. The
-store is also how a run resumes: after a crash or a kill, rerunning the
-same command on the same ``--cache`` store serves every finished
-evaluation from it and computes only what is missing — the output is
-bit-identical to an uninterrupted run.
+Engine-backed commands accept ``--cache sqlite:PATH`` to persist
+evaluations across runs — a warm store answers repeated work without
+recomputing, with bit-identical results. The store is also how a run
+resumes: after a crash or a kill, rerunning the same command on the
+same ``--cache`` store serves every finished evaluation from it and
+computes only what is missing — the output is bit-identical to an
+uninterrupted run.
 
 Observability (``docs/OBSERVABILITY.md``): ``--trace PATH`` appends
 structured spans to a JSONL file, ``--metrics PATH`` dumps the process
@@ -93,9 +93,9 @@ def _add_jobs(parser: argparse.ArgumentParser) -> None:
         "results are identical to the serial run",
     )
     parser.add_argument(
-        "--cache", default=None, metavar="SPEC",
-        help="persistent evaluation-cache backend: 'sqlite:PATH' or "
-        "'dir:PATH' (default: in-memory). A warm store skips "
+        "--cache", default=None, metavar="sqlite:PATH",
+        help="persist the evaluation cache in the SQLite file PATH "
+        "(default: in-memory). A warm store skips "
         "evaluations from earlier runs; results are identical either "
         "way, and rerunning a killed command on the same store "
         "resumes it",
@@ -487,7 +487,7 @@ def cmd_serve(args) -> int:
     backend = service.engine.cache.backend
     print(
         f"design service on {args.host}:{args.port} "
-        f"(jobs={args.jobs}, cache={getattr(backend, 'name', 'memory')})",
+        f"(jobs={args.jobs}, cache={backend.name})",
         file=sys.stderr,
     )
     try:

@@ -140,7 +140,7 @@ def select_topology(
         engine: explicit engine (overrides ``jobs``); pass the same
             engine across calls to reuse its evaluation cache.
         cache_backend: persistent cache storage spec (e.g.
-            ``"sqlite:evals.db"``, ``"dir:.cache"``) for the engine
+            ``"sqlite:evals.db"``) for the engine
             built when ``engine`` is not given; rerunning an
             interrupted selection on the same store resumes it. Passing
             it together with ``engine`` is a :class:`ValueError`.

@@ -8,10 +8,10 @@ Public surface:
   the two design-space job kinds (mapping search, campaign measurement)
   and their shared outcome record;
 * :class:`EvaluationCache` — shared content-keyed result cache;
-* :class:`MemoryBackend` / :class:`SQLiteBackend` /
-  :class:`DirectoryBackend` — pluggable cache storage
-  (:func:`make_backend` builds one from a spec string); the persistent
-  backends carry warm results across processes and CI runs;
+* :class:`MemoryBackend` / :class:`SQLiteBackend` — the in-memory and
+  the persistent cache store (:func:`make_backend` builds one from a
+  ``sqlite:PATH`` spec); the persistent store carries warm results
+  across processes and CI runs;
 * :func:`make_executor`, :class:`SerialExecutor`,
   :class:`ProcessExecutor` — the executor plugins;
 * :class:`JobFailure` / :func:`classify_failure` — the crash-tolerance
@@ -24,7 +24,6 @@ finished jobs come back as cache hits and only the rest is computed.
 
 from repro.engine.backends import (
     CacheBackend,
-    DirectoryBackend,
     MemoryBackend,
     SQLiteBackend,
     key_fingerprint,
@@ -50,7 +49,6 @@ from repro.engine.resilience import JobFailure, classify_failure
 __all__ = [
     "CacheBackend",
     "CacheStats",
-    "DirectoryBackend",
     "EvaluationCache",
     "EvaluationJob",
     "ExplorationEngine",

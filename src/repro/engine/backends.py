@@ -1,28 +1,23 @@
-"""Pluggable storage backends for the evaluation cache.
+"""Storage backends for the evaluation cache.
 
-The :class:`~repro.engine.cache.EvaluationCache` used to be a plain
-in-process dict: warm results died with the process, so every CLI
-invocation, CI run and service worker started cold. This module promotes
-the store behind the cache to a :class:`CacheBackend` plugin:
+The :class:`~repro.engine.cache.EvaluationCache` delegates its store to
+one of two backends:
 
-* :class:`MemoryBackend` — the original dict, upgraded to true LRU
-  eviction with an eviction counter (long-running servers must not grow
-  without bound);
+* :class:`MemoryBackend` — an in-process dict with LRU eviction beyond
+  :data:`MEMORY_MAX_ENTRIES` and an eviction counter (long-running
+  servers must not grow without bound); the default;
 * :class:`SQLiteBackend` — one WAL-mode SQLite file holding pickled
   results keyed by content fingerprint; safe for concurrent writers
-  from several processes, so repeated selection/synthesis/campaign
-  requests across processes hit warm results;
-* :class:`DirectoryBackend` — one file per fingerprint under a
-  schema-versioned directory; trivially rsync/CI-cacheable, which is
-  how the CI docs job proves cross-run warm hits.
+  from several processes and threads, so repeated selection, synthesis
+  and campaign requests across processes and CI runs hit warm results.
 
-Durability contract shared by the persistent backends: a corrupted,
-truncated or unreadable entry is **logged, dropped and recomputed** —
-never served and never allowed to crash the caller — and a schema
-version mismatch discards the store (cold start) instead of guessing at
-old payloads. Values are pickled with the highest protocol; keys are the
-engine's content-derived cache-key tuples, fingerprinted with SHA-256 so
-they are stable across processes and Python hash randomization.
+Durability contract of the persistent store: a corrupted, truncated or
+unreadable entry is **logged, dropped and recomputed** — never served
+and never allowed to crash the caller — and a schema version mismatch
+discards the store (cold start) instead of guessing at old payloads.
+Values are pickled with the highest protocol; keys are the engine's
+content-derived cache-key tuples, fingerprinted with SHA-256 so they
+are stable across processes and Python hash randomization.
 
 A persistent store is also how a killed run resumes: every finished job
 (and every finished point of a batch-lane group) is written as it
@@ -39,9 +34,10 @@ import os
 import pickle
 import sqlite3
 from pathlib import Path
-from threading import RLock, get_ident
-from typing import Protocol, runtime_checkable
+from threading import RLock
+from typing import Protocol
 
+from repro.errors import ReproError
 from repro.obs import metrics as obs_metrics
 
 log = logging.getLogger(__name__)
@@ -61,6 +57,12 @@ SCHEMA_VERSION = 2
 #: Seconds a SQLite connection waits on a lock held by another writer
 #: before the operation fails (and a ``put`` is dropped).
 SQLITE_BUSY_TIMEOUT_S = 30.0
+
+#: Bound of the in-memory store: generous for any realistic sweep (a
+#: full topology × routing × objective grid is tens of entries) while
+#: keeping a long-lived shared engine from growing without bound —
+#: collect=True entries carry the whole evaluated mapping cloud.
+MEMORY_MAX_ENTRIES = 1024
 
 
 def key_fingerprint(key: tuple) -> str:
@@ -94,7 +96,6 @@ def _log_write_error(backend: str, count: int, message: str, *args) -> None:
         log.debug(message, *args)
 
 
-@runtime_checkable
 class CacheBackend(Protocol):
     """Anything that can store evaluation results for the cache.
 
@@ -102,7 +103,7 @@ class CacheBackend(Protocol):
     objects (the engine stores :class:`~repro.engine.jobs.JobResult`
     records). ``get`` returns ``None`` for a miss — including any entry
     that cannot be read back faithfully; ``put`` returns the number of
-    entries evicted to make room (0 for unbounded stores).
+    entries evicted to make room (always 0 for the persistent store).
     """
 
     name: str
@@ -125,13 +126,12 @@ class CacheBackend(Protocol):
 
 
 class MemoryBackend:
-    """In-process dict store with optional LRU eviction (the default).
+    """In-process dict store with LRU eviction (the default).
 
-    This is the seed behaviour of :class:`EvaluationCache` made explicit
-    as a backend, with one upgrade: a bounded store now evicts the
-    *least recently used* entry instead of the oldest inserted one
-    (``get`` refreshes recency), and counts its evictions so a
-    long-running server can report cache pressure.
+    Holds at most :data:`MEMORY_MAX_ENTRIES` entries; beyond that it
+    evicts the *least recently used* one (``get`` refreshes recency) and
+    counts its evictions so a long-running server can report cache
+    pressure.
 
     Not persistent and not process-shared. Thread-safe on its own (the
     service's ``refresh`` cache-control shares one backend between two
@@ -141,9 +141,8 @@ class MemoryBackend:
 
     name = "memory"
 
-    def __init__(self, max_entries: int | None = None):
-        """Create the store; ``max_entries=None`` disables the bound."""
-        self.max_entries = max_entries
+    def __init__(self):
+        """Create an empty store."""
         self.evictions = 0
         self._lock = RLock()
         self._store: dict = {}  # insertion order doubles as recency order
@@ -159,17 +158,12 @@ class MemoryBackend:
             return value
 
     def put(self, key: tuple, value: object) -> int:
-        """Store ``value``; evict the LRU entry beyond ``max_entries``."""
-        if self.max_entries == 0:
-            return 0
+        """Store ``value``; evict the LRU entry beyond the bound."""
         with self._lock:
             evicted = 0
             if key in self._store:
                 del self._store[key]
-            elif (
-                self.max_entries is not None
-                and len(self._store) >= self.max_entries
-            ):
+            elif len(self._store) >= MEMORY_MAX_ENTRIES:
                 # First key in insertion order = least recently used.
                 self._store.pop(next(iter(self._store)))
                 evicted = 1
@@ -363,124 +357,24 @@ class SQLiteBackend:
                 self._conn = None
 
 
-class DirectoryBackend:
-    """Persistent store as one file per fingerprint under a directory.
-
-    Entries live at ``<root>/v<SCHEMA_VERSION>/<fp[:2]>/<fp>.pkl``; the
-    schema version is part of the path, so opening a store written under
-    another version simply sees an empty directory — a cold start with
-    zero migration logic. Writes go through a temporary file and
-    ``os.replace``, so concurrent writers from any number of processes
-    and threads either publish a complete entry or nothing (the
-    temporary name is unique per process and thread).
-
-    The layout is deliberately artifact-friendly: CI caches the root
-    directory between runs to prove cross-run warm hits, and a store can
-    be merged or pruned with plain file tools.
-    """
-
-    name = "directory"
-
-    def __init__(self, root: str | Path):
-        """Open (or create) the store rooted at ``root``."""
-        self.root = Path(root)
-        self.dir = self.root / f"v{SCHEMA_VERSION}"
-        self.dir.mkdir(parents=True, exist_ok=True)
-        self.corrupt_entries = 0
-        self.write_errors = 0
-
-    def _path(self, fp: str) -> Path:
-        """Entry path for a fingerprint (2-hex-char fan-out subdirs)."""
-        return self.dir / fp[:2] / f"{fp}.pkl"
-
-    def get(self, key: tuple) -> object | None:
-        """Return the stored value, or ``None`` (miss / unreadable entry)."""
-        path = self._path(key_fingerprint(key))
-        try:
-            blob = path.read_bytes()
-        except FileNotFoundError:
-            return None
-        except OSError as exc:
-            log.warning("cache read failed on %s (%s)", path, exc)
-            return None
-        try:
-            return pickle.loads(blob)
-        except Exception as exc:
-            self.corrupt_entries += 1
-            log.warning(
-                "dropping corrupt cache entry %s (%s); the result will "
-                "be recomputed",
-                path, exc,
-            )
-            try:
-                path.unlink()
-            except OSError:
-                pass
-            return None
-
-    def put(self, key: tuple, value: object) -> int:
-        """Persist ``value`` atomically; a failed write is dropped."""
-        path = self._path(key_fingerprint(key))
-        tmp = path.with_name(
-            f"{path.name}.tmp{os.getpid()}-{get_ident()}"
-        )
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            tmp.write_bytes(
-                pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-            )
-            os.replace(tmp, path)
-        except OSError as exc:
-            self.write_errors += 1
-            _log_write_error(
-                self.name,
-                self.write_errors,
-                "cache write failed on %s (%s); entry dropped", path, exc,
-            )
-            try:
-                tmp.unlink()
-            except OSError:
-                pass
-        return 0
-
-    def __len__(self) -> int:
-        """Number of entries currently stored."""
-        return sum(1 for _ in self.dir.glob("??/*.pkl"))
-
-    def clear(self) -> None:
-        """Drop every entry of the current schema version."""
-        for entry in self.dir.glob("??/*.pkl"):
-            try:
-                entry.unlink()
-            except OSError:
-                pass
-
-
 def make_backend(spec) -> CacheBackend:
-    """Build a backend from a CLI/config spec string (or pass one through).
+    """Build a backend from a CLI/config spec (or pass one through).
 
-    Accepted forms:
-
-    * an existing :class:`CacheBackend` instance — returned as is;
-    * ``None`` or ``"memory"`` — a fresh unbounded :class:`MemoryBackend`;
-    * ``"sqlite:PATH"`` — :class:`SQLiteBackend` at PATH;
-    * ``"dir:PATH"`` — :class:`DirectoryBackend`;
-    * a bare path — SQLite when it ends in ``.db``/``.sqlite``/
-      ``.sqlite3``, a directory store otherwise.
+    Accepted forms: ``None`` (a fresh :class:`MemoryBackend`), an
+    existing :class:`MemoryBackend` or :class:`SQLiteBackend` (returned
+    as is), or ``"sqlite:PATH"`` with a non-empty PATH. Anything else is
+    a :class:`~repro.errors.ReproError`, so a mistyped ``--cache`` fails
+    loudly instead of silently running cold.
     """
-    if spec is None or spec == "memory":
+    if spec is None:
         return MemoryBackend()
-    if isinstance(spec, (MemoryBackend, SQLiteBackend, DirectoryBackend)):
+    if isinstance(spec, (MemoryBackend, SQLiteBackend)):
         return spec
-    if not isinstance(spec, (str, Path)):
-        if isinstance(spec, CacheBackend):
-            return spec
-        raise TypeError(f"cannot build a cache backend from {spec!r}")
-    text = str(spec)
-    if text.startswith("sqlite:"):
-        return SQLiteBackend(text[len("sqlite:"):])
-    if text.startswith("dir:"):
-        return DirectoryBackend(text[len("dir:"):])
-    if text.endswith((".db", ".sqlite", ".sqlite3")):
-        return SQLiteBackend(text)
-    return DirectoryBackend(text)
+    if isinstance(spec, str) and spec.startswith("sqlite:"):
+        path = spec[len("sqlite:"):]
+        if path:
+            return SQLiteBackend(path)
+    raise ReproError(
+        f"invalid cache backend {spec!r}: expected 'sqlite:PATH' with a "
+        "non-empty PATH"
+    )

@@ -7,11 +7,11 @@ unchanged topologies when only one library entry was edited. The cache
 keys on content fingerprints (:mod:`repro.engine.fingerprint`), so a hit
 means "bit-identical work", never "same object".
 
-Storage is pluggable (:mod:`repro.engine.backends`): the default is the
-original in-process dict (:class:`~repro.engine.backends.MemoryBackend`,
-now with LRU eviction), while the SQLite and directory backends persist
-results across processes and CI runs — the substrate of the design
-service's warm starts (:mod:`repro.service`).
+Storage is pluggable (:mod:`repro.engine.backends`): the default is a
+bounded in-process LRU dict (:class:`~repro.engine.backends.MemoryBackend`),
+while :class:`~repro.engine.backends.SQLiteBackend` persists results
+across processes and CI runs — the substrate of the design service's
+warm starts (:mod:`repro.service`).
 """
 
 from __future__ import annotations
@@ -78,13 +78,6 @@ class CacheStats:
         return text
 
 
-#: Default cache bound: generous for any realistic sweep (a full
-#: topology × routing × objective grid is tens of entries) while keeping
-#: a long-lived shared engine from growing without bound — collect=True
-#: entries carry the whole evaluated mapping cloud.
-DEFAULT_MAX_ENTRIES = 1024
-
-
 @dataclass
 class EvaluationCache:
     """Result store keyed by :meth:`EvaluationJob.cache_key`.
@@ -95,12 +88,10 @@ class EvaluationCache:
 
     Storage is delegated to a :class:`~repro.engine.backends.CacheBackend`.
     When none is given, a :class:`~repro.engine.backends.MemoryBackend`
-    bounded to ``max_entries`` is created (``None`` disables the bound,
-    ``0`` disables caching entirely); least-recently-used entries are
-    evicted beyond the bound and counted in :attr:`CacheStats.evictions`.
-    An explicit backend (e.g. a persistent SQLite or directory store)
-    manages its own capacity — ``max_entries`` then only retains its
-    ``0``-disables-caching meaning.
+    is created; it evicts least-recently-used entries beyond
+    :data:`~repro.engine.backends.MEMORY_MAX_ENTRIES` and the evictions
+    are counted in :attr:`CacheStats.evictions`. The persistent
+    :class:`~repro.engine.backends.SQLiteBackend` is unbounded.
 
     It holds the engine's :class:`~repro.engine.jobs.JobResult`
     records; the mapping search's visited set
@@ -112,16 +103,10 @@ class EvaluationCache:
     control, which recomputes and overwrites warm entries in place.
     """
 
-    max_entries: int | None = DEFAULT_MAX_ENTRIES
     stats: CacheStats = field(default_factory=CacheStats)
-    backend: CacheBackend | None = None
+    backend: CacheBackend = field(default_factory=MemoryBackend)
     write_only: bool = False
     _lock: Lock = field(default_factory=Lock, repr=False)
-
-    def __post_init__(self):
-        """Create the default LRU memory backend when none was given."""
-        if self.backend is None:
-            self.backend = MemoryBackend(max_entries=self.max_entries)
 
     def get(self, key: tuple) -> JobResult | None:
         """Return the cached result for ``key``, or ``None`` on a miss."""
@@ -149,9 +134,7 @@ class EvaluationCache:
             _DEDUP.inc(backend=self.backend.name)
 
     def put(self, key: tuple, result: JobResult) -> None:
-        """Store ``result`` under ``key`` (a no-op when caching is off)."""
-        if self.max_entries == 0:
-            return  # caching disabled
+        """Store ``result`` under ``key``."""
         with self._lock:
             evicted = self.backend.put(key, result)
             self.stats.evictions += evicted

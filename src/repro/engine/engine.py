@@ -65,10 +65,10 @@ class ExplorationEngine:
             given. Pass one engine (or one cache) around to reuse results
             across selection runs, sweeps and fallback escalations.
         cache_backend: storage behind the private cache when ``cache`` is
-            not given — a :class:`~repro.engine.backends.CacheBackend`
-            instance or a :func:`~repro.engine.backends.make_backend`
-            spec string (``"sqlite:results.db"``, ``"dir:.cache"``).
-            Persistent backends make warm results survive the process:
+            not given — a :class:`~repro.engine.backends.MemoryBackend`
+            or :class:`~repro.engine.backends.SQLiteBackend` instance, or
+            a ``"sqlite:PATH"`` spec (:func:`~repro.engine.backends.make_backend`).
+            The persistent store makes warm results survive the process:
             a second run of the same sweep performs zero evaluations,
             and a rerun of a killed sweep on the same store computes
             only what the kill lost. Passing both ``cache`` and
@@ -96,11 +96,7 @@ class ExplorationEngine:
         self.executor = executor or make_executor(jobs)
         if cache is None:
             # Not `cache or ...`: an empty cache is falsy (it has __len__).
-            cache = (
-                EvaluationCache()
-                if cache_backend is None
-                else EvaluationCache(backend=make_backend(cache_backend))
-            )
+            cache = EvaluationCache(backend=make_backend(cache_backend))
         self.cache = cache
         #: Guards :attr:`failure_stats` and :attr:`passes`.
         self.lock = Lock()

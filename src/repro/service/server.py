@@ -97,9 +97,9 @@ class DesignService:
             a :class:`ValueError`.
         jobs: engine worker processes (1 = in-thread serial execution).
         cache_backend: evaluation-cache storage — a
-            :class:`~repro.engine.backends.CacheBackend` or a
-            :func:`~repro.engine.backends.make_backend` spec string.
-            With a persistent backend (``"sqlite:..."``/``"dir:..."``)
+            :class:`~repro.engine.backends.MemoryBackend` or
+            :class:`~repro.engine.backends.SQLiteBackend` instance, or a
+            ``"sqlite:PATH"`` spec string. With the persistent store
             the service starts warm: requests already answered by any
             earlier process cost zero evaluations.
         max_inflight: admission-control budget — the number of request

@@ -417,7 +417,8 @@ def synthesize_topologies(
     ``jobs`` count (content-derived seeds, submission-order reduction).
 
     ``cache_backend`` gives the auto-built engine persistent storage
-    (a :func:`~repro.engine.backends.make_backend` spec); pass
+    (a :func:`~repro.engine.backends.make_backend` spec such as
+    ``"sqlite:evals.db"``); pass
     ``engine=`` instead to share a cache across calls (passing both is
     a :class:`ValueError`).
     """

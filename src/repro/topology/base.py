@@ -136,6 +136,7 @@ class Topology(ABC):
         state["_channel_mult_cache"] = "unset"
         # Caches attached by the simulator / estimator / routing layers.
         state.pop("_sim_layout_cache", None)
+        state.pop("_batch_layout_cache", None)
         state.pop("_phys_tables_cache", None)
         state.pop("_static_power_cache", None)
         state.pop("_edge_index_cache", None)

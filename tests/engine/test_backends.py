@@ -5,13 +5,13 @@ The durability contract under test (see ``repro.engine.backends``):
 * a corrupted, truncated or unreadable entry is logged, dropped and
   **recomputed** — never served back and never a crash;
 * a schema-version mismatch discards the store (cold start);
-* concurrent writers from several processes never corrupt the store;
+* concurrent writers from several processes or threads never corrupt
+  the store;
 * warm results are bit-identical to freshly computed ones.
 """
 
 from __future__ import annotations
 
-import pickle
 import sqlite3
 import subprocess
 import sys
@@ -23,15 +23,15 @@ import pytest
 from repro.core.mapper import MapperConfig
 from repro.core.selector import select_topology
 from repro.engine import (
-    DirectoryBackend,
     EvaluationCache,
     ExplorationEngine,
     MemoryBackend,
     SQLiteBackend,
     make_backend,
 )
-from repro.engine.backends import SCHEMA_VERSION, key_fingerprint
+from repro.engine.backends import MEMORY_MAX_ENTRIES, key_fingerprint
 from repro.engine.jobs import JobResult
+from repro.errors import ReproError
 
 FAST = MapperConfig(converge=False, swap_rounds=1)
 
@@ -50,30 +50,33 @@ class TestMemoryBackend:
         backend.clear()
         assert len(backend) == 0
 
-    def test_lru_eviction_prefers_recently_used(self):
-        backend = MemoryBackend(max_entries=2)
+    @staticmethod
+    def _full(backend):
+        """Fill ``backend`` to its bound, oldest entry first: KEY_A, KEY_B."""
         backend.put(KEY_A, "a")
         backend.put(KEY_B, "b")
+        for i in range(MEMORY_MAX_ENTRIES - 2):
+            backend.put(("filler", i), i)
+        assert len(backend) == MEMORY_MAX_ENTRIES
+
+    def test_lru_eviction_prefers_recently_used(self):
+        backend = MemoryBackend()
+        self._full(backend)
         backend.get(KEY_A)  # touch A: B is now least recently used
         evicted = backend.put(KEY_C, "c")
         assert evicted == 1
         assert backend.evictions == 1
+        assert len(backend) == MEMORY_MAX_ENTRIES
         assert backend.get(KEY_B) is None  # B evicted, not A
         assert backend.get(KEY_A) == "a"
         assert backend.get(KEY_C) == "c"
 
     def test_overwrite_does_not_evict(self):
-        backend = MemoryBackend(max_entries=2)
-        backend.put(KEY_A, "a")
-        backend.put(KEY_B, "b")
+        backend = MemoryBackend()
+        self._full(backend)
         assert backend.put(KEY_A, "a2") == 0
         assert backend.evictions == 0
         assert backend.get(KEY_A) == "a2"
-
-    def test_zero_bound_stores_nothing(self):
-        backend = MemoryBackend(max_entries=0)
-        assert backend.put(KEY_A, "a") == 0
-        assert len(backend) == 0
 
 
 class TestSQLiteBackend:
@@ -181,67 +184,11 @@ class TestSQLiteBackend:
                 assert store.get((tag, i)) == i
         store.close()
 
-
-class TestDirectoryBackend:
-    def test_roundtrip_across_instances(self, tmp_path):
-        store = DirectoryBackend(tmp_path / "store")
-        store.put(KEY_A, {"cost": 3.5})
-        assert DirectoryBackend(tmp_path / "store").get(KEY_A) == {
-            "cost": 3.5
-        }
-
-    def test_corrupt_entry_is_dropped_and_recomputed(self, tmp_path):
-        store = DirectoryBackend(tmp_path / "store")
-        store.put(KEY_A, {"cost": 1.0})
-        (entry,) = list(store.dir.glob("??/*.pkl"))
-        entry.write_bytes(entry.read_bytes()[:10])  # truncate
-        assert store.get(KEY_A) is None
-        assert store.corrupt_entries == 1
-        assert len(store) == 0  # unlinked: a recompute repopulates it
-        store.put(KEY_A, {"cost": 1.0})
-        assert store.get(KEY_A) == {"cost": 1.0}
-
-    def test_schema_version_is_part_of_the_path(self, tmp_path):
-        root = tmp_path / "store"
-        old = root / "v999" / "ab"
-        old.mkdir(parents=True)
-        (old / "abcd.pkl").write_bytes(pickle.dumps("stale"))
-        store = DirectoryBackend(root)
-        assert len(store) == 0  # other-version entries are invisible
-        assert store.dir == root / f"v{SCHEMA_VERSION}"
-
-    def test_concurrent_writers_from_processes(self, tmp_path):
-        root = tmp_path / "store"
-        script = (
-            "import sys\n"
-            "from repro.engine import DirectoryBackend\n"
-            "store = DirectoryBackend(sys.argv[1])\n"
-            "tag = sys.argv[2]\n"
-            "for i in range(40):\n"
-            "    store.put(('shared', i % 10), {'tag': tag, 'i': i})\n"
-            "    store.put((tag, i), i)\n"
-        )
-        procs = [
-            subprocess.Popen(
-                [sys.executable, "-c", script, str(root), tag],
-                env=_child_env(),
-            )
-            for tag in ("w1", "w2")
-        ]
-        for proc in procs:
-            assert proc.wait(timeout=120) == 0
-        store = DirectoryBackend(root)
-        assert len(store) == 90
-        for tag in ("w1", "w2"):
-            for i in range(40):
-                assert store.get((tag, i)) == i
-        assert store.corrupt_entries == 0
-
     def test_concurrent_writers_from_threads(self, tmp_path):
         # The service's `cache: "refresh"` requests each build their own
         # write-only cache (with its own lock) over the shared backend,
         # so threads of one process write the same key concurrently.
-        store = DirectoryBackend(tmp_path / "store")
+        store = SQLiteBackend(tmp_path / "evals.db")
         caches = [
             EvaluationCache(backend=store, write_only=True) for _ in range(4)
         ]
@@ -274,41 +221,51 @@ class TestDirectoryBackend:
         assert not any(t.is_alive() for t in (reader, *writers))
         assert store.write_errors == 0 and store.corrupt_entries == 0
         assert store.get(KEY_A) == result
-        assert list(store.dir.glob("??/*.tmp*")) == []
+        assert len(store) == 1
+        store.close()
 
 
 class TestMakeBackend:
     def test_spec_forms(self, tmp_path):
         assert isinstance(make_backend(None), MemoryBackend)
-        assert isinstance(make_backend("memory"), MemoryBackend)
         sqlite_store = make_backend(f"sqlite:{tmp_path}/a.db")
         assert isinstance(sqlite_store, SQLiteBackend)
+        assert sqlite_store.path == f"{tmp_path}/a.db"
         sqlite_store.close()
-        assert isinstance(make_backend(f"dir:{tmp_path}/d"), DirectoryBackend)
-        suffixed = make_backend(str(tmp_path / "b.sqlite3"))
-        assert isinstance(suffixed, SQLiteBackend)
-        suffixed.close()
-        assert isinstance(
-            make_backend(str(tmp_path / "plain")), DirectoryBackend
-        )
 
-    def test_instance_passthrough(self):
-        backend = MemoryBackend()
-        assert make_backend(backend) is backend
+    def test_instance_passthrough(self, tmp_path):
+        memory = MemoryBackend()
+        assert make_backend(memory) is memory
+        sqlite_store = SQLiteBackend(tmp_path / "a.db")
+        assert make_backend(sqlite_store) is sqlite_store
+        sqlite_store.close()
 
     def test_rejects_unknown_types(self):
-        with pytest.raises(TypeError):
+        with pytest.raises(ReproError, match="sqlite:PATH"):
             make_backend(42)
+
+    @pytest.mark.parametrize(
+        "spec",
+        ["sqlite:", "memory", "dir:store", "bogus:x", "evals.db", "store"],
+    )
+    def test_rejects_other_spellings(self, tmp_path, monkeypatch, spec):
+        """A mistyped spec fails loudly instead of running cold (an empty
+        ``sqlite:`` path would open a private temporary database) or
+        creating a stray file or directory."""
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(ReproError, match="sqlite:PATH"):
+            make_backend(spec)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestEvaluationCacheWithBackends:
     def test_eviction_counter_reaches_stats(self):
-        cache = EvaluationCache(max_entries=1)
-        cache.put(KEY_A, "a")
-        cache.put(KEY_B, "b")
-        assert len(cache) == 1
+        cache = EvaluationCache()
+        for i in range(MEMORY_MAX_ENTRIES + 1):
+            cache.put(("filler", i), i)
+        assert len(cache) == MEMORY_MAX_ENTRIES
         assert cache.stats.evictions == 1
-        assert "evicted" in str(cache.stats)
+        assert "1 evicted" in str(cache.stats)
 
     def test_write_only_reads_nothing_but_persists(self):
         backend = MemoryBackend()
@@ -319,7 +276,7 @@ class TestEvaluationCacheWithBackends:
         cache.put(KEY_A, "recomputed")
         assert backend.get(KEY_A) == "recomputed"
 
-    @pytest.mark.parametrize("spec", ["sqlite:{}/evals.db", "dir:{}/store"])
+    @pytest.mark.parametrize("spec", ["sqlite:{}/evals.db"])
     def test_engine_warm_start_is_bit_identical(self, tmp_path, spec, vopd_app):
         """A second engine over a warm store does zero evaluations."""
         spec = spec.format(tmp_path)
@@ -351,6 +308,11 @@ def _close(engine) -> None:
         closer()
 
 
+def _make_read_only(backend: SQLiteBackend) -> None:
+    """Refuse every further write, as a read-only filesystem would."""
+    backend._conn.execute("PRAGMA query_only = ON")
+
+
 def _child_env() -> dict:
     import os
 
@@ -363,11 +325,9 @@ def _child_env() -> dict:
 class TestWriteErrors:
     """Failed cache writes are counted and surfaced, never raised."""
 
-    def test_directory_backend_counts_failed_writes(self, tmp_path, caplog):
-        backend = DirectoryBackend(tmp_path / "store")
-        # Occupy the shard directory's path with a file: mkdir fails.
-        shard = key_fingerprint(KEY_A)[:2]
-        (backend.dir / shard).write_text("not a directory")
+    def test_sqlite_backend_warns_once_on_failed_writes(self, tmp_path, caplog):
+        backend = SQLiteBackend(tmp_path / "evals.db")
+        _make_read_only(backend)
         with caplog.at_level("WARNING", logger="repro.engine.backends"):
             backend.put(KEY_A, {"cost": 1})
             backend.put(KEY_A, {"cost": 2})
@@ -381,6 +341,7 @@ class TestWriteErrors:
         ]
         assert len(warnings) == 1
         assert "first write failure" in warnings[0].getMessage()
+        backend.close()
 
     def test_sqlite_backend_counts_failed_writes(self, tmp_path):
         backend = SQLiteBackend(tmp_path / "evals.db")
@@ -389,9 +350,8 @@ class TestWriteErrors:
         assert backend.write_errors == 1
 
     def test_cache_stats_mirror_backend_write_errors(self, tmp_path):
-        backend = DirectoryBackend(tmp_path / "store")
-        shard = key_fingerprint(KEY_A)[:2]
-        (backend.dir / shard).write_text("not a directory")
+        backend = SQLiteBackend(tmp_path / "evals.db")
+        _make_read_only(backend)
         cache = EvaluationCache(backend=backend)
         cache.put(KEY_A, {"cost": 1})
         assert cache.stats.write_errors == 1

@@ -26,6 +26,7 @@ from repro.engine import (
     SerialExecutor,
     make_executor,
 )
+from repro.engine.backends import MEMORY_MAX_ENTRIES
 from repro.errors import ReproError, UnsupportedRoutingError
 from repro.service import DesignService
 from repro.simulation.campaign import CampaignConfig, run_campaign
@@ -152,11 +153,13 @@ class TestCache:
         assert second.collected
 
     def test_bounded_cache_evicts_oldest(self, tiny_app):
-        cache = EvaluationCache(max_entries=1)
+        cache = EvaluationCache()
         engine = ExplorationEngine(cache=cache)
         engine.run_one(job_for(tiny_app, "mesh"))
-        engine.run_one(job_for(tiny_app, "ring"))
-        assert len(cache) == 1
+        for i in range(MEMORY_MAX_ENTRIES):  # cheap entries push it out
+            cache.put(("filler", i), i)
+        assert len(cache) == MEMORY_MAX_ENTRIES
+        assert cache.stats.evictions == 1
         assert not engine.run_one(job_for(tiny_app, "mesh")).cached
 
     def test_parameterized_estimator_subclasses_do_not_collide(self, tiny_app):
@@ -172,14 +175,6 @@ class TestCache:
         c = job_for(tiny_app, estimator=NetworkEstimator())
         assert a.cache_key() != b.cache_key()
         assert a.cache_key() != c.cache_key()
-
-    def test_zero_capacity_cache_disables_caching(self, tiny_app):
-        cache = EvaluationCache(max_entries=0)
-        engine = ExplorationEngine(cache=cache)
-        first = engine.run_one(job_for(tiny_app))
-        second = engine.run_one(job_for(tiny_app))
-        assert not first.cached and not second.cached
-        assert len(cache) == 0
 
     @pytest.mark.parametrize(
         "build",

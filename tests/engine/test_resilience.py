@@ -496,7 +496,7 @@ class TestJournal:
         reopened.close()
 
     def test_engine_resume_is_bit_identical(self, tiny_app, tmp_path):
-        store = f"dir:{tmp_path / 'store'}"
+        store = f"sqlite:{tmp_path / 'store.db'}"
         jobs = tiny_jobs(tiny_app, ("mesh", "ring", "star"))
         first = ExplorationEngine(cache_backend=store).run(jobs)
         # Fresh engine, fresh process-local state: everything must come
@@ -554,10 +554,6 @@ def _sqlite_entries(path: Path) -> int:
         return 0  # not created yet
 
 
-def _dir_entries(root: Path) -> int:
-    return sum(1 for _ in root.glob("v*/??/*.pkl"))
-
-
 def _counter(prom_text: str, name: str, backend: str) -> float:
     """One ``{backend=...}`` sample of a Prometheus counter (0 if absent)."""
     prefix = f'{name}{{backend="{backend}"}} '
@@ -567,68 +563,46 @@ def _counter(prom_text: str, name: str, backend: str) -> float:
     return 0.0
 
 
-@pytest.fixture(scope="module")
-def clean_campaign_stdout():
-    clean = run_cli(CLI_CAMPAIGN)
-    assert clean.returncode == 0, clean.stderr
-    return clean.stdout
-
-
-def _kill_then_rerun(spec, entries, backend, tmp_path, clean_stdout):
-    """SIGKILL a ``--cache spec`` campaign once its store holds an entry,
-    rerun it on the same store and check it resumed bit-identically."""
-    victim = subprocess.Popen(
-        [sys.executable, "-m", "repro.cli", *CLI_CAMPAIGN, "--cache", spec],
-        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-        env=_cli_env(), cwd=REPO,
-    )
-    # Let it store at least one completed point, then kill it the hard
-    # way (no cleanup handlers run).
-    deadline = time.monotonic() + 120
-    while time.monotonic() < deadline:
-        if entries() > 0:
-            break
-        if victim.poll() is not None:
-            break  # finished whole; the rerun serves everything
-        time.sleep(0.02)
-    if victim.poll() is None:
-        victim.send_signal(signal.SIGKILL)
-    victim.wait(timeout=60)
-    assert entries() > 0
-
-    metrics = tmp_path / "rerun.prom"
-    resumed = run_cli(
-        [*CLI_CAMPAIGN, "--cache", spec, "--metrics", str(metrics)]
-    )
-    assert resumed.returncode == 0, resumed.stderr
-    assert _strip_runtime_lines(resumed.stdout) == _strip_runtime_lines(
-        clean_stdout
-    )
-    prom = metrics.read_text()
-    hits = _counter(prom, "repro_cache_hits_total", backend)
-    misses = _counter(prom, "repro_cache_misses_total", backend)
-    assert hits > 0
-    assert hits + misses == CLI_POINTS
-
-
 class TestCliKillResume:
-    def test_killed_campaign_resumes_bit_identically(
-        self, tmp_path, clean_campaign_stdout
-    ):
+    def test_killed_campaign_resumes_bit_identically(self, tmp_path):
+        """SIGKILL a ``--cache`` campaign once its store holds an entry,
+        rerun it on the same store and check it resumed bit-identically."""
+        clean = run_cli(CLI_CAMPAIGN)
+        assert clean.returncode == 0, clean.stderr
         store = tmp_path / "store.db"
-        _kill_then_rerun(
-            f"sqlite:{store}", lambda: _sqlite_entries(store), "sqlite",
-            tmp_path, clean_campaign_stdout,
+        spec = f"sqlite:{store}"
+        victim = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", *CLI_CAMPAIGN, "--cache", spec],
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            env=_cli_env(), cwd=REPO,
         )
+        # Let it store at least one completed point, then kill it the
+        # hard way (no cleanup handlers run).
+        deadline = time.monotonic() + 120
+        while time.monotonic() < deadline:
+            if _sqlite_entries(store) > 0:
+                break
+            if victim.poll() is not None:
+                break  # finished whole; the rerun serves everything
+            time.sleep(0.02)
+        if victim.poll() is None:
+            victim.send_signal(signal.SIGKILL)
+        victim.wait(timeout=60)
+        assert _sqlite_entries(store) > 0
 
-    def test_killed_campaign_resumes_on_a_directory_store(
-        self, tmp_path, clean_campaign_stdout
-    ):
-        store = tmp_path / "store"
-        _kill_then_rerun(
-            f"dir:{store}", lambda: _dir_entries(store), "directory",
-            tmp_path, clean_campaign_stdout,
+        metrics = tmp_path / "rerun.prom"
+        resumed = run_cli(
+            [*CLI_CAMPAIGN, "--cache", spec, "--metrics", str(metrics)]
         )
+        assert resumed.returncode == 0, resumed.stderr
+        assert _strip_runtime_lines(resumed.stdout) == _strip_runtime_lines(
+            clean.stdout
+        )
+        prom = metrics.read_text()
+        hits = _counter(prom, "repro_cache_hits_total", "sqlite")
+        misses = _counter(prom, "repro_cache_misses_total", "sqlite")
+        assert hits > 0
+        assert hits + misses == CLI_POINTS
 
 
 def _strip_runtime_lines(text: str) -> str:

@@ -127,7 +127,7 @@ class TestBitIdentity:
             json.loads(json.dumps(strip_runtime(direct.to_dict())))
         )
 
-    @pytest.mark.parametrize("spec", ["sqlite:{}/evals.db", "dir:{}/store"])
+    @pytest.mark.parametrize("spec", ["sqlite:{}/evals.db"])
     def test_identity_holds_from_a_warm_backend(self, tmp_path, spec):
         """Cold compute and warm replay produce identical results."""
         spec = spec.format(tmp_path)

@@ -235,7 +235,7 @@ class TestEngineGroupPath:
 
     def test_journal_resume_replays_points_exactly(self, vopd_app, tmp_path):
         group = self._group(vopd_app)
-        store = f"dir:{tmp_path / 'store'}"
+        store = f"sqlite:{tmp_path / 'store.db'}"
         (original,) = ExplorationEngine(cache_backend=store).run([group])
         # A fresh engine on the same persistent store (a rerun after a
         # kill) serves every point and executes none: the whole group

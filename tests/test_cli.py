@@ -62,6 +62,19 @@ class TestMapAndSelect:
         assert main(["map", "--app", "dsp"]) == 1
         assert "--topology" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("spec", ["sqlite:", "bogus:x"])
+    def test_bad_cache_spec_is_one_error_line(
+        self, capsys, tmp_path, monkeypatch, spec
+    ):
+        # Neither a silent cold run nor a stray store on disk.
+        monkeypatch.chdir(tmp_path)
+        assert main(["select", "--app", "dsp", "--cache", spec]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: invalid cache backend")
+        assert captured.err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestSynthesize:
     def test_synthesize_dsp(self, capsys):
