@@ -14,8 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
-
 from repro.errors import CoreGraphError
 
 #: Default synthetic core area when the designer does not provide one (mm^2).
@@ -215,15 +213,6 @@ class CoreGraph:
         if self._total_area_cache is None:
             self._total_area_cache = sum(c.area_mm2 for c in self._cores)
         return self._total_area_cache
-
-    def to_networkx(self) -> nx.DiGraph:
-        """Export as a networkx DiGraph (``comm`` edge attribute in MB/s)."""
-        g = nx.DiGraph(name=self.name)
-        for core in self._cores:
-            g.add_node(core.index, name=core.name, area_mm2=core.area_mm2)
-        for (s, d), v in self._flows.items():
-            g.add_edge(s, d, comm=v)
-        return g
 
     def validate(self) -> None:
         """Check internal consistency; raises :class:`CoreGraphError`."""

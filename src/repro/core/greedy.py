@@ -21,10 +21,9 @@ from repro.topology.base import Topology
 def _slot_degree(topology: Topology, slot: int) -> int:
     """Network degree of the switch a slot injects into."""
     sw = topology.switch_of(slot)
+    graph = topology.graph
     return sum(
-        1
-        for _, _, d in topology.graph.out_edges(sw, data=True)
-        if d["kind"] == "net"
+        1 for v in graph.successors(sw) if graph.attrs(sw, v)["kind"] == "net"
     )
 
 

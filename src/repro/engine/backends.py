@@ -51,8 +51,9 @@ _WRITE_ERRORS = obs_metrics.REGISTRY.counter(
 #: Version of the on-disk payload schema. Bump when the pickled result
 #: types or the cache-key composition change incompatibly; stores written
 #: under another version are discarded on open (cold start, never a
-#: crash and never stale payloads).
-SCHEMA_VERSION = 2
+#: crash and never stale payloads). 3: topologies pickle an in-house
+#: ``TopologyGraph`` instead of a networkx ``DiGraph``.
+SCHEMA_VERSION = 3
 
 #: Seconds a SQLite connection waits on a lock held by another writer
 #: before the operation fails (and a ``put`` is dropped).

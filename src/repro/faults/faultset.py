@@ -22,10 +22,9 @@ import math
 from dataclasses import dataclass, field
 from random import Random
 
-import networkx as nx
-
 from repro.errors import TopologyError
 from repro.topology.base import is_switch, is_term, term
+from repro.topology.graph import TopologyGraph, descendants, edge_connectivity
 
 
 def _canon_pair(pair) -> tuple:
@@ -124,44 +123,32 @@ def _net_pairs(topology) -> list:
     return sorted({_canon_pair(e) for e in topology.net_edges()}, key=repr)
 
 
-def _masked_graph(topology, faults: FaultSet) -> nx.DiGraph:
+def masked_graph(topology, faults: FaultSet) -> TopologyGraph:
     """The base graph with the fault set's dead elements removed."""
-    g = topology.graph.copy()
-    g.remove_nodes_from(n for n in faults.dead_switches if n in g)
-    for u, v in faults.dead_links:
-        for edge in ((u, v), (v, u)):
-            if g.has_edge(*edge):
-                g.remove_edge(*edge)
-    return g
+    dead_edges = [
+        edge for u, v in faults.dead_links for edge in ((u, v), (v, u))
+    ]
+    return topology.graph.without(faults.dead_switches, dead_edges)
 
 
-def _switch_fabric(g: nx.DiGraph) -> nx.DiGraph:
-    """The switch-only subgraph — the network routes actually live in.
-
-    Routes never pass *through* a third core's terminal (the routing
-    view enforces that structurally), so reachability questions must be
-    answered on the switch fabric alone: a terminal bridging two
-    switches would otherwise make a severed pair look routable.
-    """
-    return g.subgraph([n for n in g if is_switch(n)])
-
-
-def _severed_pairs(g: nx.DiGraph, num_slots: int, first_only: bool = False):
+def _severed_pairs(
+    g: TopologyGraph, num_slots: int, first_only: bool = False
+):
     """``(src, dst)`` slot pairs with no switch-fabric route in ``g``.
 
-    One descendant BFS per source over the (small) switch fabric; a
-    pivot-transitivity shortcut would be unsound on unidirectional
-    multistage fabrics (butterfly), where ``src -> 0`` and ``0 -> dst``
-    only compose by bouncing through terminal 0.
+    One descendant BFS per source, entering switches only: routes never
+    pass *through* a third core's terminal (the routing view enforces
+    that structurally), and a terminal bridging two switches would
+    otherwise make a severed pair look routable. A pivot-transitivity
+    shortcut would be unsound on unidirectional multistage fabrics
+    (butterfly), where ``src -> 0`` and ``0 -> dst`` only compose by
+    bouncing through terminal 0.
     """
-    fabric = _switch_fabric(g)
+    fabric = {n for n in g.nodes if is_switch(n)}
     severed = []
     for src in range(num_slots):
         s = term(src)
-        outs = set(g.successors(s)) if s in g else set()
-        down = set(outs)
-        for node in outs:
-            down |= nx.descendants(fabric, node)
+        down = descendants(g, s, fabric) if s in g else set()
         for dst in range(num_slots):
             if dst == src:
                 continue
@@ -177,7 +164,7 @@ def _severed_pairs(g: nx.DiGraph, num_slots: int, first_only: bool = False):
 
 def _partitions(topology, faults: FaultSet) -> bool:
     """Whether the fault set severs any terminal pair."""
-    g = _masked_graph(topology, faults)
+    g = masked_graph(topology, faults)
     return bool(_severed_pairs(g, topology.num_slots, first_only=True))
 
 
@@ -251,8 +238,8 @@ def sample_switch_faults(
         return FaultSet()
     g = topology.graph
     attached = {
-        v for u, v in g.edges if is_term(u) and is_switch(v)
-    } | {u for u, v in g.edges if is_switch(u) and is_term(v)}
+        v for u, v in g.edges() if is_term(u) and is_switch(v)
+    } | {u for u, v in g.edges() if is_switch(u) and is_term(v)}
     pool = sorted(
         (n for n in g.nodes if is_switch(n) and n not in attached), key=repr
     )
@@ -311,12 +298,10 @@ def link_resilience(topology) -> float:
     two switches have no inter-switch links to kill and count as
     infinitely resilient.
     """
-    g = nx.Graph()
-    g.add_nodes_from(topology.switches)
-    g.add_edges_from(_net_pairs(topology))
-    if g.number_of_nodes() < 2:
+    switches = topology.switches
+    if len(switches) < 2:
         return math.inf
-    return float(nx.edge_connectivity(g))
+    return float(edge_connectivity(switches, _net_pairs(topology)))
 
 
 def survives_link_faults(topology, k: int) -> bool:

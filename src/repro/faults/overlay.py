@@ -17,11 +17,10 @@ otherwise re-converges onto a deterministic surviving shortest path.
 
 from __future__ import annotations
 
-import networkx as nx
-
 from repro.errors import TopologyError, UnroutableError
-from repro.faults.faultset import FaultSet
+from repro.faults.faultset import FaultSet, masked_graph
 from repro.topology.base import Topology, term
+from repro.topology.graph import TopologyGraph, shortest_path
 
 
 class FaultedTopology(Topology):
@@ -78,21 +77,15 @@ class FaultedTopology(Topology):
     # ------------------------------------------------------------------
     # Topology interface
     # ------------------------------------------------------------------
-    def _build(self) -> nx.DiGraph:
-        g = self.base.graph.copy()
-        g.remove_nodes_from(
-            n for n in self.faults.dead_switches if n in g
-        )
-        for u, v in self.faults.dead_links:
-            for edge in ((u, v), (v, u)):
-                if g.has_edge(*edge):
-                    g.remove_edge(*edge)
+    def _build(self) -> TopologyGraph:
+        g = masked_graph(self.base, self.faults)
         for pair, cap_factor, extra_latency in self.faults.degraded:
             u, v = pair
             for edge in ((u, v), (v, u)):
                 if g.has_edge(*edge):
-                    g.edges[edge]["cap_factor"] = cap_factor
-                    g.edges[edge]["extra_latency"] = extra_latency
+                    g.attrs(*edge).update(
+                        cap_factor=cap_factor, extra_latency=extra_latency
+                    )
         return g
 
     @property
@@ -120,9 +113,10 @@ class FaultedTopology(Topology):
         When the base route survives the fault set it is kept verbatim
         (bit-identical to the pristine fabric). When a dead element
         breaks it, the route re-converges onto the deterministic
-        networkx shortest path over the masked routing view (all
-        switches, endpoint terminals only); a severed pair raises
-        :class:`~repro.errors.UnroutableError`.
+        bidirectional-BFS shortest path
+        (:func:`~repro.topology.graph.shortest_path`) over the masked
+        routing view (all switches, endpoint terminals only); a severed
+        pair raises :class:`~repro.errors.UnroutableError`.
         """
         from repro.routing.shortest import routing_view
 
@@ -131,13 +125,13 @@ class FaultedTopology(Topology):
         if all(g.has_edge(u, v) for u, v in zip(path, path[1:])):
             return path
         src, dst = term(src_slot), term(dst_slot)
-        try:
-            return nx.shortest_path(routing_view(g, src, dst), src, dst)
-        except (nx.NetworkXNoPath, nx.NodeNotFound):
+        path = shortest_path(g, src, dst, routing_view(g, src, dst))
+        if path is None:
             raise UnroutableError(
                 f"slots {src_slot} and {dst_slot} are partitioned "
                 f"by faults on {self.name}"
-            ) from None
+            )
+        return path
 
     # ------------------------------------------------------------------
     # degradation

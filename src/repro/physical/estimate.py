@@ -104,7 +104,7 @@ class NetworkEstimator:
         """Physical length of a link: floorplanned if known, nominal else."""
         if lengths_mm is not None and (u, v) in lengths_mm:
             return lengths_mm[(u, v)]
-        return topology.graph.edges[u, v]["length"] * pitch_mm
+        return topology.graph.attrs(u, v)["length"] * pitch_mm
 
     def _wire_energy_by_id(
         self, topology: Topology, lengths_mm: dict | None, pitch_mm: float

@@ -18,17 +18,12 @@ from __future__ import annotations
 def edge_index(topology) -> tuple[dict, list]:
     """Per-topology integer edge ids: ``({(u, v): id}, [edge by id])``.
 
-    Ids follow ``topology.graph.edges()`` order. Cached on the topology
-    (dropped by ``Topology.__getstate__``); the graph is immutable once
-    built, and a fault overlay interns its own surviving graph, so a
-    dead link never receives an id.
+    The topology graph's native ids
+    (:meth:`~repro.topology.graph.TopologyGraph.edge_index`), in
+    ``graph.edges()`` order. A fault overlay builds its own surviving
+    graph, so a dead link never receives an id.
     """
-    cached = topology.__dict__.get("_edge_index_cache")
-    if cached is None:
-        edges = list(topology.graph.edges())
-        cached = ({edge: i for i, edge in enumerate(edges)}, edges)
-        topology.__dict__["_edge_index_cache"] = cached
-    return cached
+    return topology.graph.edge_index()
 
 
 class EdgeLoads:

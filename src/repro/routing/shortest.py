@@ -14,16 +14,17 @@ weight ``hop + load / scale``):
   congestion.
 
 **Interned search.** Routing runs on integers, not node tuples. The
-topology's edges carry ids (:func:`~repro.routing.loads.edge_index`, in
-``graph.edges()`` order) and the ledger is one flat load list by edge
+topology graph numbers its edges (:func:`~repro.routing.loads.edge_index`,
+in ``graph.edges()`` order) and the ledger is one flat load list by edge
 id. Each slot pair's search graph — its quadrant, or its routing view
-(all switches, the two endpoint terminals only) — is interned once per
-topology as a :class:`SearchGraph`: local node ids in ``graph._adj``
-order, CSR rows of ``(successor local id, edge id)`` in that same
-order, and the pair's unique minimum-hop path when it has one. The
-kernel keeps its ``dist``/``seen``/``pred`` state in lists and returns
-the path together with its edge ids, which the ledger adds by id and
-the routed commodity keeps.
+(all switches, the two endpoint terminals only), both node masks over
+the topology graph — is interned once per topology as a
+:class:`SearchGraph`: local node ids in graph order, CSR rows of
+``(successor local id, edge id)`` in successor order, and the pair's
+unique minimum-hop path when it has one. The kernel keeps its
+``dist``/``seen``/``pred`` state in lists and returns the path together
+with its edge ids, which the ledger adds by id and the routed commodity
+keeps.
 
 **Bit-identity.** The kernel is a faithful port of networkx's
 ``_dijkstra_multisource``: ``seen[source] = 0`` (an int), each edge
@@ -31,11 +32,13 @@ cost computed before it is added to the node distance
 (``dist_v + (hop + load / scale)``, the same float rounding), a
 monotonically increasing push counter as the heap tie-break,
 predecessors overwritten only on strict improvement, and successors
-relaxed in ``_adj`` order — so it returns exactly the path
-``nx.dijkstra_path`` returns under the equivalent weight function. The
-two weightings share the kernel without changing a bit: ``load / 1.0``
-is exact and float addition commutes, so ``eps + load / 1.0`` equals
-the ``load + eps`` of a dedicated least-load search.
+relaxed in adjacency order — so it returns exactly the path
+``nx.dijkstra_path`` returns under the equivalent weight function
+(networkx is a test-only oracle; ``tests/routing/test_interned_routing.py``
+checks this). The two weightings share the kernel without changing a
+bit: ``load / 1.0`` is exact and float addition commutes, so
+``eps + load / 1.0`` equals the ``load + eps`` of a dedicated
+least-load search.
 """
 
 from __future__ import annotations
@@ -43,46 +46,39 @@ from __future__ import annotations
 from heapq import heappop, heappush
 from itertools import islice
 
-import networkx as nx
-
 from repro.errors import UnroutableError
-from repro.routing.loads import EdgeLoads, edge_index
+from repro.routing.loads import EdgeLoads
 from repro.topology.base import is_switch, term
+from repro.topology.graph import TopologyGraph, all_shortest_paths
 
 _INF = float("inf")
 
 
-def _intern(graph: nx.DiGraph, edge_id) -> tuple[list, dict, list]:
-    """``(nodes, local ids, CSR rows)`` of ``graph``'s adjacency.
+def _intern(graph: TopologyGraph, nodes=None) -> tuple[list, dict, list]:
+    """``(nodes, local ids, CSR rows)`` of ``graph`` masked to ``nodes``
+    (``None``: the whole graph).
 
-    Node and successor order match ``graph._adj`` iteration exactly —
-    that order decides Dijkstra's heap tie-breaking, so it must be
-    preserved. For induced-subgraph views (``G.subgraph(nodes)``, the
-    quadrants) the rows are built from the parent's adjacency filtered
-    by the node set — the same order the view's FilterAdjacency yields,
-    minus its per-item wrapper overhead.
+    Node and successor order follow the graph's adjacency order — that
+    order decides Dijkstra's heap tie-breaking, so it must be preserved.
     """
-    keep = getattr(getattr(graph, "_NODE_OK", None), "nodes", None)
-    parent = getattr(graph, "_graph", None)
-    if keep is not None and parent is not None:
-        adj = parent._adj
-        nodes = [v for v in adj if v in keep]
-        succ = [[u for u in adj[v] if u in keep] for v in nodes]
+    ids = graph.edge_index()[0]
+    if nodes is None:
+        order = list(graph.nodes)
+        succ = [list(graph.successors(v)) for v in order]
     else:
-        adj = graph._adj
-        nodes = list(adj)
-        succ = [list(adj[v]) for v in nodes]
-    local = {v: i for i, v in enumerate(nodes)}
+        order = [v for v in graph.nodes if v in nodes]
+        succ = [[u for u in graph.successors(v) if u in nodes] for v in order]
+    local = {v: i for i, v in enumerate(order)}
     rows = [
-        [(local[u], edge_id((v, u))) for u in successors]
-        for v, successors in zip(nodes, succ)
+        [(local[u], ids[v, u]) for u in successors]
+        for v, successors in zip(order, succ)
     ]
-    return nodes, local, rows
+    return order, local, rows
 
 
-def _unique_min_hop_path(graph: nx.DiGraph, src, dst) -> list | None:
-    """The single minimum-hop ``src -> dst`` path, or ``None`` if the
-    pair has path diversity.
+def _unique_min_hop_path(graph, src, dst, nodes) -> list | None:
+    """The single minimum-hop ``src -> dst`` path within ``nodes``, or
+    ``None`` if the pair has path diversity.
 
     Justification for the shortcut: :func:`min_hop_then_load` weights
     every edge ``1.0 + load/scale`` with the load terms of any whole
@@ -91,17 +87,25 @@ def _unique_min_hop_path(graph: nx.DiGraph, src, dst) -> list | None:
     minimum-hop path, and when only one exists the loads cannot change
     the answer.
     """
-    try:
-        first_two = list(islice(nx.all_shortest_paths(graph, src, dst), 2))
-    except nx.NetworkXNoPath:
+    first_two = list(islice(all_shortest_paths(graph, src, dst, nodes), 2))
+    if not first_two:
         raise UnroutableError(
             f"no route from {src} to {dst}: endpoints are partitioned"
-        ) from None
+        )
     return first_two[0] if len(first_two) == 1 else None
 
 
 class SearchGraph:
     """One ``src -> dst`` search graph, interned for the kernel.
+
+    Args:
+        graph: the topology graph.
+        src, dst: the endpoint nodes.
+        nodes: the node mask searched (``None``: the whole graph).
+        interned: ``graph``'s :func:`_intern` rows to reuse (default:
+            interned here from ``nodes``).
+        blocked: nodes the search must not enter, for rows interned
+            wider than ``nodes``.
 
     Attributes:
         nodes: local id -> graph node.
@@ -115,8 +119,8 @@ class SearchGraph:
         unique, unique_eids: the single minimum-hop path and its edge
             ids when the graph has exactly one (a hop-dominant search is
             forced onto it whatever the loads), else ``None``.
-        index: the :func:`~repro.routing.loads.edge_index` the edge ids
-            come from (``None`` when interned into a ledger's own ids).
+        index: the graph's :func:`~repro.routing.loads.edge_index`, the
+            ids the rows and the ledger share.
     """
 
     __slots__ = (
@@ -125,35 +129,35 @@ class SearchGraph:
     )
 
     def __init__(
-        self, graph, src, dst, interned, edge_id, blocked=(), index=None
+        self, graph: TopologyGraph, src, dst, nodes=None, interned=None,
+        blocked=(),
     ):
-        self.unique = _unique_min_hop_path(graph, src, dst)
+        self.index = graph.edge_index()
+        ids = self.index[0]
+        self.unique = _unique_min_hop_path(graph, src, dst, nodes)
         self.unique_eids = None if self.unique is None else [
-            edge_id(edge) for edge in zip(self.unique, self.unique[1:])
+            ids[edge] for edge in zip(self.unique, self.unique[1:])
         ]
-        nodes, local, rows = interned
-        self.nodes = nodes
+        order, local, rows = interned or _intern(graph, nodes)
+        self.nodes = order
         self.rows = rows
-        self.index = index
-        self.blocked = [False] * len(nodes)
+        self.blocked = [False] * len(order)
         for node in blocked:
             self.blocked[local[node]] = True
-        self.num_nodes = len(nodes) - len(blocked)
+        self.num_nodes = len(order) - len(blocked)
         self.src = local[src]
         self.dst = local[dst]
 
 
-def routing_view(graph: nx.DiGraph, src, dst) -> nx.DiGraph:
-    """Subgraph containing all switches but only the endpoint terminals.
+def routing_view(graph: TopologyGraph, src, dst) -> set:
+    """Node mask of all switches but only the endpoint terminals.
 
-    Routes must never pass *through* a third core's terminal; restricting
-    the search graph enforces that structurally.
+    Routes must never pass *through* a third core's terminal; searching
+    within this mask enforces that structurally.
     """
-
-    def keep(node, _src=src, _dst=dst):
-        return is_switch(node) or node == _src or node == _dst
-
-    return nx.subgraph_view(graph, filter_node=keep)
+    view = {node for node in graph.nodes if is_switch(node)}
+    view.update((src, dst))
+    return view
 
 
 def topology_search(
@@ -163,11 +167,11 @@ def topology_search(
 
     ``quadrant=True`` interns the pair's quadrant (Section 4.3; the
     whole graph when the quadrant is trivial), ``False`` its routing
-    view. Quadrant views each get their own rows; the whole graph and
-    every routing view share the topology's rows, the routing views
-    blocking third-core terminals instead — skipping a node the view
-    would not list leaves every other push, and so every tie-break,
-    unchanged. The cache dies with the topology and is dropped by
+    view. Quadrants each get their own rows; the whole graph and every
+    routing view share the topology's rows, the routing views blocking
+    third-core terminals instead — skipping a node the view would not
+    list leaves every other push, and so every tie-break, unchanged.
+    The cache dies with the topology and is dropped by
     ``Topology.__getstate__``.
     """
     cache = topology.__dict__.get("_search_cache")
@@ -177,29 +181,24 @@ def topology_search(
     search = cache.get(key)
     if search is not None:
         return search
-    index = edge_index(topology)
-    edge_id = index[0].__getitem__
+    graph = topology.graph
     src, dst = term(src_slot), term(dst_slot)
-    graph = (
-        topology.quadrant_subgraph(src_slot, dst_slot) if quadrant
-        else routing_view(topology.graph, src, dst)
-    )
-    blocked = ()
-    if quadrant and graph is not topology.graph:
-        interned = _intern(graph, edge_id)
+    if quadrant:
+        mask = topology.quadrant_mask(src_slot, dst_slot)
+    else:
+        mask = routing_view(graph, src, dst)
+    if quadrant and mask is not None:
+        search = SearchGraph(graph, src, dst, mask)
     else:
         interned = topology.__dict__.get("_csr_cache")
         if interned is None:
-            interned = _intern(topology.graph, edge_id)
-            topology.__dict__["_csr_cache"] = interned
-        if not quadrant:
-            blocked = [
-                n for n in interned[0]
-                if not is_switch(n) and n != src and n != dst
-            ]
-    search = cache[key] = SearchGraph(
-        graph, src, dst, interned, edge_id, blocked, index=index
-    )
+            interned = topology.__dict__["_csr_cache"] = _intern(graph)
+        blocked = () if quadrant else [
+            n for n in interned[0]
+            if not is_switch(n) and n != src and n != dst
+        ]
+        search = SearchGraph(graph, src, dst, mask, interned, blocked)
+    cache[key] = search
     return search
 
 
@@ -277,23 +276,14 @@ def hop_scale(loads: EdgeLoads, value: float, num_nodes: int) -> float:
     return max(1.0, (loads.total + value) * (num_nodes + 1))
 
 
-def _search_of(graph, src, dst, loads: EdgeLoads) -> SearchGraph:
-    if isinstance(graph, SearchGraph):
-        return graph
-    return SearchGraph(
-        graph, src, dst, _intern(graph, loads.edge_id), loads.edge_id
-    )
-
-
 def min_hop_then_load(
-    graph, src, dst, loads: EdgeLoads, value: float
+    search: SearchGraph, loads: EdgeLoads, value: float
 ) -> list:
     """Minimum-hop path, breaking ties by least accumulated traffic.
 
-    ``graph`` is a :class:`SearchGraph` for ``src -> dst``, or any
-    networkx graph (interned on the spot, its edges into ``loads``).
+    ``loads`` must share ``search``'s edge ids (see
+    :meth:`~repro.routing.loads.EdgeLoads.bind`).
     """
-    search = _search_of(graph, src, dst, loads)
     if search.unique is not None:
         return list(search.unique)
     # Scale so a full path's load terms sum < 1 (see hop_scale).
@@ -302,14 +292,13 @@ def min_hop_then_load(
 
 
 def load_then_hops(
-    graph, src, dst, loads: EdgeLoads, value: float
+    search: SearchGraph, loads: EdgeLoads, value: float
 ) -> tuple[list, list]:
     """Least-loaded path; hops only matter between equally loaded paths.
 
-    ``graph`` is as for :func:`min_hop_then_load`. Returns the path and
+    ``loads`` is as for :func:`min_hop_then_load`. Returns the path and
     its edge ids, which split-across-all-paths routing adds to the
     ledger and keeps.
     """
-    search = _search_of(graph, src, dst, loads)
     eps = max(1e-9, (loads.total + value) * 1e-6)
     return _dijkstra_min_hop(search, loads.by_edge_id, 1.0, eps)

@@ -25,7 +25,7 @@ from repro.routing.shortest import (
     load_then_hops,
     topology_search,
 )
-from repro.topology.base import Topology, term
+from repro.topology.base import Topology
 
 #: Default number of chunks a commodity is split into.
 DEFAULT_CHUNKS = 4
@@ -117,11 +117,10 @@ class SplitAllPathRouting(_SplitRouting):
     ) -> list[tuple[list, float, list[int]]]:
         search = topology_search(topology, src_slot, dst_slot, quadrant=False)
         loads.bind(search.index)
-        src, dst = term(src_slot), term(dst_slot)
         chunk_bw = value / self.chunks
         paths = []
         for _ in range(self.chunks):
-            path, eids = load_then_hops(search, src, dst, loads, chunk_bw)
+            path, eids = load_then_hops(search, loads, chunk_bw)
             loads.add_path(path, chunk_bw, eids)
             paths.append((path, chunk_bw, eids))
         return _merge(paths)

@@ -13,11 +13,10 @@ Deterministic, deadlock-safe next-hop tables per (node, destination slot):
 
 from __future__ import annotations
 
-import networkx as nx
-
 from repro.errors import UnsupportedRoutingError
 from repro.routing.shortest import routing_view
 from repro.topology.base import Topology, is_term, term
+from repro.topology.graph import all_shortest_paths
 
 
 class RouteTable:
@@ -35,17 +34,14 @@ class RouteTable:
             for src in self.slots:
                 if src == dst:
                     continue
-                try:
-                    for path in self._paths(src, dst):
-                        for a, b in zip(path, path[1:]):
-                            if is_term(a):
-                                continue  # injection handled by the terminal
-                            candidates.setdefault((a, term(dst)), set()).add(b)
-                except nx.NetworkXNoPath:
-                    # Faults severed this pair: leave it out of the table
-                    # (a packet for it raises UnsupportedRoutingError at
-                    # injection) instead of aborting the whole build.
-                    continue
+                # A pair the faults severed has no paths: it stays out of the
+                # table (a packet for it raises UnsupportedRoutingError
+                # at injection) instead of aborting the whole build.
+                for path in self._paths(src, dst):
+                    for a, b in zip(path, path[1:]):
+                        if is_term(a):
+                            continue  # injection handled by the terminal
+                        candidates.setdefault((a, term(dst)), set()).add(b)
         self._table = {
             key: tuple(sorted(nexts, key=repr))
             for key, nexts in candidates.items()
@@ -62,10 +58,9 @@ class RouteTable:
         # on a faulted fabric a terminal bounce can otherwise tie for
         # shortest (e.g. a butterfly terminal bridging the output stage
         # back to the input stage around a dead link).
+        graph = self.topology.graph
         s, d = term(src), term(dst)
-        yield from nx.all_shortest_paths(
-            routing_view(self.topology.graph, s, d), s, d
-        )
+        yield from all_shortest_paths(graph, s, d, routing_view(graph, s, d))
 
     def candidates(self, node, dst_slot: int) -> tuple:
         """All legal next hops from ``node`` toward ``dst_slot``."""

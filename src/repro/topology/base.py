@@ -1,7 +1,7 @@
 """NoC topology graphs (Definition 2 of the paper).
 
-A topology is modeled as a directed :class:`networkx.DiGraph` with two node
-kinds:
+A topology is modeled as a directed
+:class:`~repro.topology.graph.TopologyGraph` with two node kinds:
 
 * ``("term", i)`` — *terminal slot* ``i``; cores are mapped onto terminal
   slots (the vertices ``U`` of the paper's topology graph ``P(U, F)``).
@@ -28,9 +28,13 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from itertools import islice
 
-import networkx as nx
-
 from repro.errors import TopologyError, UnsupportedRoutingError
+from repro.topology.graph import (
+    TopologyGraph,
+    all_shortest_paths,
+    bfs_lengths,
+    descendants,
+)
 
 TERM = "term"
 SW = "sw"
@@ -75,8 +79,8 @@ def is_switch(node) -> bool:
 class ResourceSummary:
     """Switch/link counts for a topology instance (Figure 6(b) metric).
 
-    Link counting convention (documented in DESIGN.md): bidirectional
-    channel pairs of direct topologies count once; the inherently
+    Link counting convention: a link of a direct topology is a
+    bidirectional channel pair and counts once; the inherently
     unidirectional channels of multistage topologies count individually.
     Core (terminal) links are included.
     """
@@ -98,17 +102,20 @@ class Topology(ABC):
     kind = "direct"
 
     #: Whether bandwidth constraints also apply to terminal<->switch links.
-    #: Off by default (see DESIGN.md: the paper's MPEG4 results require NI
-    #: links to be unconstrained); topologies whose core links *are* the
-    #: network (e.g. star) turn it on.
+    #: Off by default: MPEG4's 910 MB/s flow alone exceeds the 500 MB/s
+    #: channel capacity, and no routing can split traffic across a core's
+    #: single NI link, so constrained NI links would make every MPEG4
+    #: mapping infeasible where the paper reports feasible split-routed
+    #: ones. Topologies whose core links *are* the network (e.g. star)
+    #: turn it on.
     constrain_core_links = False
 
     def __init__(self, name: str):
         self.name = name
-        self._graph: nx.DiGraph | None = None
+        self._graph: TopologyGraph | None = None
         self._dist_cache: dict | None = None
         # Structure caches: the graph is built once and never mutated
-        # afterwards, so edge lists, port counts, quadrant views and the
+        # afterwards, so edge lists, port counts, quadrant masks and the
         # direct-topology resource summary are all computed lazily and
         # reused (they sit on the mapping search's per-evaluation path).
         self._net_edges_cache: list | None = None
@@ -122,9 +129,8 @@ class Topology(ABC):
 
     def __getstate__(self) -> dict:
         """Drop derived caches when pickling (engine jobs ship
-        topologies to worker processes): subgraph views hold closures
-        that cannot pickle, and every cache rebuilds deterministically
-        on the other side."""
+        topologies to worker processes): every cache rebuilds
+        deterministically on the other side."""
         state = self.__dict__.copy()
         state["_net_edges_cache"] = None
         state["_core_edges_cache"] = None
@@ -139,7 +145,6 @@ class Topology(ABC):
         state.pop("_batch_layout_cache", None)
         state.pop("_phys_tables_cache", None)
         state.pop("_static_power_cache", None)
-        state.pop("_edge_index_cache", None)
         state.pop("_csr_cache", None)
         state.pop("_search_cache", None)
         state.pop("_dor_cache", None)
@@ -150,7 +155,7 @@ class Topology(ABC):
     # structure
     # ------------------------------------------------------------------
     @property
-    def graph(self) -> nx.DiGraph:
+    def graph(self) -> TopologyGraph:
         """The (lazily built) topology graph."""
         if self._graph is None:
             self._graph = self._build()
@@ -158,7 +163,7 @@ class Topology(ABC):
         return self._graph
 
     @abstractmethod
-    def _build(self) -> nx.DiGraph:
+    def _build(self) -> TopologyGraph:
         """Construct the topology graph."""
 
     @property
@@ -215,8 +220,10 @@ class Topology(ABC):
             g = self.graph
             cache = self._switch_ports_cache = {
                 node: (
-                    int(g.in_degree(node, weight="mult")),
-                    int(g.out_degree(node, weight="mult")),
+                    sum(int(g.attrs(u, node).get("mult", 1))
+                        for u in g.predecessors(node)),
+                    sum(int(g.attrs(node, v).get("mult", 1))
+                        for v in g.successors(node)),
                 )
                 for node in g.nodes
                 if is_switch(node)
@@ -225,7 +232,7 @@ class Topology(ABC):
 
     def channel_multiplicity(self, u, v) -> int:
         """Parallel physical channels on edge ``u -> v`` (default 1)."""
-        return int(self.graph.edges[u, v].get("mult", 1))
+        return int(self.graph.attrs(u, v).get("mult", 1))
 
     def channel_multiplicities(self) -> dict | None:
         """``{directed net edge: channels}`` for fat links, else ``None``.
@@ -263,7 +270,7 @@ class Topology(ABC):
             return cache[slot]
         except KeyError:
             pass
-        for _, v in self.graph.out_edges(term(slot)):
+        for v in self.graph.successors(term(slot)):
             if is_switch(v):
                 cache[slot] = v
                 return v
@@ -276,7 +283,7 @@ class Topology(ABC):
     def position(self, node) -> tuple[float, float]:
         """Abstract (x, y) placement of a node in tile-pitch units."""
 
-    def _annotate_lengths(self, g: nx.DiGraph) -> None:
+    def _annotate_lengths(self, g: TopologyGraph) -> None:
         """Set the ``length`` attribute of every edge from node positions."""
         for u, v, d in g.edges(data=True):
             if "length" in d:
@@ -307,9 +314,7 @@ class Topology(ABC):
         if self._dist_cache is None:
             self._dist_cache = {}
             for i in range(self.num_slots):
-                lengths = nx.single_source_shortest_path_length(
-                    self.graph, term(i)
-                )
+                lengths = bfs_lengths(self.graph, term(i))
                 # Edges on a term->term path exceed switch count by one.
                 self._dist_cache[i] = {
                     j: lengths[term(j)] - 1
@@ -328,24 +333,24 @@ class Topology(ABC):
         """
         return None
 
-    def quadrant_subgraph(self, src_slot: int, dst_slot: int) -> nx.DiGraph:
-        """The quadrant graph as a subgraph view (whole graph if trivial).
+    def quadrant_mask(self, src_slot: int, dst_slot: int) -> frozenset | None:
+        """The quadrant graph as a node mask over :attr:`graph` (its
+        nodes plus the two endpoint terminals), or ``None`` when the
+        quadrant is the whole graph.
 
-        Views are cached per (src, dst): the quadrant depends only on
-        the slot pair, never on the mapping, and the swap search asks
-        for the same pairs thousands of times per evaluation round.
+        Masks are cached per (src, dst): the quadrant depends only on
+        the slot pair, never on the mapping.
         """
         key = (src_slot, dst_slot)
-        view = self._quadrant_cache.get(key)
-        if view is None:
-            nodes = self.quadrant_nodes(src_slot, dst_slot)
-            if nodes is None:
-                view = self.graph
-            else:
-                nodes = set(nodes) | {term(src_slot), term(dst_slot)}
-                view = self.graph.subgraph(nodes)
-            self._quadrant_cache[key] = view
-        return view
+        try:
+            return self._quadrant_cache[key]
+        except KeyError:
+            pass
+        nodes = self.quadrant_nodes(src_slot, dst_slot)
+        if nodes is not None:
+            nodes = frozenset(nodes) | {term(src_slot), term(dst_slot)}
+        self._quadrant_cache[key] = nodes
+        return nodes
 
     def dor_path(self, src_slot: int, dst_slot: int) -> list:
         """Dimension-ordered route between two slots, as a node list.
@@ -362,7 +367,7 @@ class Topology(ABC):
         """Number of distinct minimum paths (capped at MAX_DIVERSITY)."""
         if src_slot == dst_slot:
             return 0
-        paths = nx.all_shortest_paths(self.graph, term(src_slot), term(dst_slot))
+        paths = all_shortest_paths(self.graph, term(src_slot), term(dst_slot))
         return sum(1 for _ in islice(paths, MAX_DIVERSITY))
 
     # ------------------------------------------------------------------
@@ -391,12 +396,12 @@ class Topology(ABC):
                 used_switches = set(self.switches)
                 seen = set()
                 net_links = 0
-                edge_data = self.graph.edges
+                attrs = self.graph.attrs
                 for u, v in self.net_edges():
                     if (v, u) in seen:
                         continue
                     seen.add((u, v))
-                    net_links += int(edge_data[u, v].get("mult", 1))
+                    net_links += int(attrs(u, v).get("mult", 1))
                 ports = {
                     sw: self.switch_ports(sw)
                     for sw in sorted(used_switches)
@@ -450,7 +455,7 @@ class Topology(ABC):
                 )
         # Every terminal must reach every other terminal.
         for i in range(min(self.num_slots, 4)):
-            reach = nx.descendants(g, term(i))
+            reach = descendants(g, term(i))
             for j in range(self.num_slots):
                 if j != i and term(j) not in reach:
                     raise TopologyError(

@@ -22,10 +22,9 @@ from __future__ import annotations
 
 import math
 
-import networkx as nx
-
 from repro.errors import TopologyError
 from repro.topology.base import Topology, switch, term
+from repro.topology.graph import TopologyGraph
 
 _STAGE_PITCH = 1.5
 
@@ -78,8 +77,8 @@ class ButterflyTopology(Topology):
         """Stage ``stage+1`` switch reached from output ``port``."""
         return self._replace_digit(label, self.n - 2 - stage, port)
 
-    def _build(self) -> nx.DiGraph:
-        g = nx.DiGraph(name=self.name)
+    def _build(self) -> TopologyGraph:
+        g = TopologyGraph()
         for t in range(self.num_slots):
             g.add_edge(term(t), switch((0, t // self.k)), kind="core")
             g.add_edge(switch((self.n - 1, t // self.k)), term(t), kind="core")

@@ -18,10 +18,9 @@ from __future__ import annotations
 
 import math
 
-import networkx as nx
-
 from repro.errors import TopologyError
 from repro.topology.base import Topology, switch, term
+from repro.topology.graph import TopologyGraph
 
 #: x-coordinates (tile pitches) of the terminal / stage columns used for
 #: the floorplan-free length estimates.
@@ -72,8 +71,8 @@ class ClosTopology(Topology):
             [switch(("out", k)) for k in range(self.r)],
         ]
 
-    def _build(self) -> nx.DiGraph:
-        g = nx.DiGraph(name=self.name)
+    def _build(self) -> TopologyGraph:
+        g = TopologyGraph()
         for t in range(self.num_slots):
             g.add_edge(term(t), self.ingress_of(t), kind="core")
             g.add_edge(self.egress_of(t), term(t), kind="core")

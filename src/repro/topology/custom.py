@@ -37,10 +37,9 @@ from __future__ import annotations
 import math
 from collections import Counter
 
-import networkx as nx
-
 from repro.errors import TopologyError
 from repro.topology.base import Topology, switch, term
+from repro.topology.graph import TopologyGraph, descendants
 
 
 class CustomTopology(Topology):
@@ -116,8 +115,8 @@ class CustomTopology(Topology):
         """Switch placements in tile pitches (a copy)."""
         return dict(self._positions)
 
-    def _build(self) -> nx.DiGraph:
-        g = nx.DiGraph(name=self.name)
+    def _build(self) -> TopologyGraph:
+        g = TopologyGraph()
         for slot, sid in enumerate(self._slot_switch):
             g.add_edge(term(slot), switch(sid), kind="core")
             g.add_edge(switch(sid), term(slot), kind="core")
@@ -134,7 +133,7 @@ class CustomTopology(Topology):
     def validate_connectivity(self) -> None:
         """Every slot must reach every other slot."""
         g = self.graph
-        reach = nx.descendants(g, term(0))
+        reach = descendants(g, term(0))
         for slot in range(1, self.num_slots):
             if term(slot) not in reach:
                 raise TopologyError(

@@ -14,10 +14,9 @@ from __future__ import annotations
 
 import math
 
-import networkx as nx
-
 from repro.errors import TopologyError
 from repro.topology.base import Topology, switch, term
+from repro.topology.graph import TopologyGraph
 
 
 class HypercubeTopology(Topology):
@@ -44,8 +43,8 @@ class HypercubeTopology(Topology):
         return 1 << self.dimensions
 
     # ------------------------------------------------------------------
-    def _build(self) -> nx.DiGraph:
-        g = nx.DiGraph(name=self.name)
+    def _build(self) -> TopologyGraph:
+        g = TopologyGraph()
         for i in range(self.num_slots):
             g.add_edge(term(i), switch(i), kind="core")
             g.add_edge(switch(i), term(i), kind="core")

@@ -8,10 +8,9 @@ be easily added to the topology library" — this module is that addition.
 
 from __future__ import annotations
 
-import networkx as nx
-
 from repro.errors import TopologyError
 from repro.topology.base import Topology, switch, term
+from repro.topology.graph import TopologyGraph
 
 #: Placement of the eight octagon nodes on a 3x3 grid perimeter.
 _RING_POSITIONS = [
@@ -50,8 +49,8 @@ class OctagonTopology(Topology):
     def num_slots(self) -> int:
         return self.NUM_NODES
 
-    def _build(self) -> nx.DiGraph:
-        g = nx.DiGraph(name=self.name)
+    def _build(self) -> TopologyGraph:
+        g = TopologyGraph()
         for i in range(self.NUM_NODES):
             g.add_edge(term(i), switch(i), kind="core")
             g.add_edge(switch(i), term(i), kind="core")

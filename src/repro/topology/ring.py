@@ -8,10 +8,9 @@ from __future__ import annotations
 
 import math
 
-import networkx as nx
-
 from repro.errors import TopologyError
 from repro.topology.base import Topology, switch, term
+from repro.topology.graph import TopologyGraph
 from repro.topology.torus import cyclic_arc
 
 
@@ -36,8 +35,8 @@ class RingTopology(Topology):
     def num_slots(self) -> int:
         return self.size
 
-    def _build(self) -> nx.DiGraph:
-        g = nx.DiGraph(name=self.name)
+    def _build(self) -> TopologyGraph:
+        g = TopologyGraph()
         for i in range(self.size):
             g.add_edge(term(i), switch(i), kind="core")
             g.add_edge(switch(i), term(i), kind="core")

@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import math
 
-import networkx as nx
-
 from repro.errors import TopologyError
 from repro.topology.base import Topology, switch, term
+from repro.topology.graph import TopologyGraph
 
 
 class StarTopology(Topology):
@@ -47,8 +46,8 @@ class StarTopology(Topology):
     def hub(self):
         return switch("hub")
 
-    def _build(self) -> nx.DiGraph:
-        g = nx.DiGraph(name=self.name)
+    def _build(self) -> TopologyGraph:
+        g = TopologyGraph()
         for i in range(self.num_leaves):
             g.add_edge(term(i), self.hub, kind="core")
             g.add_edge(self.hub, term(i), kind="core")

@@ -13,9 +13,8 @@ floorplanner runs, lengths are measured from actual block positions.
 
 from __future__ import annotations
 
-import networkx as nx
-
 from repro.topology.base import switch, term
+from repro.topology.graph import TopologyGraph
 from repro.topology.mesh import MeshTopology
 
 
@@ -54,7 +53,7 @@ class TorusTopology(MeshTopology):
     def _col_wraps(self) -> bool:
         return self.cols > 2
 
-    def _build(self) -> nx.DiGraph:
+    def _build(self) -> TopologyGraph:
         g = super()._build()
         if self._row_wraps:
             for c in range(self.cols):

@@ -136,21 +136,21 @@ def build_netlist(
 
     # Port numbering: stable sort of each switch's graph edges. A fat
     # link (``mult`` channels) reserves one port per physical channel.
-    edge_data = topology.graph.edges
+    graph = topology.graph
     in_port: dict[tuple, int] = {}
     out_port: dict[tuple, int] = {}
     for sw in switches:
         idx = 0
-        for u, v in sorted(topology.graph.in_edges(sw), key=repr):
-            in_port[(u, v)] = idx
-            idx += int(edge_data[u, v].get("mult", 1))
+        for edge in sorted(((u, sw) for u in graph.predecessors(sw)), key=repr):
+            in_port[edge] = idx
+            idx += int(graph.attrs(*edge).get("mult", 1))
         idx = 0
-        for u, v in sorted(topology.graph.out_edges(sw), key=repr):
-            out_port[(u, v)] = idx
-            idx += int(edge_data[u, v].get("mult", 1))
+        for edge in sorted(((sw, v) for v in graph.successors(sw)), key=repr):
+            out_port[edge] = idx
+            idx += int(graph.attrs(*edge).get("mult", 1))
 
     link_id = 0
-    for u, v, data in sorted(topology.graph.edges(data=True), key=repr):
+    for u, v, data in sorted(graph.edges(data=True), key=repr):
         src = netlist.node_instance.get(u)
         dst = netlist.node_instance.get(v)
         if src is None or dst is None:

@@ -136,20 +136,23 @@ class TestSQLiteBackend:
         store.close()
 
     def test_schema_mismatch_discards_entries(self, tmp_path):
-        path = tmp_path / "evals.db"
-        store = SQLiteBackend(path)
-        store.put(KEY_A, "a")
-        store.close()
-        conn = sqlite3.connect(path)
-        conn.execute(
-            "UPDATE meta SET v = '999' WHERE k = 'schema_version'"
-        )
-        conn.commit()
-        conn.close()
-        reopened = SQLiteBackend(path)  # cold start, not a guess
-        assert reopened.get(KEY_A) is None
-        assert len(reopened) == 0
-        reopened.close()
+        # "2" is the previous version, whose entries pickle networkx
+        # graphs: reading them would re-import networkx.
+        for stamp in ("999", "2"):
+            path = tmp_path / f"evals-{stamp}.db"
+            store = SQLiteBackend(path)
+            store.put(KEY_A, "a")
+            store.close()
+            conn = sqlite3.connect(path)
+            conn.execute(
+                "UPDATE meta SET v = ? WHERE k = 'schema_version'", (stamp,)
+            )
+            conn.commit()
+            conn.close()
+            reopened = SQLiteBackend(path)  # cold start, not a guess
+            assert reopened.get(KEY_A) is None
+            assert len(reopened) == 0
+            reopened.close()
 
     def test_concurrent_writers_from_processes(self, tmp_path):
         """Two processes hammering the same store never corrupt it."""

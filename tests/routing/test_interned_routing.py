@@ -25,6 +25,7 @@ from functools import lru_cache
 import networkx as nx
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from nx_oracle import to_networkx
 
 from repro.apps import mpeg4
 from repro.core.constraints import Constraints
@@ -127,9 +128,10 @@ def test_min_hop_kernel_matches_networkx(name, pick, ops, quadrant):
     scale = hop_scale(loads, 10.0, search.num_nodes)
     path, eids = _dijkstra_min_hop(search, loads.by_edge_id, scale)
 
-    graph = (
-        topology.quadrant_subgraph(src_slot, dst_slot) if quadrant
-        else routing_view(topology.graph, src, dst)
+    graph = to_networkx(
+        topology.graph,
+        topology.quadrant_mask(src_slot, dst_slot) if quadrant
+        else routing_view(topology.graph, src, dst),
     )
     assert search.num_nodes == graph.number_of_nodes()
     expected = nx.dijkstra_path(
@@ -141,8 +143,7 @@ def test_min_hop_kernel_matches_networkx(name, pick, ops, quadrant):
     if search.unique is not None:
         assert path == search.unique
         assert eids == search.unique_eids
-    # The ad-hoc graph API interns the same graph on the spot.
-    assert shortest.min_hop_then_load(graph, src, dst, loads, 10.0) == (
+    assert shortest.min_hop_then_load(search, loads, 10.0) == (
         search.unique or expected
     )
 
@@ -163,9 +164,9 @@ def test_load_then_hops_matches_networkx(name, pick, ops, value):
     src, dst = term(src_slot), term(dst_slot)
     loads = _ledger(topology, ops)
     search = topology_search(topology, src_slot, dst_slot, quadrant=False)
-    path, eids = split.load_then_hops(search, src, dst, loads, value)
+    path, eids = split.load_then_hops(search, loads, value)
 
-    view = routing_view(topology.graph, src, dst)
+    view = to_networkx(topology.graph, routing_view(topology.graph, src, dst))
     eps = max(1e-9, (loads.total + value) * 1e-6)
     expected = nx.dijkstra_path(
         view, src, dst, weight=lambda u, v, _: loads.get(u, v) + eps
@@ -173,7 +174,6 @@ def test_load_then_hops_matches_networkx(name, pick, ops, value):
     assert path == expected
     ids, _ = edge_index(topology)
     assert eids == [ids[edge] for edge in zip(path, path[1:])]
-    assert shortest.load_then_hops(view, src, dst, loads, value)[0] == expected
 
 
 # ----------------------------------------------------------------------
@@ -275,14 +275,15 @@ def test_pickled_topology_drops_interned_caches():
         make_routing("SM"), Constraints(), with_floorplan=False,
     )
     topology_search(topology, 0, 5, quadrant=False)
-    for cache in ("_edge_index_cache", "_csr_cache", "_search_cache"):
+    for cache in ("_csr_cache", "_search_cache"):
         assert cache in topology.__dict__
+    assert topology.graph._index is not None
     clone = pickle.loads(pickle.dumps(topology))
-    for cache in (
-        "_edge_index_cache", "_csr_cache", "_search_cache",
-        "_search_edges_cache",
-    ):
+    for cache in ("_csr_cache", "_search_cache", "_search_edges_cache"):
         assert cache not in clone.__dict__
+    # The graph's native edge ids are renumbered, not pickled.
+    assert clone.graph._index is None
+    assert edge_index(clone) == edge_index(topology)
 
 
 def _selection_bits(selection) -> list:

@@ -1,65 +1,64 @@
 """Load-aware shortest-path helpers."""
 
-import networkx as nx
 from repro.routing.loads import EdgeLoads
 from repro.routing.shortest import (
+    SearchGraph,
     load_then_hops,
     min_hop_then_load,
     routing_view,
 )
 from repro.topology.base import term
+from repro.topology.graph import TopologyGraph
 from repro.topology.library import make_topology
 
 
-def diamond() -> nx.DiGraph:
-    """s -> {a, b} -> t plus a long detour s -> c -> d -> t."""
-    g = nx.DiGraph()
+def diamond() -> tuple[SearchGraph, EdgeLoads]:
+    """s -> {a, b} -> t plus a long detour s -> c -> d -> t, as a
+    search graph and an empty ledger sharing its edge ids."""
+    g = TopologyGraph()
     for u, v in [
         ("s", "a"), ("a", "t"),
         ("s", "b"), ("b", "t"),
         ("s", "c"), ("c", "d"), ("d", "t"),
     ]:
         g.add_edge(u, v)
-    return g
+    return SearchGraph(g, "s", "t"), EdgeLoads(g.edge_index())
 
 
 class TestMinHopThenLoad:
     def test_prefers_min_hops_despite_load(self):
-        g = diamond()
-        loads = EdgeLoads()
+        search, loads = diamond()
         loads.add("s", "a", 1000.0)
         loads.add("a", "t", 1000.0)
         loads.add("s", "b", 1000.0)
         loads.add("b", "t", 1000.0)
-        path = min_hop_then_load(g, "s", "t", loads, 10.0)
+        path = min_hop_then_load(search, loads, 10.0)
         assert len(path) == 3  # never takes the 4-node detour
 
     def test_breaks_ties_by_load(self):
-        g = diamond()
-        loads = EdgeLoads()
+        search, loads = diamond()
         loads.add("s", "a", 500.0)
-        path = min_hop_then_load(g, "s", "t", loads, 10.0)
+        path = min_hop_then_load(search, loads, 10.0)
         assert path == ["s", "b", "t"]
 
     def test_zero_load_deterministic(self):
-        g = diamond()
-        p1 = min_hop_then_load(g, "s", "t", EdgeLoads(), 1.0)
-        p2 = min_hop_then_load(g, "s", "t", EdgeLoads(), 1.0)
+        search, loads = diamond()
+        p1 = min_hop_then_load(search, loads, 1.0)
+        p2 = min_hop_then_load(search, loads.copy(), 1.0)
         assert p1 == p2
 
 
 class TestLoadThenHops:
     def test_takes_detour_to_avoid_load(self):
-        g = diamond()
-        loads = EdgeLoads()
+        search, loads = diamond()
         for u, v in [("s", "a"), ("a", "t"), ("s", "b"), ("b", "t")]:
             loads.add(u, v, 500.0)
-        path, _ = load_then_hops(g, "s", "t", loads, 10.0)
+        path, _ = load_then_hops(search, loads, 10.0)
         assert path == ["s", "c", "d", "t"]
 
     def test_zero_load_is_minimal(self):
-        g = diamond()
-        path, _ = load_then_hops(g, "s", "t", EdgeLoads(), 10.0)
+        search, loads = diamond()
+        path, _ = load_then_hops(search, loads, 10.0)
         assert len(path) == 3
 
 

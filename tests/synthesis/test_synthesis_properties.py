@@ -20,6 +20,7 @@ import math
 import networkx as nx
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from nx_oracle import to_networkx
 
 from repro.apps.synthetic import random_core_graph
 from repro.core.constraints import Constraints
@@ -84,8 +85,7 @@ def test_fabric_structure_invariants(params, strategy, concentration, degree):
     # One terminal slot per core.
     assert topo.num_slots == n_cores
     # Connected: every terminal reaches every other terminal.
-    g = topo.graph
-    assert nx.is_strongly_connected(g)
+    assert nx.is_strongly_connected(to_networkx(topo.graph))
     # Network degree per switch (channels, multiplicity counted) within
     # the configured bound; switch_ports reflects channels + core slots.
     mults = topo.link_multiplicity()

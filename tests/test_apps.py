@@ -52,7 +52,8 @@ class TestRandomCoreGraph:
         import networkx as nx
 
         app = random_core_graph(10, seed=3)
-        g = app.to_networkx().to_undirected()
+        g = nx.Graph(list(app.flows()))
+        g.add_nodes_from(range(app.num_cores))
         assert nx.is_connected(g)
 
     def test_flow_count_honored(self):

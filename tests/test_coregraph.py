@@ -1,6 +1,5 @@
 """Unit tests for the core graph model (paper Definition 1)."""
 
-import networkx as nx
 import pytest
 
 from repro.core.coregraph import CoreGraph
@@ -100,13 +99,6 @@ class TestQueries:
     def test_total_core_area(self):
         g = make_pair()
         assert g.total_core_area() == pytest.approx(5.0)
-
-    def test_to_networkx_round_trip(self):
-        g = make_pair()
-        nxg = g.to_networkx()
-        assert isinstance(nxg, nx.DiGraph)
-        assert nxg.number_of_nodes() == 2
-        assert nxg.edges[0, 1]["comm"] == pytest.approx(100.0)
 
     def test_repr_mentions_name(self):
         assert "pair" in repr(make_pair())

@@ -2,6 +2,7 @@
 
 import networkx as nx
 import pytest
+from nx_oracle import to_networkx
 
 from repro.errors import TopologyError
 from repro.topology.base import is_switch, switch, term
@@ -39,11 +40,11 @@ class TestWiring:
         topo = ButterflyTopology(k=2, n=3)
         g = topo.graph
         stage0_targets = sorted(
-            v[1][1] for _, v in g.out_edges(switch((0, 0))) if is_switch(v)
+            v[1][1] for v in g.successors(switch((0, 0))) if is_switch(v)
         )
         assert stage0_targets == [0, 2]
         stage1_targets = sorted(
-            v[1][1] for _, v in g.out_edges(switch((1, 0))) if is_switch(v)
+            v[1][1] for v in g.successors(switch((1, 0))) if is_switch(v)
         )
         assert stage1_targets == [0, 1]
 
@@ -67,14 +68,18 @@ class TestUniquePath:
             for d in range(8):
                 if s == d:
                     continue
-                view = routing_view(topo.graph, term(s), term(d))
+                view = to_networkx(
+                    topo.graph, routing_view(topo.graph, term(s), term(d))
+                )
                 paths = list(nx.all_simple_paths(view, term(s), term(d)))
                 assert len(paths) == 1
 
     def test_unique_path_matches_graph_shortest(self):
         topo = ButterflyTopology(k=4, n=2)
         for s, d in [(0, 15), (3, 12), (7, 8), (1, 2)]:
-            expected = nx.shortest_path(topo.graph, term(s), term(d))
+            expected = nx.shortest_path(
+                to_networkx(topo.graph), term(s), term(d)
+            )
             assert topo.unique_path(s, d) == expected
 
     def test_all_pairs_traverse_n_switches(self):

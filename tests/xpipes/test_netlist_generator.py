@@ -49,7 +49,7 @@ class TestNetlist:
         topo, netlist = dsp_netlist
         assert len(netlist.switches) == 6
         assert len(netlist.nis) == dsp_app.num_cores
-        assert len(netlist.links) == topo.graph.number_of_edges()
+        assert len(netlist.links) == len(topo.graph.edges())
 
     def test_validate_passes(self, dsp_netlist):
         _, netlist = dsp_netlist
