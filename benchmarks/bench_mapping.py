@@ -39,7 +39,11 @@ measures its MP/SM ``evals_per_sec`` cases (full budget), and the
 change measures the entry. Each pair scales the change's rate by the
 geomean of recorded over measured MP/SM rates of the previous commit
 in the same pair, which puts it on the record's machine speed; the
-entry is the median of the ten scaled rates.
+entry is the median of the ten scaled rates. A ``search_candidates_per_sec``
+entry is re-recorded the same way, except that the previous commit
+also measures both search cases and the change's rate is scaled by the
+geomean of recorded over measured search rates: the two streams do not
+move together, so one cannot calibrate the other.
 """
 
 from __future__ import annotations

@@ -2,9 +2,10 @@
 
 The canonical 12-core MPEG4 decoder graph with the shared SDRAM hub. Edge
 bandwidths match the paper's figure annotations {910, 670, 600, 600, 500,
-250, 190, 173, 40, 40, 32, 0.5, 0.5} (the paper's prose says "14 cores"
-but its figure — and the companion DATE'04 paper — draw this 12-core
-graph; see DESIGN.md).
+250, 190, 173, 40, 40, 32, 0.5, 0.5}. The paper's prose says "14 cores",
+but its figure and the companion DATE'04 paper both draw this 12-core
+graph, and only the figure gives the flows and bandwidths the
+experiments need, so the figure's graph is the one reproduced.
 
 The graph's defining property for the experiments: four flows exceed the
 500 MB/s link capacity (910/670/600/600), so minimum-path routing is

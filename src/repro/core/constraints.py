@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 from repro.floorplan.lp import FloorplanResult
-from repro.routing.base import RoutingResult
+from repro.routing.base import RoutingResult, worst_hops
 from repro.routing.loads import edge_index
 from repro.topology.base import Topology
 
@@ -31,8 +31,11 @@ class Constraints:
     Attributes:
         link_capacity_mb_s: capacity of every switch-to-switch channel.
         core_link_capacity_mb_s: optional capacity for terminal links
-            (None = unconstrained; see DESIGN.md on why the paper's
-            results require NI links to be unconstrained).
+            (None = unconstrained). The paper's results need the NI
+            links unconstrained: each core attaches through one link,
+            and MPEG4's SDRAM alone injects 950.5 MB/s (its 910 MB/s
+            flow included) and ejects 1460.5 MB/s, so a 500 MB/s cap
+            there would rule out the SM/SA mappings Section 6.1 reports.
         max_area_mm2: optional ceiling on the floorplanned design area.
         max_chip_aspect: maximum chip width/height ratio (either
             orientation).
@@ -217,7 +220,7 @@ class RoutingWatch:
 
     __slots__ = (
         "table", "max_hops", "feasible_key", "key_violations",
-        "key_overflow", "violations", "violated", "overflow", "excess",
+        "threshold", "violations", "violated", "overflow", "excess",
     )
 
     def __init__(self, topology: Topology, constraints: Constraints, key):
@@ -225,40 +228,46 @@ class RoutingWatch:
         self.max_hops = constraints.max_flow_hops
         self.feasible_key = key[0] == 0
         self.key_violations = key[1]
-        self.key_overflow = key[2]
+        #: ``beyond(overflow, key[2])`` is ``overflow > threshold``.
+        self.threshold = key[2] + 1e-9 * max(1.0, abs(key[2]))
         self.violations = 0
         self.violated = False
         self.overflow = 0.0
-        self.excess: dict[int, float] = {}
+        #: Per edge id, the excess already counted in ``overflow``.
+        self.excess = None if self.feasible_key else (
+            [0.0] * len(self.table.divisor)
+        )
 
-    def __call__(self, rc, loads) -> bool:
-        # ``route_all``'s ledger is keyed by the topology's edge ids.
+    def __call__(self, routes, loads) -> bool:
+        # ``routes`` are one commodity's ``(path, bw, edge ids)``
+        # triples; ``route_all``'s ledger is keyed by the topology's
+        # edge ids.
         load = loads.by_edge_id
         table = self.table
         divisor = table.divisor
         limit = table.limit
         max_hops = self.max_hops
         if self.feasible_key:
-            for eids in rc.edge_ids:
+            for _, _, eids in routes:
                 for eid in eids:
                     if load[eid] / divisor[eid] > limit[eid]:
                         return True
-            return max_hops is not None and rc.worst_hops() > max_hops
+            return max_hops is not None and worst_hops(routes) > max_hops
         violated = self.violated
-        if max_hops is not None and rc.worst_hops() > max_hops:
+        if max_hops is not None and worst_hops(routes) > max_hops:
             self.violations += 1
             violated = True
         capacity = table.capacity
         excess = self.excess
         overflow = self.overflow
-        for eids in rc.edge_ids:
+        for _, _, eids in routes:
             for eid in eids:
                 value = load[eid]
                 if value / divisor[eid] > limit[eid]:
                     violated = True
                 over = value - capacity[eid]
                 if over > 0.0:
-                    overflow += over - excess.get(eid, 0.0)
+                    overflow += over - excess[eid]
                     excess[eid] = over
         self.overflow = overflow
         self.violated = violated
@@ -266,7 +275,7 @@ class RoutingWatch:
             return False
         if self.violations != self.key_violations:
             return self.violations > self.key_violations
-        return beyond(overflow, self.key_overflow)
+        return overflow > self.threshold
 
 
 def beyond(value: float, reference: float) -> bool:

@@ -105,6 +105,7 @@ def evaluate_mapping(
     estimator: NetworkEstimator | None = None,
     with_floorplan: bool = True,
     bound=None,
+    checked: bool = False,
 ) -> MappingEvaluation | None:
     """Route, check and measure one mapping.
 
@@ -119,12 +120,16 @@ def evaluate_mapping(
             provably cannot — before routing, mid-routing, or before
             the floorplan LP and power walk — and the result is
             ``None``; a mapping that might win is evaluated in full.
+        checked: the caller has already validated ``assignment`` (the
+            swap search's memo validates each base assignment once and
+            each candidate's two swapped slots), so it is not re-checked.
 
     Raises:
         MappingInfeasibleError: if the assignment is structurally invalid
             (wrong size, duplicate slots, slot out of range).
     """
-    _validate_assignment(core_graph, topology, assignment)
+    if not checked:
+        validate_assignment(core_graph, topology, assignment)
     if estimator is None:
         estimator = NetworkEstimator()
     if bound is not None and bound.hops_cut(core_graph, topology, assignment):
@@ -218,9 +223,11 @@ def evaluate_mapping(
     return evaluation
 
 
-def _validate_assignment(
+def validate_assignment(
     core_graph: CoreGraph, topology: Topology, assignment: dict[int, int]
 ) -> None:
+    """Raise :class:`MappingInfeasibleError` unless ``assignment`` maps
+    every core of ``core_graph`` to its own slot of ``topology``."""
     if set(assignment) != set(range(core_graph.num_cores)):
         raise MappingInfeasibleError(
             "assignment must map every core exactly once"

@@ -26,7 +26,12 @@ from dataclasses import dataclass
 
 from repro.core.constraints import Constraints
 from repro.core.coregraph import CoreGraph
-from repro.core.evaluate import MappingEvaluation, evaluate_mapping
+from repro.core.evaluate import (
+    MappingEvaluation,
+    evaluate_mapping,
+    validate_assignment,
+)
+from repro.errors import MappingInfeasibleError
 from repro.physical.estimate import NetworkEstimator
 from repro.routing.base import RoutingFunction
 from repro.topology.base import Topology
@@ -85,6 +90,7 @@ class MemoizedMappingEvaluator:
         "estimator",
         "stats",
         "_visited",
+        "_checked_base",
     )
 
     def __init__(
@@ -102,6 +108,9 @@ class MemoizedMappingEvaluator:
         self.estimator = estimator
         self.stats = MemoStats()
         self._visited: set[tuple] = set()
+        #: The last base assignment ``evaluate_swap`` validated (the
+        #: swap search hands in one base, never mutated, per round).
+        self._checked_base = None
 
     def evaluate(
         self, assignment: dict[int, int], with_floorplan: bool
@@ -122,17 +131,33 @@ class MemoizedMappingEvaluator:
         With a ``bound`` (a :class:`~repro.core.mapper.SwapBound`), a
         candidate that provably cannot beat it returns ``None``; an
         already visited one does so without being routed.
+
+        The base assignment is validated once (and again only when a
+        different base dict is handed in); each candidate then needs
+        only its two slots in range, since a swap of a valid
+        assignment's in-range slots is valid.
         """
+        if base_assignment is not self._checked_base:
+            validate_assignment(
+                self.core_graph, self.topology, base_assignment
+            )
+            self._checked_base = base_assignment
+        num_slots = self.topology.num_slots
+        for slot in (s1, s2):
+            if not 0 <= slot < num_slots:
+                raise MappingInfeasibleError(f"slot {slot} out of range")
         assignment = swap_assignment(base_assignment, s1, s2)
         key = _key(assignment)
         if bound is not None and key in self._visited:
             self.stats.hits += 1
             return None
-        return self._evaluate(assignment, key, with_floorplan, bound)
+        return self._evaluate(
+            assignment, key, with_floorplan, bound, checked=True
+        )
 
     def _evaluate(
         self, assignment: dict[int, int], key: tuple, with_floorplan: bool,
-        bound=None,
+        bound=None, checked: bool = False,
     ) -> MappingEvaluation | None:
         # The shared body of both entry points; neither calls the other,
         # so a wrapper around either sees each lookup once.
@@ -147,6 +172,7 @@ class MemoizedMappingEvaluator:
             estimator=self.estimator,
             with_floorplan=with_floorplan,
             bound=bound,
+            checked=checked,
         )
         if evaluation is None:
             self.stats.pruned += 1

@@ -68,13 +68,20 @@ class RoutedCommodity:
 
     def worst_hops(self) -> int:
         """Switch count of this commodity's longest path."""
-        return max((len(path) - 2 for path, _ in self.paths), default=0)
+        return worst_hops(self.paths)
 
     def validate_conservation(self, tol: float = 1e-6) -> bool:
         routed = sum(bw for _, bw in self.paths)
         return abs(routed - self.commodity.value) <= tol * max(
             1.0, self.commodity.value
         )
+
+
+def worst_hops(routes) -> int:
+    """Switch count of the longest path among ``routes``, tuples that
+    start with a node path (``RoutedCommodity.paths`` pairs or
+    ``route_commodity`` triples)."""
+    return max((len(route[0]) - 2 for route in routes), default=0)
 
 
 def ledger_load_bound(
@@ -152,7 +159,9 @@ class RoutingFunction(ABC):
         sum to ``value``; the edge ids are the path's ids in
         ``edge_index(topology)``. The method must call
         ``loads.add_path`` itself so that multi-chunk routing sees its
-        own earlier chunks.
+        own earlier chunks. The paths and edge-id lists may be the
+        topology's interned ones and are read-only: ``route_all``
+        copies the paths into a finished run's result.
         """
 
     def route_all(
@@ -169,29 +178,37 @@ class RoutingFunction(ABC):
             slot_of: core index -> terminal slot (the mapping function).
             commodities: commodities in decreasing value order (Figure 5,
                 step 2).
-            stop: optional ``stop(routed_commodity, loads) -> bool``,
-                asked after each commodity; ``True`` abandons the run
-                and ``route_all`` returns ``None`` (the swap search's
-                early exit for a candidate that provably loses, see
+            stop: optional ``stop(routes, loads) -> bool``, asked after
+                each commodity with its :meth:`route_commodity` triples
+                (read-only); ``True`` abandons the run and ``route_all``
+                returns ``None`` (the swap search's early exit for a
+                candidate that provably loses, see
                 :class:`~repro.core.constraints.RoutingWatch`).
+
+        The :class:`RoutedCommodity` records are built only once every
+        commodity is routed, so an abandoned run builds none.
         """
         loads = EdgeLoads(edge_index(topology))
         loads.load_bound = ledger_load_bound(topology, commodities)
-        routed = []
+        route_commodity = self.route_commodity
+        runs = []
         for c in commodities:
             src = slot_of[c.src]
             dst = slot_of[c.dst]
-            routes = self.route_commodity(topology, src, dst, c.value, loads)
-            rc = RoutedCommodity(
+            routes = route_commodity(topology, src, dst, c.value, loads)
+            if stop is not None and stop(routes, loads):
+                return None
+            runs.append((c, src, dst, routes))
+        routed = [
+            RoutedCommodity(
                 commodity=c,
                 src_slot=src,
                 dst_slot=dst,
-                paths=[(path, bw) for path, bw, _ in routes],
+                paths=[(list(path), bw) for path, bw, _ in routes],
                 edge_ids=[eids for _, _, eids in routes],
             )
-            routed.append(rc)
-            if stop is not None and stop(rc, loads):
-                return None
+            for c, src, dst, routes in runs
+        ]
         return RoutingResult(routed=routed, loads=loads)
 
     def __repr__(self) -> str:

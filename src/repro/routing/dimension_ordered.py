@@ -22,7 +22,8 @@ def dor_route(topology: Topology, src_slot: int, dst_slot: int):
 
     Cached on the topology like the interned search graphs (and dropped
     by ``Topology.__getstate__``): the route depends on the slot pair
-    alone. Callers copy the path before handing it out.
+    alone. The path and edge ids are read-only; ``route_all`` copies
+    the path into a finished run's result.
     """
     cache = topology.__dict__.get("_dor_cache")
     if cache is None:
@@ -55,4 +56,4 @@ class DimensionOrderedRouting(RoutingFunction):
         path, eids = dor_route(topology, src_slot, dst_slot)
         loads.bind(edge_index(topology))
         loads.add_path(path, value, eids)
-        return [(list(path), value, eids)]
+        return [(path, value, eids)]

@@ -117,6 +117,32 @@ class EdgeLoads:
             total += value
         self._total = total
 
+    def add_chunks(
+        self, edge_ids: list[int], value: float, chunks: int
+    ) -> None:
+        """Add ``chunks`` chunks of ``value`` MB/s along a path's edge
+        ids in one pass.
+
+        Bit-identical to ``chunks`` :meth:`add_path` calls: every edge
+        and :attr:`total` receive the same value the same number of
+        times, and the edges are first touched in path order. A path's
+        edges are distinct, so no sum depends on how the chunks
+        interleave.
+        """
+        load = self._load
+        seen = self._seen
+        total = self._total
+        for eid in edge_ids:
+            if not seen[eid]:
+                seen[eid] = 1
+                self._order.append(eid)
+            edge_load = load[eid]
+            for _ in range(chunks):
+                edge_load += value
+                total += value
+            load[eid] = edge_load
+        self._total = total
+
     def get(self, u, v) -> float:
         eid = self._ids.get((u, v))
         return 0.0 if eid is None else self._load[eid]

@@ -48,7 +48,7 @@ class MinimumPathRouting(RoutingFunction):
         )
         loads.bind(search.index)
         if search.unique is not None:
-            path, eids = list(search.unique), search.unique_eids
+            path, eids = search.unique, search.unique_eids
         else:
             scale = hop_scale(loads, value, search.num_nodes)
             path, eids = _dijkstra_min_hop(search, loads.by_edge_id, scale)

@@ -77,21 +77,27 @@ class SplitMinPathRouting(_SplitRouting):
         loads: EdgeLoads,
     ) -> list[tuple[list, float, list[int]]]:
         # Hop count dominates SM's weight, so a quadrant with a single
-        # minimum-hop path forces every chunk onto it: record each
-        # chunk's traffic separately (the ledger accumulates exactly as
-        # in the per-chunk search) without re-searching.
+        # minimum-hop path forces every chunk onto it: record all the
+        # chunks in one ledger pass (the ledger accumulates exactly as
+        # in the per-chunk search) and return them merged, their
+        # bandwidth summed as _merge sums it.
         search = topology_search(topology, src_slot, dst_slot)
         loads.bind(search.index)
         chunk_bw = value / self.chunks
         if search.unique is not None:
-            path, eids = list(search.unique), search.unique_eids
+            loads.add_chunks(search.unique_eids, chunk_bw, self.chunks)
+            merged = 0.0
             for _ in range(self.chunks):
-                loads.add_path(path, chunk_bw, eids)
-            return _merge([(path, chunk_bw, eids)] * self.chunks)
+                merged += chunk_bw
+            return [(search.unique, merged, search.unique_eids)]
         load = loads.by_edge_id
+        # With a load bound the scale is a constant of the slot pair.
+        fixed = loads.load_bound is not None
+        scale = hop_scale(loads, chunk_bw, search.num_nodes)
         paths = []
-        for _ in range(self.chunks):
-            scale = hop_scale(loads, chunk_bw, search.num_nodes)
+        for chunk in range(self.chunks):
+            if chunk and not fixed:
+                scale = hop_scale(loads, chunk_bw, search.num_nodes)
             path, eids = _dijkstra_min_hop(search, load, scale)
             loads.add_path(path, chunk_bw, eids)
             paths.append((path, chunk_bw, eids))

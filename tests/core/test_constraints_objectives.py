@@ -6,8 +6,11 @@ import pytest
 
 from repro.core.constraints import (
     Constraints,
+    RoutingWatch,
     bandwidth_feasible,
     bandwidth_overflow,
+    beyond,
+    capacity_table,
 )
 from repro.core.coregraph import CoreGraph
 from repro.core.objectives import (
@@ -16,6 +19,7 @@ from repro.core.objectives import (
 )
 from repro.errors import ReproError
 from repro.routing.library import make_routing
+from repro.routing.loads import EdgeLoads, edge_index
 from repro.topology.library import make_topology
 
 
@@ -105,3 +109,42 @@ class TestObjectives:
     def test_weighted_floorplan_flag(self):
         assert WeightedObjective(hops=1.0).needs_floorplan is False
         assert WeightedObjective(hops=1.0, area=0.1).needs_floorplan is True
+
+
+class TestRoutingWatch:
+    """The watch stops against an infeasible key exactly when
+    :func:`beyond` says the running overflow loses, so a near-tie is
+    never abandoned."""
+
+    @staticmethod
+    def _overflowing_route(load: float):
+        topology = make_topology("mesh", 4)
+        constraints = Constraints(link_capacity_mb_s=100.0)
+        eid = capacity_table(topology, constraints).net[0]
+        ids, edges = edge_index(topology)
+        loads = EdgeLoads((ids, edges))
+        loads.add_path(list(edges[eid]), load, [eid])
+        return topology, constraints, [(list(edges[eid]), load, [eid])], loads
+
+    @pytest.mark.parametrize(
+        "key_overflow", [49.0, 50.0 - 1e-3, 50.0 - 1e-8, 50.0 - 1e-12, 50.0, 51.0]
+    )
+    def test_stops_only_beyond_the_key_overflow(self, key_overflow):
+        topology, constraints, routes, loads = self._overflowing_route(150.0)
+        watch = RoutingWatch(topology, constraints, (1, 0, key_overflow, 0.0))
+        assert watch(routes, loads) == beyond(50.0, key_overflow)
+
+    def test_more_qos_violations_stop_and_fewer_do_not(self):
+        topology, constraints, routes, loads = self._overflowing_route(150.0)
+        # Every path breaks a negative hop bound: one QoS violation.
+        qos = Constraints(link_capacity_mb_s=100.0, max_flow_hops=-1)
+        assert RoutingWatch(topology, qos, (1, 0, 1e9, 0.0))(routes, loads)
+        assert not RoutingWatch(topology, qos, (1, 2, 0.0, 0.0))(routes, loads)
+
+    def test_feasible_key_stops_at_the_first_overloaded_link(self):
+        topology, constraints, routes, loads = self._overflowing_route(100.0)
+        watch = RoutingWatch(topology, constraints, (0, 0, 1.0, 0.0))
+        assert not watch(routes, loads)
+        topology, constraints, routes, loads = self._overflowing_route(100.1)
+        watch = RoutingWatch(topology, constraints, (0, 0, 1.0, 0.0))
+        assert watch(routes, loads)

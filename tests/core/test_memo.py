@@ -6,11 +6,14 @@ exactly — same paths, float-equal loads (order and values), hops, power,
 cost and feasibility — for every routing function and topology family,
 across swap sequences. A bounded revisit is skipped without routing, an
 unbounded one is evaluated again; and the evaluator is private to its
-search, so mapping never touches the engine's cache metrics.
+search, so mapping never touches the engine's cache metrics. Each base
+assignment is validated once, and each candidate's two slots are
+range-checked, so an invalid base or slot still raises.
 """
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -23,7 +26,7 @@ from repro.core.greedy import initial_greedy_mapping
 from repro.core.mapper import SwapBound, map_onto
 from repro.core.memo import MemoizedMappingEvaluator, swap_assignment
 from repro.core.objectives import make_objective
-from repro.errors import UnsupportedRoutingError
+from repro.errors import MappingInfeasibleError, UnsupportedRoutingError
 from repro.obs.metrics import get_registry
 from repro.physical.estimate import NetworkEstimator
 from repro.routing.library import make_routing
@@ -246,3 +249,74 @@ def test_floorplan_in_loop_search_evaluates_once_per_miss(monkeypatch):
     assert len(calls) == search.stats.misses
     # The greedy seed plus every swap not skipped as a visited revisit.
     assert search.stats.misses == 1 + len(swaps) - search.stats.hits
+
+
+def _swap_memo():
+    app = random_core_graph(5, seed=3)
+    topology = make_topology("mesh", 6)
+    memo = MemoizedMappingEvaluator(
+        app, topology, make_routing("MP"), Constraints(), NetworkEstimator()
+    )
+    return memo, initial_greedy_mapping(app, topology)
+
+
+@pytest.mark.parametrize(
+    "damage",
+    ["duplicate slot", "missing core", "extra core", "slot out of range"],
+)
+def test_evaluate_swap_rejects_an_invalid_base(damage):
+    """The base is validated once per dict, but an invalid one still
+    raises on every swap, bounded or not, as the per-candidate check did."""
+    memo, base = _swap_memo()
+    bad = dict(base)
+    if damage == "duplicate slot":
+        bad[1] = bad[0]
+    elif damage == "missing core":
+        del bad[4]
+    elif damage == "extra core":
+        bad[5] = 5
+    else:
+        bad[2] = 6
+    bound = SwapBound((1, 99, 1e9, 1e9), make_objective("hops"))
+    for s1, s2 in ((0, 1), (0, 1), (2, 5)):
+        with pytest.raises(MappingInfeasibleError):
+            memo.evaluate_swap(bad, s1, s2, with_floorplan=False)
+        with pytest.raises(MappingInfeasibleError):
+            memo.evaluate_swap(bad, s1, s2, with_floorplan=False, bound=bound)
+    assert memo.stats.misses == 0
+    # A valid base after an invalid one is validated and evaluated.
+    assert memo.evaluate_swap(base, 0, 1, with_floorplan=False) is not None
+
+
+@pytest.mark.parametrize("s1, s2", [(0, 6), (6, 0), (5, 17), (-1, 2)])
+def test_evaluate_swap_rejects_an_out_of_range_slot(s1, s2):
+    memo, base = _swap_memo()
+    memo.evaluate_swap(base, 0, 1, with_floorplan=False)  # base checked
+    with pytest.raises(MappingInfeasibleError, match="out of range"):
+        memo.evaluate_swap(base, s1, s2, with_floorplan=False)
+    assert memo.stats.misses == 1
+
+
+def test_evaluate_swap_checks_each_base_once(monkeypatch):
+    """One validation per base dict, and each swap's result is what a
+    from-scratch (fully validated) evaluation gives."""
+    checked = []
+    original = memo_module.validate_assignment
+
+    def validate(core_graph, topology, assignment):
+        checked.append(assignment)
+        original(core_graph, topology, assignment)
+
+    monkeypatch.setattr(memo_module, "validate_assignment", validate)
+    memo, base = _swap_memo()
+    other = swap_assignment(base, 0, 1)
+    for b in (base, base, other, other, base):
+        for s1, s2 in ((0, 1), (1, 4), (2, 5)):
+            swapped = memo.evaluate_swap(b, s1, s2, with_floorplan=False)
+            scratch = evaluate_mapping(
+                memo.core_graph, memo.topology,
+                swap_assignment(b, s1, s2), memo.routing, memo.constraints,
+                estimator=memo.estimator, with_floorplan=False,
+            )
+            _assert_identical(swapped, scratch)
+    assert [id(b) for b in checked] == [id(base), id(other), id(base)]

@@ -11,6 +11,8 @@ promise against independent references:
   exactly ``nx.dijkstra_path`` under the equivalent weight function;
 * the ledger matches a plain ``{(u, v): load}`` dict in first-touch
   order, floats, total and maxima, through copies, pickles and re-keys;
+* SM's one-pass update of a forced (unique) path equals one
+  ``add_path`` call per chunk plus the chunk merge, bit for bit;
 * a fault overlay interns its own surviving graph, pickled topologies
   drop every interned cache, and parallel selection stays bit-identical;
 * the ``BandwidthObjective`` cost bits of MPEG4 under SM routing (an
@@ -23,7 +25,7 @@ import pickle
 from functools import lru_cache
 
 import networkx as nx
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from nx_oracle import to_networkx
 
@@ -38,6 +40,7 @@ from repro.faults import FaultedTopology, sample_faults
 from repro.routing import shortest, split
 from repro.routing.library import make_routing
 from repro.routing.loads import EdgeLoads, edge_index
+from repro.routing.split import SplitMinPathRouting
 from repro.routing.shortest import (
     _dijkstra_min_hop,
     hop_scale,
@@ -240,6 +243,64 @@ def test_ledger_matches_dict_reference(paths, shared):
     _assert_matches(ledger, ref)
     clone.add_path(["a", "b"], 1.0)
     _assert_matches(ledger, ref)  # the copy is independent
+
+
+@lru_cache(maxsize=None)
+def _forced_pairs(name: str) -> list[tuple[int, int]]:
+    """The slot pairs of a fabric whose quadrant has a single
+    minimum-hop path."""
+    topology = fabric(name)
+    n = topology.num_slots
+    return [
+        (src, dst)
+        for src in range(n)
+        for dst in range(n)
+        if src != dst and topology_search(topology, src, dst).unique
+    ]
+
+
+@SLOW
+@given(
+    st.sampled_from(FABRICS),
+    st.integers(0, 10**4),
+    ledger_ops,
+    st.one_of(
+        st.sampled_from((0.5, 40.0, 173.0, 333.3, 910.0)),
+        st.floats(1e-3, 2000.0),
+    ),
+    st.integers(1, 8),
+)
+def test_forced_path_sm_update_matches_per_chunk_add_path(
+    name, pick, ops, value, chunks
+):
+    topology = fabric(name)
+    pairs = _forced_pairs(name)
+    assume(pairs)  # a Clos has path diversity between every pair
+    src, dst = pairs[pick % len(pairs)]
+    search = topology_search(topology, src, dst)
+    unique = list(search.unique)
+    fast = _ledger(topology, ops)
+    ref = fast.copy()
+
+    routes = SplitMinPathRouting(chunks).route_commodity(
+        topology, src, dst, value, fast
+    )
+
+    chunk_bw = value / chunks
+    merged = 0.0
+    for _ in range(chunks):
+        ref.add_path(unique, chunk_bw, search.unique_eids)
+        merged += chunk_bw  # the chunk merge's running sum
+    assert [(list(path), bw, list(eids)) for path, bw, eids in routes] == [
+        (unique, merged, search.unique_eids)
+    ]
+    assert routes[0][1].hex() == merged.hex()
+    assert [x.hex() for x in fast.by_edge_id] == [
+        x.hex() for x in ref.by_edge_id
+    ]
+    assert fast.total.hex() == ref.total.hex()
+    assert fast.items() == ref.items()  # first-touch order and bits
+    assert search.unique == unique  # the interned path is untouched
 
 
 # ----------------------------------------------------------------------

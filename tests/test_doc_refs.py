@@ -1,0 +1,34 @@
+"""Every ``*.md`` name in the sources and tests names a real document.
+
+``tools/check_docs.py`` (run in CI's lint job) scans ``src/`` and
+``tests/`` for markdown names; this runs the same scan with the tests.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "check_docs.py"
+
+
+def _check_docs():
+    spec = importlib.util.spec_from_file_location("check_docs", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_source_and_test_files_name_only_existing_documents():
+    assert _check_docs().check_source_refs() == []
+
+
+def test_missing_documents_are_flagged():
+    tool = _check_docs()
+    md = ".md"  # spelled apart so the scan of this file stays clean
+    line = f"see DESIGN{md}, docs/ARCHITECTURE{md} and ``docs/NOPE{md}``"
+    names = [m.group(1) for m in tool.MD_NAME.finditer(line)]
+    assert names == [f"DESIGN{md}", f"docs/ARCHITECTURE{md}", f"docs/NOPE{md}"]
+    assert [tool.md_exists(name) for name in names] == [False, True, False]
+    assert tool.md_exists("ARCHITECTURE.md")  # a bare name found in docs/
+    assert tool.md_exists("README.md")

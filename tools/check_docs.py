@@ -14,6 +14,11 @@ Validates, across ``README.md`` and ``docs/*.md``:
   ``src/repro/service/contract.py`` name files that exist, so renames
   can't silently strand the prose.
 
+With no arguments it also checks the other direction: every ``*.md``
+name in a file under ``src/`` or ``tests/`` (a docstring's "see
+docs/SERVICE_API.md") names a document that exists — a path from the
+repo root, or a bare name of a document at the root or in ``docs/``.
+
 Exit status is non-zero when anything dangles; every problem is
 reported as ``file:line: message``.
 
@@ -39,6 +44,13 @@ CODE_PATH = re.compile(
 )
 
 HEADING = re.compile(r"^#{1,6}\s+(.*)$")
+
+#: Markdown file names mentioned in source and test files.
+MD_NAME = re.compile(r"(?<![\w./-])((?:[\w-]+/)*[\w-]+\.md)\b")
+
+#: Where the source scan looks, and where a bare document name may live.
+SOURCE_DIRS = ("src", "tests")
+DOC_DIRS = (REPO, REPO / "docs")
 
 
 def display(path: Path) -> str:
@@ -134,18 +146,49 @@ def check_file(path: Path) -> list[str]:
     return problems
 
 
+def md_exists(name: str) -> bool:
+    """Whether a ``*.md`` name from a source file names a document."""
+    if "/" in name:
+        return (REPO / name).is_file()
+    return any((folder / name).is_file() for folder in DOC_DIRS)
+
+
+def check_source_refs() -> list[str]:
+    """``file:line`` problems for missing ``*.md`` names in src/ and tests/."""
+    problems: list[str] = []
+    for folder in SOURCE_DIRS:
+        for path in sorted((REPO / folder).rglob("*")):
+            if not path.is_file() or path.suffix in (".pyc", ".json"):
+                continue
+            try:
+                text = path.read_text(encoding="utf-8")
+            except UnicodeDecodeError:
+                continue
+            for lineno, line in enumerate(text.splitlines(), start=1):
+                for match in MD_NAME.finditer(line):
+                    if not md_exists(match.group(1)):
+                        problems.append(
+                            f"{display(path)}:{lineno}: "
+                            f"names missing document '{match.group(1)}'"
+                        )
+    return problems
+
+
 def main(argv: list[str]) -> int:
-    """Check the given files (default: README.md and docs/*.md)."""
+    """Check the given files (default: README.md and docs/*.md, plus
+    the ``*.md`` names in src/ and tests/)."""
     files = [Path(arg).resolve() for arg in argv] or [
         REPO / "README.md",
         *sorted((REPO / "docs").glob("*.md")),
     ]
-    problems: list[str] = []
+    problems: list[str] = [] if argv else check_source_refs()
     for path in files:
         problems.extend(check_file(path))
     for problem in problems:
         print(problem)
     checked = ", ".join(display(f) for f in files)
+    if not argv:
+        checked += ", *.md names in " + " and ".join(SOURCE_DIRS)
     if problems:
         print(f"{len(problems)} problem(s) across {checked}")
         return 1
