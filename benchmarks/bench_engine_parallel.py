@@ -99,7 +99,7 @@ def main(argv=None) -> int:
     if args.smoke:
         apps = {"vopd": APPS["vopd"]}
         routings, objectives = ["MP"], ["hops"]
-        config = MapperConfig(converge=False, swap_rounds=1)
+        config = MapperConfig(max_rounds=1)
     else:
         apps = {name: APPS[name] for name in args.apps}
         routings, objectives = args.routings, args.objectives

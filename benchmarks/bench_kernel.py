@@ -7,8 +7,8 @@ Measures the two hot paths the integer-indexed kernel PR rewrote:
   as open-loop runs with a synthetic traffic generator attached;
 * **full_flow** — wall-clock seconds of the complete ``run_sunmap``
   selection flow per benchmark application (the Section 6.4 "few
-  minutes on a 1 GHz SUN workstation" claim, see
-  ``bench_runtime_full_flow.py``).
+  minutes on a 1 GHz SUN workstation" claim; perfbench's ``flow-hops``
+  workload is the end-to-end record of it).
 
 Results land in ``BENCH_kernel.json`` at the repo root:
 
@@ -144,7 +144,7 @@ def full_flow(app_name: str, routing: str, capacity) -> tuple[str, float]:
     start = time.perf_counter()
     report = run_sunmap(
         app, routing=routing, objective="hops", constraints=constraints,
-        config=MapperConfig(converge=True, max_rounds=10),
+        config=MapperConfig(max_rounds=10),
     )
     wall = time.perf_counter() - start
     return report.best_topology_name, wall

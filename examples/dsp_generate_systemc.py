@@ -25,7 +25,7 @@ def main() -> None:
         # conservative 500 MB/s assumption; Section 6.4 clearly ran with
         # roomier links.
         constraints=Constraints(link_capacity_mb_s=1000.0),
-        config=MapperConfig(converge=True, max_rounds=10),
+        config=MapperConfig(max_rounds=10),
     )
     print(report.summary())
     print()

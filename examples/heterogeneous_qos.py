@@ -31,7 +31,7 @@ def build_dual_cluster() -> CustomTopology:
 
 def main() -> None:
     app = vopd()
-    config = MapperConfig(converge=True, max_rounds=8)
+    config = MapperConfig(max_rounds=8)
 
     print("== 1. heterogeneous fabric vs the standard library ==")
     topologies = standard_library(app.num_cores) + [build_dual_cluster()]

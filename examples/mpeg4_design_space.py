@@ -21,7 +21,7 @@ from repro.topology import make_topology
 
 def main() -> None:
     app = mpeg4()
-    config = MapperConfig(converge=True, max_rounds=8)
+    config = MapperConfig(max_rounds=8)
     mesh = make_topology("mesh", app.num_cores)
 
     print("== Figure 9(a): minimum link bandwidth per routing function ==")

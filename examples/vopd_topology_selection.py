@@ -18,7 +18,7 @@ def main() -> None:
           f"{sum(1 for v in app.flows().values() if v >= 300)}")
     print()
 
-    config = MapperConfig(converge=True, max_rounds=10)
+    config = MapperConfig(max_rounds=10)
     for objective in ("hops", "area", "power"):
         selection = select_topology(
             app, routing="MP", objective=objective, config=config

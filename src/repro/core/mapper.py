@@ -14,9 +14,10 @@ always beats an infeasible one, and infeasible mappings compete on their
 worst link overload, which steers the search toward feasibility (this is
 how MPEG4 finds split-routable placements for its 910 MB/s flow).
 
-``MapperConfig.converge`` extends the paper's single swap pass to
-steepest-descent rounds until no swap improves — an optional quality
-knob measured by ``bench_ablation_swap``.
+``MapperConfig.max_rounds`` repeats the paper's single swap pass as
+steepest-descent rounds until no swap improves; ``max_rounds=1`` is the
+paper's algorithm (``tests/paper/test_vopd_claims.py`` compares the
+two).
 
 **Bounded swap search.** A swap candidate only matters if its sort key
 strictly beats its *bound*: the base mapping, or the best candidate so
@@ -73,20 +74,16 @@ class MapperConfig:
     """Knobs of the swap phase.
 
     Attributes:
-        swap_rounds: full pairwise-swap passes when ``converge`` is off
-            (1 = the paper's single pass, Figure 5 steps 9-10).
-        converge: keep running swap passes until none improves (default;
+        max_rounds: most pairwise-swap passes; the search stops earlier
+            at the first pass that finds no improving swap. 1 is the
+            paper's single pass (Figure 5 steps 9-10); more rounds are
             needed e.g. for VOPD to discover a bandwidth-feasible
-            butterfly placement). ``bench_ablation_swap`` quantifies the
-            difference against the single-pass variant.
-        max_rounds: safety bound for ``converge`` mode.
+            butterfly placement.
 
     The swap loop floorplans each candidate iff the objective or an
     area constraint needs it.
     """
 
-    swap_rounds: int = 1
-    converge: bool = True
     max_rounds: int = 8
 
 
@@ -169,8 +166,7 @@ def map_onto(
     best = run(initial_greedy_mapping(core_graph, topology))
 
     bounded = objective if collector is None else None
-    rounds = config.max_rounds if config.converge else config.swap_rounds
-    for _ in range(rounds):
+    for _ in range(config.max_rounds):
         candidate = _best_swap(best, run_swap, bounded)
         if candidate is None:
             break

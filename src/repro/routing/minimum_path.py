@@ -7,8 +7,9 @@ commodity's full bandwidth then loads that path, steering subsequent
 commodities elsewhere.
 
 Running Dijkstra on the quadrant instead of the whole NoC graph is the
-paper's main computational saving (Section 4.1); the ablation benchmark
-``bench_ablation_quadrant`` measures it.
+paper's main computational saving (Section 4.1);
+``tests/paper/test_substrate_claims.py`` checks it against the
+whole-graph search, ``topology_search(..., quadrant=False)``.
 """
 
 from __future__ import annotations
@@ -29,10 +30,6 @@ class MinimumPathRouting(RoutingFunction):
     code = "MP"
     name = "minimum-path"
 
-    def __init__(self, use_quadrant: bool = True):
-        #: Disable to measure the cost of whole-graph search (ablation).
-        self.use_quadrant = use_quadrant
-
     def route_commodity(
         self,
         topology: Topology,
@@ -43,9 +40,7 @@ class MinimumPathRouting(RoutingFunction):
     ) -> list[tuple[list, float, list[int]]]:
         # One cached lookup resolves either the pair's forced minimum
         # path or the interned graph for the load-aware search.
-        search = topology_search(
-            topology, src_slot, dst_slot, self.use_quadrant
-        )
+        search = topology_search(topology, src_slot, dst_slot)
         loads.bind(search.index)
         if search.unique is not None:
             path, eids = search.unique, search.unique_eids

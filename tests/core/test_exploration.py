@@ -9,7 +9,7 @@ from repro.core.exploration import (
 from repro.core.mapper import MapperConfig
 from repro.topology.library import make_topology
 
-FAST = MapperConfig(converge=False, swap_rounds=1)
+FAST = MapperConfig(max_rounds=1)
 
 
 def pt(area: float, power: float) -> ParetoPoint:

@@ -6,7 +6,7 @@ from repro.core.mapper import MapperConfig
 from repro.core.selector import select_topology
 from repro.topology.library import extended_library
 
-FAST = MapperConfig(converge=False, swap_rounds=1)
+FAST = MapperConfig(max_rounds=1)
 
 
 class TestExtendedSelection:

@@ -10,7 +10,7 @@ from repro.errors import MappingInfeasibleError, UnsupportedRoutingError
 from repro.routing.library import make_routing
 from repro.topology.library import make_topology
 
-FAST = MapperConfig(converge=False, swap_rounds=1)
+FAST = MapperConfig(max_rounds=1)
 
 
 class TestMapOnto:
@@ -37,9 +37,25 @@ class TestMapOnto:
                           config=FAST)
         multi = map_onto(
             vopd_app, topo, routing="MP", objective="hops",
-            config=MapperConfig(converge=True, max_rounds=6),
+            config=MapperConfig(max_rounds=6),
         )
         assert multi.sort_key() <= single.sort_key()
+
+    def test_one_round_is_the_papers_single_pass(self, mpeg4_app):
+        """``max_rounds=1`` is the paper's single swap pass, bit for bit:
+        these are the numbers the single-pass mode returned before the
+        mapper's round count became one setting."""
+        ev = map_onto(mpeg4_app, make_topology("mesh", 12), routing="SM",
+                      objective="power", config=FAST)
+        assert sorted(ev.assignment.items()) == [
+            (0, 9), (1, 1), (2, 6), (3, 5), (4, 2), (5, 7),
+            (6, 4), (7, 8), (8, 0), (9, 10), (10, 11), (11, 3),
+        ]
+        assert not ev.feasible
+        assert ev.avg_hops == 2.300299550673989
+        assert ev.max_link_load == 670.0
+        assert ev.area_mm2 == 85.1266592188212
+        assert ev.power_mw == ev.cost == 481.4520922148604
 
     def test_deterministic(self, tiny_app):
         topo = make_topology("mesh", 4)
@@ -103,6 +119,6 @@ class TestMapOnto:
     def test_infeasible_everywhere_is_reported_not_raised(self, mpeg4_app):
         topo = make_topology("butterfly", 12)
         ev = map_onto(mpeg4_app, topo, routing="SM", objective="hops",
-                      config=MapperConfig(converge=True, max_rounds=3))
+                      config=MapperConfig(max_rounds=3))
         assert not ev.feasible
         assert ev.max_link_load >= 910.0  # the unsplittable SDRAM flow

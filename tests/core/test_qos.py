@@ -6,7 +6,7 @@ from repro.core.selector import select_topology
 from repro.routing.library import make_routing
 from repro.topology.library import make_topology
 
-FAST = MapperConfig(converge=False, swap_rounds=1)
+FAST = MapperConfig(max_rounds=1)
 
 
 class TestQosCheck:
@@ -62,7 +62,7 @@ class TestQosCheck:
             routing="MP",
             objective="hops",
             constraints=Constraints(max_flow_hops=2),
-            config=MapperConfig(converge=True, max_rounds=4),
+            config=MapperConfig(max_rounds=4),
         )
         assert selection.best is not None
         feasible = {n.split("-")[0] for n in selection.feasible}

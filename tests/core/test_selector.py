@@ -8,7 +8,7 @@ from repro.core.selector import select_topology
 from repro.errors import ReproError
 from repro.topology.library import make_topology
 
-FAST = MapperConfig(converge=False, swap_rounds=1)
+FAST = MapperConfig(max_rounds=1)
 
 
 class TestSelectTopology:

@@ -4,7 +4,7 @@ from repro.core.mapper import MapperConfig
 from repro.core.objectives import WeightedObjective
 from repro.core.selector import select_topology
 
-FAST = MapperConfig(converge=False, swap_rounds=1)
+FAST = MapperConfig(max_rounds=1)
 
 
 class TestWeightedSelection:

@@ -33,7 +33,7 @@ from repro.engine.backends import MEMORY_MAX_ENTRIES, key_fingerprint
 from repro.engine.jobs import JobResult
 from repro.errors import ReproError
 
-FAST = MapperConfig(converge=False, swap_rounds=1)
+FAST = MapperConfig(max_rounds=1)
 
 KEY_A = ("eval", "fp-a", "MP", "hops")
 KEY_B = ("eval", "fp-b", "MP", "hops")

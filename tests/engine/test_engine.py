@@ -36,7 +36,7 @@ from repro.topology.library import make_topology
 
 #: Single-pass swap search keeps engine tests fast; determinism holds for
 #: any config because seeds and reduction order are content-derived.
-FAST = MapperConfig(converge=False, swap_rounds=1)
+FAST = MapperConfig(max_rounds=1)
 
 APPS = {
     "vopd": vopd,

@@ -60,7 +60,7 @@ from repro.simulation.campaign import (
 )
 from repro.topology.library import make_topology
 
-FAST_MAPPER = MapperConfig(converge=False, swap_rounds=1)
+FAST_MAPPER = MapperConfig(max_rounds=1)
 
 
 @dataclass(frozen=True)

@@ -365,7 +365,7 @@ def test_selection_bit_identical_jobs1_vs_jobs4():
     kwargs = dict(
         routing="SM",
         objective="bandwidth",
-        config=MapperConfig(converge=False, swap_rounds=1),
+        config=MapperConfig(max_rounds=1),
     )
     serial = select_topology(app, jobs=1, **kwargs)
     parallel = select_topology(app, jobs=4, **kwargs)

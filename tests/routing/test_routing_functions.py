@@ -136,17 +136,21 @@ class TestMinimumPath:
         )
         assert result.max_link_load(topo) == pytest.approx(100.0)
 
-    def test_quadrant_toggle_gives_same_hop_count(self):
-        from repro.routing.minimum_path import MinimumPathRouting
+    def test_quadrant_toggle_gives_same_hop_count(self, monkeypatch):
+        """MP's quadrant search routes the same hops as a search of the
+        whole graph, ``topology_search(..., quadrant=False)``."""
+        from repro.routing import minimum_path
+        from repro.routing.shortest import topology_search
 
         topo = make_topology("mesh", 12)
         comms = toy_app().commodities()
-        with_q = MinimumPathRouting(use_quadrant=True).route_all(
-            topo, IDENTITY, comms
+        routing = make_routing("MP")
+        with_q = routing.route_all(topo, IDENTITY, comms)
+        monkeypatch.setattr(
+            minimum_path, "topology_search",
+            lambda t, s, d: topology_search(t, s, d, quadrant=False),
         )
-        without_q = MinimumPathRouting(use_quadrant=False).route_all(
-            topo, IDENTITY, comms
-        )
+        without_q = routing.route_all(topo, IDENTITY, comms)
         assert with_q.weighted_average_hops() == pytest.approx(
             without_q.weighted_average_hops()
         )

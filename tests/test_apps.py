@@ -95,6 +95,6 @@ class TestStructuredGenerators:
         app = hotspot_core_graph(6, hotspot_bandwidth=300.0)
         topo = make_topology("mesh", 6)
         ev = map_onto(
-            app, topo, config=MapperConfig(converge=False)
+            app, topo, config=MapperConfig(max_rounds=1)
         )
         assert ev.feasible

@@ -1,7 +1,8 @@
-"""Every ``*.md`` name in the sources and tests names a real document.
+"""Every ``*.md`` name in the sources, tests, benchmarks and examples
+names a real document.
 
-``tools/check_docs.py`` (run in CI's lint job) scans ``src/`` and
-``tests/`` for markdown names; this runs the same scan with the tests.
+``tools/check_docs.py`` (run in CI's docs job) scans those directories
+for markdown names; this runs the same scan with the tests.
 """
 
 from __future__ import annotations
@@ -20,7 +21,9 @@ def _check_docs():
 
 
 def test_source_and_test_files_name_only_existing_documents():
-    assert _check_docs().check_source_refs() == []
+    tool = _check_docs()
+    assert tool.SOURCE_DIRS == ("src", "tests", "benchmarks", "examples")
+    assert tool.check_source_refs() == []
 
 
 def test_missing_documents_are_flagged():

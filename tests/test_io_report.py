@@ -27,7 +27,7 @@ from repro.report import (
 )
 from repro.topology.library import make_topology
 
-FAST = MapperConfig(converge=False, swap_rounds=1)
+FAST = MapperConfig(max_rounds=1)
 
 
 class TestCoreGraphIO:

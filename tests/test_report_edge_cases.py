@@ -6,7 +6,7 @@ from repro.floorplan.lp import floorplan_mapping
 from repro.report import render_floorplan, selection_to_markdown
 from repro.topology.library import make_topology
 
-FAST = MapperConfig(converge=False, swap_rounds=1)
+FAST = MapperConfig(max_rounds=1)
 
 
 class TestRenderFloorplan:

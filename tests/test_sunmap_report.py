@@ -5,7 +5,7 @@ from repro.core.mapper import MapperConfig
 from repro.sunmap import DEFAULT_ROUTING_FALLBACKS, run_sunmap
 from repro.topology.library import make_topology
 
-FAST = MapperConfig(converge=False, swap_rounds=1)
+FAST = MapperConfig(max_rounds=1)
 
 
 class TestRunSunmap:
@@ -59,7 +59,7 @@ class TestRunSunmap:
         report = run_sunmap(
             dsp_app,
             constraints=Constraints(link_capacity_mb_s=1000.0),
-            config=MapperConfig(converge=True, max_rounds=6),
+            config=MapperConfig(max_rounds=6),
         )
         best = report.best
         mapped_cores = {ni.core_name for ni in report.netlist.nis}

@@ -211,7 +211,7 @@ class TestBehaviour:
             routing="MP",
             objective="hops",
             constraints=Constraints(),
-            config=MapperConfig(converge=False),
+            config=MapperConfig(max_rounds=1),
         )
         assert ev.feasible
         assert ev.floorplan is not None

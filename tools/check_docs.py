@@ -15,7 +15,8 @@ Validates, across ``README.md`` and ``docs/*.md``:
   can't silently strand the prose.
 
 With no arguments it also checks the other direction: every ``*.md``
-name in a file under ``src/`` or ``tests/`` (a docstring's "see
+name in a file under ``src/``, ``tests/``, ``benchmarks/`` or
+``examples/`` (a docstring's "see
 docs/SERVICE_API.md") names a document that exists — a path from the
 repo root, or a bare name of a document at the root or in ``docs/``.
 
@@ -49,7 +50,7 @@ HEADING = re.compile(r"^#{1,6}\s+(.*)$")
 MD_NAME = re.compile(r"(?<![\w./-])((?:[\w-]+/)*[\w-]+\.md)\b")
 
 #: Where the source scan looks, and where a bare document name may live.
-SOURCE_DIRS = ("src", "tests")
+SOURCE_DIRS = ("src", "tests", "benchmarks", "examples")
 DOC_DIRS = (REPO, REPO / "docs")
 
 
@@ -154,7 +155,7 @@ def md_exists(name: str) -> bool:
 
 
 def check_source_refs() -> list[str]:
-    """``file:line`` problems for missing ``*.md`` names in src/ and tests/."""
+    """``file:line`` problems for missing ``*.md`` names in SOURCE_DIRS."""
     problems: list[str] = []
     for folder in SOURCE_DIRS:
         for path in sorted((REPO / folder).rglob("*")):
@@ -176,7 +177,7 @@ def check_source_refs() -> list[str]:
 
 def main(argv: list[str]) -> int:
     """Check the given files (default: README.md and docs/*.md, plus
-    the ``*.md`` names in src/ and tests/)."""
+    the ``*.md`` names in SOURCE_DIRS)."""
     files = [Path(arg).resolve() for arg in argv] or [
         REPO / "README.md",
         *sorted((REPO / "docs").glob("*.md")),
@@ -188,7 +189,7 @@ def main(argv: list[str]) -> int:
         print(problem)
     checked = ", ".join(display(f) for f in files)
     if not argv:
-        checked += ", *.md names in " + " and ".join(SOURCE_DIRS)
+        checked += ", *.md names in " + ", ".join(SOURCE_DIRS)
     if problems:
         print(f"{len(problems)} problem(s) across {checked}")
         return 1
