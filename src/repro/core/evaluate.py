@@ -106,6 +106,7 @@ def evaluate_mapping(
     with_floorplan: bool = True,
     bound=None,
     checked: bool = False,
+    floor=None,
 ) -> MappingEvaluation | None:
     """Route, check and measure one mapping.
 
@@ -123,6 +124,9 @@ def evaluate_mapping(
         checked: the caller has already validated ``assignment`` (the
             swap search's memo validates each base assignment once and
             each candidate's two swapped slots), so it is not re-checked.
+        floor: the swap search's :class:`~repro.core.floor.SwapFloor`
+            with this candidate selected; with a ``bound`` it prices the
+            candidate before routing from its base's totals.
 
     Raises:
         MappingInfeasibleError: if the assignment is structurally invalid
@@ -132,8 +136,11 @@ def evaluate_mapping(
         validate_assignment(core_graph, topology, assignment)
     if estimator is None:
         estimator = NetworkEstimator()
-    if bound is not None and bound.hops_cut(core_graph, topology, assignment):
-        return None
+    if bound is not None:
+        if bound.hops_cut(core_graph, topology, assignment, floor):
+            return None
+        if floor is not None and bound.overflow_floor(floor):
+            return None
 
     commodities = core_graph.commodities()
     result = routing.route_all(

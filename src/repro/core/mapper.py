@@ -25,8 +25,9 @@ far once one beats the base (:class:`SwapBound`). Most candidates lose,
 so evaluation stops as soon as a candidate provably cannot win:
 
 1. before routing, when the objective's lower bound (for hops, the
-   bandwidth-weighted hop distance of the mapped slots) already exceeds
-   a feasible bound's cost;
+   bandwidth-weighted hop distance of the mapped slots, updated from
+   the round's base by swap delta) already exceeds a feasible bound's
+   cost;
 2. mid-routing, once a link overflows against a feasible bound, or the
    partial (QoS violations, overflow) loses to an infeasible one
    (:class:`~repro.core.constraints.RoutingWatch`);
@@ -37,7 +38,12 @@ so evaluation stops as soon as a candidate provably cannot win:
 4. before the floorplan LP, when the objective's floor over every
    floorplan (for power, the power with each placed link at its length
    floor, :func:`~repro.floorplan.lp.link_length_floors`) already
-   exceeds a feasible bound's cost.
+   exceeds a feasible bound's cost;
+5. before routing, right after cut-off 1, when the candidate's floors
+   of QoS violations and ``bandwidth_overflow``
+   (:class:`~repro.core.floor.SwapFloor`: forced-path loads, switch
+   cuts, constrained terminal links) prove it infeasible against a
+   feasible bound, or worse than an infeasible one.
 
 Estimated quantities are compared with a 1e-9 relative margin, so a
 near-tie is always evaluated in full. The bound only tightens, so a
@@ -182,7 +188,7 @@ def map_onto(
 
 class SwapBound:
     """The sort key a swap candidate must strictly beat, and the
-    four exact tests that prove a candidate cannot (see the module
+    five exact tests that prove a candidate cannot (see the module
     docstring). :func:`~repro.core.evaluate.evaluate_mapping` asks them
     in order."""
 
@@ -192,13 +198,23 @@ class SwapBound:
         self.key = key
         self.objective = objective
 
-    def hops_cut(self, core_graph, topology, assignment) -> bool:
+    def hops_cut(self, core_graph, topology, assignment, floor=None) -> bool:
         """Cut-off 1: the objective's lower bound already loses to a
-        feasible bound."""
+        feasible bound. A :class:`~repro.core.floor.SwapFloor` updates a
+        hop bound from its base by swap delta."""
         if self.key[0] != 0:
             return False
-        floor = self.objective.lower_bound(core_graph, topology, assignment)
-        return floor is not None and beyond(floor, self.key[2])
+        if floor is not None and self.objective.hop_bound:
+            lower = floor.hop_bound()
+        else:
+            lower = self.objective.lower_bound(core_graph, topology, assignment)
+        return lower is not None and beyond(lower, self.key[2])
+
+    def overflow_floor(self, floor) -> bool:
+        """Cut-off 5, before routing: the candidate's QoS-violation and
+        overflow floors (:meth:`~repro.core.floor.SwapFloor.loses`)
+        already lose to the bound."""
+        return floor.loses(self.key)
 
     def watch(self, topology: Topology, constraints: Constraints):
         """Cut-off 2: the ``stop`` hook for ``route_all``."""

@@ -9,7 +9,9 @@ The pairwise-swap search (:mod:`repro.core.mapper`) hands in its
 candidates as slot swaps of a base assignment, optionally with a
 :class:`~repro.core.mapper.SwapBound`; one that provably cannot beat
 the bound is dropped part-way and comes back as ``None``
-(``stats.pruned``).
+(``stats.pruned``). Bounded candidates of one base share a
+:class:`~repro.core.floor.SwapFloor`, which prices each before routing
+from the base's totals.
 
 The bound only tightens during a search: every assignment seen so far
 either lost to the bound of its time or became that bound. So a
@@ -31,6 +33,7 @@ from repro.core.evaluate import (
     evaluate_mapping,
     validate_assignment,
 )
+from repro.core.floor import SwapFloor
 from repro.errors import MappingInfeasibleError
 from repro.physical.estimate import NetworkEstimator
 from repro.routing.base import RoutingFunction
@@ -70,12 +73,15 @@ def _key(assignment: dict[int, int]) -> tuple[int, ...]:
 @dataclass
 class MemoStats:
     """Counters of one search: ``hits`` are bounded revisits skipped
-    without routing, ``misses`` are evaluations started, and ``pruned``
-    counts the misses a bound dropped before they were fully evaluated."""
+    without routing, ``misses`` are evaluations started, ``pruned``
+    counts the misses a bound dropped before they were fully evaluated,
+    and ``floored`` the pruned ones its overflow floor dropped before
+    routing (cut-off 5)."""
 
     hits: int = 0
     misses: int = 0
     pruned: int = 0
+    floored: int = 0
 
 
 class MemoizedMappingEvaluator:
@@ -91,6 +97,7 @@ class MemoizedMappingEvaluator:
         "stats",
         "_visited",
         "_checked_base",
+        "_floor",
     )
 
     def __init__(
@@ -109,8 +116,10 @@ class MemoizedMappingEvaluator:
         self.stats = MemoStats()
         self._visited: set[tuple] = set()
         #: The last base assignment ``evaluate_swap`` validated (the
-        #: swap search hands in one base, never mutated, per round).
+        #: swap search hands in one base, never mutated, per round),
+        #: and its bounded candidates' floor (built on first use).
         self._checked_base = None
+        self._floor = None
 
     def evaluate(
         self, assignment: dict[int, int], with_floorplan: bool
@@ -130,7 +139,9 @@ class MemoizedMappingEvaluator:
 
         With a ``bound`` (a :class:`~repro.core.mapper.SwapBound`), a
         candidate that provably cannot beat it returns ``None``; an
-        already visited one does so without being routed.
+        already visited one does so without being routed, and the
+        base's :class:`~repro.core.floor.SwapFloor` prices the others
+        before routing.
 
         The base assignment is validated once (and again only when a
         different base dict is handed in); each candidate then needs
@@ -142,22 +153,32 @@ class MemoizedMappingEvaluator:
                 self.core_graph, self.topology, base_assignment
             )
             self._checked_base = base_assignment
+            self._floor = None
         num_slots = self.topology.num_slots
         for slot in (s1, s2):
             if not 0 <= slot < num_slots:
                 raise MappingInfeasibleError(f"slot {slot} out of range")
         assignment = swap_assignment(base_assignment, s1, s2)
         key = _key(assignment)
-        if bound is not None and key in self._visited:
-            self.stats.hits += 1
-            return None
+        floor = None
+        if bound is not None:
+            if key in self._visited:
+                self.stats.hits += 1
+                return None
+            floor = self._floor
+            if floor is None:
+                floor = self._floor = SwapFloor(
+                    self.core_graph, self.topology, self.routing,
+                    self.constraints, base_assignment,
+                )
+            floor.select(s1, s2)
         return self._evaluate(
-            assignment, key, with_floorplan, bound, checked=True
+            assignment, key, with_floorplan, bound, checked=True, floor=floor
         )
 
     def _evaluate(
         self, assignment: dict[int, int], key: tuple, with_floorplan: bool,
-        bound=None, checked: bool = False,
+        bound=None, checked: bool = False, floor=None,
     ) -> MappingEvaluation | None:
         # The shared body of both entry points; neither calls the other,
         # so a wrapper around either sees each lookup once.
@@ -173,7 +194,10 @@ class MemoizedMappingEvaluator:
             with_floorplan=with_floorplan,
             bound=bound,
             checked=checked,
+            floor=floor,
         )
         if evaluation is None:
             self.stats.pruned += 1
+            if floor is not None and floor.dropped:
+                self.stats.floored += 1
         return evaluation

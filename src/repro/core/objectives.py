@@ -35,6 +35,10 @@ class Objective(ABC):
     #: never area or power, so a candidate can be ranked right after
     #: routing.
     routing_only: bool = False
+    #: :meth:`lower_bound` is the bandwidth-weighted hop distance of the
+    #: mapped slots, which the swap search updates by swap delta
+    #: (:class:`~repro.core.floor.SwapFloor`).
+    hop_bound: bool = False
 
     @abstractmethod
     def cost(self, evaluation) -> float:
@@ -63,6 +67,7 @@ class HopDelayObjective(Objective):
     name = "hops"
     needs_floorplan = False
     routing_only = True
+    hop_bound = True
 
     def cost(self, evaluation) -> float:
         return evaluation.avg_hops

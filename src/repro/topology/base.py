@@ -149,6 +149,7 @@ class Topology(ABC):
         state.pop("_search_cache", None)
         state.pop("_dor_cache", None)
         state.pop("_capacity_cache", None)
+        state.pop("_floor_cache", None)
         return state
 
     # ------------------------------------------------------------------

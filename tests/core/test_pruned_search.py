@@ -7,8 +7,11 @@ the same evaluation — same assignment, cost and sort key, and the same
 pickled bytes — across the paper's four applications, the ``hops``,
 ``power``, ``area`` and ``bandwidth`` objectives, MP/SM/SA/DO routing
 and the constraint variants that drive each cut-off (link overflow,
-core-link capacity, the QoS hop bound, the area ceiling). A
-synthesized fabric goes through ``execute_synthesis_job`` the same way.
+core-link capacity, the QoS hop bound, the area ceiling, and a tight
+300 MB/s link capacity that keeps most rounds bounded by an infeasible
+mapping, where the overflow floor cuts). A fault overlay and a custom
+fabric with parallel channels run the same way, and a synthesized
+fabric goes through ``execute_synthesis_job``.
 
 The matrix is a covering selection, not the full product: every app
 meets every routing function under the hops objective, and the
@@ -29,8 +32,10 @@ from repro.core.evaluate import evaluate_mapping
 from repro.core.greedy import initial_greedy_mapping
 from repro.core.mapper import map_onto
 from repro.engine.jobs import SynthesisJob, execute_synthesis_job
+from repro.faults import FaultedTopology, sample_faults
 from repro.routing.library import make_routing
 from repro.synthesis.fabric import CandidateSpec
+from repro.topology.custom import CustomTopology
 from repro.topology.library import make_topology
 
 #: (app, topology, routing, objective, constraint variant).
@@ -64,7 +69,37 @@ CASES = [
     ("mpeg4", "torus", "MP", "power", "default"),
     ("vopd", "mesh", "MP", "area", "area"),
     ("dsp", "hypercube", "SA", "area", "core_link"),
+    # tight links: most rounds race an infeasible bound (cut-off 5)
+    ("netproc", "mesh", "SM", "hops", "tight"),
+    ("netproc", "torus", "SM", "hops", "tight"),
+    ("mpeg4", "butterfly", "MP", "hops", "tight"),
+    ("vopd", "mesh", "DO", "hops", "tight"),
+    ("dsp", "clos", "SA", "hops", "tight"),
+    ("vopd", "faulted-mesh", "MP", "hops", "tight"),
+    ("dsp", "fat-custom", "SM", "hops", "tight"),
+    ("vopd", "torus", "SM", "hops", "tight_flow_hops"),
 ]
+
+
+def _topology(name, core_graph):
+    """A library topology, a two-fault overlay of one (``faulted-``), or
+    a custom fabric of two cores per switch on a ring of alternately
+    single and double links (``fat-custom``)."""
+    n = core_graph.num_cores
+    if name.startswith("faulted-"):
+        base = make_topology(name.split("-", 1)[1], n)
+        return FaultedTopology(base, sample_faults(base, 2, seed=1))
+    if name == "fat-custom":
+        switches = (n + 1) // 2
+        links = []
+        for s in range(switches):
+            links += [(s, (s + 1) % switches)] * (1 + s % 2)
+        return CustomTopology(
+            name="fat-ring",
+            slot_switch=[slot // 2 for slot in range(2 * switches)],
+            links=links,
+        )
+    return make_topology(name, n)
 
 
 def _constraints(variant, core_graph, topology) -> Constraints:
@@ -74,6 +109,10 @@ def _constraints(variant, core_graph, topology) -> Constraints:
         return Constraints(core_link_capacity_mb_s=400.0)
     if variant == "flow_hops":
         return Constraints(max_flow_hops=3)
+    if variant == "tight":
+        return Constraints(link_capacity_mb_s=300.0)
+    if variant == "tight_flow_hops":
+        return Constraints(link_capacity_mb_s=300.0, max_flow_hops=3)
     # A ceiling just under the greedy mapping's area, so the search
     # starts infeasible and some swaps fit.
     greedy = evaluate_mapping(
@@ -98,7 +137,7 @@ def test_pruned_search_matches_collector_search(
     app, topo, code, objective, variant, monkeypatch
 ):
     core_graph = load_application(app)
-    topology = make_topology(topo, core_graph.num_cores)
+    topology = _topology(topo, core_graph)
     constraints = _constraints(variant, core_graph, topology)
     swaps = []
     original_swap = memo.MemoizedMappingEvaluator.evaluate_swap
@@ -145,10 +184,13 @@ def test_synthesized_fabric_job_matches_collector_job(vopd_app):
     "app, topo, objective, cutoff",
     [
         ("vopd", "mesh", "hops", "hops_cut"),
-        ("vopd", "butterfly", "power", "watch"),
+        ("dsp", "torus", "power", "watch"),
         ("mpeg4", "mesh", "hops", "watch"),
         ("mpeg4", "torus", "power", "loses"),
         ("vopd", "mesh", "power", "power_floor"),
+        # Every candidate the watch once abandoned here now fails its
+        # overflow floor first.
+        ("vopd", "butterfly", "power", "overflow_floor"),
     ],
 )
 def test_each_cutoff_drops_candidates(app, topo, objective, cutoff, monkeypatch):
@@ -173,6 +215,12 @@ def test_each_cutoff_drops_candidates(app, topo, objective, cutoff, monkeypatch)
             return True
         return False
 
+    def overflow_floor(bound, *args):
+        if original_overflow_floor(bound, *args):
+            fired.append("overflow_floor")
+            return True
+        return False
+
     def loses(bound, evaluation):
         if original_loses(bound, evaluation):
             fired.append("loses")
@@ -189,10 +237,12 @@ def test_each_cutoff_drops_candidates(app, topo, objective, cutoff, monkeypatch)
     original_hops_cut = mapper.SwapBound.hops_cut
     original_loses = mapper.SwapBound.loses
     original_power_floor = mapper.SwapBound.power_floor
+    original_overflow_floor = mapper.SwapBound.overflow_floor
     monkeypatch.setattr(mapper.SwapBound, "watch", watch)
     monkeypatch.setattr(mapper.SwapBound, "hops_cut", hops_cut)
     monkeypatch.setattr(mapper.SwapBound, "loses", loses)
     monkeypatch.setattr(mapper.SwapBound, "power_floor", power_floor)
+    monkeypatch.setattr(mapper.SwapBound, "overflow_floor", overflow_floor)
     stores = []
     original_init = memo.MemoizedMappingEvaluator.__init__
 
@@ -211,7 +261,28 @@ def test_each_cutoff_drops_candidates(app, topo, objective, cutoff, monkeypatch)
     assert cutoff in fired
     (search,) = stores
     assert search.stats.pruned == len(fired)
+    assert search.stats.floored == fired.count("overflow_floor")
     # The final evaluation revisits the winner's assignment unless the
     # floorplanner already ran in the loop.
     finals = 0 if objective == "power" else 1
     assert search.stats.misses == len(search._visited) + finals
+
+
+def test_overflow_floor_drops_netproc_candidates_before_routing(monkeypatch):
+    """Netproc under SM on its mesh races infeasible bounds for most of
+    its rounds; the overflow floor must drop candidates there before a
+    single commodity is routed."""
+    stores = []
+    original_init = memo.MemoizedMappingEvaluator.__init__
+
+    def init(self, *args):
+        original_init(self, *args)
+        stores.append(self)
+
+    monkeypatch.setattr(memo.MemoizedMappingEvaluator, "__init__", init)
+    core_graph = load_application("netproc")
+    topology = make_topology("mesh", core_graph.num_cores)
+    assert topology.name == "mesh-4x4"
+    map_onto(core_graph, topology, "SM", "hops")
+    (search,) = stores
+    assert 0 < search.stats.floored <= search.stats.pruned

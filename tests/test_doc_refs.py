@@ -26,7 +26,7 @@ def test_source_and_test_files_name_only_existing_documents():
     assert tool.check_source_refs() == []
 
 
-def test_missing_documents_are_flagged():
+def test_missing_documents_are_flagged(tmp_path):
     tool = _check_docs()
     md = ".md"  # spelled apart so the scan of this file stays clean
     line = f"see DESIGN{md}, docs/ARCHITECTURE{md} and ``docs/NOPE{md}``"
@@ -35,3 +35,12 @@ def test_missing_documents_are_flagged():
     assert [tool.md_exists(name) for name in names] == [False, True, False]
     assert tool.md_exists("ARCHITECTURE.md")  # a bare name found in docs/
     assert tool.md_exists("README.md")
+    # Code references: a pytest node id's file part is checked too.
+    doc = tmp_path / f"refs{md}"
+    doc.write_text(
+        "`tests/test_doc_refs.py::test_missing_documents_are_flagged`, "
+        "`tests/nope.py::test_x[a-b]`, `tests/nope2.py:12`, `src/nope.py`\n",
+        encoding="utf-8",
+    )
+    dangling = [p.split("'")[1] for p in tool.check_file(doc)]
+    assert dangling == ["tests/nope.py", "tests/nope2.py", "src/nope.py"]

@@ -12,7 +12,8 @@ Validates, across ``README.md`` and ``docs/*.md``:
   lowercase, punctuation dropped, spaces to hyphens).
 * **Code references** — backticked repo paths such as
   ``src/repro/service/contract.py`` name files that exist, so renames
-  can't silently strand the prose.
+  can't silently strand the prose; the file part of a pytest node id
+  (``tests/core/test_memo.py::test_x``) is checked the same way.
 
 With no arguments it also checks the other direction: every ``*.md``
 name in a file under ``src/``, ``tests/``, ``benchmarks/`` or
@@ -39,9 +40,10 @@ REPO = Path(__file__).resolve().parent.parent
 LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)(?:\s+\"[^\"]*\")?\)")
 
 #: Backticked repo paths: `src/...`, `tests/...`, etc. (optionally with
-#: a :line suffix as used in review prose).
+#: a :line suffix as used in review prose, or a pytest ::node suffix).
 CODE_PATH = re.compile(
-    r"`((?:src|tests|docs|examples|tools|benchmarks)/[\w./-]+?)(?::\d+)?`"
+    r"`((?:src|tests|docs|examples|tools|benchmarks)/[\w./-]+?)"
+    r"(?::\d+|::[^`]+)?`"
 )
 
 HEADING = re.compile(r"^#{1,6}\s+(.*)$")
