@@ -121,12 +121,13 @@ def evaluate_mapping(
             provably cannot — before routing, mid-routing, or before
             the floorplan LP and power walk — and the result is
             ``None``; a mapping that might win is evaluated in full.
+            Requires ``floor``.
         checked: the caller has already validated ``assignment`` (the
             swap search's memo validates each base assignment once and
             each candidate's two swapped slots), so it is not re-checked.
         floor: the swap search's :class:`~repro.core.floor.SwapFloor`
-            with this candidate selected; with a ``bound`` it prices the
-            candidate before routing from its base's totals.
+            with this candidate selected, which prices it for the
+            ``bound`` before routing from its base's totals.
 
     Raises:
         MappingInfeasibleError: if the assignment is structurally invalid
@@ -136,11 +137,10 @@ def evaluate_mapping(
         validate_assignment(core_graph, topology, assignment)
     if estimator is None:
         estimator = NetworkEstimator()
-    if bound is not None:
-        if bound.hops_cut(core_graph, topology, assignment, floor):
-            return None
-        if floor is not None and bound.overflow_floor(floor):
-            return None
+    if bound is not None and (
+        bound.hops_cut(floor) or bound.overflow_floor(floor)
+    ):
+        return None
 
     commodities = core_graph.commodities()
     result = routing.route_all(

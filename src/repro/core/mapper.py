@@ -198,16 +198,12 @@ class SwapBound:
         self.key = key
         self.objective = objective
 
-    def hops_cut(self, core_graph, topology, assignment, floor=None) -> bool:
-        """Cut-off 1: the objective's lower bound already loses to a
-        feasible bound. A :class:`~repro.core.floor.SwapFloor` updates a
-        hop bound from its base by swap delta."""
+    def hops_cut(self, floor) -> bool:
+        """Cut-off 1: the objective's lower bound of the candidate
+        selected in ``floor`` already loses to a feasible bound."""
         if self.key[0] != 0:
             return False
-        if floor is not None and self.objective.hop_bound:
-            lower = floor.hop_bound()
-        else:
-            lower = self.objective.lower_bound(core_graph, topology, assignment)
+        lower = self.objective.lower_bound(floor)
         return lower is not None and beyond(lower, self.key[2])
 
     def overflow_floor(self, floor) -> bool:

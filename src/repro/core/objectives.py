@@ -8,7 +8,8 @@ floorplanner inside the swap loop (area/power do; hop delay does not,
 which keeps Figure 6(a)-style runs fast). Two more declarations let the
 swap search drop a losing candidate early (:mod:`repro.core.mapper`):
 ``routing_only`` (the cost is known once the mapping is routed),
-:meth:`Objective.lower_bound` (a cost no routing of a mapping can beat)
+:meth:`Objective.lower_bound` (a cost no routing of a swap candidate can
+beat, priced from the round's :class:`~repro.core.floor.SwapFloor`)
 and :meth:`Objective.lower_bound_routed` (a cost no floorplan of a
 routed mapping can beat).
 
@@ -22,7 +23,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 
-from repro.errors import ReproError, TopologyError
+from repro.errors import ReproError
 from repro.floorplan.lp import link_length_floors
 
 
@@ -35,18 +36,15 @@ class Objective(ABC):
     #: never area or power, so a candidate can be ranked right after
     #: routing.
     routing_only: bool = False
-    #: :meth:`lower_bound` is the bandwidth-weighted hop distance of the
-    #: mapped slots, which the swap search updates by swap delta
-    #: (:class:`~repro.core.floor.SwapFloor`).
-    hop_bound: bool = False
 
     @abstractmethod
     def cost(self, evaluation) -> float:
         """Cost of an evaluated mapping."""
 
-    def lower_bound(self, core_graph, topology, assignment) -> float | None:
-        """A cost no routing of ``assignment`` can go below, or ``None``
-        when the objective offers none (the default)."""
+    def lower_bound(self, floor) -> float | None:
+        """A cost no routing of the swap candidate selected in ``floor``
+        (a :class:`~repro.core.floor.SwapFloor`) can go below, or
+        ``None`` when the objective offers none (the default)."""
         return None
 
     def lower_bound_routed(
@@ -67,28 +65,17 @@ class HopDelayObjective(Objective):
     name = "hops"
     needs_floorplan = False
     routing_only = True
-    hop_bound = True
 
     def cost(self, evaluation) -> float:
         return evaluation.avg_hops
 
-    def lower_bound(self, core_graph, topology, assignment) -> float | None:
-        """Bandwidth-weighted hop distance between the mapped slots: no
-        routed path crosses fewer switches than
+    def lower_bound(self, floor) -> float | None:
+        """Bandwidth-weighted hop distance between the mapped slots
+        (:meth:`~repro.core.floor.SwapFloor.hop_bound`): no routed path
+        crosses fewer switches than
         :meth:`~repro.topology.base.Topology.hop_distance`. ``None`` when
         a pair is disconnected (routing then reports it)."""
-        hop_distance = topology.hop_distance
-        total = 0.0
-        weighted = 0.0
-        try:
-            for c in core_graph.commodities():
-                total += c.value
-                weighted += c.value * hop_distance(
-                    assignment[c.src], assignment[c.dst]
-                )
-        except TopologyError:
-            return None
-        return weighted / total if total > 0 else 0.0
+        return floor.hop_bound()
 
 
 class AreaObjective(Objective):

@@ -8,8 +8,9 @@ delta) are checked against the candidate's measured evaluation:
 
 * the overflow floor never exceeds ``bandwidth_overflow`` and the QoS
   violations floor never exceeds the violations;
-* ``HopDelayObjective.lower_bound`` never exceeds ``avg_hops``, and the
-  hop bound updated by swap delta equals it;
+* ``HopDelayObjective.lower_bound`` (the hop bound updated by swap
+  delta) equals the bandwidth-weighted hop distance of the candidate's
+  slots, re-summed, and never exceeds ``avg_hops``;
 * cut-off 5 never drops a candidate against a key it strictly beats.
 
 The link capacity leaves most mappings infeasible, so the floors are
@@ -74,6 +75,16 @@ def _swaps(assignment: dict, num_slots: int) -> list:
     ]
 
 
+def _hop_distance(app, topology, slots: tuple) -> float:
+    """Bandwidth-weighted hop distance of the mapping ``slots``."""
+    flows = app.commodities()
+    weighted = sum(
+        c.value * topology.hop_distance(slots[c.src], slots[c.dst])
+        for c in flows
+    )
+    return weighted / sum(c.value for c in flows)
+
+
 def _swapped(assignment: dict, s1: int, s2: int) -> tuple:
     def move(slot):
         return s2 if slot == s1 else s1 if slot == s2 else slot
@@ -107,19 +118,15 @@ def test_floors_never_exceed_the_measured_mapping(
     cut = dropped = 0
     for assignment in all_mappings(n_cores, topology.num_slots):
         base = tuple(assignment.values())
-        assert hops.lower_bound(app, topology, assignment) <= (
-            evaluations[base].avg_hops + 1e-12
-        )
         floor = SwapFloor(app, topology, routing, constraints, assignment)
         for s1, s2 in [(0, 0), *_swaps(assignment, topology.num_slots)]:
             slots = base if s1 == s2 else _swapped(assignment, s1, s2)
             ev = evaluations[slots]
             floor.select(s1, s2)
-            # The swap-delta hop bound is the objective's, re-summed.
-            lower = floor.hop_bound()
+            # The swap-delta hop bound equals the re-summed one.
+            lower = hops.lower_bound(floor)
             assert lower == pytest.approx(
-                hops.lower_bound(app, topology, dict(enumerate(slots))),
-                rel=1e-12,
+                _hop_distance(app, topology, slots), rel=1e-12
             )
             assert lower <= ev.avg_hops + 1e-12
             violations, overflow = floor.floors()
