@@ -10,9 +10,12 @@ Two streams, best of N repetitions per case:
   spans the paper's benchmark applications and synthetic scale points
   from ``repro.apps.synthetic``.
 * **search_candidates_per_sec** — swap candidates resolved per second
-  by a whole ``map_onto`` search (netproc with the hops objective, VOPD
-  with power), where the bounded swap search resolves most candidates
-  without a full evaluation; **search_pruned_share** is that
+  by a whole ``map_onto`` search (netproc with the hops objective on
+  its hypercube and on its Clos, VOPD with power), where the bounded
+  swap search resolves most candidates without a full evaluation. The
+  netproc Clos search races an infeasible bound that every candidate
+  ties, so its swap phase is all pre-routing tie drops (cut-off 5);
+  **search_pruned_share** is that
   deterministic fraction: candidates dropped part-way by the bound plus
   visited revisits skipped before routing.
 
@@ -105,10 +108,13 @@ EVAL_CASES = [
 SMOKE_EVAL_CASES = ["vopd-mesh-MP", "mpeg4-mesh-SM", "syn32-mesh-DO"]
 
 #: (case label, app, topology, routing, objective) of the map_onto
-#: stream: the flow's netproc search and a floorplanned power search.
+#: stream: the flow's netproc searches (one racing feasible bounds, one
+#: an infeasible bound its candidates tie) and a floorplanned power
+#: search.
 SEARCH_CASES = [
     ("netproc-hypercube-SM-hops", "netproc", "hypercube", "SM", "hops"),
     ("vopd-mesh-MP-power", "vopd", "mesh", "MP", "power"),
+    ("netproc-clos-SM-hops", "netproc", "clos", "SM", "hops"),
 ]
 
 

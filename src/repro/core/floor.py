@@ -46,9 +46,33 @@ injection and one ejection switch. Any other routing function gets the
 hop floor only, and so does a search without a QoS bound whose every
 link can carry the application's whole bandwidth: nothing can overflow.
 
-Floats: the floors add the same bandwidths in a different order than
-routing does, so they are compared with a 1e-9 margin relative to the
-largest quantity they sum, far above their rounding.
+**Exact ties.** The search keeps a candidate only if it strictly beats
+the bound, so a candidate whose floors prove it at best ties the bound
+is dropped too, when the floors are exact. They are exact when every
+bandwidth routing adds (a commodity's value, or its ``value / chunks``
+for SM and SA) and every constrained capacity is a multiple of
+``2**-16`` MB/s, every channel divisor is 1, and the application's
+bandwidth times the fabric's node count, plus the capacities, stays
+below ``2**36`` MB/s: every float sum of routing and of the floors is
+then an integer count of ``2**-16`` below ``2**52``, so no sum rounds,
+whatever its order (:attr:`SwapFloor.exact`). The paper's four
+applications qualify. Then:
+
+* for MP and SM, whose every routed path crosses exactly
+  ``hop_distance`` switches, :meth:`SwapFloor.hop_bound` *is* the
+  candidate's ``avg_hops`` bit for bit (:attr:`SwapFloor.hops_exact`),
+  so cut-off 1 drops it when it does not beat the key's cost;
+* against an infeasible key ``(1, v, o, m)``, a candidate whose floors
+  reach ``v`` violations and exactly ``o`` of overflow is dropped once a
+  floor of its ``max_link_load`` reaches ``m``: the forced-path edge
+  loads, each switch's forced out-edge load plus ``o_s`` spread over
+  its out-degree (and the same on in-edges), and, when constrained,
+  the terminal link loads (:meth:`SwapFloor.peak_reaches`).
+
+Floats: outside exact arithmetic the floors add the same bandwidths in
+a different order than routing does, so they are compared with a 1e-9
+margin relative to the largest quantity they sum, far above their
+rounding, and a near-tie is routed in full.
 """
 
 from __future__ import annotations
@@ -75,6 +99,15 @@ _KINDS = {
 
 #: A pair row's forced path before it is looked up.
 _UNKNOWN = False
+
+#: Bandwidths that are integer multiples of ``1 / _GRID`` MB/s and sum
+#: to less than ``_EXACT_LIMIT`` MB/s add without rounding.
+_GRID = 2.0 ** 16
+_EXACT_LIMIT = 2.0 ** 36
+
+
+def _on_grid(value: float) -> bool:
+    return (value * _GRID).is_integer()
 
 
 def _floor_cache(topology) -> dict:
@@ -126,7 +159,7 @@ class _Totals:
     __slots__ = (
         "fabric", "forced", "ends", "load", "overflow", "room_out",
         "room_in", "demand_out", "demand_in", "traffic", "terminal",
-        "violations", "infeasible", "margin",
+        "terminal_peak", "violations", "infeasible", "margin", "exact",
     )
 
 
@@ -149,12 +182,18 @@ class SwapFloor:
 
     Attributes:
         dropped: whether :meth:`loses` dropped the selected candidate.
+        exact: whether every bandwidth routing adds lies on the exact
+            grid (see the module docstring); the capacities are checked
+            with the overflow floor's totals.
+        hops_exact: whether :meth:`hop_bound` is the candidate's
+            ``avg_hops`` bit for bit: exact bandwidths under MP or SM.
     """
 
     __slots__ = (
         "base", "topology", "table", "kind", "max_hops", "flows", "on",
-        "core_at", "hops", "total", "weighted", "dropped", "_rows",
-        "_swap", "_moves", "_floors", "_totals",
+        "core_at", "hops", "total", "weighted", "exact", "hops_exact",
+        "dropped", "_rows", "_swap", "_moves", "_floors", "_totals",
+        "_loads",
     )
 
     def __init__(self, core_graph, topology, routing, constraints, base):
@@ -162,6 +201,7 @@ class SwapFloor:
         self.topology = topology
         self.table = capacity_table(topology, constraints)
         kind = _KINDS.get(type(routing))
+        minimum = kind == "minimum"
         if not math.isfinite(constraints.link_capacity_mb_s):
             kind = None
         self.kind = kind
@@ -191,11 +231,21 @@ class SwapFloor:
         self.hops = hops
         self.total = total
         self.weighted = weighted
+        chunks = getattr(routing, "chunks", 1)
+        self.exact = exact = (
+            total * topology.graph.number_of_nodes() < _EXACT_LIMIT
+            and all(
+                _on_grid(v / chunks) and v / chunks * chunks == v
+                for _, _, v in flows
+            )
+        )
+        self.hops_exact = exact and minimum
         self.dropped = False
         self._swap = None
         self._moves = None
         self._floors = None
         self._totals = None
+        self._loads = None
 
     def _row(self, a: int, b: int):
         """Slot pair ``(a, b)``'s row, or ``None`` if it is disconnected."""
@@ -276,10 +326,13 @@ class SwapFloor:
         sort key does not beat ``key``. Against a feasible key it must
         be provably infeasible: a QoS violation, or an overflow floor
         above what the per-link feasibility tolerances add up to.
-        Against an infeasible key ``(1, violations, overflow, ...)`` it
-        must be provably worse: more violations, or as many and an
-        overflow floor beyond ``overflow`` (and, as an overflow within
-        the tolerances may belong to a feasible mapping, above them)."""
+        Against an infeasible key ``(1, violations, overflow,
+        max_link_load)`` it must be provably no better: more violations,
+        or as many and an overflow floor beyond ``overflow`` (and, as an
+        overflow within the tolerances may belong to a feasible mapping,
+        above them). In exact arithmetic an overflow floor equal to
+        ``overflow`` also loses once its max-link-load floor reaches the
+        key's ``max_link_load`` (:meth:`peak_reaches`)."""
         floors = self.floors()
         if floors is None:
             return False
@@ -287,13 +340,49 @@ class SwapFloor:
         t = self._totals
         if violations != key[1]:  # a feasible key has none
             drop = violations > key[1]
-        else:
-            drop = overflow > t.infeasible and (
-                key[0] == 0
-                or overflow > key[2] + max(t.margin, 1e-9 * abs(key[2]))
+        elif not overflow > t.infeasible:
+            drop = False
+        elif key[0] == 0:
+            drop = True
+        elif t.exact:
+            drop = overflow > key[2] or (
+                overflow == key[2] and self.peak_reaches(key[3])
             )
+        else:
+            drop = overflow > key[2] + max(t.margin, 1e-9 * abs(key[2]))
         self.dropped = drop
         return drop
+
+    def peak_reaches(self, peak: float) -> bool:
+        """Whether a floor of the selected candidate's ``max_link_load``
+        reaches ``peak``: a forced-path net edge load, a switch whose
+        forced out-edge load plus ``o_s`` is at least ``peak`` times its
+        out-degree (the same on in-edges), or a constrained terminal
+        link's load. Only meaningful when the totals are exact (each
+        compared sum is then exact, and no division rounds); call after
+        :meth:`floors`."""
+        t = self._totals
+        if t.terminal_peak >= peak:
+            return True
+        load, demand_out, demand_in = self._loads
+        _, _, tail, head, switches = t.fabric
+        out_sum = demand_out[:]
+        in_sum = demand_in[:]
+        out_deg = [0] * switches
+        in_deg = [0] * switches
+        for eid in self.table.net:
+            value = load[eid]
+            if value >= peak:
+                return True
+            out_sum[tail[eid]] += value
+            in_sum[head[eid]] += value
+            out_deg[tail[eid]] += 1
+            in_deg[head[eid]] += 1
+        return any(
+            degree and total >= peak * degree
+            for sums, degrees in ((out_sum, out_deg), (in_sum, in_deg))
+            for total, degree in zip(sums, degrees)
+        )
 
     def _base_totals(self) -> _Totals | None:
         """The base's overflow-floor totals, or ``None`` where the
@@ -354,13 +443,16 @@ class SwapFloor:
                 room_in[head[eid]] += cap - load[eid]
         t.overflow = overflow
 
-        terminal = 0.0
+        terminal = peak = 0.0
         if table.core:
             cap = capacity[table.core[0]]
             for value in (*sent.values(), *received.values()):
                 if value > cap:
                     terminal += value - cap
+                if value > peak:
+                    peak = value
         t.terminal = terminal
+        t.terminal_peak = peak
         max_hops = self.max_hops
         t.violations = 0 if max_hops is None else sum(
             h > max_hops for h in self.hops
@@ -369,6 +461,15 @@ class SwapFloor:
         # 1e-9 per channel (the CapacityTable limit), so a floor above
         # their sum, plus the rounding margin, proves infeasibility.
         divisor = table.divisor
+        constrained = [capacity[eid] for eid in (*table.net, *table.core)]
+        t.exact = (
+            self.exact
+            and all(divisor[eid] == 1 for eid in table.net)
+            and all(map(_on_grid, constrained))
+            and sum(constrained)
+            + self.total * self.topology.graph.number_of_nodes()
+            < _EXACT_LIMIT
+        )
         t.margin = 1e-9 * max(1.0, scale + self.weighted)
         t.infeasible = t.margin + 1e-9 * (
             sum(divisor[eid] for eid in table.net) + len(table.core)
@@ -449,6 +550,7 @@ class SwapFloor:
         cut_out = _cut(demand_out, room_out, traffic)
         cut_in = _cut(demand_in, room_in, traffic)
         cut = cut_out if cut_out > cut_in else cut_in
+        self._loads = (load, demand_out, demand_in)
         self._floors = (violations, overflow + cut + t.terminal)
         return self._floors
 

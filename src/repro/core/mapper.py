@@ -27,7 +27,8 @@ so evaluation stops as soon as a candidate provably cannot win:
 1. before routing, when the objective's lower bound (for hops, the
    bandwidth-weighted hop distance of the mapped slots, updated from
    the round's base by swap delta) already exceeds a feasible bound's
-   cost;
+   cost, or ties it where exact arithmetic makes that bound the cost
+   itself (MP and SM, :attr:`~repro.core.floor.SwapFloor.hops_exact`);
 2. mid-routing, once a link overflows against a feasible bound, or the
    partial (QoS violations, overflow) loses to an infeasible one
    (:class:`~repro.core.constraints.RoutingWatch`);
@@ -43,10 +44,14 @@ so evaluation stops as soon as a candidate provably cannot win:
    of QoS violations and ``bandwidth_overflow``
    (:class:`~repro.core.floor.SwapFloor`: forced-path loads, switch
    cuts, constrained terminal links) prove it infeasible against a
-   feasible bound, or worse than an infeasible one.
+   feasible bound, or worse than an infeasible one; in exact
+   arithmetic, also no better: an overflow floor equal to the bound's
+   whose max-link-load floor reaches the bound's.
 
 Estimated quantities are compared with a 1e-9 relative margin, so a
-near-tie is always evaluated in full. The bound only tightens, so a
+near-tie is evaluated in full, unless exact arithmetic proves it a tie
+(:mod:`repro.core.floor`: grid-valued bandwidths and capacities, single
+channels, small totals). The bound only tightens, so a
 candidate whose assignment the search has already visited cannot beat
 it either and is skipped before routing
 (:class:`~repro.core.memo.MemoizedMappingEvaluator`). Dropped and
@@ -200,11 +205,17 @@ class SwapBound:
 
     def hops_cut(self, floor) -> bool:
         """Cut-off 1: the objective's lower bound of the candidate
-        selected in ``floor`` already loses to a feasible bound."""
+        selected in ``floor`` already loses to a feasible bound, or, when
+        that bound is the candidate's exact cost, does not beat it."""
         if self.key[0] != 0:
             return False
-        lower = self.objective.lower_bound(floor)
-        return lower is not None and beyond(lower, self.key[2])
+        objective = self.objective
+        lower = objective.lower_bound(floor)
+        if lower is None:
+            return False
+        if objective.lower_bound_is_cost(floor):
+            return not lower < self.key[2]
+        return beyond(lower, self.key[2])
 
     def overflow_floor(self, floor) -> bool:
         """Cut-off 5, before routing: the candidate's QoS-violation and

@@ -47,6 +47,13 @@ class Objective(ABC):
         ``None`` when the objective offers none (the default)."""
         return None
 
+    def lower_bound_is_cost(self, floor) -> bool:
+        """Whether :meth:`lower_bound` of the candidate selected in
+        ``floor`` is the cost its routing gives, bit for bit, so that a
+        candidate tying the bound cannot beat it either (the default:
+        no)."""
+        return False
+
     def lower_bound_routed(
         self, evaluation, estimator, used_switches, pitch_mm
     ) -> float | None:
@@ -76,6 +83,12 @@ class HopDelayObjective(Objective):
         :meth:`~repro.topology.base.Topology.hop_distance`. ``None`` when
         a pair is disconnected (routing then reports it)."""
         return floor.hop_bound()
+
+    def lower_bound_is_cost(self, floor) -> bool:
+        """MP and SM route every commodity across exactly
+        ``hop_distance`` switches, so in exact arithmetic the hop bound
+        is ``avg_hops`` (:attr:`~repro.core.floor.SwapFloor.hops_exact`)."""
+        return floor.hops_exact
 
 
 class AreaObjective(Objective):

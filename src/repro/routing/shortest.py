@@ -20,8 +20,9 @@ id. Each slot pair's search graph — its quadrant, or its routing view
 (all switches, the two endpoint terminals only), both node masks over
 the topology graph — is interned once per topology as a
 :class:`SearchGraph`: local node ids in graph order, CSR rows of
-``(successor local id, edge id)`` in successor order, and the pair's
-unique minimum-hop path when it has one. The kernel keeps its
+``(successor local id, edge id)`` in successor order (both built on a
+search's first read), and the pair's unique minimum-hop path when it
+has one. The kernel keeps its
 ``dist``/``seen``/``pred`` state in lists and returns the path together
 with its edge ids, which the ledger adds by id and the routed commodity
 keeps.
@@ -121,11 +122,15 @@ class SearchGraph:
             forced onto it whatever the loads), else ``None``.
         index: the graph's :func:`~repro.routing.loads.edge_index`, the
             ids the rows and the ledger share.
+
+    ``nodes``, ``rows``, ``blocked``, ``src``, ``dst`` and
+    ``num_nodes`` are interned on first read: MP and SM route a pair
+    with a unique minimum-hop path onto it without reading them.
     """
 
     __slots__ = (
         "nodes", "rows", "blocked", "src", "dst", "num_nodes", "unique",
-        "unique_eids", "index",
+        "unique_eids", "index", "_pending",
     )
 
     def __init__(
@@ -138,6 +143,14 @@ class SearchGraph:
         self.unique_eids = None if self.unique is None else [
             ids[edge] for edge in zip(self.unique, self.unique[1:])
         ]
+        self._pending = (graph, src, dst, nodes, interned, blocked)
+
+    def __getattr__(self, name):
+        # Reached only for a slot not set yet: intern the rows, once.
+        if name not in _INTERNED or self._pending is None:
+            raise AttributeError(name)
+        graph, src, dst, nodes, interned, blocked = self._pending
+        self._pending = None
         order, local, rows = interned or _intern(graph, nodes)
         self.nodes = order
         self.rows = rows
@@ -147,6 +160,11 @@ class SearchGraph:
         self.num_nodes = len(order) - len(blocked)
         self.src = local[src]
         self.dst = local[dst]
+        return getattr(self, name)
+
+
+#: The :class:`SearchGraph` slots interned on first read.
+_INTERNED = frozenset(("nodes", "rows", "blocked", "src", "dst", "num_nodes"))
 
 
 def routing_view(graph: TopologyGraph, src, dst) -> set:

@@ -16,18 +16,33 @@ delta) are checked against the candidate's measured evaluation:
 The link capacity leaves most mappings infeasible, so the floors are
 tested where they cut. MP and SM use forced paths and switch cuts, SA
 the switch cuts alone.
+
+A grid-valued variant of the same graphs (every bandwidth a whole
+MB/s) puts the floors in exact arithmetic, where the search also drops
+candidates that only tie the bound. There, for every mapping and swap:
+
+* the swap-delta hop bound is the candidate's ``avg_hops`` bit for bit
+  under MP and SM, so cut-off 1 drops a cost tie and nothing that beats
+  the cost;
+* the max-link-load floor (:meth:`~repro.core.floor.SwapFloor.peak_reaches`)
+  never exceeds ``max_link_load``;
+* cut-off 5's tie rule never drops a candidate whose key strictly
+  beats the bound, and it fires.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations, permutations
 
 import pytest
 
 from repro.apps.synthetic import random_core_graph
 from repro.core.constraints import Constraints, bandwidth_overflow
+from repro.core.coregraph import CoreGraph
 from repro.core.evaluate import evaluate_mapping
 from repro.core.floor import SwapFloor
+from repro.core.mapper import SwapBound
 from repro.core.objectives import make_objective
 from repro.routing.library import make_routing
 from repro.topology.library import make_topology
@@ -48,14 +63,38 @@ def all_mappings(n_cores: int, num_slots: int):
         yield dict(enumerate(slots))
 
 
-def _oracle(name, n_cores, seed, capacity, max_hops, code):
+#: The grid-valued variant: (fabric, routing, terminal link capacity
+#: MB/s) on ``CASES``' fabrics. Clos's switch floors are never tight on
+#: six cores, so its terminal links are constrained, and a terminal
+#: link's load is the peak floor's third part.
+GRID_CASES = [("mesh", "MP", None), ("torus", "SM", None), ("clos", "SM", 400.0)]
+
+
+def _whole_mb_s(app: CoreGraph) -> CoreGraph:
+    """``app`` with every bandwidth rounded to a whole MB/s."""
+    grid = CoreGraph(f"{app.name}-grid")
+    for core in app.cores:
+        grid.add_core(core.name, area_mm2=core.area_mm2)
+    for (src, dst), value in app.flows().items():
+        grid.add_flow(src, dst, float(round(value)))
+    return grid
+
+
+@lru_cache(maxsize=1)  # the mutation test's case is the next test's
+def _oracle(
+    name, n_cores, seed, capacity, max_hops, code, grid=False,
+    core_capacity=None,
+):
     """The case's context and every mapping's full evaluation, by the
-    slots in core order."""
+    slots in core order (with whole-MB/s bandwidths if ``grid``)."""
     app = random_core_graph(n_cores, seed=seed)
+    if grid:
+        app = _whole_mb_s(app)
     topology = make_topology(name, n_cores)
     routing = make_routing(code)
     constraints = Constraints(
-        link_capacity_mb_s=capacity, max_flow_hops=max_hops
+        link_capacity_mb_s=capacity, core_link_capacity_mb_s=core_capacity,
+        max_flow_hops=max_hops,
     )
     evaluations = {
         tuple(assignment.values()): evaluate_mapping(
@@ -139,3 +178,78 @@ def test_floors_never_exceed_the_measured_mapping(
                     dropped += 1
     # The floors are not vacuous: they are positive and they cut.
     assert cut and dropped
+
+
+class _TransitFloor(SwapFloor):
+    """A wrong peak floor: it counts the forced load entering a switch
+    as leaving it too, though that traffic may eject there."""
+
+    def peak_reaches(self, peak: float) -> bool:
+        load, demand_out, demand_in = self._loads
+        head = self._totals.fabric[3]
+        transit = demand_out[:]
+        for eid in self.table.net:
+            transit[head[eid]] += load[eid]
+        self._loads = (load, transit, demand_in)
+        try:
+            return super().peak_reaches(peak)
+        finally:
+            self._loads = (load, demand_out, demand_in)
+
+
+def test_oracle_catches_a_peak_floor_counting_transit_edges():
+    with pytest.raises(AssertionError):
+        _check_exact_floors("mesh", "MP", None, floor_class=_TransitFloor)
+
+
+@pytest.mark.parametrize(
+    "name, code, core_capacity", GRID_CASES,
+    ids=[f"{name}-{code}" for name, code, _ in GRID_CASES],
+)
+def test_exact_floors_on_grid_valued_bandwidths(name, code, core_capacity):
+    _check_exact_floors(name, code, core_capacity)
+
+
+def _check_exact_floors(name, code, core_capacity, floor_class=SwapFloor):
+    _, seed, capacity, max_hops, _ = next(c for c in CASES if c[0] == name)
+    app, topology, routing, constraints, evaluations = _oracle(
+        name, N_CORES, seed, capacity, max_hops, code, grid=True,
+        core_capacity=core_capacity,
+    )
+    hops = make_objective("hops")
+    ranked = sorted({ev.sort_key() for ev in evaluations.values()})
+    keys = [ranked[q * (len(ranked) - 1) // 4] for q in range(5)]
+    reached = 0
+    for assignment in all_mappings(N_CORES, topology.num_slots):
+        base = tuple(assignment.values())
+        floor = floor_class(app, topology, routing, constraints, assignment)
+        assert floor.exact and floor.hops_exact
+        for s1, s2 in [(0, 0), *_swaps(assignment, topology.num_slots)]:
+            ev = evaluations[base if s1 == s2 else _swapped(assignment, s1, s2)]
+            floor.select(s1, s2)
+            # Cut-off 1: the hop bound is the cost, so a tie drops and a
+            # key the cost beats does not.
+            cost = ev.avg_hops
+            assert hops.lower_bound(floor) == cost
+            assert SwapBound((0, 0, cost, 0.0), hops).hops_cut(floor)
+            assert not SwapBound((0, 0, cost + 2**-20, 0.0), hops).hops_cut(
+                floor
+            )
+            # The max-link-load floor is at most the measured peak: with
+            # whole-MB/s loads, a floor above it is 2**-16 or more above.
+            violations, overflow = floor.floors()
+            peak = ev.max_link_load
+            assert not floor.peak_reaches(peak + 2**-20)
+            if overflow > 0.0:
+                # A key the floors tie drops iff the peak floor reaches it.
+                tie = (1, violations, overflow, peak)
+                assert floor.loses(tie) == floor.peak_reaches(peak)
+                reached += floor.loses(tie)
+            key = ev.sort_key()
+            beaten = [k for k in keys if key < k]
+            if key[0] == 1:
+                beaten.append(key[:3] + (peak + 1.0,))
+            for k in beaten:
+                assert not floor.loses(k), (base, s1, s2, k)
+    # The tie rule is not vacuous.
+    assert reached

@@ -11,7 +11,9 @@ core-link capacity, the QoS hop bound, the area ceiling, and a tight
 300 MB/s link capacity that keeps most rounds bounded by an infeasible
 mapping, where the overflow floor cuts). A fault overlay and a custom
 fabric with parallel channels run the same way, and a synthesized
-fabric goes through ``execute_synthesis_job``.
+fabric goes through ``execute_synthesis_job``. Rounds where every
+candidate ties its bound check that exact arithmetic drops the ties
+before routing, and that fractional bandwidths route their near-ties.
 
 The matrix is a covering selection, not the full product: every app
 meets every routing function under the hops objective, and the
@@ -26,6 +28,7 @@ import pickle
 import pytest
 
 from repro.apps import load_application
+from repro.apps.synthetic import random_core_graph
 from repro.core import mapper, memo
 from repro.core.constraints import Constraints
 from repro.core.evaluate import evaluate_mapping
@@ -186,7 +189,9 @@ def test_synthesized_fabric_job_matches_collector_job(vopd_app):
         ("vopd", "mesh", "hops", "hops_cut"),
         ("dsp", "torus", "power", "watch"),
         ("mpeg4", "mesh", "hops", "watch"),
-        ("mpeg4", "torus", "power", "loses"),
+        # On mpeg4's torus, cut-off 5's exact tie rule drops all of
+        # cut-off 3's candidates before routing.
+        ("mpeg4", "clos", "power", "loses"),
         ("vopd", "mesh", "power", "power_floor"),
         # Every candidate the watch once abandoned here now fails its
         # overflow floor first.
@@ -266,6 +271,71 @@ def test_each_cutoff_drops_candidates(app, topo, objective, cutoff, monkeypatch)
     # floorplanner already ran in the loop.
     finals = 0 if objective == "power" else 1
     assert search.stats.misses == len(search._visited) + finals
+
+
+#: (app, topology, routing, the ties dropped before routing): rounds
+#: where every candidate ties the bound, on the paper apps' whole-MB/s
+#: bandwidths (exact arithmetic), and a fractional synthetic app whose
+#: near-ties must still be routed.
+TIE_CASES = [
+    ("netproc", "clos", "MP", "overflow"),
+    ("netproc", "clos", "SM", "overflow"),
+    ("netproc", "butterfly", "SM", "overflow"),
+    ("vopd", "clos", "MP", "hops"),
+    ("syn12", "clos", "MP", None),
+]
+
+
+@pytest.mark.parametrize(
+    "app, topo, code, ties", TIE_CASES,
+    ids=["-".join(case[:3]) for case in TIE_CASES],
+)
+def test_exact_ties_are_dropped_before_routing(
+    app, topo, code, ties, monkeypatch
+):
+    """A candidate whose exact floors tie the bound cannot strictly beat
+    it, so the search drops it before routing: a hop bound equal to a
+    feasible key's cost (cut-off 1), or an overflow floor equal to an
+    infeasible key's whose max-link-load floor reaches the key's
+    (cut-off 5). Fractional bandwidths keep the 1e-9 margin: their
+    near-ties are routed."""
+    counts = {"hops": 0, "overflow": 0, "near": 0}
+    exact = set()
+
+    def hops_cut(bound, floor):
+        drop = original_hops_cut(bound, floor)
+        exact.add((floor.exact, floor.hops_exact))
+        lower = bound.objective.lower_bound(floor)
+        if bound.key[0] == 0 and lower is not None:
+            counts["hops"] += drop and lower == bound.key[2]
+            counts["near"] += not drop and abs(lower - bound.key[2]) < 1e-9
+        return drop
+
+    def overflow_floor(bound, floor):
+        drop = original_overflow_floor(bound, floor)
+        counts["overflow"] += (
+            drop and bound.key[0] == 1 and floor.floors()[1] == bound.key[2]
+        )
+        return drop
+
+    original_hops_cut = mapper.SwapBound.hops_cut
+    original_overflow_floor = mapper.SwapBound.overflow_floor
+    monkeypatch.setattr(mapper.SwapBound, "hops_cut", hops_cut)
+    monkeypatch.setattr(mapper.SwapBound, "overflow_floor", overflow_floor)
+    if app.startswith("syn"):
+        core_graph = random_core_graph(int(app[3:]), seed=1)
+    else:
+        core_graph = load_application(app)
+    topology = make_topology(topo, core_graph.num_cores)
+    full = map_onto(core_graph, topology, code, "hops", collector=[])
+    pruned = map_onto(core_graph, topology, code, "hops")
+    _assert_same(pruned, full)
+    if ties is None:
+        assert exact == {(False, False)}
+        assert counts["near"] and not counts["hops"] + counts["overflow"]
+    else:
+        assert exact == {(True, True)}
+        assert counts[ties]
 
 
 def test_overflow_floor_drops_netproc_candidates_before_routing(monkeypatch):
