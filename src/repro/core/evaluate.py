@@ -106,7 +106,6 @@ def evaluate_mapping(
     with_floorplan: bool = True,
     bound=None,
     checked: bool = False,
-    floor=None,
 ) -> MappingEvaluation | None:
     """Route, check and measure one mapping.
 
@@ -118,16 +117,13 @@ def evaluate_mapping(
             swap loops for speed; re-enable for the final report.
         bound: optional :class:`~repro.core.mapper.SwapBound` the
             mapping must strictly beat. Work stops as soon as it
-            provably cannot — before routing, mid-routing, or before
-            the floorplan LP and power walk — and the result is
-            ``None``; a mapping that might win is evaluated in full.
-            Requires ``floor``.
+            provably cannot — mid-routing, or before the floorplan LP
+            and power walk — and the result is ``None``; a mapping that
+            might win is evaluated in full. (The swap search's memo asks
+            the bound's pre-routing cut-offs before calling this.)
         checked: the caller has already validated ``assignment`` (the
             swap search's memo validates each base assignment once and
             each candidate's two swapped slots), so it is not re-checked.
-        floor: the swap search's :class:`~repro.core.floor.SwapFloor`
-            with this candidate selected, which prices it for the
-            ``bound`` before routing from its base's totals.
 
     Raises:
         MappingInfeasibleError: if the assignment is structurally invalid
@@ -137,10 +133,6 @@ def evaluate_mapping(
         validate_assignment(core_graph, topology, assignment)
     if estimator is None:
         estimator = NetworkEstimator()
-    if bound is not None and (
-        bound.hops_cut(floor) or bound.overflow_floor(floor)
-    ):
-        return None
 
     commodities = core_graph.commodities()
     result = routing.route_all(

@@ -47,32 +47,32 @@ hop floor only, and so does a search without a QoS bound whose every
 link can carry the application's whole bandwidth: nothing can overflow.
 
 **Exact ties.** The search keeps a candidate only if it strictly beats
-the bound, so a candidate whose floors prove it at best ties the bound
-is dropped too, when the floors are exact. They are exact when every
-bandwidth routing adds (a commodity's value, or its ``value / chunks``
-for SM and SA) and every constrained capacity is a multiple of
-``2**-16`` MB/s, every channel divisor is 1, and the application's
-bandwidth times the fabric's node count, plus the capacities, stays
-below ``2**36`` MB/s: every float sum of routing and of the floors is
-then an integer count of ``2**-16`` below ``2**52``, so no sum rounds,
-whatever its order (:attr:`SwapFloor.exact`). The paper's four
-applications qualify. Then:
+the bound, so a candidate proven at best to tie it is dropped too:
 
-* for MP and SM, whose every routed path crosses exactly
-  ``hop_distance`` switches, :meth:`SwapFloor.hop_bound` *is* the
-  candidate's ``avg_hops`` bit for bit (:attr:`SwapFloor.hops_exact`),
-  so cut-off 1 drops it when it does not beat the key's cost;
-* against an infeasible key ``(1, v, o, m)``, a candidate whose floors
-  reach ``v`` violations and exactly ``o`` of overflow is dropped once a
-  floor of its ``max_link_load`` reaches ``m``: the forced-path edge
-  loads, each switch's forced out-edge load plus ``o_s`` spread over
-  its out-degree (and the same on in-edges), and, when constrained,
-  the terminal link loads (:meth:`SwapFloor.peak_reaches`).
+* hops, on any input: under MP and SM every routed path crosses exactly
+  ``hop_distance`` switches (``tests/routing/test_hop_bound.py``), so
+  :meth:`SwapFloor.replay_hops`, the same
+  :func:`~repro.routing.base.average_hops` expression on the same
+  numbers, is the candidate's ``avg_hops`` bit for bit. Cut-off 1 asks
+  it when the hop bound lies within its margin of the key's cost;
+* overflow, in exact arithmetic: when every bandwidth routing adds (a
+  commodity's value, or its ``value / chunks`` for SM and SA) and every
+  constrained capacity is a multiple of ``2**-16`` MB/s, every channel
+  divisor is 1, and the application's bandwidth times the fabric's node
+  count, plus the capacities, stays below ``2**36`` MB/s, every float
+  sum of routing and of the floors is an integer count of ``2**-16``
+  below ``2**52``, so no sum rounds, whatever its order. The paper's
+  four applications qualify. Then, against an infeasible key ``(1, v, o, m)``, a candidate whose floors reach ``v``
+  violations and exactly ``o`` of overflow is dropped once a floor of
+  its ``max_link_load`` reaches ``m``: the forced-path edge loads, each
+  switch's forced out-edge load plus ``o_s`` spread over its out-degree
+  (and the same on in-edges), and, when constrained, the terminal link
+  loads (:meth:`SwapFloor.peak_reaches`).
 
-Floats: outside exact arithmetic the floors add the same bandwidths in
-a different order than routing does, so they are compared with a 1e-9
-margin relative to the largest quantity they sum, far above their
-rounding, and a near-tie is routed in full.
+Floats: outside exact arithmetic the overflow floors add the same
+bandwidths in a different order than routing does, so they are compared
+with a 1e-9 margin relative to the largest quantity they sum, far above
+their rounding, and a near-tie is routed in full.
 """
 
 from __future__ import annotations
@@ -81,6 +81,7 @@ import math
 
 from repro.core.constraints import capacity_table
 from repro.errors import TopologyError
+from repro.routing.base import average_hops
 from repro.routing.dimension_ordered import DimensionOrderedRouting, dor_route
 from repro.routing.minimum_path import MinimumPathRouting
 from repro.routing.shortest import topology_search
@@ -172,8 +173,8 @@ class SwapFloor:
             while this floor is in use.
 
     :meth:`select` names the candidate, ``swap_assignment(base, s1,
-    s2)``; :meth:`hop_bound` and :meth:`loses` then price it. The
-    totals the overflow floor needs are computed on its first use.
+    s2)``; :meth:`hop_bound`, :meth:`replay_hops` and :meth:`loses`
+    then price it. The overflow floor's totals are built on first use.
 
     Slot pairs are priced by rows ``[hops, forced net edge ids]``
     cached on the topology, each looked up on first use: a row's forced
@@ -182,16 +183,11 @@ class SwapFloor:
 
     Attributes:
         dropped: whether :meth:`loses` dropped the selected candidate.
-        exact: whether every bandwidth routing adds lies on the exact
-            grid (see the module docstring); the capacities are checked
-            with the overflow floor's totals.
-        hops_exact: whether :meth:`hop_bound` is the candidate's
-            ``avg_hops`` bit for bit: exact bandwidths under MP or SM.
     """
 
     __slots__ = (
-        "base", "topology", "table", "kind", "max_hops", "flows", "on",
-        "core_at", "hops", "total", "weighted", "exact", "hops_exact",
+        "base", "topology", "table", "kind", "minimum", "chunks",
+        "max_hops", "flows", "on", "core_at", "hops", "total", "weighted",
         "dropped", "_rows", "_swap", "_moves", "_floors", "_totals",
         "_loads",
     )
@@ -201,7 +197,8 @@ class SwapFloor:
         self.topology = topology
         self.table = capacity_table(topology, constraints)
         kind = _KINDS.get(type(routing))
-        minimum = kind == "minimum"
+        self.minimum = kind == "minimum"
+        self.chunks = getattr(routing, "chunks", 1)
         if not math.isfinite(constraints.link_capacity_mb_s):
             kind = None
         self.kind = kind
@@ -231,15 +228,6 @@ class SwapFloor:
         self.hops = hops
         self.total = total
         self.weighted = weighted
-        chunks = getattr(routing, "chunks", 1)
-        self.exact = exact = (
-            total * topology.graph.number_of_nodes() < _EXACT_LIMIT
-            and all(
-                _on_grid(v / chunks) and v / chunks * chunks == v
-                for _, _, v in flows
-            )
-        )
-        self.hops_exact = exact and minimum
         self.dropped = False
         self._swap = None
         self._moves = None
@@ -320,6 +308,18 @@ class SwapFloor:
         for k, v, _, _, row in moves:
             weighted += v * row[0] - v * hops[k]
         return weighted / self.total if self.total > 0 else 0.0
+
+    def replay_hops(self) -> float | None:
+        """The selected candidate's ``avg_hops``, bit for bit, under MP
+        or SM (routing's own expression on the slots' hop distances);
+        ``None`` under other routings or when a pair is disconnected."""
+        moves = self._moved() if self.minimum else None
+        if moves is None:
+            return None
+        hops = self.hops[:]
+        for k, _, _, _, row in moves:
+            hops[k] = row[0]
+        return average_hops(hops, [v for _, _, v in self.flows])
 
     def loses(self, key: tuple) -> bool:
         """Cut-off 5: whether the selected candidate's floors prove its
@@ -462,10 +462,14 @@ class SwapFloor:
         # their sum, plus the rounding margin, proves infeasibility.
         divisor = table.divisor
         constrained = [capacity[eid] for eid in (*table.net, *table.core)]
+        chunks = self.chunks
         t.exact = (
-            self.exact
-            and all(divisor[eid] == 1 for eid in table.net)
+            all(divisor[eid] == 1 for eid in table.net)
             and all(map(_on_grid, constrained))
+            and all(
+                _on_grid(v / chunks) and v / chunks * chunks == v
+                for _, _, v in self.flows
+            )
             and sum(constrained)
             + self.total * self.topology.graph.number_of_nodes()
             < _EXACT_LIMIT

@@ -27,8 +27,9 @@ so evaluation stops as soon as a candidate provably cannot win:
 1. before routing, when the objective's lower bound (for hops, the
    bandwidth-weighted hop distance of the mapped slots, updated from
    the round's base by swap delta) already exceeds a feasible bound's
-   cost, or ties it where exact arithmetic makes that bound the cost
-   itself (MP and SM, :attr:`~repro.core.floor.SwapFloor.hops_exact`);
+   cost, or, within the 1e-9 margin of it, the cost replayed before
+   routing does not beat it (hops under MP and SM,
+   :meth:`~repro.core.floor.SwapFloor.replay_hops`);
 2. mid-routing, once a link overflows against a feasible bound, or the
    partial (QoS violations, overflow) loses to an infeasible one
    (:class:`~repro.core.constraints.RoutingWatch`);
@@ -49,10 +50,10 @@ so evaluation stops as soon as a candidate provably cannot win:
    whose max-link-load floor reaches the bound's.
 
 Estimated quantities are compared with a 1e-9 relative margin, so a
-near-tie is evaluated in full, unless exact arithmetic proves it a tie
-(:mod:`repro.core.floor`: grid-valued bandwidths and capacities, single
-channels, small totals). The bound only tightens, so a
-candidate whose assignment the search has already visited cannot beat
+near-tie is evaluated in full, unless a replayed hop cost or exact
+overflow arithmetic proves it a tie (:mod:`repro.core.floor`). The memo
+asks cut-offs 1 and 5 beside the round's floor. The bound only tightens,
+so a candidate whose assignment the search has already visited cannot beat
 it either and is skipped before routing
 (:class:`~repro.core.memo.MemoizedMappingEvaluator`). Dropped and
 skipped candidates are never returned; the search returns the same
@@ -194,8 +195,7 @@ def map_onto(
 class SwapBound:
     """The sort key a swap candidate must strictly beat, and the
     five exact tests that prove a candidate cannot (see the module
-    docstring). :func:`~repro.core.evaluate.evaluate_mapping` asks them
-    in order."""
+    docstring), asked in the order a candidate meets them."""
 
     __slots__ = ("key", "objective")
 
@@ -205,17 +205,18 @@ class SwapBound:
 
     def hops_cut(self, floor) -> bool:
         """Cut-off 1: the objective's lower bound of the candidate
-        selected in ``floor`` already loses to a feasible bound, or, when
-        that bound is the candidate's exact cost, does not beat it."""
+        selected in ``floor`` already loses to a feasible bound, or lies
+        within its margin and the replayed cost does not beat it."""
         if self.key[0] != 0:
             return False
-        objective = self.objective
-        lower = objective.lower_bound(floor)
-        if lower is None:
+        cost = self.key[2]
+        lower = self.objective.lower_bound(floor)
+        if lower is None or beyond(cost, lower):
             return False
-        if objective.lower_bound_is_cost(floor):
-            return not lower < self.key[2]
-        return beyond(lower, self.key[2])
+        if beyond(lower, cost):
+            return True
+        replayed = self.objective.replayed_cost(floor)
+        return replayed is not None and not replayed < cost
 
     def overflow_floor(self, floor) -> bool:
         """Cut-off 5, before routing: the candidate's QoS-violation and

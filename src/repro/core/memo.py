@@ -11,7 +11,7 @@ candidates as slot swaps of a base assignment, optionally with a
 the bound is dropped part-way and comes back as ``None``
 (``stats.pruned``). Bounded candidates of one base share a
 :class:`~repro.core.floor.SwapFloor`, which prices each before routing
-from the base's totals.
+from the base's totals; cut-offs 1 and 5 drop losers right there.
 
 The bound only tightens during a search: every assignment seen so far
 either lost to the bound of its time or became that bound. So a
@@ -139,9 +139,9 @@ class MemoizedMappingEvaluator:
 
         With a ``bound`` (a :class:`~repro.core.mapper.SwapBound`), a
         candidate that provably cannot beat it returns ``None``; an
-        already visited one does so without being routed, and the
-        base's :class:`~repro.core.floor.SwapFloor` prices the others
-        before routing.
+        already visited one does so without being routed, and so does
+        one the bound's cut-offs 1 and 5 drop from the price the base's
+        :class:`~repro.core.floor.SwapFloor` gives it.
 
         The base assignment is validated once (and again only when a
         different base dict is handed in); each candidate then needs
@@ -160,7 +160,7 @@ class MemoizedMappingEvaluator:
                 raise MappingInfeasibleError(f"slot {slot} out of range")
         assignment = swap_assignment(base_assignment, s1, s2)
         key = _key(assignment)
-        floor = None
+        dropped = False
         if bound is not None:
             if key in self._visited:
                 self.stats.hits += 1
@@ -172,19 +172,23 @@ class MemoizedMappingEvaluator:
                     self.constraints, base_assignment,
                 )
             floor.select(s1, s2)
+            dropped = bound.hops_cut(floor) or bound.overflow_floor(floor)
+            self.stats.floored += floor.dropped
         return self._evaluate(
-            assignment, key, with_floorplan, bound, checked=True, floor=floor
+            assignment, key, with_floorplan, bound, checked=True,
+            dropped=dropped,
         )
 
     def _evaluate(
         self, assignment: dict[int, int], key: tuple, with_floorplan: bool,
-        bound=None, checked: bool = False, floor=None,
+        bound=None, checked: bool = False, dropped: bool = False,
     ) -> MappingEvaluation | None:
         # The shared body of both entry points; neither calls the other,
-        # so a wrapper around either sees each lookup once.
+        # so a wrapper around either sees each lookup once. A candidate
+        # ``dropped`` before routing counts as a pruned miss.
         self._visited.add(key)
         self.stats.misses += 1
-        evaluation = evaluate_mapping(
+        evaluation = None if dropped else evaluate_mapping(
             self.core_graph,
             self.topology,
             assignment,
@@ -194,10 +198,6 @@ class MemoizedMappingEvaluator:
             with_floorplan=with_floorplan,
             bound=bound,
             checked=checked,
-            floor=floor,
         )
-        if evaluation is None:
-            self.stats.pruned += 1
-            if floor is not None and floor.dropped:
-                self.stats.floored += 1
+        self.stats.pruned += evaluation is None
         return evaluation

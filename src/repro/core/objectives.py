@@ -5,13 +5,14 @@ constraints").
 An objective turns a :class:`~repro.core.evaluate.MappingEvaluation` into
 a scalar cost (lower is better) and declares whether it needs the
 floorplanner inside the swap loop (area/power do; hop delay does not,
-which keeps Figure 6(a)-style runs fast). Two more declarations let the
+which keeps Figure 6(a)-style runs fast). More declarations let the
 swap search drop a losing candidate early (:mod:`repro.core.mapper`):
 ``routing_only`` (the cost is known once the mapping is routed),
 :meth:`Objective.lower_bound` (a cost no routing of a swap candidate can
-beat, priced from the round's :class:`~repro.core.floor.SwapFloor`)
-and :meth:`Objective.lower_bound_routed` (a cost no floorplan of a
-routed mapping can beat).
+beat, priced from the round's :class:`~repro.core.floor.SwapFloor`),
+:meth:`Objective.replayed_cost` (the cost a candidate's routing gives,
+known before routing) and :meth:`Objective.lower_bound_routed` (a cost
+no floorplan of a routed mapping can beat).
 
 The extra ``bandwidth`` objective minimizes the worst link load; mapping
 with it yields the *minimum feasible link bandwidth* of a routing
@@ -47,12 +48,11 @@ class Objective(ABC):
         ``None`` when the objective offers none (the default)."""
         return None
 
-    def lower_bound_is_cost(self, floor) -> bool:
-        """Whether :meth:`lower_bound` of the candidate selected in
-        ``floor`` is the cost its routing gives, bit for bit, so that a
-        candidate tying the bound cannot beat it either (the default:
-        no)."""
-        return False
+    def replayed_cost(self, floor) -> float | None:
+        """The cost the routing of the swap candidate selected in
+        ``floor`` gives, bit for bit, computed before routing, or
+        ``None`` when the objective cannot replay it (the default)."""
+        return None
 
     def lower_bound_routed(
         self, evaluation, estimator, used_switches, pitch_mm
@@ -84,11 +84,10 @@ class HopDelayObjective(Objective):
         a pair is disconnected (routing then reports it)."""
         return floor.hop_bound()
 
-    def lower_bound_is_cost(self, floor) -> bool:
-        """MP and SM route every commodity across exactly
-        ``hop_distance`` switches, so in exact arithmetic the hop bound
-        is ``avg_hops`` (:attr:`~repro.core.floor.SwapFloor.hops_exact`)."""
-        return floor.hops_exact
+    def replayed_cost(self, floor) -> float | None:
+        """``avg_hops`` replayed from the slots' hop distances under MP
+        and SM (:meth:`~repro.core.floor.SwapFloor.replay_hops`)."""
+        return floor.replay_hops()
 
 
 class AreaObjective(Objective):

@@ -52,8 +52,9 @@ _WRITE_ERRORS = obs_metrics.REGISTRY.counter(
 #: types or the cache-key composition change incompatibly; stores written
 #: under another version are discarded on open (cold start, never a
 #: crash and never stale payloads). 3: topologies pickle an in-house
-#: ``TopologyGraph`` instead of a networkx ``DiGraph``.
-SCHEMA_VERSION = 3
+#: ``TopologyGraph`` instead of a networkx ``DiGraph``. 4: exact
+#: per-commodity hops and topology-ordered power sums (last-bit moves).
+SCHEMA_VERSION = 4
 
 #: Seconds a SQLite connection waits on a lock held by another writer
 #: before the operation fails (and a ``put`` is dropped).

@@ -108,10 +108,6 @@ class FloorplanResult:
                 centers[term(slot)] = rect.center
         return centers
 
-    def node_center(self, topology: Topology, assignment: dict, node):
-        """Physical center of a topology-graph node, or None if pruned."""
-        return self._centers(assignment).get(node)
-
     def link_lengths(
         self, topology: Topology, assignment: dict
     ) -> dict[tuple, float]:

@@ -84,7 +84,8 @@ class NetworkEstimator:
     def used_switches(
         self, topology: Topology, result: RoutingResult | None
     ) -> set:
-        """Switches that must be instantiated.
+        """Switches that must be instantiated, as a set (its order varies
+        with the hash seed: sums run over ``topology.switches`` by it).
 
         Direct topologies instantiate every switch (each hosts a core
         slot); multistage topologies prune switches no route touches —
@@ -100,12 +101,6 @@ class NetworkEstimator:
         }
 
     # ------------------------------------------------------------------
-    def edge_length_mm(self, topology, u, v, lengths_mm, pitch_mm) -> float:
-        """Physical length of a link: floorplanned if known, nominal else."""
-        if lengths_mm is not None and (u, v) in lengths_mm:
-            return lengths_mm[(u, v)]
-        return topology.graph.attrs(u, v)["length"] * pitch_mm
-
     def _wire_energy_by_id(
         self, topology: Topology, lengths_mm: dict | None, pitch_mm: float
     ) -> list[float]:
@@ -226,7 +221,7 @@ class NetworkEstimator:
         used = self.used_switches(topology, result)
         clock = 0.0
         leakage = 0.0
-        for sw in used:
+        for sw in filter(used.__contains__, topology.switches):
             entry = entries[sw]
             clock += (
                 tech.clock_power_mw_per_port
@@ -280,9 +275,10 @@ class NetworkEstimator:
     ) -> float:
         """Total silicon area of the instantiated switches."""
         entries, _ = self._physical_tables(topology)
+        used = self.used_switches(topology, result)
         return sum(
             entries[sw].area_mm2
-            for sw in self.used_switches(topology, result)
+            for sw in filter(used.__contains__, topology.switches)
         )
 
     def channels_area_mm2(

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
+from operator import mul
 
 from repro.core.coregraph import Commodity
 from repro.routing.loads import EdgeLoads, edge_index
@@ -58,9 +59,13 @@ class RoutedCommodity:
     @property
     def hops(self) -> float:
         """Bandwidth-weighted switch count over this commodity's paths
-        (a path's switches are all its nodes but the two terminals)."""
+        (a path's switches are all its nodes but the two terminals),
+        exact when the paths share one length, as under MP, SM and DO."""
         if self.commodity.value <= 0:
             return 0.0
+        lengths = {len(path) for path, _ in self.paths}
+        if len(lengths) == 1:
+            return float(lengths.pop() - 2)
         total = 0
         for path, bw in self.paths:
             total = total + bw * (len(path) - 2)
@@ -102,6 +107,16 @@ def ledger_load_bound(
     return total * topology.graph.number_of_nodes()
 
 
+def average_hops(hops: list, values: list) -> float:
+    """The ``values``-weighted average of per-commodity ``hops``: the
+    one expression routing's ``avg_hops`` and the swap search's replay
+    of it share, so equal lists give equal bits on every Python."""
+    total = sum(values)
+    if total <= 0:
+        return 0.0
+    return sum(map(mul, hops, values)) / total
+
+
 @dataclass
 class RoutingResult:
     """All commodities of a mapping, routed."""
@@ -118,11 +133,10 @@ class RoutingResult:
         This is the paper's "avg hops" performance metric (Figures 3(d),
         6(a), 7(b)).
         """
-        total_bw = sum(rc.commodity.value for rc in self.routed)
-        if total_bw <= 0:
-            return 0.0
-        weighted = sum(rc.hops * rc.commodity.value for rc in self.routed)
-        return weighted / total_bw
+        return average_hops(
+            [rc.hops for rc in self.routed],
+            [rc.commodity.value for rc in self.routed],
+        )
 
     def max_link_load(self, topology: Topology) -> float:
         """Heaviest constrained-link load — the minimum feasible link

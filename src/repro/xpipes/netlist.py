@@ -39,10 +39,6 @@ class Netlist:
     #: topology-graph node -> instance name
     node_instance: dict = field(default_factory=dict)
 
-    @property
-    def num_instances(self) -> int:
-        return len(self.switches) + len(self.nis)
-
     def instance_ports(self) -> dict[str, tuple[int, int]]:
         """Declared (in, out) port counts per instance."""
         ports = {s.instance: (s.n_in, s.n_out) for s in self.switches}

@@ -121,14 +121,26 @@ def test_swap_sequence_matches_from_scratch(
 
 
 def _counting_evaluate_mapping(monkeypatch) -> list:
-    """Count the memo module's calls of ``evaluate_mapping``."""
+    """Count the memo module's calls of ``evaluate_mapping``, plus the
+    candidates a bound's cut-off 1 or 5 drops before routing (the memo
+    asks those itself and never hands the candidate on)."""
     calls = []
 
     def counted(*args, **kwargs):
         calls.append(args[2])
         return evaluate_mapping(*args, **kwargs)
 
+    def counting(cutoff):
+        def cut(bound, floor):
+            drop = cutoff(bound, floor)
+            if drop:
+                calls.append(None)
+            return drop
+        return cut
+
     monkeypatch.setattr(memo_module, "evaluate_mapping", counted)
+    for name in ("hops_cut", "overflow_floor"):
+        monkeypatch.setattr(SwapBound, name, counting(getattr(SwapBound, name)))
     return calls
 
 

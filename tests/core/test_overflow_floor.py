@@ -11,6 +11,10 @@ delta) are checked against the candidate's measured evaluation:
 * ``HopDelayObjective.lower_bound`` (the hop bound updated by swap
   delta) equals the bandwidth-weighted hop distance of the candidate's
   slots, re-summed, and never exceeds ``avg_hops``;
+* under MP and SM, ``avg_hops`` replayed before routing
+  (:meth:`~repro.core.floor.SwapFloor.replay_hops`) is the candidate's
+  ``avg_hops`` bit for bit, on these fractional bandwidths, and cut-off
+  1 drops a cost tie and no key one ulp above the cost;
 * cut-off 5 never drops a candidate against a key it strictly beats.
 
 The link capacity leaves most mappings infeasible, so the floors are
@@ -18,12 +22,10 @@ tested where they cut. MP and SM use forced paths and switch cuts, SA
 the switch cuts alone.
 
 A grid-valued variant of the same graphs (every bandwidth a whole
-MB/s) puts the floors in exact arithmetic, where the search also drops
-candidates that only tie the bound. There, for every mapping and swap:
+MB/s) puts the overflow floors in exact arithmetic, where the search
+also drops candidates that only tie an infeasible bound. There, for
+every mapping and swap:
 
-* the swap-delta hop bound is the candidate's ``avg_hops`` bit for bit
-  under MP and SM, so cut-off 1 drops a cost tie and nothing that beats
-  the cost;
 * the max-link-load floor (:meth:`~repro.core.floor.SwapFloor.peak_reaches`)
   never exceeds ``max_link_load``;
 * cut-off 5's tie rule never drops a candidate whose key strictly
@@ -32,6 +34,7 @@ candidates that only tie the bound. There, for every mapping and swap:
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from itertools import combinations, permutations
 
@@ -85,8 +88,9 @@ def _oracle(
     name, n_cores, seed, capacity, max_hops, code, grid=False,
     core_capacity=None,
 ):
-    """The case's context and every mapping's full evaluation, by the
-    slots in core order (with whole-MB/s bandwidths if ``grid``)."""
+    """The case's context and every mapping's full evaluation and
+    re-summed hop distance, by the slots in core order (with whole-MB/s
+    bandwidths if ``grid``)."""
     app = random_core_graph(n_cores, seed=seed)
     if grid:
         app = _whole_mb_s(app)
@@ -103,7 +107,10 @@ def _oracle(
         )
         for assignment in all_mappings(n_cores, topology.num_slots)
     }
-    return app, topology, routing, constraints, evaluations
+    distances = {
+        slots: _hop_distance(app, topology, slots) for slots in evaluations
+    }
+    return app, topology, routing, constraints, evaluations, distances
 
 
 def _swaps(assignment: dict, num_slots: int) -> list:
@@ -139,7 +146,7 @@ def test_floors_never_exceed_the_measured_mapping(
     name, seed, capacity, max_hops, code
 ):
     n_cores = N_CORES
-    app, topology, routing, constraints, evaluations = _oracle(
+    app, topology, routing, constraints, evaluations, distances = _oracle(
         name, n_cores, seed, capacity, max_hops, code
     )
     hops = make_objective("hops")
@@ -164,20 +171,37 @@ def test_floors_never_exceed_the_measured_mapping(
             floor.select(s1, s2)
             # The swap-delta hop bound equals the re-summed one.
             lower = hops.lower_bound(floor)
-            assert lower == pytest.approx(
-                _hop_distance(app, topology, slots), rel=1e-12
-            )
+            assert abs(lower - distances[slots]) <= 1e-12 * lower
             assert lower <= ev.avg_hops + 1e-12
+            if code == "SA":
+                assert floor.replay_hops() is None
+            else:
+                assert floor.replay_hops() == ev.avg_hops
+                if s1 == s2:
+                    _check_hop_tie(floor, ev.avg_hops)
             violations, overflow = floor.floors()
             assert violations <= len(ev.qos_violations)
             assert overflow <= raw[slots] + 1e-9
             cut += overflow > 0.0
+            # No key the candidate strictly beats is dropped; the rest
+            # are asked until one drop shows the floors cut.
+            measured = ev.sort_key()
             for key in keys:
-                if floor.loses(key):
-                    assert not ev.sort_key() < key, (slots, key)
-                    dropped += 1
+                if measured < key:
+                    assert not floor.loses(key), (slots, key)
+                elif not dropped:
+                    dropped = floor.loses(key)
     # The floors are not vacuous: they are positive and they cut.
     assert cut and dropped
+
+
+def _check_hop_tie(floor, cost):
+    """Cut-off 1 drops a candidate whose replayed cost ties the key's,
+    and not one whose cost beats the key by one ulp."""
+    hops = make_objective("hops")
+    assert SwapBound((0, 0, cost, 0.0), hops).hops_cut(floor)
+    above = math.nextafter(cost, math.inf)
+    assert not SwapBound((0, 0, above, 0.0), hops).hops_cut(floor)
 
 
 class _TransitFloor(SwapFloor):
@@ -212,29 +236,20 @@ def test_exact_floors_on_grid_valued_bandwidths(name, code, core_capacity):
 
 def _check_exact_floors(name, code, core_capacity, floor_class=SwapFloor):
     _, seed, capacity, max_hops, _ = next(c for c in CASES if c[0] == name)
-    app, topology, routing, constraints, evaluations = _oracle(
+    app, topology, routing, constraints, evaluations, _ = _oracle(
         name, N_CORES, seed, capacity, max_hops, code, grid=True,
         core_capacity=core_capacity,
     )
-    hops = make_objective("hops")
     ranked = sorted({ev.sort_key() for ev in evaluations.values()})
     keys = [ranked[q * (len(ranked) - 1) // 4] for q in range(5)]
     reached = 0
     for assignment in all_mappings(N_CORES, topology.num_slots):
         base = tuple(assignment.values())
         floor = floor_class(app, topology, routing, constraints, assignment)
-        assert floor.exact and floor.hops_exact
+        assert floor._base_totals().exact
         for s1, s2 in [(0, 0), *_swaps(assignment, topology.num_slots)]:
             ev = evaluations[base if s1 == s2 else _swapped(assignment, s1, s2)]
             floor.select(s1, s2)
-            # Cut-off 1: the hop bound is the cost, so a tie drops and a
-            # key the cost beats does not.
-            cost = ev.avg_hops
-            assert hops.lower_bound(floor) == cost
-            assert SwapBound((0, 0, cost, 0.0), hops).hops_cut(floor)
-            assert not SwapBound((0, 0, cost + 2**-20, 0.0), hops).hops_cut(
-                floor
-            )
             # The max-link-load floor is at most the measured peak: with
             # whole-MB/s loads, a floor above it is 2**-16 or more above.
             violations, overflow = floor.floors()

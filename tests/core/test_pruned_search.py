@@ -12,8 +12,8 @@ core-link capacity, the QoS hop bound, the area ceiling, and a tight
 mapping, where the overflow floor cuts). A fault overlay and a custom
 fabric with parallel channels run the same way, and a synthesized
 fabric goes through ``execute_synthesis_job``. Rounds where every
-candidate ties its bound check that exact arithmetic drops the ties
-before routing, and that fractional bandwidths route their near-ties.
+candidate ties its bound check that the ties are dropped before
+routing: hop ties on every input, overflow ties in exact arithmetic.
 
 The matrix is a covering selection, not the full product: every app
 meets every routing function under the hops objective, and the
@@ -275,15 +275,21 @@ def test_each_cutoff_drops_candidates(app, topo, objective, cutoff, monkeypatch)
 
 #: (app, topology, routing, the ties dropped before routing): rounds
 #: where every candidate ties the bound, on the paper apps' whole-MB/s
-#: bandwidths (exact arithmetic), and a fractional synthetic app whose
-#: near-ties must still be routed.
+#: bandwidths (exact arithmetic), and on fractional synthetic apps,
+#: whose hop ties drop by replay while their overflow floors stay
+#: inexact.
 TIE_CASES = [
     ("netproc", "clos", "MP", "overflow"),
     ("netproc", "clos", "SM", "overflow"),
     ("netproc", "butterfly", "SM", "overflow"),
     ("vopd", "clos", "MP", "hops"),
-    ("syn12", "clos", "MP", None),
+    ("syn12", "clos", "MP", "hops"),
+    ("syn16", "butterfly", "MP", "hops"),
+    ("syn16", "clos", "SM", "hops"),
 ]
+
+#: The fractional apps: ``random_core_graph(cores, seed=1, **kwargs)``.
+SYNTHETIC = {"syn12": (12, {}), "syn16": (16, {"bandwidth_range": (10, 100)})}
 
 
 @pytest.mark.parametrize(
@@ -293,26 +299,26 @@ TIE_CASES = [
 def test_exact_ties_are_dropped_before_routing(
     app, topo, code, ties, monkeypatch
 ):
-    """A candidate whose exact floors tie the bound cannot strictly beat
-    it, so the search drops it before routing: a hop bound equal to a
-    feasible key's cost (cut-off 1), or an overflow floor equal to an
-    infeasible key's whose max-link-load floor reaches the key's
-    (cut-off 5). Fractional bandwidths keep the 1e-9 margin: their
-    near-ties are routed."""
-    counts = {"hops": 0, "overflow": 0, "near": 0}
+    """A candidate proven to tie the bound cannot strictly beat it, so
+    the search drops it before routing: a replayed ``avg_hops`` equal to
+    a feasible key's cost (cut-off 1, on any input under MP and SM), or
+    an exact overflow floor equal to an infeasible key's whose
+    max-link-load floor reaches the key's (cut-off 5, on grid-valued
+    inputs only)."""
+    counts = {"hops": 0, "overflow": 0}
     exact = set()
 
     def hops_cut(bound, floor):
         drop = original_hops_cut(bound, floor)
-        exact.add((floor.exact, floor.hops_exact))
         lower = bound.objective.lower_bound(floor)
-        if bound.key[0] == 0 and lower is not None:
-            counts["hops"] += drop and lower == bound.key[2]
-            counts["near"] += not drop and abs(lower - bound.key[2]) < 1e-9
+        if drop and bound.key[0] == 0 and lower is not None:
+            counts["hops"] += abs(lower - bound.key[2]) < 1e-9
         return drop
 
     def overflow_floor(bound, floor):
         drop = original_overflow_floor(bound, floor)
+        totals = floor._base_totals()
+        exact.add(totals is not None and totals.exact)
         counts["overflow"] += (
             drop and bound.key[0] == 1 and floor.floors()[1] == bound.key[2]
         )
@@ -322,20 +328,20 @@ def test_exact_ties_are_dropped_before_routing(
     original_overflow_floor = mapper.SwapBound.overflow_floor
     monkeypatch.setattr(mapper.SwapBound, "hops_cut", hops_cut)
     monkeypatch.setattr(mapper.SwapBound, "overflow_floor", overflow_floor)
-    if app.startswith("syn"):
-        core_graph = random_core_graph(int(app[3:]), seed=1)
+    if app in SYNTHETIC:
+        cores, kwargs = SYNTHETIC[app]
+        core_graph = random_core_graph(cores, seed=1, **kwargs)
     else:
         core_graph = load_application(app)
     topology = make_topology(topo, core_graph.num_cores)
     full = map_onto(core_graph, topology, code, "hops", collector=[])
     pruned = map_onto(core_graph, topology, code, "hops")
     _assert_same(pruned, full)
-    if ties is None:
-        assert exact == {(False, False)}
-        assert counts["near"] and not counts["hops"] + counts["overflow"]
-    else:
-        assert exact == {(True, True)}
-        assert counts[ties]
+    assert counts[ties]
+    if app in SYNTHETIC:
+        assert True not in exact
+    elif ties == "overflow":
+        assert True in exact
 
 
 def test_overflow_floor_drops_netproc_candidates_before_routing(monkeypatch):
