@@ -23,6 +23,21 @@ the same model (``tests/floorplan/test_lp_highs.py`` checks this against
 the dense ``linprog`` model) without the wrapper's input cleaning,
 option checks and dense-to-sparse conversion.
 
+Each LP is solved once per topology. The LP reads only the block
+shapes per column (area, softness, a soft block's aspect bounds), the
+channel and the chip aspect bound, never which core or switch a block
+is, so :func:`floorplan_mapping` keys its solution by exactly those
+(:func:`_lp_key`, one flat tuple) in a table on the topology
+(``_lp_cache``, dropped by ``Topology.__getstate__``) and reuses it for
+every later mapping with the same shapes; the power-objective swap
+search asks for many such repeats. Only successful solutions are kept,
+as read-only arrays. A miss is solved on its thread's one HiGHS solver
+(:func:`_thread_solver`, configured once and cleared before each
+model), since a solver that is passed the same model with the same
+options returns the same solution bits as a new one. Solves are counted
+in ``repro_floorplan_lp_solves_total`` by outcome (``solved``,
+``reused``, ``failed``).
+
 The bindings are one extension module, but importing it by name runs
 ``scipy/optimize/__init__.py``, which pulls in scipy.linalg,
 scipy.sparse and the rest of scipy.optimize (~500 modules; about 0.5 s
@@ -43,6 +58,7 @@ from __future__ import annotations
 import importlib.util
 import math
 import sys
+import threading
 from dataclasses import dataclass
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 from pathlib import Path
@@ -54,7 +70,8 @@ import numpy as np
 from repro.core.coregraph import CoreGraph
 from repro.errors import FloorplanError
 from repro.floorplan.blocks import Block, BlockRect
-from repro.floorplan.positions import core_block, derive_columns, switch_areas
+from repro.floorplan.positions import derive_columns, switch_areas
+from repro.obs import metrics as obs_metrics
 from repro.physical.technology import TECH_100NM, Technology
 from repro.topology.base import Topology, term
 
@@ -66,6 +83,12 @@ TANGENT_CUTS = 5
 
 #: Shortest physical link length accounted (same-tile connections), mm.
 MIN_LINK_MM = 0.05
+
+_LP_SOLVES = obs_metrics.REGISTRY.counter(
+    "repro_floorplan_lp_solves_total",
+    "Floorplan sizing LPs by outcome (solved, reused, failed)",
+    ("outcome",),
+)
 
 
 @dataclass
@@ -192,20 +215,33 @@ _HIGHS_OPTIONS.log_to_console = False
 _HIGHS_OPTIONS.highs_debug_level = 0  # no debug checks
 
 
-def _solve_lp(
+_SOLVERS = threading.local()
+
+
+def _thread_solver():
+    """This thread's HiGHS solver, built and given the options once
+    (the service computes in worker threads, so each has its own)."""
+    highs = getattr(_SOLVERS, "highs", None)
+    if highs is None:
+        highs = _SOLVERS.highs = _highs._Highs()
+        highs.passOptions(_HIGHS_OPTIONS)
+    return highs
+
+
+def _lp_model(
     columns: list[list[Block]],
     channel: float,
     max_aspect: float | None,
-) -> tuple[np.ndarray, list[Block]]:
-    """Solve the sizing LP; returns (solution vector, flat block list).
+):
+    """The sizing LP as a HiGHS model.
 
     Every constraint is a ``<=`` row with at most three nonzeros, built
     straight into HiGHS's row-wise sparse format.
     """
     n_cols = len(columns)
-    blocks: list[Block] = [b for col in columns for b in col]
+    n_blocks = sum(len(col) for col in columns)
     # Variable layout: [X_0..X_{C-1}] then per block (y, w, h), then H.
-    hv = n_cols + 3 * len(blocks)
+    hv = n_cols + 3 * n_blocks
     n_vars = hv + 1
 
     starts = [0]
@@ -272,18 +308,73 @@ def _solve_lp(
     matrix.start_ = starts
     matrix.index_ = indices
     matrix.value_ = values
+    return lp
 
-    highs = _highs._Highs()
-    highs.passOptions(_HIGHS_OPTIONS)
-    if highs.passModel(lp) == _highs.HighsStatus.kError:
+
+def _solve_lp(
+    columns: list[list[Block]],
+    channel: float,
+    max_aspect: float | None,
+) -> tuple[np.ndarray, list[Block]]:
+    """Solve the sizing LP on this thread's solver; returns (solution
+    vector, flat block list)."""
+    highs = _thread_solver()
+    highs.clearModel()
+    model = _lp_model(columns, channel, max_aspect)
+    if highs.passModel(model) == _highs.HighsStatus.kError:
+        _LP_SOLVES.inc(outcome="failed")
         raise FloorplanError("floorplan LP failed: HiGHS rejected the model")
     highs.run()
     status = highs.getModelStatus()
     if status != _highs.HighsModelStatus.kOptimal:
+        _LP_SOLVES.inc(outcome="failed")
         raise FloorplanError(
             f"floorplan LP failed: {highs.modelStatusToString(status)}"
         )
+    _LP_SOLVES.inc(outcome="solved")
+    blocks = [b for col in columns for b in col]
     return np.array(highs.getSolution().col_value), blocks
+
+
+def _lp_key(
+    columns: list[list[Block]],
+    channel: float,
+    max_aspect: float | None,
+) -> tuple:
+    """Everything :func:`_solve_lp` reads, as one flat tuple: the channel,
+    the aspect bound, then per column its length and each block's shape,
+    ``(area, True, aspect_min, aspect_max)`` for a soft block and
+    ``(area, False)`` for a hard one (a fixed square)."""
+    key = [channel, max_aspect]
+    for col in columns:
+        key.append(len(col))
+        for b in col:
+            if b.is_soft:
+                key += (b.area_mm2, True, b.aspect_min, b.aspect_max)
+            else:
+                key += (b.area_mm2, False)
+    return tuple(key)
+
+
+def _topology_lp_solution(
+    topology: Topology,
+    columns: list[list[Block]],
+    channel: float,
+    max_aspect: float | None,
+) -> np.ndarray:
+    """The LP's solution from the topology's table (``_lp_cache``,
+    dropped by ``Topology.__getstate__``), solved on a miss. Threads
+    that miss one key at once each solve it and store the same bits."""
+    table = topology.__dict__.setdefault("_lp_cache", {})
+    key = _lp_key(columns, channel, max_aspect)
+    solution = table.get(key)
+    if solution is not None:
+        _LP_SOLVES.inc(outcome="reused")
+        return solution
+    solution, _ = _solve_lp(columns, channel, max_aspect)
+    solution.flags.writeable = False
+    table[key] = solution
+    return solution
 
 
 def _legalize(
@@ -386,7 +477,8 @@ def floorplan_mapping(
     columns = [col for col in columns if col]
     if not columns:
         raise FloorplanError("nothing to floorplan")
-    solution, blocks = _solve_lp(columns, channel_mm, max_aspect)
+    solution = _topology_lp_solution(topology, columns, channel_mm, max_aspect)
+    blocks = [b for col in columns for b in col]
     result = _legalize(columns, solution, blocks, channel_mm, max_aspect)
     result.validate()
     return result
@@ -419,9 +511,18 @@ def link_length_floors(
     for sw in placed:
         side = math.sqrt(areas[sw])  # a hard square block
         sizes[sw] = (side, side)
-    for core, slot in assignment.items():
-        block = core_block(core_graph, core)
-        sizes[term(slot)] = (block.width_min, block.height_min)
+    for core_index, slot in assignment.items():
+        # ``Block.width_min`` / ``height_min`` of the core's block.
+        core = core_graph.core(core_index)
+        area = core.area_mm2
+        if core.is_soft:
+            sizes[term(slot)] = (
+                math.sqrt(area * core.aspect_min),
+                math.sqrt(area / core.aspect_max),
+            )
+        else:
+            side = math.sqrt(area)
+            sizes[term(slot)] = (side, side)
     floors = {}
     for u, v in topology.graph.edges():
         su = sizes.get(u)

@@ -150,6 +150,7 @@ class Topology(ABC):
         state.pop("_dor_cache", None)
         state.pop("_capacity_cache", None)
         state.pop("_floor_cache", None)
+        state.pop("_lp_cache", None)
         return state
 
     # ------------------------------------------------------------------

@@ -11,6 +11,8 @@ so they check the claim on all of them.
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.apps import load_application
@@ -21,8 +23,10 @@ from repro.core.objectives import (
     PowerObjective,
     WeightedObjective,
 )
-from repro.floorplan.lp import link_length_floors
+from repro.floorplan.lp import MIN_LINK_MM, link_length_floors
+from repro.floorplan.positions import core_block, switch_areas
 from repro.physical.estimate import NetworkEstimator
+from repro.topology.base import term
 from repro.topology.library import make_topology
 
 
@@ -71,3 +75,42 @@ def test_only_power_offers_a_routed_bound(vopd_app):
         assert objective.lower_bound_routed(ev, estimator, used, pitch) is None
     floor = PowerObjective().lower_bound_routed(ev, estimator, used, pitch)
     assert 0 < floor <= ev.power_mw
+
+
+def _floors_from_blocks(topology, assignment, core_graph, used, tech):
+    """The link-length floors with each core sized by its floorplan
+    ``Block`` (``width_min``, ``height_min``)."""
+    areas = switch_areas(topology, tech)
+    sizes = {sw: (math.sqrt(areas[sw]),) * 2 for sw in used}
+    for core, slot in assignment.items():
+        block = core_block(core_graph, core)
+        sizes[term(slot)] = (block.width_min, block.height_min)
+    floors = {}
+    for u, v in topology.graph.edges():
+        if u in sizes and v in sizes:
+            (wu, hu), (wv, hv) = sizes[u], sizes[v]
+            gap = min((wu + wv) / 2.0, (hu + hv) / 2.0)
+            floors[(u, v)] = max(gap, MIN_LINK_MM)
+    return floors
+
+
+def test_floors_keep_their_bits_on_every_candidate(vopd_app):
+    topology = make_topology("mesh", vopd_app.num_cores)
+    estimator = NetworkEstimator()
+    collected = []
+    map_onto(
+        vopd_app, topology, "MP", "power", estimator=estimator,
+        collector=collected,
+    )
+    assert len(collected) > 100
+    for ev in collected:
+        used = estimator.used_switches(topology, ev.routing_result)
+        floors = link_length_floors(
+            topology, ev.assignment, vopd_app, used, estimator.tech
+        )
+        expected = _floors_from_blocks(
+            topology, ev.assignment, vopd_app, used, estimator.tech
+        )
+        assert {k: v.hex() for k, v in floors.items()} == {
+            k: v.hex() for k, v in expected.items()
+        }

@@ -11,6 +11,10 @@ two solution vectors must be equal element for element, and where
 The bindings are loaded without importing ``scipy.optimize``; fresh
 interpreters check that importing repro leaves ``scipy.optimize`` out,
 and that in either import order both solvers share one bindings module.
+
+Solutions are reused per topology and solved on one solver per thread;
+every solution the flow uses must carry the bits a new, freshly
+configured solver gives the same model.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ import re
 import subprocess
 import sys
 import textwrap
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -34,10 +39,20 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from repro.apps import load_application
+from repro.core.coregraph import CoreGraph
+from repro.core.selector import select_topology
 from repro.errors import FloorplanError
+from repro.floorplan import lp
 from repro.floorplan.blocks import Block
-from repro.floorplan.lp import DEFAULT_CHANNEL_MM, TANGENT_CUTS, _solve_lp
+from repro.floorplan.lp import (
+    DEFAULT_CHANNEL_MM,
+    TANGENT_CUTS,
+    _solve_lp,
+    floorplan_mapping,
+)
 from repro.floorplan.positions import derive_columns
+from repro.obs import get_registry
+from repro.physical.technology import scaled_technology
 from repro.topology.library import make_topology
 
 
@@ -249,3 +264,209 @@ def test_one_bindings_module_in_either_import_order(order):
     """)
     result = _run_fresh(script, pickle.dumps((columns, model)))
     assert result == [1, True, True, True]
+
+
+# ----------------------------------------------------------------------
+def _fresh_solution(columns, channel, max_aspect) -> np.ndarray:
+    """The LP solved on a new solver given the options afresh."""
+    highs = lp._highs._Highs()
+    highs.passOptions(lp._HIGHS_OPTIONS)
+    highs.passModel(lp._lp_model(columns, channel, max_aspect))
+    highs.run()
+    assert highs.getModelStatus() == lp._highs.HighsModelStatus.kOptimal
+    return np.array(highs.getSolution().col_value)
+
+
+def _lp_solves() -> dict:
+    """``repro_floorplan_lp_solves_total`` by outcome."""
+    family = get_registry().snapshot().get("repro_floorplan_lp_solves_total")
+    series = family["series"] if family else []
+    return {s["labels"]["outcome"]: s["value"] for s in series}
+
+
+def _solved_since(before: dict) -> dict:
+    after = _lp_solves()
+    return {k: after.get(k, 0.0) - before.get(k, 0.0)
+            for k in ("solved", "reused", "failed")}
+
+
+def test_power_selection_lps_match_fresh_solver():
+    """Every LP the vopd and dsp power selections solve or reuse carries
+    the bits of a fresh solve."""
+    recorded = []
+    original = lp._topology_lp_solution
+
+    def record(topology, columns, channel, max_aspect):
+        solution = original(topology, columns, channel, max_aspect)
+        recorded.append((columns, channel, max_aspect, solution))
+        return solution
+
+    before = _lp_solves()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lp, "_topology_lp_solution", record)
+        for app in ("vopd", "dsp"):
+            select_topology(load_application(app), objective="power")
+    solves = _solved_since(before)
+    assert solves["reused"] > 0 and solves["solved"] > 0
+    assert solves["solved"] + solves["reused"] == len(recorded)
+    for columns, channel, max_aspect, x in recorded:
+        assert not x.flags.writeable
+        assert np.array_equal(x, _fresh_solution(columns, channel, max_aspect))
+
+
+def _sample_lps() -> list:
+    """A dozen LPs: vopd and dsp on three fabrics, two mappings each."""
+    lps = []
+    for app in ("vopd", "dsp"):
+        core_graph = load_application(app)
+        n = core_graph.num_cores
+        for name in ("mesh", "clos", "butterfly"):
+            topology = make_topology(name, n)
+            for shift in (0, 1):
+                assignment = {i: (i + shift) % n for i in range(n)}
+                columns = derive_columns(topology, assignment, core_graph)
+                lps.append(([c for c in columns if c], DEFAULT_CHANNEL_MM, 3.0))
+    return lps
+
+
+def test_infeasible_lp_leaves_the_next_solve_unchanged():
+    infeasible = ([[Block(key=("core", 0), name="a", area_mm2=1.0)]],
+                  DEFAULT_CHANNEL_MM, 0.95)
+    lps = _sample_lps()
+    for before, after in zip(lps, lps[1:]):
+        x_before, _ = _solve_lp(*before)
+        with pytest.raises(FloorplanError):
+            _solve_lp(*infeasible)
+        x_after, _ = _solve_lp(*after)
+        assert np.array_equal(x_before, _fresh_solution(*before))
+        assert np.array_equal(x_after, _fresh_solution(*after))
+
+
+def test_threads_solving_interleaved_lps_get_fresh_bits():
+    lps = _sample_lps()
+    expected = [_fresh_solution(*model) for model in lps]
+    orders = [list(range(len(lps))), list(reversed(range(len(lps))))]
+    step = threading.Barrier(len(orders))
+    results = [{} for _ in orders]
+    solvers = [None] * len(orders)
+
+    def work(t):
+        solvers[t] = lp._thread_solver()
+        for i in orders[t]:
+            step.wait(timeout=30)  # both threads solve at each step
+            results[t][i] = _solve_lp(*lps[i])[0]
+
+    threads = [threading.Thread(target=work, args=(t,)) for t in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+    assert not any(thread.is_alive() for thread in threads)
+    assert solvers[0] is not solvers[1]
+    assert lp._thread_solver() not in solvers
+    for out in results:
+        assert sorted(out) == list(range(len(lps)))
+        for i, x in out.items():
+            assert np.array_equal(x, expected[i])
+
+
+def test_threads_sharing_one_topology_get_serial_floorplans():
+    """More threads than cores floorplan mappings on one topology, so
+    they share its table and race on its misses; each gets the serial
+    floorplan, and the table keeps one entry per distinct LP."""
+    core_graph = load_application("vopd")
+    n = core_graph.num_cores
+    mappings = [{i: (i * k + shift) % n for i in range(n)}
+                for k in (1, 5, 7) for shift in range(4)]
+    serial_topology = make_topology("mesh", n)
+    expected = [floorplan_mapping(serial_topology, m, core_graph).rects
+                for m in mappings]
+    shared = make_topology("mesh", n)
+    workers = 4
+    failures = []
+
+    def work(t):
+        for i in range(len(mappings)):
+            j = (i + 3 * t) % len(mappings)
+            if floorplan_mapping(shared, mappings[j], core_graph).rects != (
+                expected[j]
+            ):
+                failures.append((t, j))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(t,))
+                   for t in range(workers)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []
+    assert shared.__dict__["_lp_cache"].keys() == (
+        serial_topology.__dict__["_lp_cache"].keys()
+    )
+
+
+def _equal_cores(n: int) -> CoreGraph:
+    graph = CoreGraph("equal")
+    for i in range(n):
+        graph.add_core(f"c{i}", area_mm2=2.0)
+    for i in range(n - 1):
+        graph.add_flow(i, i + 1, 100.0)
+    return graph
+
+
+def test_equal_shapes_share_one_entry_and_other_inputs_do_not():
+    core_graph = _equal_cores(4)
+    topology = make_topology("mesh", 4)
+    identity = {i: i for i in range(4)}
+    swapped = {0: 1, 1: 0, 2: 2, 3: 3}
+    before = _lp_solves()
+    first = floorplan_mapping(topology, identity, core_graph)
+    second = floorplan_mapping(topology, swapped, core_graph)
+    table = topology.__dict__["_lp_cache"]
+    assert len(table) == 1
+    assert _solved_since(before) == {"solved": 1, "reused": 1, "failed": 0}
+    # Same rectangles, under the other core's key.
+    for slot_a, slot_b in ((0, 1), (1, 0)):
+        a = first.rects[("core", slot_a)]
+        b = second.rects[("core", swapped[slot_a])]
+        assert (a.x, a.y, a.w, a.h) == (b.x, b.y, b.w, b.h)
+
+    floorplan_mapping(topology, identity, core_graph, channel_mm=0.2)
+    assert len(table) == 2
+    floorplan_mapping(topology, identity, core_graph, max_aspect=None)
+    assert len(table) == 3
+    floorplan_mapping(
+        topology, identity, core_graph, tech=scaled_technology(0.13)
+    )
+    assert len(table) == 4
+    assert _solved_since(before) == {"solved": 4, "reused": 1, "failed": 0}
+
+
+def test_failed_lps_are_counted_and_not_kept():
+    core_graph = _equal_cores(4)
+    topology = make_topology("mesh", 4)
+    identity = {i: i for i in range(4)}
+    before = _lp_solves()
+    for _ in range(2):
+        with pytest.raises(FloorplanError):
+            floorplan_mapping(topology, identity, core_graph, max_aspect=0.95)
+    assert topology.__dict__["_lp_cache"] == {}
+    assert _solved_since(before) == {"solved": 0, "reused": 0, "failed": 2}
+
+
+def test_pickled_topology_carries_no_lp_table():
+    core_graph = load_application("vopd")
+    topology = make_topology("mesh", core_graph.num_cores)
+    identity = {i: i for i in range(core_graph.num_cores)}
+    floorplan = floorplan_mapping(topology, identity, core_graph)
+    assert topology.__dict__["_lp_cache"]
+    copy = pickle.loads(pickle.dumps(topology))
+    assert "_lp_cache" not in copy.__dict__
+    again = floorplan_mapping(copy, identity, core_graph)
+    assert again.rects == floorplan.rects
