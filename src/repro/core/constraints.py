@@ -117,10 +117,8 @@ def capacity_table(
     topology: Topology, constraints: Constraints
 ) -> CapacityTable:
     """The :class:`CapacityTable` of ``topology`` under ``constraints``
-    (cached on the topology, dropped by ``Topology.__getstate__``)."""
-    cache = topology.__dict__.get("_capacity_cache")
-    if cache is None:
-        cache = topology.__dict__["_capacity_cache"] = {}
+    (kept in the topology's ``derived("capacity")`` table)."""
+    cache = topology.derived("capacity")
     key = (constraints.link_capacity_mb_s, constraints.core_link_capacity_mb_s)
     table = cache.get(key)
     if table is None:

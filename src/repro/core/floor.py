@@ -111,21 +111,13 @@ def _on_grid(value: float) -> bool:
     return (value * _GRID).is_integer()
 
 
-def _floor_cache(topology) -> dict:
-    """The floors' per-topology cache (dropped by
-    ``Topology.__getstate__``): the fabric and the pair rows."""
-    cache = topology.__dict__.get("_floor_cache")
-    if cache is None:
-        cache = topology.__dict__["_floor_cache"] = {}
-    return cache
-
-
 def _fabric(topology):
     """``(inj, ej, tail, head, switches)`` of ``topology`` — each slot's
     injection and ejection switch number, each net edge id's tail and
     head switch number, the switch count — or ``None`` when a terminal
-    lacks exactly one injection or one ejection switch."""
-    cache = _floor_cache(topology)
+    lacks exactly one injection or one ejection switch. Kept in the
+    topology's ``derived("floor")`` table beside the pair rows."""
+    cache = topology.derived("floor")
     if "fabric" in cache:
         return cache["fabric"]
     graph = topology.graph
@@ -176,8 +168,9 @@ class SwapFloor:
     s2)``; :meth:`hop_bound`, :meth:`replay_hops` and :meth:`loses`
     then price it. The overflow floor's totals are built on first use.
 
-    Slot pairs are priced by rows ``[hops, forced net edge ids]``
-    cached on the topology, each looked up on first use: a row's forced
+    Slot pairs are priced by rows ``[hops, forced net edge ids]`` in
+    the topology's ``derived("floor")`` table, one row table per
+    routing kind, each row looked up on first use: a row's forced
     path (``None`` when the pair has none) only when an overflow floor
     needs it, since finding it interns the pair's search graph.
 
@@ -202,7 +195,7 @@ class SwapFloor:
         if not math.isfinite(constraints.link_capacity_mb_s):
             kind = None
         self.kind = kind
-        self._rows = _floor_cache(topology).setdefault(
+        self._rows = topology.derived("floor").setdefault(
             kind if kind in ("minimum", "dor") else "cut", {}
         )
         self.max_hops = constraints.max_flow_hops

@@ -54,7 +54,10 @@ _WRITE_ERRORS = obs_metrics.REGISTRY.counter(
 #: crash and never stale payloads). 3: topologies pickle an in-house
 #: ``TopologyGraph`` instead of a networkx ``DiGraph``. 4: exact
 #: per-commodity hops and topology-ordered power sums (last-bit moves).
-SCHEMA_VERSION = 4
+#: 5: pickled topologies hold one empty ``_derived`` table dict in place
+#: of the per-module ``_*_cache`` fields, so a version-4 entry would
+#: unpickle into a ``Topology`` without ``_derived``.
+SCHEMA_VERSION = 5
 
 #: Seconds a SQLite connection waits on a lock held by another writer
 #: before the operation fails (and a ``put`` is dropped).

@@ -57,14 +57,15 @@ def topology_fingerprint(topology: Topology) -> str:
     non-default, so every pristine fingerprint is byte-stable across
     this change.
 
-    The digest is memoized on the instance: topologies are content-
-    immutable once built (the whole cache layer already relies on
-    that), and a batched campaign keys hundreds of points against one
-    topology object, so walking the graph per point would dominate the
-    keying cost. Equal-content *distinct* objects still hash equal —
-    each just computes its digest once.
+    The digest is kept in the topology's ``derived("fingerprint")``
+    table: topologies are content-immutable once built (the whole cache
+    layer already relies on that), and a batched campaign keys hundreds
+    of points against one topology object, so walking the graph per
+    point would dominate the keying cost. Equal-content *distinct*
+    objects still hash equal — each just computes its digest once.
     """
-    cached = getattr(topology, "_topology_fingerprint", None)
+    memo = topology.derived("fingerprint")
+    cached = memo.get("digest")
     if cached is not None:
         return cached
     g = topology.graph
@@ -96,11 +97,7 @@ def topology_fingerprint(topology: Topology) -> str:
         (type(topology).__name__, topology.name, topology.num_slots, nodes,
          edges)
     )
-    fingerprint = _digest(payload)
-    try:
-        topology._topology_fingerprint = fingerprint
-    except AttributeError:
-        pass  # slotted/frozen subclass: just recompute next time
+    fingerprint = memo["digest"] = _digest(payload)
     return fingerprint
 
 

@@ -143,15 +143,17 @@ class FaultedTopology(Topology):
         pristine fast path; dead elements are already absent from the
         graph and need no entry here.
         """
-        cached = self.__dict__.get("_degradations_cache", "unset")
-        if cached == "unset":
-            g = self.graph
-            degr = {}
-            for pair, cap_factor, extra_latency in self.faults.degraded:
-                u, v = pair
-                for edge in ((u, v), (v, u)):
-                    if g.has_edge(*edge):
-                        degr[edge] = (cap_factor, extra_latency)
-            cached = degr or None
-            self.__dict__["_degradations_cache"] = cached
-        return cached
+        structure = self.derived("structure")
+        try:
+            return structure["channel_degradations"]
+        except KeyError:
+            pass
+        g = self.graph
+        degr = {}
+        for pair, cap_factor, extra_latency in self.faults.degraded:
+            u, v = pair
+            for edge in ((u, v), (v, u)):
+                if g.has_edge(*edge):
+                    degr[edge] = (cap_factor, extra_latency)
+        degr = structure["channel_degradations"] = degr or None
+        return degr

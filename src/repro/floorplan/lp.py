@@ -27,16 +27,15 @@ Each LP is solved once per topology. The LP reads only the block
 shapes per column (area, softness, a soft block's aspect bounds), the
 channel and the chip aspect bound, never which core or switch a block
 is, so :func:`floorplan_mapping` keys its solution by exactly those
-(:func:`_lp_key`, one flat tuple) in a table on the topology
-(``_lp_cache``, dropped by ``Topology.__getstate__``) and reuses it for
-every later mapping with the same shapes; the power-objective swap
-search asks for many such repeats. Only successful solutions are kept,
-as read-only arrays. A miss is solved on its thread's one HiGHS solver
-(:func:`_thread_solver`, configured once and cleared before each
-model), since a solver that is passed the same model with the same
-options returns the same solution bits as a new one. Solves are counted
-in ``repro_floorplan_lp_solves_total`` by outcome (``solved``,
-``reused``, ``failed``).
+(:func:`_lp_key`, one flat tuple) in the topology's ``derived("lp")``
+table and reuses it for every later mapping with the same shapes; the
+power-objective swap search asks for many such repeats. Only successful
+solutions are kept, as read-only arrays. A miss is solved on its
+thread's one HiGHS solver (:func:`_thread_solver`, configured once and
+cleared before each model), since a solver that is passed the same
+model with the same options returns the same solution bits as a new
+one. Solves are counted in ``repro_floorplan_lp_solves_total`` by
+outcome (``solved``, ``reused``, ``failed``).
 
 The bindings are one extension module, but importing it by name runs
 ``scipy/optimize/__init__.py``, which pulls in scipy.linalg,
@@ -70,7 +69,7 @@ import numpy as np
 from repro.core.coregraph import CoreGraph
 from repro.errors import FloorplanError
 from repro.floorplan.blocks import Block, BlockRect
-from repro.floorplan.positions import derive_columns, switch_areas
+from repro.floorplan.positions import derive_columns, switch_sides
 from repro.obs import metrics as obs_metrics
 from repro.physical.technology import TECH_100NM, Technology
 from repro.topology.base import Topology, term
@@ -315,9 +314,9 @@ def _solve_lp(
     columns: list[list[Block]],
     channel: float,
     max_aspect: float | None,
-) -> tuple[np.ndarray, list[Block]]:
-    """Solve the sizing LP on this thread's solver; returns (solution
-    vector, flat block list)."""
+) -> np.ndarray:
+    """Solve the sizing LP on this thread's solver; returns the
+    solution vector."""
     highs = _thread_solver()
     highs.clearModel()
     model = _lp_model(columns, channel, max_aspect)
@@ -332,8 +331,7 @@ def _solve_lp(
             f"floorplan LP failed: {highs.modelStatusToString(status)}"
         )
     _LP_SOLVES.inc(outcome="solved")
-    blocks = [b for col in columns for b in col]
-    return np.array(highs.getSolution().col_value), blocks
+    return np.array(highs.getSolution().col_value)
 
 
 def _lp_key(
@@ -362,16 +360,16 @@ def _topology_lp_solution(
     channel: float,
     max_aspect: float | None,
 ) -> np.ndarray:
-    """The LP's solution from the topology's table (``_lp_cache``,
-    dropped by ``Topology.__getstate__``), solved on a miss. Threads
-    that miss one key at once each solve it and store the same bits."""
-    table = topology.__dict__.setdefault("_lp_cache", {})
+    """The LP's solution from the topology's ``derived("lp")`` table,
+    solved on a miss. Threads that miss one key at once each solve it
+    and store the same bits."""
+    table = topology.derived("lp")
     key = _lp_key(columns, channel, max_aspect)
     solution = table.get(key)
     if solution is not None:
         _LP_SOLVES.inc(outcome="reused")
         return solution
-    solution, _ = _solve_lp(columns, channel, max_aspect)
+    solution = _solve_lp(columns, channel, max_aspect)
     solution.flags.writeable = False
     table[key] = solution
     return solution
@@ -380,7 +378,6 @@ def _topology_lp_solution(
 def _legalize(
     columns: list[list[Block]],
     solution: np.ndarray,
-    blocks: list[Block],
     channel: float,
     max_aspect: float | None = None,
 ) -> FloorplanResult:
@@ -478,8 +475,7 @@ def floorplan_mapping(
     if not columns:
         raise FloorplanError("nothing to floorplan")
     solution = _topology_lp_solution(topology, columns, channel_mm, max_aspect)
-    blocks = [b for col in columns for b in col]
-    result = _legalize(columns, solution, blocks, channel_mm, max_aspect)
+    result = _legalize(columns, solution, channel_mm, max_aspect)
     result.validate()
     return result
 
@@ -505,12 +501,9 @@ def link_length_floors(
     between the mapped cores and ``used_switches`` (default: every
     switch), the blocks the floorplanner places.
     """
-    areas = switch_areas(topology, tech)
+    sides = switch_sides(topology, tech)  # hard square blocks
     placed = topology.switches if used_switches is None else used_switches
-    sizes = {}
-    for sw in placed:
-        side = math.sqrt(areas[sw])  # a hard square block
-        sizes[sw] = (side, side)
+    sizes = {sw: (sides[sw], sides[sw]) for sw in placed}
     for core_index, slot in assignment.items():
         # ``Block.width_min`` / ``height_min`` of the core's block.
         core = core_graph.core(core_index)

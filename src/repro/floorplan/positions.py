@@ -46,10 +46,10 @@ def switch_areas(topology: Topology, tech: Technology) -> dict:
     """Area (mm^2) of every switch by the switch area model.
 
     Depends only on the topology and the technology point, so the table
-    is cached on the topology beside the estimator's physical tables
-    (and, like them, dropped when the topology is pickled).
+    is kept beside the estimator's physical tables (the topology's
+    ``derived("physical")`` table).
     """
-    cache = topology.__dict__.setdefault("_phys_tables_cache", {})
+    cache = topology.derived("physical")
     key = ("switch_areas", tech)
     areas = cache.get(key)
     if areas is None:
@@ -59,6 +59,20 @@ def switch_areas(topology: Topology, tech: Technology) -> dict:
             for sw in topology.switches
         }
     return areas
+
+
+def switch_sides(topology: Topology, tech: Technology) -> dict:
+    """Side (mm) of every switch's square block, kept beside
+    :func:`switch_areas`."""
+    cache = topology.derived("physical")
+    key = ("switch_sides", tech)
+    sides = cache.get(key)
+    if sides is None:
+        sides = cache[key] = {
+            sw: math.sqrt(area)
+            for sw, area in switch_areas(topology, tech).items()
+        }
+    return sides
 
 
 def _switch_block(sw, areas: dict) -> Block:

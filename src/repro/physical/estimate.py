@@ -60,13 +60,12 @@ class NetworkEstimator:
         Returns ``(entry_by_switch, nominal_length_by_edge)``: the
         library entry of every switch and the nominal ``length``
         attribute of every edge. Both depend only on the topology and
-        the technology point, so they are cached *on the topology
-        object*, keyed by technology — topologies outlive estimator
-        instances (and estimators get re-created per engine job), and a
-        topology-resident cache also survives estimator pickling into
-        worker processes.
+        the technology point, so they are kept in the topology's
+        ``derived("physical")`` table, keyed by technology — topologies
+        outlive estimator instances (and estimators get re-created per
+        engine job).
         """
-        cache = topology.__dict__.setdefault("_phys_tables_cache", {})
+        cache = topology.derived("physical")
         key = (type(self).__name__, self.tech)
         tables = cache.get(key)
         if tables is None:
@@ -108,11 +107,11 @@ class NetworkEstimator:
         floorplanned length when known, else the nominal one.
 
         The nominal table depends only on (topology, tech, pitch), so it
-        is cached on the topology beside the physical tables.
+        is kept beside the physical tables.
         """
         cache = None
         if lengths_mm is None:
-            cache = topology.__dict__.setdefault("_phys_tables_cache", {})
+            cache = topology.derived("physical")
             key = ("wire", type(self).__name__, self.tech, pitch_mm)
             wire = cache.get(key)
             if wire is not None:
@@ -133,7 +132,7 @@ class NetworkEstimator:
     def _head_energy_by_id(self, topology: Topology) -> list:
         """Per edge id, the switching energy (pJ/bit) of the edge's head
         switch, or ``None`` when the head is a terminal."""
-        cache = topology.__dict__.setdefault("_phys_tables_cache", {})
+        cache = topology.derived("physical")
         key = ("head", type(self).__name__, self.tech)
         heads = cache.get(key)
         if heads is None:
@@ -202,18 +201,17 @@ class NetworkEstimator:
         Every instantiated switch clocks and leaks, and instantiated
         channels leak through their repeaters. For direct topologies
         with nominal lengths this is mapping-independent (every switch
-        hosts a slot), so the two loops' results are cached per
-        (estimator type, tech, pitch) on the topology — computed once by
-        the exact legacy accumulation order.
+        hosts a slot), so the two loops' results are kept per
+        (estimator type, tech, pitch) in the topology's
+        ``derived("physical")`` table — computed once by the exact
+        legacy accumulation order.
         """
         tech = self.tech
         static_cache = None
         static_key = None
         if topology.kind == "direct" and lengths_mm is None:
-            static_cache = topology.__dict__.setdefault(
-                "_static_power_cache", {}
-            )
-            static_key = (type(self).__name__, tech, pitch_mm)
+            static_cache = topology.derived("physical")
+            static_key = ("static", type(self).__name__, tech, pitch_mm)
             cached = static_cache.get(static_key)
             if cached is not None:
                 return cached

@@ -20,14 +20,12 @@ from repro.topology.base import Topology
 def dor_route(topology: Topology, src_slot: int, dst_slot: int):
     """``(path, edge ids)`` of a slot pair's dimension-ordered route.
 
-    Cached on the topology like the interned search graphs (and dropped
-    by ``Topology.__getstate__``): the route depends on the slot pair
-    alone. The path and edge ids are read-only; ``route_all`` copies
-    the path into a finished run's result.
+    Kept in the topology's ``derived("dor")`` table like the interned
+    search graphs: the route depends on the slot pair alone. The path
+    and edge ids are read-only; ``route_all`` copies the path into a
+    finished run's result.
     """
-    cache = topology.__dict__.get("_dor_cache")
-    if cache is None:
-        cache = topology.__dict__["_dor_cache"] = {}
+    cache = topology.derived("dor")
     key = (src_slot, dst_slot)
     route = cache.get(key)
     if route is None:

@@ -189,12 +189,10 @@ def topology_search(
     routing view share the topology's rows, the routing views blocking
     third-core terminals instead — skipping a node the view would not
     list leaves every other push, and so every tie-break, unchanged.
-    The cache dies with the topology and is dropped by
-    ``Topology.__getstate__``.
+    The graphs live in the topology's ``derived("search")`` table, the
+    shared rows under its ``"csr"`` key.
     """
-    cache = topology.__dict__.get("_search_cache")
-    if cache is None:
-        cache = topology.__dict__["_search_cache"] = {}
+    cache = topology.derived("search")
     key = (quadrant, src_slot, dst_slot)
     search = cache.get(key)
     if search is not None:
@@ -208,9 +206,9 @@ def topology_search(
     if quadrant and mask is not None:
         search = SearchGraph(graph, src, dst, mask)
     else:
-        interned = topology.__dict__.get("_csr_cache")
+        interned = cache.get("csr")
         if interned is None:
-            interned = topology.__dict__["_csr_cache"] = _intern(graph)
+            interned = cache["csr"] = _intern(graph)
         blocked = () if quadrant else [
             n for n in interned[0]
             if not is_switch(n) and n != src and n != dst

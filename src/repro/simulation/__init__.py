@@ -25,11 +25,7 @@ from repro.simulation.campaign import (
 )
 from repro.simulation.flit import Flit, Packet
 from repro.simulation.network import Network, SimConfig
-from repro.simulation.patterns import (
-    APP_PATTERN,
-    register_pattern,
-    resolve_pattern,
-)
+from repro.simulation.patterns import APP_PATTERN, resolve_pattern
 from repro.simulation.routes import RouteTable
 from repro.simulation.stats import (
     SimReport,
@@ -63,7 +59,6 @@ __all__ = [
     "APP_PATTERN",
     "ADVERSARIAL_PATTERNS",
     "adversarial_pattern",
-    "register_pattern",
     "resolve_pattern",
     "CampaignConfig",
     "CampaignCurve",

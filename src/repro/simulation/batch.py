@@ -266,8 +266,9 @@ def _precompute_trace(lane: BatchLane, rng, T: int, plen: int,
 class _BatchLayout:
     """Numpy view of one topology's interned kernel layout.
 
-    Built from (and cached beside) the exact kernel's
-    :class:`~repro.simulation.network._KernelLayout`, so the expensive
+    Built from the exact kernel's
+    :class:`~repro.simulation.network._KernelLayout` and kept beside it
+    (the topology's ``derived("batch_layout")`` table), so the expensive
     route-table construction is shared between engines.
     """
 
@@ -313,7 +314,7 @@ class _BatchLayout:
 def _batch_layout(topology: Topology, active_slots: list[int],
                   num_vcs: int) -> _BatchLayout:
     """Fetch (or build and cache) the numpy layout for a topology."""
-    cache = topology.__dict__.setdefault("_batch_layout_cache", {})
+    cache = topology.derived("batch_layout")
     key = (tuple(active_slots), num_vcs)
     layout = cache.get(key)
     if layout is None:

@@ -154,10 +154,10 @@ class _KernelLayout:
     Building the layout interns nodes/edges/channels to contiguous ints
     and precomputes the dense next-hop arrays; it also builds the
     :class:`~repro.simulation.routes.RouteTable` (the expensive part —
-    all shortest paths per slot pair). Layouts are cached on the
-    topology object, so the engine's pattern of constructing one
-    :class:`Network` per campaign point over the same topology pays the
-    construction cost once.
+    all shortest paths per slot pair). Layouts are kept in the
+    topology's ``derived("sim_layout")`` table, so the engine's pattern
+    of constructing one :class:`Network` per campaign point over the
+    same topology pays the construction cost once.
     """
 
     __slots__ = (
@@ -253,7 +253,7 @@ def _kernel_layout(
     topology: Topology, active_slots: list[int], num_vcs: int
 ) -> _KernelLayout:
     """Fetch (or build and cache) the interned layout for a topology."""
-    cache = topology.__dict__.setdefault("_sim_layout_cache", {})
+    cache = topology.derived("sim_layout")
     key = (tuple(active_slots), num_vcs)
     layout = cache.get(key)
     if layout is None:

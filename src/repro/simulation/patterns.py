@@ -8,9 +8,7 @@ per-generator ``rng``, so they stay reproducible given the traffic seed.
 
 The registry (:data:`PATTERNS`) is the single naming authority: the CLI,
 the :class:`~repro.simulation.traffic.SyntheticTraffic` generator and the
-:mod:`~repro.simulation.campaign` sweeps all resolve pattern names here,
-and :func:`register_pattern` lets experiments plug in new ones without
-touching this module.
+:mod:`~repro.simulation.campaign` sweeps all resolve pattern names here.
 """
 
 from __future__ import annotations
@@ -138,13 +136,6 @@ def resolve_pattern(pattern: str | PatternFn) -> PatternFn:
         raise SimulationError(
             f"unknown pattern {pattern!r}; choose from {sorted(PATTERNS)}"
         ) from None
-
-
-def register_pattern(name: str, fn: PatternFn) -> None:
-    """Add a synthetic pattern to the registry under ``name``."""
-    if name in PATTERNS or name == APP_PATTERN:
-        raise SimulationError(f"pattern {name!r} is already registered")
-    PATTERNS[name] = fn
 
 
 def adversarial_pattern(topology) -> str:

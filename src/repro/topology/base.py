@@ -25,6 +25,7 @@ hops; every pair on a 3-stage Clos is 3 hops.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from collections import defaultdict
 from dataclasses import dataclass
 from itertools import islice
 
@@ -113,45 +114,29 @@ class Topology(ABC):
     def __init__(self, name: str):
         self.name = name
         self._graph: TopologyGraph | None = None
-        self._dist_cache: dict | None = None
-        # Structure caches: the graph is built once and never mutated
-        # afterwards, so edge lists, port counts, quadrant masks and the
-        # direct-topology resource summary are all computed lazily and
-        # reused (they sit on the mapping search's per-evaluation path).
-        self._net_edges_cache: list | None = None
-        self._core_edges_cache: list | None = None
-        self._switch_ports_cache: dict | None = None
-        self._quadrant_cache: dict = {}
-        self._direct_resource_cache: tuple | None = None
-        self._switches_cache: list | None = None
-        self._switch_of_cache: dict | None = None
-        self._channel_mult_cache: dict | None | str = "unset"
+        self._derived: defaultdict[str, dict] = defaultdict(dict)
 
     def __getstate__(self) -> dict:
-        """Drop derived caches when pickling (engine jobs ship
-        topologies to worker processes): every cache rebuilds
+        """Pickle the topology without its derived tables (engine jobs
+        and persistent stores ship topologies): every table rebuilds
         deterministically on the other side."""
         state = self.__dict__.copy()
-        state["_net_edges_cache"] = None
-        state["_core_edges_cache"] = None
-        state["_switch_ports_cache"] = None
-        state["_quadrant_cache"] = {}
-        state["_direct_resource_cache"] = None
-        state["_switches_cache"] = None
-        state["_switch_of_cache"] = None
-        state["_channel_mult_cache"] = "unset"
-        # Caches attached by the simulator / estimator / routing layers.
-        state.pop("_sim_layout_cache", None)
-        state.pop("_batch_layout_cache", None)
-        state.pop("_phys_tables_cache", None)
-        state.pop("_static_power_cache", None)
-        state.pop("_csr_cache", None)
-        state.pop("_search_cache", None)
-        state.pop("_dor_cache", None)
-        state.pop("_capacity_cache", None)
-        state.pop("_floor_cache", None)
-        state.pop("_lp_cache", None)
+        state["_derived"] = defaultdict(dict)
         return state
+
+    def derived(self, name: str) -> dict:
+        """The table ``name`` derived from this topology, created empty
+        on first use.
+
+        The graph is built once and never mutated afterwards, so every
+        table computed from it — hop distances, quadrant masks, search
+        graphs, capacity and physical tables, LP solutions, simulator
+        layouts, the content fingerprint — is kept here, one dict per
+        name, and rebuilt rather than pickled (:meth:`__getstate__`).
+        A table belongs to the module that names it; its values are
+        read-only once stored.
+        """
+        return self._derived[name]
 
     # ------------------------------------------------------------------
     # structure
@@ -181,33 +166,49 @@ class Topology(ABC):
     def terminals(self) -> list:
         return [term(i) for i in range(self.num_slots)]
 
+    def _structure(self) -> dict:
+        """Fill the ``structure`` table in one pass over the graph: the
+        switch list, the net and core edge lists and the fat-link
+        multiplicities."""
+        g = self.graph
+        net, core, mults = [], [], {}
+        for u, v, d in g.edges(data=True):
+            if d["kind"] == "net":
+                net.append((u, v))
+            elif d["kind"] == "core":
+                core.append((u, v))
+            if d.get("mult", 1) != 1:
+                mults[(u, v)] = int(d["mult"])
+        structure = self._derived["structure"]
+        structure.update(
+            switches=[n for n in g.nodes if is_switch(n)],
+            net_edges=net,
+            core_edges=core,
+            channel_multiplicities=mults or None,
+        )
+        return structure
+
     @property
     def switches(self) -> list:
-        if self._switches_cache is None:
-            self._switches_cache = [
-                n for n in self.graph.nodes if is_switch(n)
-            ]
-        return self._switches_cache
+        """All switch nodes in graph order (cached; do not mutate)."""
+        try:
+            return self._derived["structure"]["switches"]
+        except KeyError:
+            return self._structure()["switches"]
 
     def net_edges(self) -> list:
         """All switch-to-switch directed edges (cached; do not mutate)."""
-        if self._net_edges_cache is None:
-            self._net_edges_cache = [
-                (u, v)
-                for u, v, d in self.graph.edges(data=True)
-                if d["kind"] == "net"
-            ]
-        return self._net_edges_cache
+        try:
+            return self._derived["structure"]["net_edges"]
+        except KeyError:
+            return self._structure()["net_edges"]
 
     def core_edges(self) -> list:
         """All terminal<->switch directed edges (cached; do not mutate)."""
-        if self._core_edges_cache is None:
-            self._core_edges_cache = [
-                (u, v)
-                for u, v, d in self.graph.edges(data=True)
-                if d["kind"] == "core"
-            ]
-        return self._core_edges_cache
+        try:
+            return self._derived["structure"]["core_edges"]
+        except KeyError:
+            return self._structure()["core_edges"]
 
     def switch_ports(self, sw) -> tuple[int, int]:
         """(input ports, output ports) of a switch, core ports included.
@@ -217,10 +218,10 @@ class Topology(ABC):
         two ports on each side; ordinary topologies carry no ``mult``
         attribute and count one port per edge as before.
         """
-        cache = self._switch_ports_cache
-        if cache is None:
+        ports = self._derived["switch_ports"]
+        if not ports:
             g = self.graph
-            cache = self._switch_ports_cache = {
+            ports.update({
                 node: (
                     sum(int(g.attrs(u, node).get("mult", 1))
                         for u in g.predecessors(node)),
@@ -229,8 +230,8 @@ class Topology(ABC):
                 )
                 for node in g.nodes
                 if is_switch(node)
-            }
-        return cache[sw]
+            })
+        return ports[sw]
 
     def channel_multiplicity(self, u, v) -> int:
         """Parallel physical channels on edge ``u -> v`` (default 1)."""
@@ -244,14 +245,10 @@ class Topology(ABC):
         with parallel links get a dict restricted to the edges whose
         multiplicity exceeds one (cached; do not mutate).
         """
-        if self._channel_mult_cache == "unset":
-            mults = {
-                (u, v): int(d["mult"])
-                for u, v, d in self.graph.edges(data=True)
-                if d.get("mult", 1) != 1
-            }
-            self._channel_mult_cache = mults or None
-        return self._channel_mult_cache
+        try:
+            return self._derived["structure"]["channel_multiplicities"]
+        except KeyError:
+            return self._structure()["channel_multiplicities"]
 
     def channel_degradations(self) -> dict | None:
         """``{directed net edge: (cap_factor, extra_latency)}`` or ``None``.
@@ -265,9 +262,7 @@ class Topology(ABC):
 
     def switch_of(self, slot: int):
         """The switch a terminal injects into (first hop)."""
-        cache = self._switch_of_cache
-        if cache is None:
-            cache = self._switch_of_cache = {}
+        cache = self._derived["switch_of"]
         try:
             return cache[slot]
         except KeyError:
@@ -304,26 +299,24 @@ class Topology(ABC):
         """Minimum number of switches between two terminal slots."""
         if src_slot == dst_slot:
             return 0
-        dist = self._slot_distances()
+        dist = self._derived["hops"]
+        if not dist:
+            rows = {}
+            for i in range(self.num_slots):
+                lengths = bfs_lengths(self.graph, term(i))
+                # Edges on a term->term path exceed switch count by one.
+                rows[i] = {
+                    j: lengths[term(j)] - 1
+                    for j in range(self.num_slots)
+                    if j != i and term(j) in lengths
+                }
+            dist.update(rows)  # whole, so other threads never see a part
         try:
             return dist[src_slot][dst_slot]
         except KeyError:
             raise TopologyError(
                 f"no path between slots {src_slot} and {dst_slot}"
             ) from None
-
-    def _slot_distances(self) -> dict[int, dict[int, int]]:
-        if self._dist_cache is None:
-            self._dist_cache = {}
-            for i in range(self.num_slots):
-                lengths = bfs_lengths(self.graph, term(i))
-                # Edges on a term->term path exceed switch count by one.
-                self._dist_cache[i] = {
-                    j: lengths[term(j)] - 1
-                    for j in range(self.num_slots)
-                    if j != i and term(j) in lengths
-                }
-        return self._dist_cache
 
     def quadrant_nodes(self, src_slot: int, dst_slot: int) -> set | None:
         """Nodes of the quadrant graph for a commodity (Section 4.3).
@@ -343,15 +336,16 @@ class Topology(ABC):
         Masks are cached per (src, dst): the quadrant depends only on
         the slot pair, never on the mapping.
         """
+        masks = self._derived["quadrants"]
         key = (src_slot, dst_slot)
         try:
-            return self._quadrant_cache[key]
+            return masks[key]
         except KeyError:
             pass
         nodes = self.quadrant_nodes(src_slot, dst_slot)
         if nodes is not None:
             nodes = frozenset(nodes) | {term(src_slot), term(dst_slot)}
-        self._quadrant_cache[key] = nodes
+        masks[key] = nodes
         return nodes
 
     def dor_path(self, src_slot: int, dst_slot: int) -> list:
@@ -394,7 +388,8 @@ class Topology(ABC):
         if self.kind == "direct":
             # Everything except the core-link count is mapping-
             # independent for direct topologies; compute it once.
-            if self._direct_resource_cache is None:
+            structure = self._derived["structure"]
+            if "direct_resources" not in structure:
                 used_switches = set(self.switches)
                 seen = set()
                 net_links = 0
@@ -408,10 +403,10 @@ class Topology(ABC):
                     sw: self.switch_ports(sw)
                     for sw in sorted(used_switches)
                 }
-                self._direct_resource_cache = (
+                structure["direct_resources"] = (
                     len(used_switches), net_links, ports
                 )
-            num_switches, net_links, ports = self._direct_resource_cache
+            num_switches, net_links, ports = structure["direct_resources"]
             return ResourceSummary(
                 num_switches=num_switches,
                 num_links=net_links + len(mapped),

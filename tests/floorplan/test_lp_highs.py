@@ -120,8 +120,7 @@ def _assert_matches_linprog(columns, channel, max_aspect):
         with pytest.raises(FloorplanError):
             _solve_lp(columns, channel, max_aspect)
         return ref
-    x, blocks = _solve_lp(columns, channel, max_aspect)
-    assert blocks == [b for col in columns for b in col]
+    x = _solve_lp(columns, channel, max_aspect)
     assert np.array_equal(x, ref.x)
     return ref
 
@@ -250,7 +249,7 @@ def test_one_bindings_module_in_either_import_order(order):
         from repro.floorplan.lp import _highs, _solve_lp
         columns, (cost, a_ub, b_ub, bounds) = pickle.load(sys.stdin.buffer)
         ref = linprog(cost, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
-        x, _ = _solve_lp(columns, {DEFAULT_CHANNEL_MM!r}, 3.0)
+        x = _solve_lp(columns, {DEFAULT_CHANNEL_MM!r}, 3.0)
         cores = [
             m for m in gc.get_objects()
             if isinstance(m, types.ModuleType) and m.__name__ == {_HIGHS_MODULE!r}
@@ -334,10 +333,10 @@ def test_infeasible_lp_leaves_the_next_solve_unchanged():
                   DEFAULT_CHANNEL_MM, 0.95)
     lps = _sample_lps()
     for before, after in zip(lps, lps[1:]):
-        x_before, _ = _solve_lp(*before)
+        x_before = _solve_lp(*before)
         with pytest.raises(FloorplanError):
             _solve_lp(*infeasible)
-        x_after, _ = _solve_lp(*after)
+        x_after = _solve_lp(*after)
         assert np.array_equal(x_before, _fresh_solution(*before))
         assert np.array_equal(x_after, _fresh_solution(*after))
 
@@ -354,7 +353,7 @@ def test_threads_solving_interleaved_lps_get_fresh_bits():
         solvers[t] = lp._thread_solver()
         for i in orders[t]:
             step.wait(timeout=30)  # both threads solve at each step
-            results[t][i] = _solve_lp(*lps[i])[0]
+            results[t][i] = _solve_lp(*lps[i])
 
     threads = [threading.Thread(target=work, args=(t,)) for t in range(2)]
     for thread in threads:
@@ -406,9 +405,7 @@ def test_threads_sharing_one_topology_get_serial_floorplans():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert failures == []
-    assert shared.__dict__["_lp_cache"].keys() == (
-        serial_topology.__dict__["_lp_cache"].keys()
-    )
+    assert shared.derived("lp").keys() == serial_topology.derived("lp").keys()
 
 
 def _equal_cores(n: int) -> CoreGraph:
@@ -428,7 +425,7 @@ def test_equal_shapes_share_one_entry_and_other_inputs_do_not():
     before = _lp_solves()
     first = floorplan_mapping(topology, identity, core_graph)
     second = floorplan_mapping(topology, swapped, core_graph)
-    table = topology.__dict__["_lp_cache"]
+    table = topology.derived("lp")
     assert len(table) == 1
     assert _solved_since(before) == {"solved": 1, "reused": 1, "failed": 0}
     # Same rectangles, under the other core's key.
@@ -456,7 +453,7 @@ def test_failed_lps_are_counted_and_not_kept():
     for _ in range(2):
         with pytest.raises(FloorplanError):
             floorplan_mapping(topology, identity, core_graph, max_aspect=0.95)
-    assert topology.__dict__["_lp_cache"] == {}
+    assert topology.derived("lp") == {}
     assert _solved_since(before) == {"solved": 0, "reused": 0, "failed": 2}
 
 
@@ -465,8 +462,8 @@ def test_pickled_topology_carries_no_lp_table():
     topology = make_topology("mesh", core_graph.num_cores)
     identity = {i: i for i in range(core_graph.num_cores)}
     floorplan = floorplan_mapping(topology, identity, core_graph)
-    assert topology.__dict__["_lp_cache"]
+    assert topology.derived("lp")
     copy = pickle.loads(pickle.dumps(topology))
-    assert "_lp_cache" not in copy.__dict__
+    assert copy.derived("lp") == {}
     again = floorplan_mapping(copy, identity, core_graph)
     assert again.rects == floorplan.rects

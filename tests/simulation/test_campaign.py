@@ -281,26 +281,3 @@ class TestSunmapIntegration:
         clone = pickle.loads(pickle.dumps(job))
         assert isinstance(clone, SimulationJob)
         assert clone.cache_key() == job.cache_key()
-
-    def test_topology_pickle_drops_simulator_layouts(self):
-        """Engine jobs ship topologies to workers: a topology that ran on
-        both simulator lanes pickles its derived caches exactly as a
-        pristine one does (the lane layouts rebuild on the other side)."""
-        topology = make_topology("mesh", 12)
-        for lane in ("exact", "batch"):
-            run_campaign(
-                topology,
-                config=CampaignConfig(
-                    rates=(0.1,), patterns=("uniform",), seeds=(1,),
-                    sim_engine=lane, **TINY,
-                ),
-            )
-
-        def caches(topo):
-            return {
-                name: value
-                for name, value in topo.__getstate__().items()
-                if name.endswith("_cache")
-            }
-
-        assert caches(topology) == caches(make_topology("mesh", 12))
