@@ -13,9 +13,10 @@ promise against independent references:
   order, floats, total and maxima, through copies, pickles and re-keys;
 * SM's one-pass update of a forced (unique) path equals one
   ``add_path`` call per chunk plus the chunk merge, bit for bit;
-* a fault overlay interns its own surviving graph, and parallel
-  selection stays bit-identical (``tests/topology/test_derived_tables.py``
-  checks that pickled topologies drop the interned graphs);
+* a fault overlay interns its own surviving graph, pickled topologies
+  drop the interned graphs (``tests/topology/test_derived_tables.py``
+  checks every other derived table too), and parallel selection stays
+  bit-identical;
 * the ``BandwidthObjective`` cost bits of MPEG4 under SM routing (an
   RMS summed in ledger order) are pinned.
 """
@@ -327,6 +328,25 @@ def test_faulted_topology_interns_its_own_graph():
                     for u, e in row:
                         assert edges[e] == (search.nodes[v], search.nodes[u])
                         assert edges[e] not in dead
+
+
+def test_pickled_topology_drops_interned_caches():
+    topology = make_topology("mesh", 12)
+    app = mpeg4()
+    evaluate_mapping(
+        app, topology, initial_greedy_mapping(app, topology),
+        make_routing("SM"), Constraints(), with_floorplan=False,
+    )
+    topology_search(topology, 0, 5, quadrant=False)
+    search = topology.derived("search")
+    assert "csr" in search
+    assert (False, 0, 5) in search
+    assert topology.graph._index is not None
+    clone = pickle.loads(pickle.dumps(topology))
+    assert "search" not in clone._derived
+    # The graph's native edge ids are renumbered, not pickled.
+    assert clone.graph._index is None
+    assert edge_index(clone) == edge_index(topology)
 
 
 def _selection_bits(selection) -> list:

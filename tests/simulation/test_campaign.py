@@ -281,3 +281,27 @@ class TestSunmapIntegration:
         clone = pickle.loads(pickle.dumps(job))
         assert isinstance(clone, SimulationJob)
         assert clone.cache_key() == job.cache_key()
+
+    def test_topology_pickle_drops_simulator_layouts(self):
+        """Engine jobs ship topologies to workers: a topology that ran on
+        both simulator lanes pickles its derived tables exactly as a
+        pristine one does (the lane layouts rebuild on the other side)."""
+        import pickle
+
+        topology = make_topology("mesh", 12)
+        for lane in ("exact", "batch"):
+            run_campaign(
+                topology,
+                config=CampaignConfig(
+                    rates=(0.1,), patterns=("uniform",), seeds=(1,),
+                    sim_engine=lane, **TINY,
+                ),
+            )
+        assert topology.derived("sim_layout")
+        assert topology.derived("batch_layout")
+
+        pristine = make_topology("mesh", 12)
+        assert topology.__getstate__()["_derived"] == {}
+        assert pristine.__getstate__()["_derived"] == {}
+        clone = pickle.loads(pickle.dumps(topology))
+        assert clone._derived == {}
