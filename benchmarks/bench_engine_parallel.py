@@ -65,7 +65,6 @@ def run_sweep(apps, routings, objectives, config, jobs):
                     round(ev.cost, 9),
                     ev.feasible,
                     tuple(sorted(ev.assignment.items())),
-                    result.seed,
                 )
             else:
                 digest[(name, *key)] = (result.error_type, result.error)

@@ -5,7 +5,8 @@ the first phase) are evaluated for several design objectives and the best
 topology is chosen."
 
 :func:`select_topology` submits one evaluation job per library topology
-to the :class:`~repro.engine.ExplorationEngine` (serial by default,
+(and per synthesized fabric, when synthesis is on) to the
+:class:`~repro.engine.ExplorationEngine` (serial by default,
 ``jobs=N`` for a process pool), collects the evaluations into a
 paper-style comparison table (Figures 6, 7(b), 8(c,d)), and picks the
 feasible mapping with the lowest objective cost.
@@ -164,7 +165,8 @@ def select_topology(
         objective_name = objective.name
     if topologies is None:
         topologies = standard_library(core_graph.num_cores)
-    # Materialize: the sequence is walked twice (job build + reduction).
+    # Materialize: checked for emptiness, then joined by any synthesized
+    # fabrics.
     topologies = list(topologies)
     if not topologies:
         raise ValueError(
@@ -175,50 +177,41 @@ def select_topology(
     selection = SelectionResult(
         objective_name=objective_name, routing_code=routing
     )
+    synthesized: list[Topology] = []
+    if synthesize:
+        # Imported here: the synthesis package builds on the engine and
+        # mapper layers, so a module-level import would be circular.
+        from repro.synthesis.generate import (
+            SynthesisConfig,
+            enumerate_candidates,
+        )
+
+        candidates, _pruned = enumerate_candidates(
+            core_graph,
+            config=(
+                synthesize
+                if isinstance(synthesize, SynthesisConfig)
+                else SynthesisConfig()
+            ),
+            constraints=constraints,
+            estimator=estimator,
+        )
+        synthesized = [topology for _spec, topology in candidates]
+        selection.synthesized = [topology.name for topology in synthesized]
+
+    # Synthesized fabrics are just more candidates in the same batch.
     job_list = engine.selection_jobs(
         core_graph,
-        topologies=topologies,
+        topologies=topologies + synthesized,
         routing=routing,
         objective=objective,
         constraints=constraints,
         config=config,
         estimator=estimator,
     )
-
-    synth_candidates: list = []
-    synth_jobs: list = []
-    if synthesize:
-        # Imported here: the synthesis package builds on the engine and
-        # mapper layers, so a module-level import would be circular.
-        from repro.synthesis.generate import SynthesisConfig, synthesis_jobs
-
-        synth_config = (
-            synthesize
-            if isinstance(synthesize, SynthesisConfig)
-            else SynthesisConfig()
-        )
-        synth_candidates, synth_jobs, _pruned = synthesis_jobs(
-            core_graph,
-            config=synth_config,
-            routing=routing,
-            objective=objective,
-            constraints=constraints,
-            mapper_config=config,
-            estimator=estimator,
-        )
-
-    results = engine.run(job_list + synth_jobs)
-    for topology, result in zip(topologies, results):
+    for job, result in zip(job_list, engine.run(job_list)):
         if result.ok:
-            selection.evaluations[topology.name] = result.evaluation
+            selection.evaluations[job.tag] = result.evaluation
         else:
-            selection.errors[topology.name] = result.error
-    for (spec, _topology), result in zip(
-        synth_candidates, results[len(job_list):]
-    ):
-        selection.synthesized.append(spec.label)
-        if result.ok:
-            selection.evaluations[spec.label] = result.evaluation
-        else:
-            selection.errors[spec.label] = result.error
+            selection.errors[job.tag] = result.error
     return selection

@@ -56,8 +56,11 @@ _WRITE_ERRORS = obs_metrics.REGISTRY.counter(
 #: per-commodity hops and topology-ordered power sums (last-bit moves).
 #: 5: pickled topologies hold one empty ``_derived`` table dict in place
 #: of the per-module ``_*_cache`` fields, so a version-4 entry would
-#: unpickle into a ``Topology`` without ``_derived``.
-SCHEMA_VERSION = 5
+#: unpickle into a ``Topology`` without ``_derived``. 6: pickled
+#: ``JobResult``s lose their ``seed`` field, mapping cache keys lose
+#: their seed slot, and synthesized candidates key as ``EvaluationJob``s
+#: (topology fingerprint) instead of by their spec.
+SCHEMA_VERSION = 6
 
 #: Seconds a SQLite connection waits on a lock held by another writer
 #: before the operation fails (and a ``put`` is dropped).

@@ -126,7 +126,7 @@ class ExplorationEngine:
         on the same persistent store resumes point-exactly, like the
         exact lane. Results are
         bit-identical across executors: the reduction is by submission
-        index, and per-job seeds are content-derived.
+        index, and every job's randomness comes from its content.
 
         A terminal :class:`~repro.engine.resilience.JobFailure` (a job
         the resilience layer could not complete — retries exhausted or
@@ -206,7 +206,7 @@ class ExplorationEngine:
                 continue
             first_index_for_key[key] = index
             keys[index] = key
-            pending.append((index, job.pinned(key)))
+            pending.append((index, job))
 
         for index, result in self.executor.run(run_job, pending):
             if isinstance(result, JobFailure):

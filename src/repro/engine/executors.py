@@ -3,9 +3,9 @@
 An executor receives ``(index, job)`` pairs and yields ``(index, result)``
 pairs in *any* order — the engine reduces them back into submission order,
 so correctness never depends on completion order. The process executor
-fans jobs out over :class:`concurrent.futures.ProcessPoolExecutor`; jobs
-carry deterministic seeds (:meth:`EvaluationJob.resolved_seed`), so both
-executors produce bit-identical results.
+fans jobs out over :class:`concurrent.futures.ProcessPoolExecutor`; a job's
+result depends only on its content, so both executors produce
+bit-identical results.
 
 Both executors share the fixed retry budget of
 :mod:`~repro.engine.resilience` (crash-tolerant execution): transient
@@ -13,8 +13,8 @@ failures — a worker killed mid-job, an ``OSError`` — are retried with
 deterministic backoff, a broken pool is rebuilt and only the lost jobs
 resubmitted, and a job that exhausts its budget yields a typed
 :class:`~repro.engine.resilience.JobFailure` result instead of tearing
-down the pool. Retries re-run the same seeded job, so success after a
-retry is bit-identical to first-try success.
+down the pool. Retries re-run the same job, so success after a retry is
+bit-identical to first-try success.
 """
 
 from __future__ import annotations
@@ -364,8 +364,7 @@ class ProcessExecutor:
             RETRIES.inc(kind=job_kind(job))
             if dest == _QUARANTINE:
                 _QUARANTINED.inc()
-            seed = getattr(job, "resolved_seed", lambda: 0)()
-            ready = now + backoff_s(entry.attempt, seed)
+            ready = now + backoff_s(entry.attempt, getattr(job, "tag", ""))
             delayed.append((ready, entry.index, entry.attempt + 1, dest))
             return None
         return failure_from(job, exc, entry.attempt, _failure_kind(exc))

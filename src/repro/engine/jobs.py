@@ -5,14 +5,17 @@ Three job kinds share the engine's memoize-dedupe-execute pipeline:
 * :class:`EvaluationJob` — one candidate of the design space: a
   (core graph, topology, routing function, objective) tuple plus the
   mapper knobs. Executing it runs the full Figure-5 mapping search.
+  Library topologies and synthesized fabrics alike are submitted as
+  evaluation jobs.
 * :class:`SimulationJob` — one point of a simulation campaign: a
   (topology, traffic pattern, injection rate, seed) tuple plus the
   simulator protocol. Executing it runs one warmup/measure/drain
   flit-level measurement.
-* :class:`SynthesisJob` — one synthesized-fabric candidate of a
-  topology-synthesis sweep: a (core graph, candidate spec) pair plus
-  the mapping knobs. Executing it rebuilds the fabric from its spec
-  (a cheap pure function) and runs the full mapping search on it.
+* :class:`BatchSimulationJob` — a topology-group of campaign points
+  run by the vectorized batch lane.
+
+The engine keys each job by its ``cache_key()`` and labels its result
+with the job's ``tag``; the retry backoff is keyed on the tag too.
 
 Jobs carry everything a worker process needs, so they must stay
 picklable end to end; :func:`run_job` is the executor-side dispatcher
@@ -22,7 +25,7 @@ that routes each kind to its executor function.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import astuple, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 
 from repro.core.constraints import Constraints
 from repro.core.coregraph import CoreGraph
@@ -42,7 +45,6 @@ from repro.errors import (
     MappingInfeasibleError,
     ReproError,
     SimulationError,
-    TopologyError,
     UnsupportedRoutingError,
 )
 from repro.physical.estimate import NetworkEstimator
@@ -66,9 +68,6 @@ class EvaluationJob:
             selector tags by topology name, the routing sweep by code).
         collect: also return every mapping the swap search evaluated
             (the Pareto exploration of Figure 9(b) needs the full cloud).
-        seed: deterministic per-job RNG seed; derived from the job's
-            cache key when not given, so results never depend on which
-            executor ran the job or in which order.
     """
 
     core_graph: CoreGraph
@@ -80,15 +79,9 @@ class EvaluationJob:
     estimator: NetworkEstimator | None = None
     tag: str = ""
     collect: bool = False
-    seed: int | None = None
 
     def cache_key(self) -> tuple:
-        """Content key identifying the work (independent of ``tag``).
-
-        Includes the explicit ``seed`` so two jobs that differ only in
-        seed never share a cache entry (a future stochastic search must
-        not be served results computed under another seed).
-        """
+        """Content key identifying the work (independent of ``tag``)."""
         return (
             core_graph_fingerprint(self.core_graph),
             topology_fingerprint(self.topology),
@@ -98,26 +91,7 @@ class EvaluationJob:
             config_fingerprint(self.config),
             estimator_fingerprint(self.estimator),
             self.collect,
-            self.seed,
         )
-
-    def resolved_seed(self) -> int:
-        """The job's effective RNG seed (stable across runs/executors)."""
-        if self.seed is not None:
-            return self.seed
-        return hash_seed(self.cache_key())
-
-    def pinned(self, key: tuple) -> "EvaluationJob":
-        """Copy with the content-derived seed made explicit.
-
-        The engine pins pending jobs before handing them to an executor
-        so workers take the explicit-seed fast path instead of
-        re-fingerprinting the core graph and topology; ``key`` is the
-        job's already-computed :meth:`cache_key`.
-        """
-        if self.seed is not None:
-            return self
-        return replace(self, seed=hash_seed(key))
 
 
 def _error_class_by_name(name: str) -> type:
@@ -133,7 +107,7 @@ def _error_class_by_name(name: str) -> type:
 
 
 def hash_seed(key: tuple) -> int:
-    """Derive a 32-bit seed from a cache key.
+    """Derive a 32-bit seed from a content key.
 
     Uses SHA-256 rather than Python's randomized ``hash`` (seeds must
     match across worker processes).
@@ -161,7 +135,6 @@ class JobResult:
     error: str | None = None
     error_type: str | None = None
     collected: list[MappingEvaluation] = field(default_factory=list)
-    seed: int = 0
     cached: bool = False
 
     @property
@@ -270,19 +243,6 @@ class SimulationJob:
             self.clock_mhz,
         )
 
-    def resolved_seed(self) -> int:
-        """Content-derived seed (reported in :attr:`JobResult.seed`)."""
-        return hash_seed(self.cache_key())
-
-    def pinned(self, key: tuple) -> "SimulationJob":
-        """No-op for simulation jobs.
-
-        Every seed the measurement uses is already explicit in the
-        job's content, so there is nothing to pin before handing the
-        job to an executor.
-        """
-        return self
-
 
 def execute_simulation_job(job: SimulationJob) -> JobResult:
     """Run one campaign point's measurement; the executor-side entry.
@@ -324,12 +284,9 @@ def execute_simulation_job(job: SimulationJob) -> JobResult:
         )
     except CAPTURED_ERRORS as exc:
         return JobResult(
-            tag=job.tag,
-            error=str(exc),
-            error_type=type(exc).__name__,
-            seed=job.resolved_seed(),
+            tag=job.tag, error=str(exc), error_type=type(exc).__name__
         )
-    return JobResult(tag=job.tag, value=report, seed=job.resolved_seed())
+    return JobResult(tag=job.tag, value=report)
 
 
 @dataclass(frozen=True)
@@ -371,14 +328,6 @@ class BatchSimulationJob:
             points=tuple(self.points[i] for i in indices), tag=self.tag
         )
 
-    def resolved_seed(self) -> int:
-        """Content-derived seed (batch lanes derive their own streams)."""
-        return hash_seed(self.cache_key())
-
-    def pinned(self, key: tuple) -> "BatchSimulationJob":
-        """No-op: every batch lane's randomness is already content-keyed."""
-        return self
-
 
 def execute_batch_simulation_job(job: BatchSimulationJob) -> JobResult:
     """Run one topology-group of campaign points as an array batch.
@@ -393,9 +342,6 @@ def execute_batch_simulation_job(job: BatchSimulationJob) -> JobResult:
     """
     from repro.simulation.batch import simulate_batch
 
-    # Per-point results carry no seed: batch lanes derive their own
-    # content-keyed random streams (and hashing a per-point seed here
-    # would re-fingerprint the topology for every lane).
     try:
         payloads = simulate_batch(job.points)
     except CAPTURED_ERRORS as exc:
@@ -421,113 +367,11 @@ def execute_batch_simulation_job(job: BatchSimulationJob) -> JobResult:
     return JobResult(tag=job.tag, value=point_results)
 
 
-@dataclass(frozen=True)
-class SynthesisJob:
-    """One synthesized-fabric candidate to build and evaluate.
-
-    ``spec`` is a :class:`~repro.synthesis.fabric.CandidateSpec` — a
-    frozen dataclass of simple values, so the job stays hashable and
-    picklable and the fabric is rebuilt deterministically wherever the
-    job executes (the topology itself never ships to workers). The
-    executed result is a :attr:`JobResult.evaluation` whose
-    ``.topology`` is the synthesized
-    :class:`~repro.topology.custom.CustomTopology`.
-
-    Attributes mirror :class:`EvaluationJob` (the evaluation half is
-    the same Figure-5 mapping search), with ``spec`` replacing the
-    explicit topology.
-    """
-
-    core_graph: CoreGraph
-    spec: object
-    routing: str = "MP"
-    objective: Objective | str = "hops"
-    constraints: Constraints | None = None
-    config: MapperConfig | None = None
-    estimator: NetworkEstimator | None = None
-    tag: str = ""
-    collect: bool = False
-    seed: int | None = None
-
-    def cache_key(self) -> tuple:
-        """Content key identifying the work (independent of ``tag``)."""
-        return (
-            "synth",
-            core_graph_fingerprint(self.core_graph),
-            type(self.spec).__name__,
-            astuple(self.spec),
-            self.routing,
-            objective_fingerprint(self.objective),
-            constraints_fingerprint(self.constraints),
-            config_fingerprint(self.config),
-            estimator_fingerprint(self.estimator),
-            self.collect,
-            self.seed,
-        )
-
-    def resolved_seed(self) -> int:
-        """The job's effective RNG seed (stable across runs/executors)."""
-        if self.seed is not None:
-            return self.seed
-        return hash_seed(self.cache_key())
-
-    def pinned(self, key: tuple) -> "SynthesisJob":
-        """Copy with the content-derived seed made explicit.
-
-        See :meth:`EvaluationJob.pinned`.
-        """
-        if self.seed is not None:
-            return self
-        return replace(self, seed=hash_seed(key))
-
-
-def execute_synthesis_job(job: SynthesisJob) -> JobResult:
-    """Build one candidate fabric and run its mapping search.
-
-    Module-level so :class:`ProcessExecutor` can pickle it; the fabric
-    builder is imported lazily so the engine package keeps no hard
-    dependency on the synthesis package (which imports this module).
-    An unbuildable spec (degree bound cannot connect the clusters) is
-    captured as an error result, not a crash — the sweep simply loses
-    that candidate, like an infeasible mapping.
-    """
-    from repro.synthesis.fabric import build_candidate
-
-    seed = job.resolved_seed()
-    collector: list[MappingEvaluation] | None = [] if job.collect else None
-    try:
-        topology = build_candidate(job.core_graph, job.spec)
-        evaluation = map_onto(
-            job.core_graph,
-            topology,
-            routing=job.routing,
-            objective=job.objective,
-            constraints=job.constraints,
-            estimator=job.estimator,
-            config=job.config,
-            collector=collector,
-        )
-    except CAPTURED_ERRORS + (TopologyError,) as exc:
-        return JobResult(
-            tag=job.tag,
-            error=str(exc),
-            error_type=type(exc).__name__,
-            seed=seed,
-        )
-    return JobResult(
-        tag=job.tag,
-        evaluation=evaluation,
-        collected=collector or [],
-        seed=seed,
-    )
-
-
 #: Metric/trace label for each job class (``repro_engine_jobs_total{kind=…}``).
 _KIND_NAMES = {
     "EvaluationJob": "evaluation",
     "SimulationJob": "simulation",
     "BatchSimulationJob": "batch_sim",
-    "SynthesisJob": "synthesis",
 }
 
 
@@ -546,8 +390,6 @@ def run_job(job) -> JobResult:
         return execute_simulation_job(job)
     if isinstance(job, BatchSimulationJob):
         return execute_batch_simulation_job(job)
-    if isinstance(job, SynthesisJob):
-        return execute_synthesis_job(job)
     return execute_job(job)
 
 
@@ -556,10 +398,8 @@ def execute_job(job: EvaluationJob) -> JobResult:
 
     Must be a module-level function so :class:`ProcessExecutor` can pickle
     it. The mapping search is deterministic and draws no random numbers,
-    so the result does not depend on the executor; the job's seed is
-    only reported in :attr:`JobResult.seed`.
+    so the result does not depend on the executor.
     """
-    seed = job.resolved_seed()
     collector: list[MappingEvaluation] | None = [] if job.collect else None
     try:
         evaluation = map_onto(
@@ -574,14 +414,8 @@ def execute_job(job: EvaluationJob) -> JobResult:
         )
     except CAPTURED_ERRORS as exc:
         return JobResult(
-            tag=job.tag,
-            error=str(exc),
-            error_type=type(exc).__name__,
-            seed=seed,
+            tag=job.tag, error=str(exc), error_type=type(exc).__name__
         )
     return JobResult(
-        tag=job.tag,
-        evaluation=evaluation,
-        collected=collector or [],
-        seed=seed,
+        tag=job.tag, evaluation=evaluation, collected=collector or []
     )

@@ -7,7 +7,7 @@ instead:
 
 * a fixed retry budget — :data:`MAX_ATTEMPTS` tries per job, with
   exponential backoff whose jitter is *deterministic* (derived from the
-  job's seed by :func:`backoff_s`, so two runs of the same sweep back
+  job's tag by :func:`backoff_s`, so two runs of the same sweep back
   off identically);
 * :func:`classify_failure` — the taxonomy split: worker crashes and
   ``OSError`` are transient (``retryable``); domain errors from
@@ -19,7 +19,7 @@ instead:
   the other jobs; the engine counts it and re-raises the original
   exception.
 
-Determinism invariant: a retry re-runs the *same* seeded job, so a
+Determinism invariant: a retry re-runs the *same* job, so a
 success after N transient failures is bit-identical to a first-try
 success (asserted in ``tests/engine/test_resilience.py``).
 """
@@ -74,23 +74,23 @@ MAX_ATTEMPTS = 3
 BACKOFF_BASE_S = 0.05
 BACKOFF_FACTOR = 2.0
 MAX_BACKOFF_S = 2.0
-#: Fraction of each delay shaved off by the seed-derived jitter.
+#: Fraction of each delay shaved off by the tag-derived jitter.
 JITTER = 0.5
 
 
-def backoff_s(attempt: int, seed: int) -> float:
+def backoff_s(attempt: int, tag: str) -> float:
     """Backoff before retrying after failed attempt ``attempt``.
 
     Exponential in the attempt number, capped at :data:`MAX_BACKOFF_S`,
     with a deterministic jitter in ``[1 - JITTER, 1]`` of the base
-    delay derived from ``(seed, attempt)`` — retries of a herd of jobs
-    spread out, yet two runs of the same sweep sleep the same amounts,
-    with no wall-clock or global-RNG dependence.
+    delay derived from the job's ``(tag, attempt)`` — retries of a herd
+    of jobs spread out, yet two runs of the same sweep sleep the same
+    amounts, with no wall-clock or global-RNG dependence.
     """
     base = min(
         MAX_BACKOFF_S, BACKOFF_BASE_S * BACKOFF_FACTOR ** (attempt - 1)
     )
-    frac = hash_seed(("retry", seed, attempt)) / 0xFFFFFFFF
+    frac = hash_seed(("retry", tag, attempt)) / 0xFFFFFFFF
     return base * (1.0 - JITTER * frac)
 
 
@@ -145,22 +145,10 @@ def failure_from(
         tag=getattr(job, "tag", ""),
         error=str(exc) or type(exc).__name__,
         error_type=type(exc).__name__,
-        seed=_job_seed(job),
         attempts=attempts,
         failure_kind=kind,
         exception=exc,
     )
-
-
-def _job_seed(job) -> int:
-    """The job's deterministic seed (0 for foreign job types)."""
-    resolved = getattr(job, "resolved_seed", None)
-    if resolved is None:
-        return 0
-    try:
-        return resolved()
-    except Exception:
-        return 0
 
 
 def run_with_retries(fn, job) -> tuple[JobResult, int]:
@@ -180,7 +168,7 @@ def run_with_retries(fn, job) -> tuple[JobResult, int]:
         except Exception as exc:  # noqa: BLE001 - classified below
             if classify_failure(exc) and attempt < MAX_ATTEMPTS:
                 RETRIES.inc(kind=job_kind(job))
-                time.sleep(backoff_s(attempt, _job_seed(job)))
+                time.sleep(backoff_s(attempt, getattr(job, "tag", "")))
                 attempt += 1
                 continue
             return failure_from(job, exc, attempt, _failure_kind(exc)), attempt

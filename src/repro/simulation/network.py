@@ -39,10 +39,9 @@ The refactor is bit-identical to the original tuple-keyed kernel: same
 per-packet latencies, same ``SimReport`` statistics, same per-switch
 load histograms (pinned by ``tests/golden/simulation.json``).
 
-The dict-shaped views (:attr:`Network.inputs`, :attr:`Network.outputs`,
-:attr:`Network.switch_inputs`, :attr:`Network.switch_flits`) survive for
-tests and debugging; they are rebuilt on access and never used by the
-kernel itself.
+The dict-shaped views (:attr:`Network.inputs`, :attr:`Network.outputs`)
+survive for tests and debugging; they are rebuilt on access and never
+used by the kernel itself.
 """
 
 from __future__ import annotations
@@ -136,10 +135,6 @@ class _ChannelView:
         return self._net.chan_key[owner]
 
     @property
-    def owner_pid(self) -> int:
-        return self._net._out_owner_pid[self._ch]
-
-    @property
     def rr(self) -> int:
         return self._net._out_rr[self._ch]
 
@@ -169,7 +164,6 @@ class _KernelLayout:
         "edge_base",
         "chan_vc",
         "chan_dest_switch",
-        "switch_in_chans",
         "next_hop",
         "inject_ch",
     )
@@ -200,19 +194,13 @@ class _KernelLayout:
         self.edge_base: dict[tuple, int] = {}  # (u, v) -> first channel
         self.chan_vc: list[int] = []
         self.chan_dest_switch: list[int] = []  # switch id, -1 = terminal
-        self.switch_in_chans: list[list[int]] = [
-            [] for _ in self.switch_nodes
-        ]
         for u, v in graph.edges():
             self.edge_base[(u, v)] = len(self.chan_key)
             dest_switch = switch_index[v] if is_switch(v) else -1
             for vc in range(num_vcs):
-                ch = len(self.chan_key)
                 self.chan_key.append(((u, v), vc))
                 self.chan_vc.append(vc)
                 self.chan_dest_switch.append(dest_switch)
-                if dest_switch >= 0:
-                    self.switch_in_chans[dest_switch].append(ch)
 
         # Dense next-hop arrays: next_hop[si][dst] is a tuple of
         # (vc0_out_channel, vc1plus_out_channel) pairs, one per candidate
@@ -297,7 +285,6 @@ class Network:
         self._edge_base = layout.edge_base
         self._chan_vc = layout.chan_vc
         self._chan_dest_switch = layout.chan_dest_switch
-        self._switch_in_chans = layout.switch_in_chans
         self._next_hop = layout.next_hop
         self._inject_ch = layout.inject_ch
 
@@ -669,12 +656,6 @@ class Network:
         return list(self._switch_flits)
 
     @property
-    def switch_flits(self) -> dict:
-        """Flits forwarded per switch graph node (rebuilt view)."""
-        counts = dict(zip(self._switch_nodes, self._switch_flits))
-        return {sw: counts[sw] for sw in self.topology.switches}
-
-    @property
     def inputs(self) -> dict:
         """``(edge, vc) -> input buffer`` view over interned channels."""
         return {
@@ -689,12 +670,4 @@ class Network:
         return {
             key: _ChannelView(self, ch)
             for ch, key in enumerate(self.chan_key)
-        }
-
-    @property
-    def switch_inputs(self) -> dict:
-        """``switch node -> [(edge, vc), ...]`` view (legacy shape)."""
-        return {
-            self._switch_nodes[si]: [self.chan_key[ch] for ch in chans]
-            for si, chans in enumerate(self._switch_in_chans)
         }

@@ -41,19 +41,20 @@ Pipeline
    proxy, through the existing
    :func:`~repro.core.exploration.pareto_front`), cap the survivors.
 
-4. **Evaluate** — each survivor becomes a
-   :class:`~repro.engine.jobs.SynthesisJob`: the engine rebuilds the
-   fabric from its spec and runs the full Figure-5 mapping search,
-   parallel with ``jobs=N``, memoized by content.
+4. **Evaluate** — each surviving fabric is submitted to the engine as a
+   plain :class:`~repro.engine.jobs.EvaluationJob`, exactly like a
+   library topology: the full Figure-5 mapping search, parallel with
+   ``jobs=N``, memoized by content (the fabric's name is part of its
+   fingerprint, so every candidate label keys its own cache entry).
 
 Determinism guarantees
 ----------------------
 
 Every stage is a pure function of ``(core graph, SynthesisConfig,
-seed)``: the partitioners use no RNG and break ties by index, fabric
-wiring is order-deterministic, pruning is proxy-ranked with label
-tie-breaks, and candidate evaluation goes through the exploration
-engine's content-derived seeds and submission-order reduction. The
+constraints)``: the partitioners use no RNG and break ties by index,
+fabric wiring is order-deterministic, pruning is proxy-ranked with
+label tie-breaks, the mapping search draws no random numbers, and the
+exploration engine reduces results in submission order. The
 same inputs therefore reproduce bit-identical candidate sets at
 ``jobs=1`` and ``jobs=4``, across processes and machines — asserted by
 the golden tests and by ``benchmarks/bench_synthesis.py``.
@@ -76,7 +77,6 @@ from repro.synthesis.generate import (
     SynthesisResult,
     SynthesizedCandidate,
     enumerate_candidates,
-    synthesis_jobs,
     synthesize_topologies,
 )
 from repro.synthesis.partition import (
@@ -97,7 +97,6 @@ __all__ = [
     "fabric_from_partition",
     "intended_assignment",
     "enumerate_candidates",
-    "synthesis_jobs",
     "synthesize_topologies",
     "greedy_merge_partition",
     "bisection_partition",

@@ -39,8 +39,8 @@ class CandidateSpec:
     """Everything needed to rebuild one synthesized fabric.
 
     A spec is a pure value: ``build_candidate(core_graph, spec)`` is a
-    deterministic function, so specs can ship to worker processes (the
-    fabric is rebuilt on the other side) and serve as engine cache keys.
+    deterministic function, so the fabric a spec names can be rebuilt
+    bit-identically anywhere.
 
     Attributes:
         strategy: partition strategy name
@@ -69,8 +69,8 @@ class CandidateSpec:
         """Unique topology/table name for this candidate.
 
         The fault-tolerance suffix appears only when the guarantee is
-        non-trivial, keeping every pre-existing label (and the
-        deterministic per-candidate seeds derived from it) unchanged.
+        non-trivial, keeping every pre-existing label (and so the cache
+        keys of the fabrics it names) unchanged.
         """
         base = (
             f"syn-{self.strategy}-s{self.num_switches}"
@@ -260,22 +260,12 @@ def build_candidate(
 ) -> CustomTopology:
     """Deterministically rebuild the fabric a spec describes.
 
-    Pure function of ``(core_graph, spec)`` — executed locally for
-    structural pruning and re-executed inside engine workers, always
-    yielding a bit-identical topology.
+    Pure function of ``(core_graph, spec)``: the same fabric the
+    synthesis sweep builds for the spec, bit-identical on every call.
     """
-    clusters = make_partition(
-        spec.strategy,
-        core_graph,
-        spec.num_switches,
-        spec.max_cluster_size,
-        bw_budget=spec.max_switch_degree * spec.link_capacity_mb_s
-        if math.isfinite(spec.link_capacity_mb_s)
-        else None,
-    )
     return fabric_from_partition(
         core_graph,
-        clusters,
+        candidate_clusters(core_graph, spec),
         name=spec.label,
         max_switch_degree=spec.max_switch_degree,
         link_capacity_mb_s=spec.link_capacity_mb_s,

@@ -4,11 +4,11 @@
 partition strategies over switch counts, concentration factors and
 degree bounds (:class:`SynthesisConfig`), build each candidate fabric
 locally, drop structural duplicates and Pareto-dominated shapes, then
-fan the survivors out through the
-:class:`~repro.engine.ExplorationEngine` as
-:class:`~repro.engine.jobs.SynthesisJob` batches — one full mapping
-search per candidate, parallel with ``jobs=N``, memoized by content,
-bit-identical regardless of worker count.
+submit each surviving fabric to the
+:class:`~repro.engine.ExplorationEngine` as a plain
+:class:`~repro.engine.jobs.EvaluationJob` — the same one mapping
+search per candidate as a library topology, parallel with ``jobs=N``,
+memoized by content, bit-identical regardless of worker count.
 
 Structural pruning reuses the existing
 :func:`~repro.core.exploration.pareto_front` machinery on two cheap
@@ -36,7 +36,6 @@ from repro.core.evaluate import MappingEvaluation, nominal_pitch_mm
 from repro.core.exploration import ParetoPoint, pareto_front
 from repro.core.mapper import MapperConfig
 from repro.engine.engine import ExplorationEngine, resolve_engine
-from repro.engine.jobs import SynthesisJob, hash_seed
 from repro.errors import TopologyError
 from repro.physical.estimate import NetworkEstimator
 from repro.synthesis.fabric import (
@@ -46,6 +45,12 @@ from repro.synthesis.fabric import (
     intended_assignment,
 )
 from repro.topology.custom import CustomTopology
+
+#: Candidates kept for evaluation even when the Pareto front is smaller:
+#: proxies are estimates, and a front-only sweep could lose everything
+#: to one infeasible mapping, so near-misses are backfilled in proxy
+#: rank order (never beyond ``max_candidates``).
+MIN_CANDIDATES = 4
 
 
 @dataclass(frozen=True)
@@ -61,17 +66,6 @@ class SynthesisConfig:
         max_candidates: cap on candidates submitted for evaluation
             after dedup/pruning (proxy-ranked; the cap is logged in the
             result's ``pruned`` field, never silent).
-        min_candidates: floor of candidates kept for evaluation even
-            when the Pareto front is smaller — proxies are estimates,
-            and a front-only sweep could lose everything to one
-            infeasible mapping; near-misses are backfilled in proxy
-            rank order.
-        link_capacity_mb_s: per-channel capacity used to size fat
-            links; ``None`` uses the selection constraints' capacity.
-        prune: drop Pareto-dominated shapes before evaluation (disable
-            to evaluate the full sweep, e.g. for diagnostics).
-        seed: mixed into every candidate job's content-derived seed, so
-            a future stochastic partitioner stays reproducible.
         fault_tolerance: surviving-link guarantee for every candidate —
             fabrics embed a protection ring keeping all communicating
             clusters connected under any ``fault_tolerance`` dead
@@ -85,10 +79,6 @@ class SynthesisConfig:
     concentrations: tuple[int, ...] = (2, 3, 4)
     max_switch_degrees: tuple[int, ...] = (4, 6, 8)
     max_candidates: int = 12
-    min_candidates: int = 4
-    link_capacity_mb_s: float | None = None
-    prune: bool = True
-    seed: int = 1
     fault_tolerance: int = 0
 
 
@@ -264,24 +254,21 @@ def enumerate_candidates(
     ``{label: reason}`` record of everything dropped — unbuildable
     specs, structural duplicates, Pareto-dominated shapes and the
     ``max_candidates`` cap (coverage is never truncated silently).
+    Fat links are sized to the constraints' link capacity.
     """
     config = config or SynthesisConfig()
     constraints = constraints or Constraints()
     estimator = estimator or NetworkEstimator()
-    capacity = (
-        config.link_capacity_mb_s
-        if config.link_capacity_mb_s is not None
-        else constraints.link_capacity_mb_s
-    )
 
     pruned: dict[str, str] = {}
     built: list[tuple[CandidateSpec, CustomTopology, list[list[int]]]] = []
     fingerprints: dict[tuple, str] = {}
-    for spec in _sweep_specs(core_graph, config, capacity):
+    for spec in _sweep_specs(
+        core_graph, config, constraints.link_capacity_mb_s
+    ):
         try:
             # Partition once per spec; the fabric build and the proxy
-            # scoring below share the clusters (workers re-derive them
-            # via build_candidate, which is the same pure function).
+            # scoring below share the clusters.
             clusters = candidate_clusters(core_graph, spec)
             topology = fabric_from_partition(
                 core_graph,
@@ -312,7 +299,7 @@ def enumerate_candidates(
         (spec, topology, *_proxies(core_graph, clusters, topology, estimator))
         for spec, topology, clusters in built
     ]
-    if config.prune and len(scored) > 1:
+    if len(scored) > 1:
         points = {
             spec.label: ParetoPoint(
                 area_mm2=resource,
@@ -334,7 +321,7 @@ def enumerate_candidates(
                 dropped.append(entry)
         # Backfill near-misses up to the floor: proxies are estimates,
         # so a front-only sweep must not stake everything on one shape.
-        floor = min(config.min_candidates, config.max_candidates)
+        floor = min(MIN_CANDIDATES, config.max_candidates)
         if len(kept) < floor and dropped:
             dropped.sort(key=lambda e: (e[2], e[3], e[0].label))
             refill = dropped[: floor - len(kept)]
@@ -355,48 +342,6 @@ def enumerate_candidates(
     return [(spec, topology) for spec, topology, _, _ in scored], pruned
 
 
-def synthesis_jobs(
-    core_graph: CoreGraph,
-    config: SynthesisConfig | None = None,
-    routing: str = "MP",
-    objective="hops",
-    constraints: Constraints | None = None,
-    mapper_config: MapperConfig | None = None,
-    estimator: NetworkEstimator | None = None,
-) -> tuple[list[tuple[CandidateSpec, CustomTopology]], list[SynthesisJob], dict[str, str]]:
-    """Candidates plus their engine jobs (shared by selection/synthesis).
-
-    Returns ``(candidates, jobs, pruned)`` with ``jobs[i]`` evaluating
-    ``candidates[i]``; every job's tag is the candidate label.
-    """
-    config = config or SynthesisConfig()
-    candidates, pruned = enumerate_candidates(
-        core_graph,
-        config=config,
-        constraints=constraints,
-        estimator=estimator,
-    )
-    jobs = [
-        SynthesisJob(
-            core_graph=core_graph,
-            spec=spec,
-            routing=routing,
-            objective=objective,
-            constraints=constraints,
-            config=mapper_config,
-            estimator=estimator,
-            tag=spec.label,
-            # Mix the sweep seed with the spec so every candidate gets
-            # a stable, content-derived RNG seed; the current mapper is
-            # deterministic, but a stochastic partitioner/search must
-            # reproduce per (core graph, config, seed) exactly.
-            seed=hash_seed(("synth-seed", config.seed, spec.label)),
-        )
-        for spec, _ in candidates
-    ]
-    return candidates, jobs, pruned
-
-
 def synthesize_topologies(
     core_graph: CoreGraph,
     config: SynthesisConfig | None = None,
@@ -411,10 +356,12 @@ def synthesize_topologies(
 ) -> SynthesisResult:
     """Generate and evaluate custom fabrics for an application.
 
-    The full subsystem flow: sweep → build → prune → fan out one
-    mapping search per surviving candidate through the exploration
-    engine → rank by objective cost. Results are bit-identical for any
-    ``jobs`` count (content-derived seeds, submission-order reduction).
+    The full subsystem flow: sweep → build → prune → submit every
+    surviving fabric to the exploration engine as one evaluation job,
+    exactly as a library topology is submitted → rank by objective
+    cost. Results are bit-identical for any ``jobs`` count (the mapping
+    search draws no random numbers; the engine reduces in submission
+    order).
 
     ``cache_backend`` gives the auto-built engine persistent storage
     (a :func:`~repro.engine.backends.make_backend` spec such as
@@ -426,13 +373,19 @@ def synthesize_topologies(
         objective if isinstance(objective, str) else objective.name
     )
     engine = resolve_engine(engine, jobs, cache_backend)
-    candidates, job_list, pruned = synthesis_jobs(
+    candidates, pruned = enumerate_candidates(
         core_graph,
         config=config,
+        constraints=constraints,
+        estimator=estimator,
+    )
+    job_list = engine.selection_jobs(
+        core_graph,
+        topologies=[topology for _, topology in candidates],
         routing=routing,
         objective=objective,
         constraints=constraints,
-        mapper_config=mapper_config,
+        config=mapper_config,
         estimator=estimator,
     )
     result = SynthesisResult(
@@ -448,10 +401,10 @@ def synthesize_topologies(
             result.candidates.append(
                 SynthesizedCandidate(
                     spec=spec,
-                    # The evaluated instance (worker-rebuilt fabrics are
-                    # bit-identical to the local build, but the
-                    # evaluation's topology is the one its assignment,
-                    # floorplan and netlist refer to).
+                    # The evaluated instance (a process pool or a cache
+                    # hit hands back an equal copy of the local build;
+                    # the evaluation's topology is the one its
+                    # assignment, floorplan and netlist refer to).
                     topology=job_result.evaluation.topology,
                     evaluation=job_result.evaluation,
                 )

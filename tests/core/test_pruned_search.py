@@ -11,7 +11,7 @@ core-link capacity, the QoS hop bound, the area ceiling, and a tight
 300 MB/s link capacity that keeps most rounds bounded by an infeasible
 mapping, where the overflow floor cuts). A fault overlay and a custom
 fabric with parallel channels run the same way, and a synthesized
-fabric goes through ``execute_synthesis_job``. Rounds where every
+fabric goes through ``execute_job``. Rounds where every
 candidate ties its bound check that the ties are dropped before
 routing: hop ties on every input, overflow ties in exact arithmetic.
 
@@ -34,10 +34,10 @@ from repro.core.constraints import Constraints
 from repro.core.evaluate import evaluate_mapping
 from repro.core.greedy import initial_greedy_mapping
 from repro.core.mapper import map_onto
-from repro.engine.jobs import SynthesisJob, execute_synthesis_job
+from repro.engine.jobs import EvaluationJob, execute_job
 from repro.faults import FaultedTopology, sample_faults
 from repro.routing.library import make_routing
-from repro.synthesis.fabric import CandidateSpec
+from repro.synthesis.fabric import CandidateSpec, build_candidate
 from repro.topology.custom import CustomTopology
 from repro.topology.library import make_topology
 
@@ -172,9 +172,10 @@ def test_synthesized_fabric_job_matches_collector_job(vopd_app):
         max_switch_degree=4,
         link_capacity_mb_s=500.0,
     )
+    fabric = build_candidate(vopd_app, spec)
     results = [
-        execute_synthesis_job(
-            SynthesisJob(vopd_app, spec, "MP", "hops", collect=collect)
+        execute_job(
+            EvaluationJob(vopd_app, fabric, "MP", "hops", collect=collect)
         )
         for collect in (True, False)
     ]

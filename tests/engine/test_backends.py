@@ -195,7 +195,7 @@ class TestSQLiteBackend:
         caches = [
             EvaluationCache(backend=store, write_only=True) for _ in range(4)
         ]
-        result = JobResult(tag="", value=1.5, seed=3)
+        result = JobResult(tag="", value=1.5)
         done = threading.Event()
 
         def write(cache):

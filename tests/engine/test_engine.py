@@ -2,7 +2,7 @@
 
 The engine's contract is that results are bit-identical to the serial
 path no matter which executor runs the jobs or in which order they
-finish — same winners, same costs, same assignments, same seeds — and
+finish — same winners, same costs, same assignments — and
 no matter how many threads call ``run`` on one engine at once.
 """
 
@@ -35,7 +35,8 @@ from repro.synthesis import synthesize_topologies
 from repro.topology.library import make_topology
 
 #: Single-pass swap search keeps engine tests fast; determinism holds for
-#: any config because seeds and reduction order are content-derived.
+#: any config because the search draws no random numbers and results
+#: are reduced in submission order.
 FAST = MapperConfig(max_rounds=1)
 
 APPS = {
@@ -220,7 +221,6 @@ def result_digest(result: JobResult) -> tuple:
     ev = result.evaluation
     return (
         result.tag,
-        result.seed,
         ev.cost,
         ev.avg_hops,
         ev.power_mw,
@@ -294,27 +294,7 @@ class TestConcurrentRuns:
 
 
 class TestSeeds:
-    def test_seed_is_stable_and_content_derived(self, tiny_app):
-        a, b = job_for(tiny_app), job_for(tiny_app)
-        assert a.resolved_seed() == b.resolved_seed()
-
-    def test_seed_differs_per_candidate(self, tiny_app):
-        assert (
-            job_for(tiny_app, "mesh").resolved_seed()
-            != job_for(tiny_app, "ring").resolved_seed()
-        )
-
-    def test_explicit_seed_wins(self, tiny_app):
-        assert job_for(tiny_app, seed=7).resolved_seed() == 7
-
-    def test_explicit_seeds_get_distinct_cache_entries(self, tiny_app):
-        # Jobs differing only in seed must not share cached results
-        # (matters once a stochastic search consumes the seed).
-        engine = ExplorationEngine()
-        first = engine.run_one(job_for(tiny_app, seed=1))
-        second = engine.run_one(job_for(tiny_app, seed=2))
-        assert not second.cached
-        assert (first.seed, second.seed) == (1, 2)
+    """The mapping search draws no random numbers of its own."""
 
     def test_global_rng_state_restored_after_in_process_job(self, tiny_app):
         # Serial jobs run in the caller's process; they must not clobber

@@ -3,7 +3,7 @@
 Workers are killed mid-job (``os._exit`` crash bombs) and transient
 failures strike N times before a success — and the runtime must degrade
 exactly as specified: innocents finish untouched, pools rebuild, retries
-re-run the *same* seeded job bit-identically, exhausted budgets surface
+re-run the *same* job bit-identically, exhausted budgets surface
 as typed :class:`~repro.engine.resilience.JobFailure` results that the
 engine re-raises, and a run killed mid-sweep resumes bit-identically
 when it is rerun on the same persistent ``--cache`` store.
@@ -33,7 +33,7 @@ from repro.engine import (
     classify_failure,
     make_backend,
 )
-from repro.engine.jobs import JobResult, hash_seed
+from repro.engine.jobs import JobResult
 from repro.engine.resilience import (
     BACKOFF_BASE_S,
     BACKOFF_FACTOR,
@@ -81,12 +81,6 @@ class ChaosJob:
     def cache_key(self) -> tuple:
         return ("chaos", self.tag, self.action, self.value, self.fail_times)
 
-    def resolved_seed(self) -> int:
-        return hash_seed(self.cache_key())
-
-    def pinned(self, key: tuple) -> "ChaosJob":
-        return self
-
 
 def _bump_attempts(job: ChaosJob) -> int:
     """Count this execution in the cross-process scratch file."""
@@ -108,7 +102,7 @@ def chaos_fn(job: ChaosJob) -> JobResult:
     if job.action == "fatal":
         raise MappingInfeasibleError(f"{job.tag} is deterministically out")
     payload = os.getpid() if job.action == "pid" else job.value
-    return JobResult(tag=job.tag, value=payload, seed=job.resolved_seed())
+    return JobResult(tag=job.tag, value=payload)
 
 
 def attempts_of(scratch, job: ChaosJob) -> int:
@@ -143,13 +137,15 @@ class TestFailureTaxonomy:
 
 class TestRetryPolicy:
     def test_backoff_is_deterministic_in_seed_and_attempt(self):
-        assert backoff_s(2, 123) == backoff_s(2, 123)
-        assert backoff_s(1, 123) != backoff_s(2, 123)
-        assert backoff_s(1, 123) != backoff_s(1, 124)
+        # The jitter is keyed on the job's tag, the one label a job keeps
+        # across runs of the same sweep.
+        assert backoff_s(2, "mesh") == backoff_s(2, "mesh")
+        assert backoff_s(1, "mesh") != backoff_s(2, "mesh")
+        assert backoff_s(1, "mesh") != backoff_s(1, "torus")
 
     def test_backoff_is_bounded(self):
         for attempt in range(1, 10):
-            delay = backoff_s(attempt, seed=7)
+            delay = backoff_s(attempt, tag="mesh")
             base = min(
                 MAX_BACKOFF_S, BACKOFF_BASE_S * BACKOFF_FACTOR ** (attempt - 1)
             )
@@ -181,7 +177,6 @@ class TestJobFailure:
         assert not failure.ok
         assert failure.error_type == "OSError"
         assert failure.attempts == 2
-        assert failure.seed == ChaosJob("t").resolved_seed()
 
     def test_retagged_preserves_the_failure_subclass(self):
         failure = failure_from(
@@ -303,7 +298,6 @@ class TestProcessResilience:
         )
         assert results[0].ok
         assert results[0].value == 9.0
-        assert results[0].seed == flaky.resolved_seed()
         assert attempts_of(tmp_path, flaky) == 2
 
     def test_single_job_runs_in_process_without_timeout(self):
@@ -470,7 +464,6 @@ def digest(results) -> list[tuple]:
     return [
         (
             r.tag,
-            r.seed,
             round(r.evaluation.cost, 12),
             tuple(sorted(r.evaluation.assignment.items())),
         )
@@ -483,10 +476,10 @@ class TestJournal:
 
     def test_record_then_resume_replays_equal_results(self, tmp_path):
         path = tmp_path / "store.db"
-        recorded = JobResult(tag="", value=42.5, seed=7)
+        recorded = JobResult(tag="", value=42.5)
         store = make_backend(f"sqlite:{path}")
         store.put(("k", 1), recorded)
-        store.put(("k", 2), JobResult(tag="", value=1.0, seed=9))
+        store.put(("k", 2), JobResult(tag="", value=1.0))
         store.close()
         reopened = make_backend(f"sqlite:{path}")
         assert len(reopened) == 2

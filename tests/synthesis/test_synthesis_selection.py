@@ -3,11 +3,12 @@
 Two guarantees pinned here:
 
 * **Determinism across parallelism** — the same core graph +
-  :class:`~repro.synthesis.SynthesisConfig` + seed reproduces the
-  identical candidate set bit-for-bit at ``jobs=1`` and ``jobs=4``
-  (engine cache keys are content-derived, reduction is by submission
-  order), for both the standalone sweep and the synthesize-enabled
-  selection flow.
+  :class:`~repro.synthesis.SynthesisConfig` reproduces the identical
+  candidate set bit-for-bit at ``jobs=1`` and ``jobs=4`` (engine cache
+  keys are content-derived, reduction is by submission order), for
+  both the standalone sweep and the synthesize-enabled selection flow.
+  A synthesized fabric is one more evaluation job, so selecting over
+  the sweep's fabrics is served from the sweep's cache entries.
 * **Golden candidate sets** — the ranked vopd/dsp candidates (names,
   feasibility, costs) stay exactly what was committed; regenerate
   deliberately with ``--update-goldens`` and review the diff.
@@ -97,6 +98,42 @@ class TestParallelIdentity:
         again = synthesize_topologies(vopd_app, config=SMALL, engine=engine)
         assert engine.cache.stats.hits > hits_before
         assert all(c.evaluation is not None or c.error for c in again.candidates)
+
+    def test_selection_over_synthesized_fabrics_hits_the_sweep_cache(
+        self, vopd_app
+    ):
+        engine = ExplorationEngine()
+        sweep = synthesize_topologies(vopd_app, config=SMALL, engine=engine)
+        hits, misses = engine.cache.stats.hits, engine.cache.stats.misses
+        selection = select_topology(
+            vopd_app,
+            topologies=[c.topology for c in sweep.candidates],
+            engine=engine,
+        )
+        assert engine.cache.stats.misses == misses
+        assert engine.cache.stats.hits - hits == len(sweep.candidates)
+        assert {
+            c.name: _evaluation_digest(c.evaluation)
+            for c in sweep.candidates
+            if c.evaluation is not None
+        } == {
+            name: _evaluation_digest(ev)
+            for name, ev in selection.evaluations.items()
+        }
+        assert selection.errors == {
+            c.name: c.error for c in sweep.candidates if c.error is not None
+        }
+
+
+def _evaluation_digest(ev) -> tuple:
+    """Bit-exact comparable fields of one mapping evaluation."""
+    return (
+        ev.feasible,
+        ev.cost.hex(),
+        ev.avg_hops.hex(),
+        ev.max_link_load.hex(),
+        sorted(ev.assignment.items()),
+    )
 
 
 @pytest.fixture(scope="module")

@@ -62,13 +62,13 @@ def flows() -> dict:
     """The canonical results of the covered flows in this process."""
     from repro.apps import load_application
     from repro.core.mapper import MapperConfig, map_onto
-    from repro.engine.jobs import SynthesisJob, execute_synthesis_job
+    from repro.engine.jobs import EvaluationJob, execute_job
     from repro.simulation.campaign import (
         CampaignConfig,
         run_campaign,
         strip_runtime,
     )
-    from repro.synthesis.fabric import CandidateSpec
+    from repro.synthesis.fabric import CandidateSpec, build_candidate
     from repro.topology.library import make_topology
 
     vopd = load_application("vopd")
@@ -92,8 +92,8 @@ def flows() -> dict:
         strategy="greedy", num_switches=4, max_cluster_size=3,
         max_switch_degree=4, link_capacity_mb_s=500.0,
     )
-    results["vopd-synthesized-MP-hops"] = execute_synthesis_job(
-        SynthesisJob(vopd, spec, "MP", "hops")
+    results["vopd-synthesized-MP-hops"] = execute_job(
+        EvaluationJob(vopd, build_candidate(vopd, spec), "MP", "hops")
     ).evaluation
     out = {name: _evaluation(ev) for name, ev in results.items()}
     mesh = make_topology("mesh", vopd.num_cores)
