@@ -145,7 +145,7 @@ def measure_evals(
         )
         start = time.perf_counter()
         for s1, s2 in cands:
-            memo.evaluate_swap(base, s1, s2, with_floorplan=False)
+            memo.finish(memo.evaluate_swap(base, s1, s2, with_floorplan=False))
         if rep:
             best = min(best, time.perf_counter() - start)
     return round(len(cands) / best, 1)

@@ -4,6 +4,15 @@ Given an assignment of cores to slots, this module routes all commodities
 in decreasing order, checks bandwidth feasibility, optionally floorplans
 the design, and derives the three report metrics of the paper's tables:
 average hop delay, design area and design power.
+
+An evaluation runs in two steps. :func:`start_evaluation` routes the
+mapping, asks a bound's cut-offs and, with the floorplanner on, asks for
+the sizing LP (:func:`~repro.floorplan.lp.request_floorplan`), which the
+LP helper thread solves meanwhile; :meth:`PendingEvaluation.finish`
+waits for it, then legalizes the floorplan and measures area, power and
+resources. :func:`evaluate_mapping` does both at once; the swap search
+starts a few candidates ahead and finishes them in order
+(:mod:`repro.core.mapper`).
 """
 
 from __future__ import annotations
@@ -20,7 +29,12 @@ from repro.core.constraints import (
 )
 from repro.core.coregraph import CoreGraph
 from repro.errors import FloorplanError, MappingInfeasibleError
-from repro.floorplan.lp import FloorplanResult, floorplan_mapping
+from repro.floorplan.lp import (
+    FloorplanRequest,
+    FloorplanResult,
+    floorplan_mapping,
+    request_floorplan,
+)
 from repro.physical.estimate import NetworkEstimator, PowerBreakdown
 from repro.routing.base import RoutingFunction, RoutingResult
 from repro.topology.base import ResourceSummary, Topology
@@ -107,7 +121,8 @@ def evaluate_mapping(
     bound=None,
     checked: bool = False,
 ) -> MappingEvaluation | None:
-    """Route, check and measure one mapping.
+    """Route, check and measure one mapping: :func:`start_evaluation`
+    and :meth:`PendingEvaluation.finish` in one call.
 
     Args:
         assignment: core index -> terminal slot; must be injective and
@@ -128,6 +143,33 @@ def evaluate_mapping(
     Raises:
         MappingInfeasibleError: if the assignment is structurally invalid
             (wrong size, duplicate slots, slot out of range).
+    """
+    started = start_evaluation(
+        core_graph, topology, assignment, routing, constraints,
+        estimator=estimator, with_floorplan=with_floorplan, bound=bound,
+        checked=checked,
+    )
+    return None if started is None else started.finish()
+
+
+def start_evaluation(
+    core_graph: CoreGraph,
+    topology: Topology,
+    assignment: dict[int, int],
+    routing: RoutingFunction,
+    constraints: Constraints,
+    estimator: NetworkEstimator | None = None,
+    with_floorplan: bool = True,
+    bound=None,
+    checked: bool = False,
+) -> PendingEvaluation | None:
+    """The first step of :func:`evaluate_mapping` (same arguments):
+    route the mapping and, with the floorplanner on, ask for its LP.
+
+    ``None`` when the ``bound`` drops the mapping (mid-routing, on its
+    routing alone, or on its floor over every floorplan, cut-offs 2-4).
+    A queued LP carries cut-off 4 with it: the helper asks it again,
+    against the bound as it is then, just before the LP starts.
     """
     if not checked:
         validate_assignment(core_graph, topology, assignment)
@@ -162,64 +204,121 @@ def evaluate_mapping(
         return None
 
     pitch = nominal_pitch_mm(core_graph)
-    if with_floorplan:
-        used = estimator.used_switches(topology, result)
-        if bound is not None and bound.power_floor(
-            evaluation, estimator, used, pitch
-        ):
+    started = PendingEvaluation(evaluation, estimator, constraints, pitch)
+    if not with_floorplan:
+        return started
+    used = started.used_switches = estimator.used_switches(topology, result)
+    wanted = None
+    if bound is not None:
+        floor = bound.routed_floor(evaluation, estimator, used, pitch)
+        if bound.power_floor(floor):
             return None
-        try:
-            floorplan = floorplan_mapping(
-                topology,
-                assignment,
-                core_graph,
-                used_switches=used,
-                tech=estimator.tech,
-                max_aspect=constraints.max_chip_aspect,
-            )
-        except FloorplanError:
-            floorplan = None
-        evaluation.floorplan = floorplan
-        lengths = (
-            floorplan.link_lengths(topology, assignment)
-            if floorplan is not None
-            else None
+        if floor is not None:
+            def wanted():
+                return not bound.power_floor(floor)
+    try:
+        started.request = request_floorplan(
+            topology,
+            assignment,
+            core_graph,
+            used_switches=used,
+            tech=estimator.tech,
+            max_aspect=constraints.max_chip_aspect,
+            wanted=wanted,
         )
-        channels = estimator.channels_area_mm2(
-            topology, result, lengths_mm=lengths, pitch_mm=pitch
-        )
-        if floorplan is not None:
-            evaluation.area_mm2 = floorplan.area_mm2 + channels
-        evaluation.power = estimator.network_power_mw(
-            topology, result, lengths_mm=lengths, pitch_mm=pitch
-        )
-        evaluation.power_mw = evaluation.power.total_mw
-        evaluation.area_feasible = floorplan is not None and area_feasible(
-            floorplan, evaluation.area_mm2, constraints
-        )
-    else:
-        # Fast mode: power from nominal link lengths, no area numbers.
-        evaluation.power = estimator.network_power_mw(
-            topology, result, lengths_mm=None, pitch_mm=pitch
-        )
-        evaluation.power_mw = evaluation.power.total_mw
-        evaluation.area_feasible = True
+    except FloorplanError:
+        pass  # nothing to floorplan: the mapping is area-infeasible
+    return started
 
-    # Direct topologies ignore the route list entirely (their resource
-    # summary is mapping-independent apart from the slot count), so skip
-    # materializing all paths for them — it sits on the swap-search hot
-    # path.
-    routes = None if topology.kind == "direct" else result.all_paths()
-    evaluation.resources = topology.resource_summary(
-        routes=routes, mapped_slots=list(assignment.values())
+
+class PendingEvaluation:
+    """A routed mapping that :func:`start_evaluation` kept: its
+    evaluation, measured up to the floorplan, and the floorplan's LP
+    request (``None`` when the floorplan already failed)."""
+
+    __slots__ = (
+        "evaluation", "estimator", "constraints", "pitch_mm",
+        "used_switches", "request",
     )
-    # Edge ids are working data of this evaluation (the routing watch,
-    # the power walk). A finished evaluation drops them, as its pickle
-    # does, so collectors and in-memory caches hold no more than node
-    # paths.
-    for rc in result.routed:
-        rc.edge_ids = None
-    return evaluation
+
+    def __init__(self, evaluation, estimator, constraints, pitch_mm):
+        self.evaluation = evaluation
+        self.estimator = estimator
+        self.constraints = constraints
+        self.pitch_mm = pitch_mm
+        #: Set when the floorplanner runs (``with_floorplan``).
+        self.used_switches = None
+        self.request: FloorplanRequest | None = None
+
+    def done(self) -> bool:
+        """Whether :meth:`finish` would not wait for the LP helper."""
+        return self.request is None or self.request.done()
+
+    def finish(self) -> MappingEvaluation | None:
+        """Wait for the LP, legalize the floorplan, and measure area,
+        power and resources; ``None`` if the helper skipped the LP
+        because the mapping had lost cut-off 4 to the bound of that
+        time."""
+        evaluation = self.evaluation
+        topology = evaluation.topology
+        assignment = evaluation.assignment
+        result = evaluation.routing_result
+        estimator = self.estimator
+        pitch = self.pitch_mm
+        if self.used_switches is not None:
+            request = self.request
+            floorplan = None
+            if request is not None:
+                if request.cancelled():
+                    return None
+                try:
+                    floorplan = floorplan_mapping(
+                        topology, assignment, evaluation.core_graph,
+                        request=request,
+                    )
+                except FloorplanError:
+                    pass
+            evaluation.floorplan = floorplan
+            lengths = (
+                floorplan.link_lengths(topology, assignment)
+                if floorplan is not None
+                else None
+            )
+            channels = estimator.channels_area_mm2(
+                topology, result, lengths_mm=lengths, pitch_mm=pitch
+            )
+            if floorplan is not None:
+                evaluation.area_mm2 = floorplan.area_mm2 + channels
+            evaluation.power = estimator.network_power_mw(
+                topology, result, lengths_mm=lengths, pitch_mm=pitch
+            )
+            evaluation.power_mw = evaluation.power.total_mw
+            evaluation.area_feasible = floorplan is not None and area_feasible(
+                floorplan, evaluation.area_mm2, self.constraints
+            )
+        else:
+            # Fast mode: power from nominal link lengths, no area numbers.
+            evaluation.power = estimator.network_power_mw(
+                topology, result, lengths_mm=None, pitch_mm=pitch
+            )
+            evaluation.power_mw = evaluation.power.total_mw
+            evaluation.area_feasible = True
+
+        # Direct topologies ignore the route list entirely (their resource
+        # summary is mapping-independent apart from the slot count), so skip
+        # materializing all paths for them — it sits on the swap-search hot
+        # path.
+        routes = None if topology.kind == "direct" else result.all_paths()
+        evaluation.resources = topology.resource_summary(
+            routes=routes, mapped_slots=list(assignment.values())
+        )
+        # Edge ids are working data of this evaluation (the routing watch,
+        # the power walk). A finished evaluation drops them, as its pickle
+        # does, so collectors and in-memory caches hold no more than node
+        # paths.
+        for rc in result.routed:
+            rc.edge_ids = None
+        return evaluation
 
 
 def validate_assignment(

@@ -60,11 +60,28 @@ skipped candidates are never returned; the search returns the same
 evaluation, bit for bit, as the unbounded one. With a ``collector``
 (the Pareto exploration wants every candidate measured) every
 candidate, revisits included, is evaluated in full.
+
+**Pipelined candidates.** With the floorplanner in the loop, the LP of
+a candidate is solved on the LP helper thread
+(:mod:`repro.floorplan.lp`) while the search routes the next ones: a
+candidate is *started* (routed, cut-offs 1-5 asked, its LP queued) up
+to :data:`WINDOW` candidates ahead of the oldest unfinished one, and
+candidates are *finished* (LP awaited, floorplan legalized, power and
+score measured, collector appended) strictly in candidate order, as
+soon as their LP is done or the window is full. A candidate started
+under an older, looser bound can only be pruned less, never more, and
+is compared against the bound of its finishing time, so the search
+returns the same evaluation bit for bit. Just before a queued LP
+starts, the helper asks cut-off 4 again against the latest bound (the
+:class:`SwapBound` is tightened in place) and skips the LP of a
+candidate that now loses. Without the floorplanner nothing waits, and
+each candidate finishes right after it starts.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -162,12 +179,13 @@ def map_onto(
             collector.append(ev)
         return ev
 
-    def run_swap(
-        base: MappingEvaluation, s1: int, s2: int, bound
-    ) -> MappingEvaluation | None:
-        ev = memo.evaluate_swap(
+    def start_swap(base: MappingEvaluation, s1: int, s2: int, bound):
+        return memo.evaluate_swap(
             base.assignment, s1, s2, with_floorplan=fp_in_loop, bound=bound
         )
+
+    def finish_swap(started) -> MappingEvaluation | None:
+        ev = memo.finish(started)
         if ev is None:
             return None
         _score(ev, objective)
@@ -179,7 +197,7 @@ def map_onto(
 
     bounded = objective if collector is None else None
     for _ in range(config.max_rounds):
-        candidate = _best_swap(best, run_swap, bounded)
+        candidate = _best_swap(best, start_swap, finish_swap, bounded)
         if candidate is None:
             break
         best = candidate
@@ -228,20 +246,27 @@ class SwapBound:
         """Cut-off 2: the ``stop`` hook for ``route_all``."""
         return RoutingWatch(topology, constraints, self.key)
 
-    def power_floor(
+    def routed_floor(
         self, evaluation: MappingEvaluation, estimator, used_switches,
         pitch_mm: float,
-    ) -> bool:
-        """Cut-off 4, on a routed candidate about to be floorplanned:
-        the objective's floor over every floorplan already loses to a
-        feasible bound. A candidate whose floorplan fails or breaks the
-        area constraint is infeasible and loses to that bound anyway."""
+    ) -> float | None:
+        """The price cut-off 4 asks about: the objective's floor over
+        every floorplan of a routed candidate, or ``None`` against an
+        infeasible bound (or an objective that offers none)."""
         if self.key[0] != 0:
-            return False
-        floor = self.objective.lower_bound_routed(
+            return None
+        return self.objective.lower_bound_routed(
             evaluation, estimator, used_switches, pitch_mm
         )
-        return floor is not None and beyond(floor, self.key[2])
+
+    def power_floor(self, floor: float | None) -> bool:
+        """Cut-off 4, on a routed candidate about to be floorplanned
+        (and again on the LP helper, just before its queued LP starts):
+        its :meth:`routed_floor` already loses to a feasible bound. A
+        candidate whose floorplan fails or breaks the area constraint is
+        infeasible and loses to that bound anyway."""
+        key = self.key  # read once: the search may tighten it meanwhile
+        return floor is not None and key[0] == 0 and beyond(floor, key[2])
 
     def loses(self, evaluation: MappingEvaluation) -> bool:
         """Cut-off 3, on a routed but unmeasured evaluation: whether its
@@ -254,16 +279,25 @@ class SwapBound:
         return not evaluation.sort_key() < self.key
 
 
+#: Most swap candidates started but not yet finished: enough to keep
+#: the LP helper busy while the search routes, few enough that the
+#: bound the candidates start under stays close to the latest one.
+WINDOW = 6
+
+
 def _best_swap(
-    base: MappingEvaluation, run_swap, objective: Objective | None = None
+    base: MappingEvaluation, start_swap, finish_swap,
+    objective: Objective | None = None,
 ) -> MappingEvaluation | None:
     """Evaluate every pairwise slot swap of ``base``; return the best
     one that strictly beats it (the earliest on ties), or ``None``.
 
-    ``run_swap(base, s1, s2, bound)`` evaluates one slot swap of the
-    base (:meth:`~repro.core.memo.MemoizedMappingEvaluator.evaluate_swap`).
-    With an ``objective`` each candidate is bounded by a
-    :class:`SwapBound` on the key to beat; without one (``bound`` is
+    ``start_swap(base, s1, s2, bound)`` starts one slot swap of the
+    base (:meth:`~repro.core.memo.MemoizedMappingEvaluator.evaluate_swap`)
+    and ``finish_swap`` finishes it, in candidate order, at most
+    :data:`WINDOW` starts behind. With an ``objective`` each candidate
+    is bounded by a :class:`SwapBound` on the key to beat, tightened in
+    place as better candidates finish; without one (``bound`` is
     ``None``) every candidate is evaluated in full.
     """
     topology = base.topology
@@ -275,9 +309,17 @@ def _best_swap(
     bound = SwapBound(key, objective) if objective is not None else None
     candidates = list(combinations(occupied, 2))
     candidates += [(s, f) for s in occupied for f in free]
-    for s1, s2 in candidates:
-        ev = run_swap(base, s1, s2, bound)
-        if ev is not None and ev.sort_key() < key:
-            best, key = ev, ev.sort_key()
-            bound = bound and SwapBound(key, objective)
+    started = deque()
+    for i, (s1, s2) in enumerate(candidates):
+        started.append(start_swap(base, s1, s2, bound))
+        last = i == len(candidates) - 1
+        while started and (
+            last or len(started) > WINDOW
+            or started[0] is None or started[0].done()
+        ):
+            ev = finish_swap(started.popleft())
+            if ev is not None and ev.sort_key() < key:
+                best, key = ev, ev.sort_key()
+                if bound is not None:
+                    bound.key = key
     return best

@@ -2,7 +2,7 @@
 
 :class:`MemoizedMappingEvaluator` wraps one search's evaluation context
 (core graph, topology, routing function, constraints, estimator) around
-:func:`~repro.core.evaluate.evaluate_mapping`, and records every
+:func:`~repro.core.evaluate.start_evaluation`, and records every
 assignment the search has handed it. It lives and dies with its search.
 
 The pairwise-swap search (:mod:`repro.core.mapper`) hands in its
@@ -13,13 +13,21 @@ the bound is dropped part-way and comes back as ``None``
 :class:`~repro.core.floor.SwapFloor`, which prices each before routing
 from the base's totals; cut-offs 1 and 5 drop losers right there.
 
+:meth:`~MemoizedMappingEvaluator.evaluate_swap` only starts a
+candidate: it routes it and, with the floorplanner on, queues its LP on
+the LP helper thread (:class:`~repro.core.evaluate.PendingEvaluation`).
+The search starts a few more while the LP solves and hands each back,
+in candidate order, to :meth:`~MemoizedMappingEvaluator.finish`, which
+waits for its LP and measures it.
+
 The bound only tightens during a search: every assignment seen so far
 either lost to the bound of its time or became that bound. So a
 bounded candidate whose assignment was already visited cannot strictly
 beat the current bound either; it comes back as ``None`` without being
-routed (counted in ``stats.hits``). Without a bound (a collector
-search, which wants every candidate measured) a revisit is evaluated
-in full again.
+routed (counted in ``stats.hits``). A search revisits an assignment
+only in a later round, after every candidate of the earlier ones has
+finished. Without a bound (a collector search, which wants every
+candidate measured) a revisit is evaluated in full again.
 """
 
 from __future__ import annotations
@@ -30,7 +38,8 @@ from repro.core.constraints import Constraints
 from repro.core.coregraph import CoreGraph
 from repro.core.evaluate import (
     MappingEvaluation,
-    evaluate_mapping,
+    PendingEvaluation,
+    start_evaluation,
     validate_assignment,
 )
 from repro.core.floor import SwapFloor
@@ -74,9 +83,9 @@ def _key(assignment: dict[int, int]) -> tuple[int, ...]:
 class MemoStats:
     """Counters of one search: ``hits`` are bounded revisits skipped
     without routing, ``misses`` are evaluations started, ``pruned``
-    counts the misses a bound dropped before they were fully evaluated,
-    and ``floored`` the pruned ones its overflow floor dropped before
-    routing (cut-off 5)."""
+    counts the misses a bound dropped before they were fully evaluated
+    (their LP skipped by the helper included), and ``floored`` the
+    pruned ones its overflow floor dropped before routing (cut-off 5)."""
 
     hits: int = 0
     misses: int = 0
@@ -125,7 +134,22 @@ class MemoizedMappingEvaluator:
         self, assignment: dict[int, int], with_floorplan: bool
     ) -> MappingEvaluation:
         """Route/check/measure ``assignment`` and mark it visited."""
-        return self._evaluate(assignment, _key(assignment), with_floorplan)
+        return self.finish(
+            self._start(assignment, _key(assignment), with_floorplan)
+        )
+
+    def finish(
+        self, started: PendingEvaluation | None
+    ) -> MappingEvaluation | None:
+        """Finish a candidate :meth:`evaluate_swap` started (waiting for
+        its LP); ``None`` stays ``None``. A candidate whose LP the helper
+        skipped, because it lost to the bound of that time, comes back
+        as ``None`` and counts as pruned."""
+        if started is None:
+            return None
+        evaluation = started.finish()
+        self.stats.pruned += evaluation is None
+        return evaluation
 
     def evaluate_swap(
         self,
@@ -134,8 +158,9 @@ class MemoizedMappingEvaluator:
         s2: int,
         with_floorplan: bool,
         bound=None,
-    ) -> MappingEvaluation | None:
-        """:meth:`evaluate` of ``swap_assignment(base_assignment, s1, s2)``.
+    ) -> PendingEvaluation | None:
+        """Start :meth:`evaluate` of ``swap_assignment(base_assignment,
+        s1, s2)``; :meth:`finish` completes it.
 
         With a ``bound`` (a :class:`~repro.core.mapper.SwapBound`), a
         candidate that provably cannot beat it returns ``None``; an
@@ -174,21 +199,21 @@ class MemoizedMappingEvaluator:
             floor.select(s1, s2)
             dropped = bound.hops_cut(floor) or bound.overflow_floor(floor)
             self.stats.floored += floor.dropped
-        return self._evaluate(
+        return self._start(
             assignment, key, with_floorplan, bound, checked=True,
             dropped=dropped,
         )
 
-    def _evaluate(
+    def _start(
         self, assignment: dict[int, int], key: tuple, with_floorplan: bool,
         bound=None, checked: bool = False, dropped: bool = False,
-    ) -> MappingEvaluation | None:
+    ) -> PendingEvaluation | None:
         # The shared body of both entry points; neither calls the other,
         # so a wrapper around either sees each lookup once. A candidate
         # ``dropped`` before routing counts as a pruned miss.
         self._visited.add(key)
         self.stats.misses += 1
-        evaluation = None if dropped else evaluate_mapping(
+        started = None if dropped else start_evaluation(
             self.core_graph,
             self.topology,
             assignment,
@@ -199,5 +224,5 @@ class MemoizedMappingEvaluator:
             bound=bound,
             checked=checked,
         )
-        self.stats.pruned += evaluation is None
-        return evaluation
+        self.stats.pruned += started is None
+        return started

@@ -26,16 +26,26 @@ option checks and dense-to-sparse conversion.
 Each LP is solved once per topology. The LP reads only the block
 shapes per column (area, softness, a soft block's aspect bounds), the
 channel and the chip aspect bound, never which core or switch a block
-is, so :func:`floorplan_mapping` keys its solution by exactly those
+is, so :func:`request_floorplan` keys its solution by exactly those
 (:func:`_lp_key`, one flat tuple) in the topology's ``derived("lp")``
 table and reuses it for every later mapping with the same shapes; the
 power-objective swap search asks for many such repeats. Only successful
-solutions are kept, as read-only arrays. A miss is solved on its
-thread's one HiGHS solver (:func:`_thread_solver`, configured once and
-cleared before each model), since a solver that is passed the same
-model with the same options returns the same solution bits as a new
-one. Solves are counted in ``repro_floorplan_lp_solves_total`` by
-outcome (``solved``, ``reused``, ``failed``).
+solutions are kept, as read-only arrays.
+
+Every LP, synchronous callers included, is solved on the process's one
+helper thread, which owns the process's only HiGHS solver (configured
+once and cleared before each model; a solver passed the same model
+with the same options returns the same solution bits as a new one).
+The caller builds the model, so the helper runs almost no Python, and
+HiGHS releases the GIL while it solves: the swap search routes its next
+candidates meanwhile (:mod:`repro.core.mapper`). Just before a queued
+LP starts, the helper asks its request's ``wanted`` hook (the search's
+cut-off 4 against the latest bound) and skips the LP if the answer is
+no; it also rereads the table, so an LP queued twice is solved once. A
+forked child starts its own helper (:func:`os.register_at_fork`). The
+requesting thread counts each LP in
+``repro_floorplan_lp_solves_total`` by outcome (``solved``,
+``reused``, ``failed``, ``cancelled``).
 
 The bindings are one extension module, but importing it by name runs
 ``scipy/optimize/__init__.py``, which pulls in scipy.linalg,
@@ -56,8 +66,11 @@ from __future__ import annotations
 
 import importlib.util
 import math
+import os
 import sys
 import threading
+import time
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 from pathlib import Path
@@ -72,7 +85,7 @@ from repro.floorplan.blocks import Block, BlockRect
 from repro.floorplan.positions import derive_columns, switch_sides
 from repro.obs import metrics as obs_metrics
 from repro.physical.technology import TECH_100NM, Technology
-from repro.topology.base import Topology, term
+from repro.topology.base import Topology, is_switch, term
 
 #: Wiring-channel margin between blocks and columns (mm).
 DEFAULT_CHANNEL_MM = 0.15
@@ -85,7 +98,7 @@ MIN_LINK_MM = 0.05
 
 _LP_SOLVES = obs_metrics.REGISTRY.counter(
     "repro_floorplan_lp_solves_total",
-    "Floorplan sizing LPs by outcome (solved, reused, failed)",
+    "Floorplan sizing LPs by outcome (solved, reused, failed, cancelled)",
     ("outcome",),
 )
 
@@ -214,17 +227,85 @@ _HIGHS_OPTIONS.log_to_console = False
 _HIGHS_OPTIONS.highs_debug_level = 0  # no debug checks
 
 
-_SOLVERS = threading.local()
+class _LpHelper:
+    """The process's one LP thread and the HiGHS solver only it uses."""
+
+    __slots__ = ("executor", "highs")
+
+    def __init__(self):
+        self.executor = ThreadPoolExecutor(
+            max_workers=1, thread_name_prefix="repro-lp"
+        )
+        self.highs = _highs._Highs()
+        self.highs.passOptions(_HIGHS_OPTIONS)
 
 
-def _thread_solver():
-    """This thread's HiGHS solver, built and given the options once
-    (the service computes in worker threads, so each has its own)."""
-    highs = getattr(_SOLVERS, "highs", None)
-    if highs is None:
-        highs = _SOLVERS.highs = _highs._Highs()
-        highs.passOptions(_HIGHS_OPTIONS)
-    return highs
+_HELPER: _LpHelper | None = None
+_HELPER_LOCK = threading.Lock()
+
+
+def _helper() -> _LpHelper:
+    """The helper, started on first use (the service computes in worker
+    threads, which all queue on it)."""
+    global _HELPER
+    helper = _HELPER
+    if helper is None:
+        with _HELPER_LOCK:
+            if _HELPER is None:
+                _HELPER = _LpHelper()
+            helper = _HELPER
+    return helper
+
+
+def _forget_helper() -> None:
+    """In a forked child: the parent's helper thread does not exist
+    here, so the child starts its own on its first LP."""
+    global _HELPER, _HELPER_LOCK
+    _HELPER = None
+    _HELPER_LOCK = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_helper)
+
+
+def _run_lp(highs, model, table, key, wanted) -> tuple[str, object]:
+    """On the helper thread: one queued LP as ``(outcome, value)``, the
+    value being the read-only solution, or the failure's text.
+
+    Skipped (``cancelled``) when ``wanted()`` says the requester no
+    longer needs it; ``reused`` when ``table`` gained ``key`` while it
+    waited. A solution is stored under ``key`` before it is returned.
+    """
+    if wanted is not None and not wanted():
+        return "cancelled", None
+    if table is not None:
+        solution = table.get(key)
+        if solution is not None:
+            return "reused", solution
+    highs.clearModel()
+    if highs.passModel(model) == _highs.HighsStatus.kError:
+        return "failed", "HiGHS rejected the model"
+    highs.run()
+    status = highs.getModelStatus()
+    if status != _highs.HighsModelStatus.kOptimal:
+        return "failed", highs.modelStatusToString(status)
+    solution = np.array(highs.getSolution().col_value)
+    solution.flags.writeable = False
+    if table is not None:
+        table[key] = solution
+    return "solved", solution
+
+
+def _submit(model, table=None, key=None, wanted=None) -> Future:
+    """Queue ``model`` on the helper thread (see :func:`_run_lp`)."""
+    helper = _helper()
+    future = helper.executor.submit(
+        _run_lp, helper.highs, model, table, key, wanted
+    )
+    # The helper takes the GIL only when this thread lets go of it,
+    # which otherwise takes up to the switch interval.
+    time.sleep(0)
+    return future
 
 
 def _lp_model(
@@ -315,23 +396,11 @@ def _solve_lp(
     channel: float,
     max_aspect: float | None,
 ) -> np.ndarray:
-    """Solve the sizing LP on this thread's solver; returns the
-    solution vector."""
-    highs = _thread_solver()
-    highs.clearModel()
-    model = _lp_model(columns, channel, max_aspect)
-    if highs.passModel(model) == _highs.HighsStatus.kError:
-        _LP_SOLVES.inc(outcome="failed")
-        raise FloorplanError("floorplan LP failed: HiGHS rejected the model")
-    highs.run()
-    status = highs.getModelStatus()
-    if status != _highs.HighsModelStatus.kOptimal:
-        _LP_SOLVES.inc(outcome="failed")
-        raise FloorplanError(
-            f"floorplan LP failed: {highs.modelStatusToString(status)}"
-        )
-    _LP_SOLVES.inc(outcome="solved")
-    return np.array(highs.getSolution().col_value)
+    """Solve the sizing LP on the helper thread, without the topology
+    table; returns the read-only solution vector."""
+    future = _submit(_lp_model(columns, channel, max_aspect))
+    request = FloorplanRequest(columns, channel, max_aspect, future, None)
+    return request.solution()
 
 
 def _lp_key(
@@ -354,25 +423,93 @@ def _lp_key(
     return tuple(key)
 
 
-def _topology_lp_solution(
+class FloorplanRequest:
+    """A mapping's block columns and its sizing LP, asked for by
+    :func:`request_floorplan`: either reused from the topology's table
+    or queued on the helper thread."""
+
+    __slots__ = ("columns", "channel", "max_aspect", "_future", "_outcome")
+
+    def __init__(self, columns, channel, max_aspect, future, outcome):
+        self.columns = columns
+        self.channel = channel
+        self.max_aspect = max_aspect
+        self._future = future
+        self._outcome = outcome
+
+    def done(self) -> bool:
+        """Whether the LP's outcome is known without waiting."""
+        return self._future is None or self._future.done()
+
+    def _settled(self) -> tuple[str, object]:
+        if self._future is not None:
+            self._outcome = self._future.result()
+            self._future = None
+            _LP_SOLVES.inc(outcome=self._outcome[0])
+        return self._outcome
+
+    def cancelled(self) -> bool:
+        """Wait for the LP; whether the helper skipped it because the
+        request's ``wanted`` hook said no."""
+        return self._settled()[0] == "cancelled"
+
+    def solution(self) -> np.ndarray:
+        """Wait for the LP and return its read-only solution.
+
+        Raises:
+            FloorplanError: the LP failed (or was cancelled).
+        """
+        outcome, value = self._settled()
+        if outcome == "failed":
+            raise FloorplanError(f"floorplan LP failed: {value}")
+        if outcome == "cancelled":
+            raise FloorplanError("floorplan LP cancelled")
+        return value
+
+
+def request_floorplan(
     topology: Topology,
-    columns: list[list[Block]],
-    channel: float,
-    max_aspect: float | None,
-) -> np.ndarray:
-    """The LP's solution from the topology's ``derived("lp")`` table,
-    solved on a miss. Threads that miss one key at once each solve it
-    and store the same bits."""
+    assignment: dict[int, int],
+    core_graph: CoreGraph,
+    used_switches: set | None = None,
+    tech: Technology = TECH_100NM,
+    channel_mm: float = DEFAULT_CHANNEL_MM,
+    max_aspect: float | None = 3.0,
+    wanted=None,
+) -> FloorplanRequest:
+    """Derive the mapping's columns and ask for their LP without
+    waiting: from the topology's ``derived("lp")`` table, or queued on
+    the helper thread. :func:`floorplan_mapping` takes the request.
+
+    Args:
+        wanted: optional hook the helper calls just before the queued LP
+            starts; a false answer skips the LP
+            (:meth:`FloorplanRequest.cancelled`).
+
+    Raises:
+        FloorplanError: there is nothing to floorplan.
+    """
+    columns = derive_columns(
+        topology,
+        assignment,
+        core_graph,
+        used_switches=used_switches,
+        tech=tech,
+    )
+    columns = [col for col in columns if col]
+    if not columns:
+        raise FloorplanError("nothing to floorplan")
     table = topology.derived("lp")
-    key = _lp_key(columns, channel, max_aspect)
+    key = _lp_key(columns, channel_mm, max_aspect)
     solution = table.get(key)
     if solution is not None:
         _LP_SOLVES.inc(outcome="reused")
-        return solution
-    solution = _solve_lp(columns, channel, max_aspect)
-    solution.flags.writeable = False
-    table[key] = solution
-    return solution
+        return FloorplanRequest(
+            columns, channel_mm, max_aspect, None, ("reused", solution)
+        )
+    model = _lp_model(columns, channel_mm, max_aspect)
+    future = _submit(model, table, key, wanted)
+    return FloorplanRequest(columns, channel_mm, max_aspect, future, None)
 
 
 def _legalize(
@@ -450,6 +587,7 @@ def floorplan_mapping(
     tech: Technology = TECH_100NM,
     channel_mm: float = DEFAULT_CHANNEL_MM,
     max_aspect: float | None = 3.0,
+    request: FloorplanRequest | None = None,
 ) -> FloorplanResult:
     """Floorplan one mapping (Figure 5, step 7).
 
@@ -459,25 +597,45 @@ def floorplan_mapping(
         core_graph: supplies core block areas and softness.
         used_switches: prune unused multistage switches before placing.
         max_aspect: chip aspect-ratio bound fed to the LP (None = free).
+        request: this mapping's LP, already asked for by
+            :func:`request_floorplan`; its columns, channel and aspect
+            bound then stand in for the arguments above. Without one the
+            LP is asked for here.
 
     Raises:
         FloorplanError: if the LP is infeasible (e.g. impossible aspect
             bound) — the mapping is then area-infeasible.
     """
-    columns = derive_columns(
-        topology,
-        assignment,
-        core_graph,
-        used_switches=used_switches,
-        tech=tech,
+    if request is None:
+        request = request_floorplan(
+            topology, assignment, core_graph, used_switches=used_switches,
+            tech=tech, channel_mm=channel_mm, max_aspect=max_aspect,
+        )
+    solution = request.solution()
+    result = _legalize(
+        request.columns, solution, request.channel, request.max_aspect
     )
-    columns = [col for col in columns if col]
-    if not columns:
-        raise FloorplanError("nothing to floorplan")
-    solution = _topology_lp_solution(topology, columns, channel_mm, max_aspect)
-    result = _legalize(columns, solution, channel_mm, max_aspect)
     result.validate()
     return result
+
+
+def _floor_links(topology: Topology) -> tuple[list, dict]:
+    """The links :func:`link_length_floors` prices, kept in the
+    topology's ``derived("physical")`` table beside the switch sides:
+    the switch-to-switch links, and per terminal slot the links between
+    it and its switches (every link joins a switch to one of those)."""
+    cache = topology.derived("physical")
+    links = cache.get("floor_links")
+    if links is None:
+        between, by_slot = [], {}
+        for u, v in topology.graph.edges():
+            if is_switch(u) and is_switch(v):
+                between.append((u, v))
+            else:
+                terminal = v if is_switch(u) else u
+                by_slot.setdefault(terminal[1], []).append((u, v))
+        links = cache["floor_links"] = (between, by_slot)
+    return links
 
 
 def link_length_floors(
@@ -499,29 +657,31 @@ def link_length_floors(
     floored at ``MIN_LINK_MM`` like :meth:`FloorplanResult.link_lengths`
     — bounds each placed link's length from below. Keys are the links
     between the mapped cores and ``used_switches`` (default: every
-    switch), the blocks the floorplanner places.
+    switch), the blocks the floorplanner places. The walk covers the
+    switch-to-switch links and the mapped slots' own links
+    (:func:`_floor_links`), not every terminal's.
     """
     sides = switch_sides(topology, tech)  # hard square blocks
-    placed = topology.switches if used_switches is None else used_switches
-    sizes = {sw: (sides[sw], sides[sw]) for sw in placed}
+    between, by_slot = _floor_links(topology)
+    placed = sides if used_switches is None else used_switches
+    floors = {}
+    for u, v in between:
+        if u in placed and v in placed:
+            # min((s_u + s_v) / 2, (s_u + s_v) / 2) of two squares.
+            floors[(u, v)] = max((sides[u] + sides[v]) / 2.0, MIN_LINK_MM)
     for core_index, slot in assignment.items():
         # ``Block.width_min`` / ``height_min`` of the core's block.
         core = core_graph.core(core_index)
         area = core.area_mm2
         if core.is_soft:
-            sizes[term(slot)] = (
-                math.sqrt(area * core.aspect_min),
-                math.sqrt(area / core.aspect_max),
-            )
+            width = math.sqrt(area * core.aspect_min)
+            height = math.sqrt(area / core.aspect_max)
         else:
-            side = math.sqrt(area)
-            sizes[term(slot)] = (side, side)
-    floors = {}
-    for u, v in topology.graph.edges():
-        su = sizes.get(u)
-        sv = sizes.get(v)
-        if su is None or sv is None:
-            continue
-        gap = min((su[0] + sv[0]) / 2.0, (su[1] + sv[1]) / 2.0)
-        floors[(u, v)] = max(gap, MIN_LINK_MM)
+            width = height = math.sqrt(area)
+        for u, v in by_slot.get(slot, ()):
+            sw = u if is_switch(u) else v
+            if sw in placed:
+                side = sides[sw]
+                gap = min((width + side) / 2.0, (height + side) / 2.0)
+                floors[(u, v)] = max(gap, MIN_LINK_MM)
     return floors

@@ -135,8 +135,9 @@ def run_sunmap(
             sweep through the vectorized batch kernel (statistically
             equivalent curves, much faster).
         jobs: parallel worker processes for the selection and simulation
-            phases (1 = serial); the report is identical regardless of
-            ``jobs``.
+            phases; 1 means one process, whose floorplan LPs overlap its
+            swap search on one helper thread. The report is identical
+            regardless of ``jobs``.
         cache_backend: persistent evaluation-cache storage (a
             :func:`~repro.engine.backends.make_backend` spec such as
             ``"sqlite:evals.db"``) for the engine built when ``engine``

@@ -1,6 +1,7 @@
 """Evaluation of slot-swap candidates and the search's visited set.
 
-``MemoizedMappingEvaluator.evaluate_swap`` must equal a from-scratch
+``MemoizedMappingEvaluator.evaluate_swap``, finished by
+``MemoizedMappingEvaluator.finish``, must equal a from-scratch
 :func:`~repro.core.evaluate.evaluate_mapping` of the swapped assignment
 exactly — same paths, float-equal loads (order and values), hops, power,
 cost and feasibility — for every routing function and topology family,
@@ -21,7 +22,7 @@ from repro.apps import vopd
 from repro.apps.synthetic import random_core_graph
 from repro.core import memo as memo_module
 from repro.core.constraints import Constraints
-from repro.core.evaluate import evaluate_mapping
+from repro.core.evaluate import evaluate_mapping, start_evaluation
 from repro.core.greedy import initial_greedy_mapping
 from repro.core.mapper import SwapBound, map_onto
 from repro.core.memo import MemoizedMappingEvaluator, swap_assignment
@@ -100,9 +101,9 @@ def test_swap_sequence_matches_from_scratch(
         s1 %= topology.num_slots
         s2 %= topology.num_slots
         try:
-            swapped = memo.evaluate_swap(
+            swapped = memo.finish(memo.evaluate_swap(
                 assignment, s1, s2, with_floorplan=False
-            )
+            ))
         except UnsupportedRoutingError:
             return  # e.g. DO on Clos — the selector reports these combos
         assignment = swap_assignment(assignment, s1, s2)
@@ -120,15 +121,15 @@ def test_swap_sequence_matches_from_scratch(
         _assert_identical(swapped, scratch)
 
 
-def _counting_evaluate_mapping(monkeypatch) -> list:
-    """Count the memo module's calls of ``evaluate_mapping``, plus the
+def _counting_start_evaluation(monkeypatch) -> list:
+    """Count the memo module's calls of ``start_evaluation``, plus the
     candidates a bound's cut-off 1 or 5 drops before routing (the memo
     asks those itself and never hands the candidate on)."""
     calls = []
 
     def counted(*args, **kwargs):
         calls.append(args[2])
-        return evaluate_mapping(*args, **kwargs)
+        return start_evaluation(*args, **kwargs)
 
     def counting(cutoff):
         def cut(bound, floor):
@@ -138,7 +139,7 @@ def _counting_evaluate_mapping(monkeypatch) -> list:
             return drop
         return cut
 
-    monkeypatch.setattr(memo_module, "evaluate_mapping", counted)
+    monkeypatch.setattr(memo_module, "start_evaluation", counted)
     for name in ("hops_cut", "overflow_floor"):
         monkeypatch.setattr(SwapBound, name, counting(getattr(SwapBound, name)))
     return calls
@@ -167,8 +168,8 @@ def test_memo_bounded_revisit_is_skipped_unbounded_is_evaluated(
     base = initial_greedy_mapping(app, topology)
     objective = make_objective("hops")
     s1, s2 = a % topology.num_slots, b % topology.num_slots
-    first = memo.evaluate_swap(base, s1, s2, with_floorplan=False)
-    again = memo.evaluate_swap(base, s1, s2, with_floorplan=False)
+    first = memo.finish(memo.evaluate_swap(base, s1, s2, with_floorplan=False))
+    again = memo.finish(memo.evaluate_swap(base, s1, s2, with_floorplan=False))
     assert again is not first
     first.cost = objective.cost(first)
     again.cost = objective.cost(again)
@@ -176,15 +177,15 @@ def test_memo_bounded_revisit_is_skipped_unbounded_is_evaluated(
     assert (memo.stats.hits, memo.stats.misses) == (0, 2)
 
     calls = []
-    original = memo_module.evaluate_mapping
-    memo_module.evaluate_mapping = lambda *args, **kw: calls.append(args)
+    original = memo_module.start_evaluation
+    memo_module.start_evaluation = lambda *args, **kw: calls.append(args)
     try:
         bound = SwapBound(first.sort_key(), objective)
         assert memo.evaluate_swap(
             base, s1, s2, with_floorplan=False, bound=bound
         ) is None
     finally:
-        memo_module.evaluate_mapping = original
+        memo_module.start_evaluation = original
     assert calls == []
     assert (memo.stats.hits, memo.stats.misses) == (1, 2)
 
@@ -216,7 +217,7 @@ def test_mapping_searches_leave_the_cache_metrics_untouched():
 
 
 def test_memo_stats_count_each_lookup_once(monkeypatch):
-    calls = _counting_evaluate_mapping(monkeypatch)
+    calls = _counting_start_evaluation(monkeypatch)
     app = random_core_graph(5, seed=3)
     topology = make_topology("mesh", 6)
     memo = MemoizedMappingEvaluator(
@@ -237,7 +238,7 @@ def test_memo_stats_count_each_lookup_once(monkeypatch):
 def test_floorplan_in_loop_search_evaluates_once_per_miss(monkeypatch):
     """With the floorplanner in the swap loop the winner is returned as
     evaluated: no final re-evaluation beyond the search's misses."""
-    calls = _counting_evaluate_mapping(monkeypatch)
+    calls = _counting_start_evaluation(monkeypatch)
     searches = []
     original_init = MemoizedMappingEvaluator.__init__
 
@@ -324,7 +325,9 @@ def test_evaluate_swap_checks_each_base_once(monkeypatch):
     other = swap_assignment(base, 0, 1)
     for b in (base, base, other, other, base):
         for s1, s2 in ((0, 1), (1, 4), (2, 5)):
-            swapped = memo.evaluate_swap(b, s1, s2, with_floorplan=False)
+            swapped = memo.finish(
+                memo.evaluate_swap(b, s1, s2, with_floorplan=False)
+            )
             scratch = evaluate_mapping(
                 memo.core_graph, memo.topology,
                 swap_assignment(b, s1, s2), memo.routing, memo.constraints,

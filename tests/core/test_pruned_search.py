@@ -18,7 +18,8 @@ routing: hop ties on every input, overflow ties in exact arithmetic.
 The matrix is a covering selection, not the full product: every app
 meets every routing function under the hops objective, and the
 floorplanned objectives (an LP per candidate on the reference path)
-run on the smaller cases.
+run on the smaller cases, plus vopd's Clos and butterfly, where no
+floor cuts and the search keeps several LPs in flight at once.
 """
 
 from __future__ import annotations
@@ -70,6 +71,10 @@ CASES = [
     ("dsp", "butterfly", "SM", "power", "flow_hops"),
     ("dsp", "hypercube", "DO", "power", "area"),
     ("mpeg4", "torus", "MP", "power", "default"),
+    # every vopd candidate on these reaches the LP: several LPs are in
+    # flight on the helper thread at once
+    ("vopd", "clos", "MP", "power", "default"),
+    ("vopd", "butterfly", "MP", "power", "default"),
     ("vopd", "mesh", "MP", "area", "area"),
     ("dsp", "hypercube", "SA", "area", "core_link"),
     # tight links: most rounds race an infeasible bound (cut-off 5)

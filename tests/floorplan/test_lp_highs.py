@@ -12,9 +12,9 @@ The bindings are loaded without importing ``scipy.optimize``; fresh
 interpreters check that importing repro leaves ``scipy.optimize`` out,
 and that in either import order both solvers share one bindings module.
 
-Solutions are reused per topology and solved on one solver per thread;
-every solution the flow uses must carry the bits a new, freshly
-configured solver gives the same model.
+Solutions are reused per topology and solved on the process's one LP
+helper thread, whatever thread asks; every solution the flow uses must
+carry the bits a new, freshly configured solver gives the same model.
 """
 
 from __future__ import annotations
@@ -293,16 +293,18 @@ def test_power_selection_lps_match_fresh_solver():
     """Every LP the vopd and dsp power selections solve or reuse carries
     the bits of a fresh solve."""
     recorded = []
-    original = lp._topology_lp_solution
+    original = lp.FloorplanRequest.solution
 
-    def record(topology, columns, channel, max_aspect):
-        solution = original(topology, columns, channel, max_aspect)
-        recorded.append((columns, channel, max_aspect, solution))
+    def record(request):
+        solution = original(request)
+        recorded.append(
+            (request.columns, request.channel, request.max_aspect, solution)
+        )
         return solution
 
     before = _lp_solves()
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(lp, "_topology_lp_solution", record)
+        patch.setattr(lp.FloorplanRequest, "solution", record)
         for app in ("vopd", "dsp"):
             select_topology(load_application(app), objective="power")
     solves = _solved_since(before)
@@ -342,18 +344,21 @@ def test_infeasible_lp_leaves_the_next_solve_unchanged():
 
 
 def test_threads_solving_interleaved_lps_get_fresh_bits():
+    """Two threads queue interleaved LPs on the one helper thread; each
+    gets the bits of a fresh solver, and the helper and its solver are
+    the same for both."""
     lps = _sample_lps()
     expected = [_fresh_solution(*model) for model in lps]
     orders = [list(range(len(lps))), list(reversed(range(len(lps))))]
     step = threading.Barrier(len(orders))
     results = [{} for _ in orders]
-    solvers = [None] * len(orders)
+    helpers = [None] * len(orders)
 
     def work(t):
-        solvers[t] = lp._thread_solver()
         for i in orders[t]:
             step.wait(timeout=30)  # both threads solve at each step
             results[t][i] = _solve_lp(*lps[i])
+        helpers[t] = lp._helper()
 
     threads = [threading.Thread(target=work, args=(t,)) for t in range(2)]
     for thread in threads:
@@ -361,8 +366,7 @@ def test_threads_solving_interleaved_lps_get_fresh_bits():
     for thread in threads:
         thread.join(timeout=60)
     assert not any(thread.is_alive() for thread in threads)
-    assert solvers[0] is not solvers[1]
-    assert lp._thread_solver() not in solvers
+    assert helpers[0] is helpers[1] is lp._helper()
     for out in results:
         assert sorted(out) == list(range(len(lps)))
         for i, x in out.items():
