@@ -155,7 +155,7 @@ def main(argv=None) -> int:
     cached_s = time.perf_counter() - start
     print(
         f"cached rerun: {cached_s:8.2f} s "
-        f"({engine.cache.stats})"
+        f"({engine.cache})"
     )
 
     problems = []

@@ -86,7 +86,7 @@ async def main() -> None:
     print(
         f"\ncomputed {service.computed} of {service.requests} requests "
         f"({service.inflight.deduped} deduped in flight); "
-        f"cache: {stats}"
+        f"cache: {service.engine.cache}"
     )
     if stats.hits and not stats.misses:
         print("warm start: every result came from the persistent store")

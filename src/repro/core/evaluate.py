@@ -168,8 +168,6 @@ def start_evaluation(
 
     ``None`` when the ``bound`` drops the mapping (mid-routing, on its
     routing alone, or on its floor over every floorplan, cut-offs 2-4).
-    A queued LP carries cut-off 4 with it: the helper asks it again,
-    against the bound as it is then, just before the LP starts.
     """
     if not checked:
         validate_assignment(core_graph, topology, assignment)
@@ -208,14 +206,10 @@ def start_evaluation(
     if not with_floorplan:
         return started
     used = started.used_switches = estimator.used_switches(topology, result)
-    wanted = None
-    if bound is not None:
-        floor = bound.routed_floor(evaluation, estimator, used, pitch)
-        if bound.power_floor(floor):
-            return None
-        if floor is not None:
-            def wanted():
-                return not bound.power_floor(floor)
+    if bound is not None and bound.power_floor(
+        evaluation, estimator, used, pitch
+    ):
+        return None
     try:
         started.request = request_floorplan(
             topology,
@@ -224,7 +218,6 @@ def start_evaluation(
             used_switches=used,
             tech=estimator.tech,
             max_aspect=constraints.max_chip_aspect,
-            wanted=wanted,
         )
     except FloorplanError:
         pass  # nothing to floorplan: the mapping is area-infeasible
@@ -250,15 +243,14 @@ class PendingEvaluation:
         self.used_switches = None
         self.request: FloorplanRequest | None = None
 
-    def done(self) -> bool:
-        """Whether :meth:`finish` would not wait for the LP helper."""
-        return self.request is None or self.request.done()
+    @property
+    def queued(self) -> bool:
+        """Whether :meth:`finish` may wait for an LP on the helper."""
+        return self.request is not None and self.request.queued
 
-    def finish(self) -> MappingEvaluation | None:
+    def finish(self) -> MappingEvaluation:
         """Wait for the LP, legalize the floorplan, and measure area,
-        power and resources; ``None`` if the helper skipped the LP
-        because the mapping had lost cut-off 4 to the bound of that
-        time."""
+        power and resources."""
         evaluation = self.evaluation
         topology = evaluation.topology
         assignment = evaluation.assignment
@@ -269,8 +261,6 @@ class PendingEvaluation:
             request = self.request
             floorplan = None
             if request is not None:
-                if request.cancelled():
-                    return None
                 try:
                     floorplan = floorplan_mapping(
                         topology, assignment, evaluation.core_graph,

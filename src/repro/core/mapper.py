@@ -67,15 +67,15 @@ a candidate is solved on the LP helper thread
 candidate is *started* (routed, cut-offs 1-5 asked, its LP queued) up
 to :data:`WINDOW` candidates ahead of the oldest unfinished one, and
 candidates are *finished* (LP awaited, floorplan legalized, power and
-score measured, collector appended) strictly in candidate order, as
-soon as their LP is done or the window is full. A candidate started
-under an older, looser bound can only be pruned less, never more, and
-is compared against the bound of its finishing time, so the search
-returns the same evaluation bit for bit. Just before a queued LP
-starts, the helper asks cut-off 4 again against the latest bound (the
-:class:`SwapBound` is tightened in place) and skips the LP of a
-candidate that now loses. Without the floorplanner nothing waits, and
-each candidate finishes right after it starts.
+score measured, collector appended) strictly in candidate order: the
+oldest finishes once it was pruned, has no queued LP, is more than the
+window behind, or is the last. The schedule never asks whether an LP is
+done, so every counter of the search depends on its input alone, never
+on thread timing. A candidate started under an older, looser bound can
+only be pruned less, never more, and is compared against the bound of
+its finishing time, so the search returns the same evaluation bit for
+bit. Without the floorplanner nothing waits, and each candidate
+finishes right after it starts.
 """
 
 from __future__ import annotations
@@ -246,27 +246,21 @@ class SwapBound:
         """Cut-off 2: the ``stop`` hook for ``route_all``."""
         return RoutingWatch(topology, constraints, self.key)
 
-    def routed_floor(
+    def power_floor(
         self, evaluation: MappingEvaluation, estimator, used_switches,
         pitch_mm: float,
-    ) -> float | None:
-        """The price cut-off 4 asks about: the objective's floor over
-        every floorplan of a routed candidate, or ``None`` against an
-        infeasible bound (or an objective that offers none)."""
+    ) -> bool:
+        """Cut-off 4, on a routed candidate about to be floorplanned:
+        the objective's floor over every floorplan of it already loses
+        to a feasible bound. A candidate whose floorplan fails or breaks
+        the area constraint is infeasible and loses to that bound
+        anyway."""
         if self.key[0] != 0:
-            return None
-        return self.objective.lower_bound_routed(
+            return False
+        floor = self.objective.lower_bound_routed(
             evaluation, estimator, used_switches, pitch_mm
         )
-
-    def power_floor(self, floor: float | None) -> bool:
-        """Cut-off 4, on a routed candidate about to be floorplanned
-        (and again on the LP helper, just before its queued LP starts):
-        its :meth:`routed_floor` already loses to a feasible bound. A
-        candidate whose floorplan fails or breaks the area constraint is
-        infeasible and loses to that bound anyway."""
-        key = self.key  # read once: the search may tighten it meanwhile
-        return floor is not None and key[0] == 0 and beyond(floor, key[2])
+        return floor is not None and beyond(floor, self.key[2])
 
     def loses(self, evaluation: MappingEvaluation) -> bool:
         """Cut-off 3, on a routed but unmeasured evaluation: whether its
@@ -295,7 +289,8 @@ def _best_swap(
     ``start_swap(base, s1, s2, bound)`` starts one slot swap of the
     base (:meth:`~repro.core.memo.MemoizedMappingEvaluator.evaluate_swap`)
     and ``finish_swap`` finishes it, in candidate order, at most
-    :data:`WINDOW` starts behind. With an ``objective`` each candidate
+    :data:`WINDOW` starts behind: right away unless its LP is queued on
+    the helper thread, whether or not the LP is done. With an ``objective`` each candidate
     is bounded by a :class:`SwapBound` on the key to beat, tightened in
     place as better candidates finish; without one (``bound`` is
     ``None``) every candidate is evaluated in full.
@@ -315,7 +310,7 @@ def _best_swap(
         last = i == len(candidates) - 1
         while started and (
             last or len(started) > WINDOW
-            or started[0] is None or started[0].done()
+            or started[0] is None or not started[0].queued
         ):
             ev = finish_swap(started.popleft())
             if ev is not None and ev.sort_key() < key:

@@ -18,7 +18,7 @@ candidate: it routes it and, with the floorplanner on, queues its LP on
 the LP helper thread (:class:`~repro.core.evaluate.PendingEvaluation`).
 The search starts a few more while the LP solves and hands each back,
 in candidate order, to :meth:`~MemoizedMappingEvaluator.finish`, which
-waits for its LP and measures it.
+waits for its LP and always measures it in full.
 
 The bound only tightens during a search: every assignment seen so far
 either lost to the bound of its time or became that bound. So a
@@ -83,9 +83,9 @@ def _key(assignment: dict[int, int]) -> tuple[int, ...]:
 class MemoStats:
     """Counters of one search: ``hits`` are bounded revisits skipped
     without routing, ``misses`` are evaluations started, ``pruned``
-    counts the misses a bound dropped before they were fully evaluated
-    (their LP skipped by the helper included), and ``floored`` the
-    pruned ones its overflow floor dropped before routing (cut-off 5)."""
+    counts the misses a bound dropped before they were fully evaluated,
+    and ``floored`` the pruned ones its overflow floor dropped before
+    routing (cut-off 5)."""
 
     hits: int = 0
     misses: int = 0
@@ -142,14 +142,8 @@ class MemoizedMappingEvaluator:
         self, started: PendingEvaluation | None
     ) -> MappingEvaluation | None:
         """Finish a candidate :meth:`evaluate_swap` started (waiting for
-        its LP); ``None`` stays ``None``. A candidate whose LP the helper
-        skipped, because it lost to the bound of that time, comes back
-        as ``None`` and counts as pruned."""
-        if started is None:
-            return None
-        evaluation = started.finish()
-        self.stats.pruned += evaluation is None
-        return evaluation
+        its LP); ``None`` stays ``None``."""
+        return None if started is None else started.finish()
 
     def evaluate_swap(
         self,

@@ -13,8 +13,9 @@ one of two backends:
 
 Durability contract of the persistent store: a corrupted, truncated or
 unreadable entry is **logged, dropped and recomputed** — never served
-and never allowed to crash the caller — and a schema version mismatch
-discards the store (cold start) instead of guessing at old payloads.
+and never allowed to crash the caller — and a store written by other
+code (:func:`store_version`, a digest of the package's source) is
+discarded (cold start) instead of guessing at old payloads.
 Values are pickled with the highest protocol; keys are the engine's
 content-derived cache-key tuples, fingerprinted with SHA-256 so they
 are stable across processes and Python hash randomization.
@@ -28,6 +29,7 @@ Failures are never stored, so a rerun retries them.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import logging
 import os
@@ -48,20 +50,6 @@ _WRITE_ERRORS = obs_metrics.REGISTRY.counter(
     ("backend",),
 )
 
-#: Version of the on-disk payload schema. Bump when the pickled result
-#: types or the cache-key composition change incompatibly; stores written
-#: under another version are discarded on open (cold start, never a
-#: crash and never stale payloads). 3: topologies pickle an in-house
-#: ``TopologyGraph`` instead of a networkx ``DiGraph``. 4: exact
-#: per-commodity hops and topology-ordered power sums (last-bit moves).
-#: 5: pickled topologies hold one empty ``_derived`` table dict in place
-#: of the per-module ``_*_cache`` fields, so a version-4 entry would
-#: unpickle into a ``Topology`` without ``_derived``. 6: pickled
-#: ``JobResult``s lose their ``seed`` field, mapping cache keys lose
-#: their seed slot, and synthesized candidates key as ``EvaluationJob``s
-#: (topology fingerprint) instead of by their spec.
-SCHEMA_VERSION = 6
-
 #: Seconds a SQLite connection waits on a lock held by another writer
 #: before the operation fails (and a ``put`` is dropped).
 SQLITE_BUSY_TIMEOUT_S = 30.0
@@ -71,6 +59,27 @@ SQLITE_BUSY_TIMEOUT_S = 30.0
 #: keeping a long-lived shared engine from growing without bound —
 #: collect=True entries carry the whole evaluated mapping cloud.
 MEMORY_MAX_ENTRIES = 1024
+
+
+#: The package whose code :func:`store_version` digests.
+_PACKAGE = Path(__file__).resolve().parents[1]
+
+
+@functools.cache
+def store_version(package: Path = _PACKAGE) -> str:
+    """Version of the on-disk payloads, a digest of the package's code.
+
+    A SHA-256 of every ``*.py`` file of the package, by relative path
+    and bytes, so any code change is a new version; a store written
+    under another is discarded on open (cold start, never stale
+    payloads). Computed on a :class:`SQLiteBackend`'s first open, not
+    at import.
+    """
+    digest = hashlib.sha256()
+    for path in sorted(package.rglob("*.py")):
+        name = path.relative_to(package).as_posix().encode("utf-8")
+        digest.update(name + b"\0" + path.read_bytes() + b"\0")
+    return digest.hexdigest()
 
 
 def key_fingerprint(key: tuple) -> str:
@@ -94,8 +103,8 @@ def _log_write_error(backend: str, count: int, message: str, *args) -> None:
     be read-only, full, or locked) and later ones drop to debug. Every
     occurrence increments ``repro_cache_write_errors_total{backend=…}``
     in the metrics registry, alongside the backend's own
-    ``write_errors`` counter that feeds
-    :attr:`repro.engine.cache.CacheStats.write_errors`.
+    ``write_errors`` counter that
+    :attr:`repro.engine.cache.EvaluationCache.write_errors` reads.
     """
     _WRITE_ERRORS.inc(backend=backend)
     if count == 1:
@@ -193,7 +202,7 @@ class SQLiteBackend:
 
     Layout: an ``entries(fp TEXT PRIMARY KEY, payload BLOB)`` table of
     pickled results keyed by :func:`key_fingerprint`, plus a ``meta``
-    table recording :data:`SCHEMA_VERSION`. Write-ahead logging and a busy
+    table recording :func:`store_version`. Write-ahead logging and a busy
     timeout make concurrent writers from several processes safe (last
     writer wins on the same fingerprint — both wrote bit-identical
     content, so either is correct).
@@ -202,7 +211,8 @@ class SQLiteBackend:
 
     * an unreadable/corrupt database file is rotated aside to
       ``<path>.corrupt`` and a fresh store is created;
-    * a schema-version mismatch drops the entries (cold start);
+    * a version mismatch (other code wrote the store) drops the
+      entries (cold start);
     * an entry whose blob fails to unpickle is deleted and reported as a
       miss, so the caller recomputes (``corrupt_entries`` counts these);
     * operational errors on ``put`` (e.g. a locked database past the
@@ -252,19 +262,20 @@ class SQLiteBackend:
         conn.execute(
             "CREATE TABLE IF NOT EXISTS meta (k TEXT PRIMARY KEY, v TEXT)"
         )
+        version = store_version()
         row = conn.execute(
             "SELECT v FROM meta WHERE k = 'schema_version'"
         ).fetchone()
-        if row is not None and row[0] != str(SCHEMA_VERSION):
+        if row is not None and row[0] != version:
             log.warning(
                 "cache store %s has schema version %s, expected %s; "
                 "discarding entries (cold start)",
-                self.path, row[0], SCHEMA_VERSION,
+                self.path, row[0], version,
             )
             conn.execute("DROP TABLE IF EXISTS entries")
         conn.execute(
             "INSERT OR REPLACE INTO meta VALUES ('schema_version', ?)",
-            (str(SCHEMA_VERSION),),
+            (version,),
         )
         conn.execute(
             "CREATE TABLE IF NOT EXISTS entries "

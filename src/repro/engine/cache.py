@@ -44,16 +44,10 @@ _EVICTIONS = obs_metrics.REGISTRY.counter(
 
 @dataclass
 class CacheStats:
-    """Hit/miss/eviction counters for one cache (reported by CLI/benchmarks)."""
+    """Hit/miss counters of one cache's lookups (reported by CLI/benchmarks)."""
 
     hits: int = 0
     misses: int = 0
-    evictions: int = 0
-    #: Writes the backend dropped (disk full, locked store, read-only
-    #: filesystem). The cache stays correct — a lost write only costs a
-    #: recompute — but sustained write errors mean the warm store is
-    #: not actually warming, so they are surfaced here.
-    write_errors: int = 0
 
     @property
     def lookups(self) -> int:
@@ -67,15 +61,7 @@ class CacheStats:
 
     def __str__(self) -> str:
         """Compact ``hits/lookups`` summary line."""
-        text = (
-            f"{self.hits}/{self.lookups} hits "
-            f"({self.hit_rate * 100:.0f}%)"
-        )
-        if self.evictions:
-            text += f", {self.evictions} evicted"
-        if self.write_errors:
-            text += f", {self.write_errors} write errors"
-        return text
+        return f"{self.hits}/{self.lookups} hits ({self.hit_rate * 100:.0f}%)"
 
 
 @dataclass
@@ -89,8 +75,8 @@ class EvaluationCache:
     Storage is delegated to a :class:`~repro.engine.backends.CacheBackend`.
     When none is given, a :class:`~repro.engine.backends.MemoryBackend`
     is created; it evicts least-recently-used entries beyond
-    :data:`~repro.engine.backends.MEMORY_MAX_ENTRIES` and the evictions
-    are counted in :attr:`CacheStats.evictions`. The persistent
+    :data:`~repro.engine.backends.MEMORY_MAX_ENTRIES` and counts the
+    evictions (:attr:`evictions`). The persistent
     :class:`~repro.engine.backends.SQLiteBackend` is unbounded.
 
     It holds the engine's :class:`~repro.engine.jobs.JobResult`
@@ -107,6 +93,20 @@ class EvaluationCache:
     backend: CacheBackend = field(default_factory=MemoryBackend)
     write_only: bool = False
     _lock: Lock = field(default_factory=Lock, repr=False)
+
+    @property
+    def evictions(self) -> int:
+        """Entries the backend evicted, via any cache (0 if it never evicts)."""
+        return getattr(self.backend, "evictions", 0)
+
+    @property
+    def write_errors(self) -> int:
+        """Writes the backend dropped, via any cache (0 if it cannot fail).
+
+        A lost write (disk full, locked or read-only store) only costs a
+        recompute, but sustained ones mean the store is not warming.
+        """
+        return getattr(self.backend, "write_errors", 0)
 
     def get(self, key: tuple) -> JobResult | None:
         """Return the cached result for ``key``, or ``None`` on a miss."""
@@ -137,18 +137,21 @@ class EvaluationCache:
         """Store ``result`` under ``key``."""
         with self._lock:
             evicted = self.backend.put(key, result)
-            self.stats.evictions += evicted
             if evicted:
                 _EVICTIONS.inc(evicted, backend=self.backend.name)
-            # Persistent backends count writes they had to drop; mirror
-            # the running total so one CacheStats line tells the story.
-            self.stats.write_errors = getattr(
-                self.backend, "write_errors", 0
-            )
 
     def __len__(self) -> int:
         """Number of entries in the underlying store."""
         return len(self.backend)
+
+    def __str__(self) -> str:
+        """Summarize the lookups, plus the backend's evictions and write errors."""
+        text = str(self.stats)
+        if self.evictions:
+            text += f", {self.evictions} evicted"
+        if self.write_errors:
+            text += f", {self.write_errors} write errors"
+        return text
 
     def clear(self) -> None:
         """Drop every stored entry (counters are preserved)."""

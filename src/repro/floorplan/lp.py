@@ -26,26 +26,26 @@ option checks and dense-to-sparse conversion.
 Each LP is solved once per topology. The LP reads only the block
 shapes per column (area, softness, a soft block's aspect bounds), the
 channel and the chip aspect bound, never which core or switch a block
-is, so :func:`request_floorplan` keys its solution by exactly those
+is, so :func:`request_floorplan` keys it by exactly those
 (:func:`_lp_key`, one flat tuple) in the topology's ``derived("lp")``
-table and reuses it for every later mapping with the same shapes; the
-power-objective swap search asks for many such repeats. Only successful
-solutions are kept, as read-only arrays.
+table; the power-objective swap search asks for many such repeats.
+Only requesting threads touch the table: a queued LP is entered as it
+is queued, so a later request for the same key shares it, in flight or
+done, and the first request to settle it leaves the read-only solution
+(or drops a failed LP). Which requests share an LP thus follows from
+their order alone. Pickled topologies carry no derived tables, so a
+queued entry never leaves its process.
 
 Every LP, synchronous callers included, is solved on the process's one
 helper thread, which owns the process's only HiGHS solver (configured
 once and cleared before each model; a solver passed the same model
 with the same options returns the same solution bits as a new one).
-The caller builds the model, so the helper runs almost no Python, and
-HiGHS releases the GIL while it solves: the swap search routes its next
-candidates meanwhile (:mod:`repro.core.mapper`). Just before a queued
-LP starts, the helper asks its request's ``wanted`` hook (the search's
-cut-off 4 against the latest bound) and skips the LP if the answer is
-no; it also rereads the table, so an LP queued twice is solved once. A
-forked child starts its own helper (:func:`os.register_at_fork`). The
-requesting thread counts each LP in
-``repro_floorplan_lp_solves_total`` by outcome (``solved``,
-``reused``, ``failed``, ``cancelled``).
+The helper only solves: the caller builds the model, and HiGHS
+releases the GIL while it solves, so the swap search routes its next
+candidates meanwhile (:mod:`repro.core.mapper`). A forked child starts
+its own helper (:func:`os.register_at_fork`). The requesting thread
+counts each LP in ``repro_floorplan_lp_solves_total`` by outcome
+(``solved``, ``reused``, ``failed``).
 
 The bindings are one extension module, but importing it by name runs
 ``scipy/optimize/__init__.py``, which pulls in scipy.linalg,
@@ -98,7 +98,7 @@ MIN_LINK_MM = 0.05
 
 _LP_SOLVES = obs_metrics.REGISTRY.counter(
     "repro_floorplan_lp_solves_total",
-    "Floorplan sizing LPs by outcome (solved, reused, failed, cancelled)",
+    "Floorplan sizing LPs by outcome (solved, reused, failed)",
     ("outcome",),
 )
 
@@ -268,20 +268,10 @@ def _forget_helper() -> None:
 os.register_at_fork(after_in_child=_forget_helper)
 
 
-def _run_lp(highs, model, table, key, wanted) -> tuple[str, object]:
-    """On the helper thread: one queued LP as ``(outcome, value)``, the
-    value being the read-only solution, or the failure's text.
-
-    Skipped (``cancelled``) when ``wanted()`` says the requester no
-    longer needs it; ``reused`` when ``table`` gained ``key`` while it
-    waited. A solution is stored under ``key`` before it is returned.
-    """
-    if wanted is not None and not wanted():
-        return "cancelled", None
-    if table is not None:
-        solution = table.get(key)
-        if solution is not None:
-            return "reused", solution
+def _run_lp(highs, model) -> tuple[str, object]:
+    """On the helper thread: solve one queued model, as ``(outcome,
+    value)``, the value being the read-only solution (``solved``) or the
+    failure's text (``failed``)."""
     highs.clearModel()
     if highs.passModel(model) == _highs.HighsStatus.kError:
         return "failed", "HiGHS rejected the model"
@@ -291,17 +281,13 @@ def _run_lp(highs, model, table, key, wanted) -> tuple[str, object]:
         return "failed", highs.modelStatusToString(status)
     solution = np.array(highs.getSolution().col_value)
     solution.flags.writeable = False
-    if table is not None:
-        table[key] = solution
     return "solved", solution
 
 
-def _submit(model, table=None, key=None, wanted=None) -> Future:
+def _submit(model) -> Future:
     """Queue ``model`` on the helper thread (see :func:`_run_lp`)."""
     helper = _helper()
-    future = helper.executor.submit(
-        _run_lp, helper.highs, model, table, key, wanted
-    )
+    future = helper.executor.submit(_run_lp, helper.highs, model)
     # The helper takes the GIL only when this thread lets go of it,
     # which otherwise takes up to the switch interval.
     time.sleep(0)
@@ -399,8 +385,7 @@ def _solve_lp(
     """Solve the sizing LP on the helper thread, without the topology
     table; returns the read-only solution vector."""
     future = _submit(_lp_model(columns, channel, max_aspect))
-    request = FloorplanRequest(columns, channel, max_aspect, future, None)
-    return request.solution()
+    return FloorplanRequest(columns, channel, max_aspect, future).solution()
 
 
 def _lp_key(
@@ -425,45 +410,59 @@ def _lp_key(
 
 class FloorplanRequest:
     """A mapping's block columns and its sizing LP, asked for by
-    :func:`request_floorplan`: either reused from the topology's table
-    or queued on the helper thread."""
+    :func:`request_floorplan`: a solution from the topology's table, or
+    an LP on the helper thread (``queued``) that this request queued or
+    shares with an earlier one."""
 
-    __slots__ = ("columns", "channel", "max_aspect", "_future", "_outcome")
+    __slots__ = (
+        "columns", "channel", "max_aspect", "queued", "_entry", "_shared",
+        "_table", "_key", "_outcome",
+    )
 
-    def __init__(self, columns, channel, max_aspect, future, outcome):
+    def __init__(
+        self, columns, channel, max_aspect, entry, shared=False,
+        table=None, key=None,
+    ):
         self.columns = columns
         self.channel = channel
         self.max_aspect = max_aspect
-        self._future = future
-        self._outcome = outcome
-
-    def done(self) -> bool:
-        """Whether the LP's outcome is known without waiting."""
-        return self._future is None or self._future.done()
+        #: The LP was on the helper when asked for: settling may wait.
+        self.queued = isinstance(entry, Future)
+        self._entry = entry
+        self._shared = shared
+        self._table = table
+        self._key = key
+        self._outcome = None
 
     def _settled(self) -> tuple[str, object]:
-        if self._future is not None:
-            self._outcome = self._future.result()
-            self._future = None
+        if self._outcome is None:
+            if not self.queued:
+                self._outcome = ("reused", self._entry)
+            else:
+                outcome, value = self._entry.result()
+                table, key = self._table, self._key
+                # The first request to settle a queued LP replaces its
+                # entry: by the solution, or by nothing if the LP failed.
+                if table is not None and table.get(key) is self._entry:
+                    if outcome == "solved":
+                        table[key] = value
+                    else:
+                        table.pop(key, None)
+                if self._shared and outcome == "solved":
+                    outcome = "reused"
+                self._outcome = (outcome, value)
             _LP_SOLVES.inc(outcome=self._outcome[0])
         return self._outcome
-
-    def cancelled(self) -> bool:
-        """Wait for the LP; whether the helper skipped it because the
-        request's ``wanted`` hook said no."""
-        return self._settled()[0] == "cancelled"
 
     def solution(self) -> np.ndarray:
         """Wait for the LP and return its read-only solution.
 
         Raises:
-            FloorplanError: the LP failed (or was cancelled).
+            FloorplanError: the LP failed.
         """
         outcome, value = self._settled()
         if outcome == "failed":
             raise FloorplanError(f"floorplan LP failed: {value}")
-        if outcome == "cancelled":
-            raise FloorplanError("floorplan LP cancelled")
         return value
 
 
@@ -475,16 +474,12 @@ def request_floorplan(
     tech: Technology = TECH_100NM,
     channel_mm: float = DEFAULT_CHANNEL_MM,
     max_aspect: float | None = 3.0,
-    wanted=None,
 ) -> FloorplanRequest:
     """Derive the mapping's columns and ask for their LP without
-    waiting: from the topology's ``derived("lp")`` table, or queued on
-    the helper thread. :func:`floorplan_mapping` takes the request.
-
-    Args:
-        wanted: optional hook the helper calls just before the queued LP
-            starts; a false answer skips the LP
-            (:meth:`FloorplanRequest.cancelled`).
+    waiting: from the topology's ``derived("lp")`` table (a solution,
+    or an LP an earlier request queued), or queued on the helper thread
+    and entered in the table. :func:`floorplan_mapping` takes the
+    request.
 
     Raises:
         FloorplanError: there is nothing to floorplan.
@@ -501,15 +496,17 @@ def request_floorplan(
         raise FloorplanError("nothing to floorplan")
     table = topology.derived("lp")
     key = _lp_key(columns, channel_mm, max_aspect)
-    solution = table.get(key)
-    if solution is not None:
-        _LP_SOLVES.inc(outcome="reused")
-        return FloorplanRequest(
-            columns, channel_mm, max_aspect, None, ("reused", solution)
+    # Two threads that miss at once each queue the LP; both get its
+    # bits, and either entry serves later requests.
+    entry = table.get(key)
+    shared = entry is not None
+    if not shared:
+        entry = table[key] = _submit(
+            _lp_model(columns, channel_mm, max_aspect)
         )
-    model = _lp_model(columns, channel_mm, max_aspect)
-    future = _submit(model, table, key, wanted)
-    return FloorplanRequest(columns, channel_mm, max_aspect, future, None)
+    return FloorplanRequest(
+        columns, channel_mm, max_aspect, entry, shared, table, key
+    )
 
 
 def _legalize(

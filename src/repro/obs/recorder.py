@@ -1,7 +1,7 @@
 """Per-run flight recorder: spans + metrics + environment in one report.
 
-A :class:`FlightRecorder` wraps one run (a CLI command, a ``run_sunmap``
-flow, a test).  On entry it snapshots the metrics registry and installs
+A :class:`FlightRecorder` wraps one run (a ``run_sunmap`` flow, a
+test).  On entry it snapshots the metrics registry and installs
 an in-memory span ring; on exit it assembles a :class:`RunReport`
 holding the captured spans, the metrics snapshot, the delta of every
 counter that moved during the run, and an environment fingerprint —
@@ -9,9 +9,11 @@ enough to answer "where did this run spend its time?" from the artifact
 alone, without a rerun.
 
 Reports serialize via :meth:`RunReport.to_dict` (attached to
-``SunmapReport.observability`` and written by the CLI) and render a
-human summary via :meth:`RunReport.to_markdown`, a table of the top-N
-slowest spans.
+``SunmapReport.observability`` by ``run_sunmap(observability=True)``)
+and render a human summary via :meth:`RunReport.to_markdown`, a table
+of the top-N slowest spans. The CLI writes no report: its ``--trace``
+appends JSONL spans and its ``--metrics`` writes the registry as
+Prometheus text.
 """
 
 from __future__ import annotations

@@ -279,7 +279,7 @@ class DesignService:
 
         ``batches`` counts ``run`` passes on the shared engine.
         """
-        stats = self.engine.cache.stats
+        cache = self.engine.cache
         with self.engine.lock:
             failures = dict(self.engine.failure_stats)
             passes = self.engine.passes
@@ -292,11 +292,12 @@ class DesignService:
             "computed": self.computed,
             "busy_rejections": self.busy_rejections,
             "cache": {
-                "entries": len(self.engine.cache),
-                "hits": stats.hits,
-                "misses": stats.misses,
-                "evictions": stats.evictions,
-                "write_errors": stats.write_errors,
+                "entries": len(cache),
+                "hits": cache.stats.hits,
+                "misses": cache.stats.misses,
+                # The backend's, so ``refresh`` requests' writes count.
+                "evictions": cache.evictions,
+                "write_errors": cache.write_errors,
             },
             "job_failures": failures,
             "batches": passes,

@@ -4,7 +4,8 @@ The durability contract under test (see ``repro.engine.backends``):
 
 * a corrupted, truncated or unreadable entry is logged, dropped and
   **recomputed** — never served back and never a crash;
-* a schema-version mismatch discards the store (cold start);
+* a store written by other code (another version, a digest of the
+  package's source) is discarded (cold start);
 * concurrent writers from several processes or threads never corrupt
   the store;
 * warm results are bit-identical to freshly computed ones.
@@ -12,6 +13,7 @@ The durability contract under test (see ``repro.engine.backends``):
 
 from __future__ import annotations
 
+import shutil
 import sqlite3
 import subprocess
 import sys
@@ -20,6 +22,7 @@ from pathlib import Path
 
 import pytest
 
+import repro
 from repro.core.mapper import MapperConfig
 from repro.core.selector import select_topology
 from repro.engine import (
@@ -29,7 +32,11 @@ from repro.engine import (
     SQLiteBackend,
     make_backend,
 )
-from repro.engine.backends import MEMORY_MAX_ENTRIES, key_fingerprint
+from repro.engine.backends import (
+    MEMORY_MAX_ENTRIES,
+    key_fingerprint,
+    store_version,
+)
 from repro.engine.jobs import JobResult
 from repro.errors import ReproError
 
@@ -154,6 +161,20 @@ class TestSQLiteBackend:
             assert len(reopened) == 0
             reopened.close()
 
+    def test_changing_one_module_changes_the_version(self, tmp_path):
+        """The version is a digest of the package's code: a copy reads
+        the same, and one changed byte in one module reads another."""
+        package = Path(repro.__file__).parent
+        same, changed = (tmp_path / name / "repro" for name in ("a", "b"))
+        for copy in (same, changed):
+            shutil.copytree(
+                package, copy, ignore=shutil.ignore_patterns("__pycache__")
+            )
+        module = changed / "engine" / "cache.py"
+        module.write_bytes(module.read_bytes() + b"\n")
+        assert store_version(same) == store_version()
+        assert store_version(changed) != store_version()
+
     def test_concurrent_writers_from_processes(self, tmp_path):
         """Two processes hammering the same store never corrupt it."""
         path = tmp_path / "evals.db"
@@ -267,8 +288,8 @@ class TestEvaluationCacheWithBackends:
         for i in range(MEMORY_MAX_ENTRIES + 1):
             cache.put(("filler", i), i)
         assert len(cache) == MEMORY_MAX_ENTRIES
-        assert cache.stats.evictions == 1
-        assert "1 evicted" in str(cache.stats)
+        assert cache.evictions == cache.backend.evictions == 1
+        assert "1 evicted" in str(cache)
 
     def test_write_only_reads_nothing_but_persists(self):
         backend = MemoryBackend()
@@ -357,10 +378,10 @@ class TestWriteErrors:
         _make_read_only(backend)
         cache = EvaluationCache(backend=backend)
         cache.put(KEY_A, {"cost": 1})
-        assert cache.stats.write_errors == 1
-        assert "1 write error" in str(cache.stats)
+        assert cache.write_errors == backend.write_errors == 1
+        assert "1 write error" in str(cache)
 
     def test_memory_backend_reports_zero(self):
         cache = EvaluationCache(backend=MemoryBackend())
         cache.put(KEY_A, "a")
-        assert cache.stats.write_errors == 0
+        assert cache.write_errors == 0

@@ -160,7 +160,7 @@ class TestCache:
         for i in range(MEMORY_MAX_ENTRIES):  # cheap entries push it out
             cache.put(("filler", i), i)
         assert len(cache) == MEMORY_MAX_ENTRIES
-        assert cache.stats.evictions == 1
+        assert cache.evictions == 1
         assert not engine.run_one(job_for(tiny_app, "mesh")).cached
 
     def test_parameterized_estimator_subclasses_do_not_collide(self, tiny_app):

@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 from repro.core.greedy import initial_greedy_mapping
+from repro.engine import SQLiteBackend
 from repro.io import selection_to_dict
 from repro.service import DesignService
 from repro.service.server import submit_async
@@ -215,6 +216,21 @@ class TestCacheControl:
         assert service.computed == 2  # warm entries were not consulted
         assert len(service.engine.cache) == stored  # overwritten in place
         assert canonical(first["result"]) == canonical(refreshed["result"])
+
+    def test_refresh_write_errors_reach_the_next_health_probe(self, tmp_path):
+        """A refresh request writes through its own cache on the shared
+        backend; the health probe reads that backend's counters."""
+        backend = SQLiteBackend(tmp_path / "evals.db")
+        service = DesignService(cache_backend=backend)
+        backend._conn.execute("PRAGMA query_only = ON")  # read-only store
+        response = handle(service, dict(SELECT, cache="refresh"))
+        assert response["ok"], response
+        assert backend.write_errors > 0
+        health = handle(service, {"v": 1, "kind": "health", "params": {}})
+        cache = health["result"]["cache"]
+        assert cache["write_errors"] == backend.write_errors
+        assert cache["evictions"] == 0
+        backend.close()
 
     def test_bypass_leaves_the_shared_store_untouched(self):
         service = DesignService()
