@@ -8,7 +8,7 @@ average hop delay, design area and design power.
 An evaluation runs in two steps. :func:`start_evaluation` routes the
 mapping, asks a bound's cut-offs and, with the floorplanner on, asks for
 the sizing LP (:func:`~repro.floorplan.lp.request_floorplan`), which the
-LP helper thread solves meanwhile; :meth:`PendingEvaluation.finish`
+LP solver process solves meanwhile; :meth:`PendingEvaluation.finish`
 waits for it, then legalizes the floorplan and measures area, power and
 resources. :func:`evaluate_mapping` does both at once; the swap search
 starts a few candidates ahead and finishes them in order
@@ -245,7 +245,7 @@ class PendingEvaluation:
 
     @property
     def queued(self) -> bool:
-        """Whether :meth:`finish` may wait for an LP on the helper."""
+        """Whether :meth:`finish` may wait for an LP in the solver."""
         return self.request is not None and self.request.queued
 
     def finish(self) -> MappingEvaluation:

@@ -44,6 +44,13 @@ def initial_greedy_mapping(
     )
     free_slots = list(range(topology.num_slots))
     assignment: dict[int, int] = {}
+    # Bandwidth between two cores in either direction, as
+    # ``CoreGraph.comm_between`` gives it: 0.0 plus each direction's
+    # flow, and two positive terms add to the same float in any order.
+    comm = [[0.0] * n for _ in range(n)]
+    for (src, dst), bandwidth in core_graph.flows().items():
+        comm[src][dst] += bandwidth
+        comm[dst][src] += bandwidth
 
     # Seed: heaviest core on the best-connected slot.
     first = unplaced.pop(0)
@@ -55,17 +62,15 @@ def initial_greedy_mapping(
         # Core talking the most with already-placed cores.
         core = max(
             unplaced,
-            key=lambda c: (
-                sum(core_graph.comm_between(c, p) for p in assignment),
-                -c,
-            ),
+            key=lambda c: (sum(comm[c][p] for p in assignment), -c),
         )
         unplaced.remove(core)
         # Slot minimizing communication-weighted distance to placed cores.
+        row = comm[core]
+
         def placement_cost(slot: int) -> tuple:
             cost = sum(
-                core_graph.comm_between(core, placed)
-                * topology.hop_distance(slot, placed_slot)
+                row[placed] * topology.hop_distance(slot, placed_slot)
                 for placed, placed_slot in assignment.items()
             )
             return (cost, slot)

@@ -62,8 +62,12 @@ evaluation, bit for bit, as the unbounded one. With a ``collector``
 candidate, revisits included, is evaluated in full.
 
 **Pipelined candidates.** With the floorplanner in the loop, the LP of
-a candidate is solved on the LP helper thread
-(:mod:`repro.floorplan.lp`) while the search routes the next ones: a
+a candidate is solved in the LP solver process
+(:mod:`repro.floorplan.lp`) while the search routes the next ones. It
+is a process, not a thread, because of the GIL: the search thread
+yields the GIL only every switch interval, so a solver thread waited
+for it to start and to finish each solve, whereas a solver process runs
+beside the search and leaves the search thread as the only pace. A
 candidate is *started* (routed, cut-offs 1-5 asked, its LP queued) up
 to :data:`WINDOW` candidates ahead of the oldest unfinished one, and
 candidates are *finished* (LP awaited, floorplan legalized, power and
@@ -71,11 +75,11 @@ score measured, collector appended) strictly in candidate order: the
 oldest finishes once it was pruned, has no queued LP, is more than the
 window behind, or is the last. The schedule never asks whether an LP is
 done, so every counter of the search depends on its input alone, never
-on thread timing. A candidate started under an older, looser bound can
-only be pruned less, never more, and is compared against the bound of
-its finishing time, so the search returns the same evaluation bit for
-bit. Without the floorplanner nothing waits, and each candidate
-finishes right after it starts.
+on how fast the solver runs. A candidate started under an older,
+looser bound can only be pruned less, never more, and is compared
+against the bound of its finishing time, so the search returns the
+same evaluation bit for bit. Without the floorplanner nothing waits,
+and each candidate finishes right after it starts.
 """
 
 from __future__ import annotations
@@ -274,7 +278,7 @@ class SwapBound:
 
 
 #: Most swap candidates started but not yet finished: enough to keep
-#: the LP helper busy while the search routes, few enough that the
+#: the LP solver busy while the search routes, few enough that the
 #: bound the candidates start under stays close to the latest one.
 WINDOW = 6
 
@@ -289,11 +293,12 @@ def _best_swap(
     ``start_swap(base, s1, s2, bound)`` starts one slot swap of the
     base (:meth:`~repro.core.memo.MemoizedMappingEvaluator.evaluate_swap`)
     and ``finish_swap`` finishes it, in candidate order, at most
-    :data:`WINDOW` starts behind: right away unless its LP is queued on
-    the helper thread, whether or not the LP is done. With an ``objective`` each candidate
-    is bounded by a :class:`SwapBound` on the key to beat, tightened in
-    place as better candidates finish; without one (``bound`` is
-    ``None``) every candidate is evaluated in full.
+    :data:`WINDOW` starts behind: right away unless its LP is queued in
+    the solver process, whether or not the LP is done. With an
+    ``objective`` each candidate is bounded by a :class:`SwapBound` on
+    the key to beat, tightened in place as better candidates finish;
+    without one (``bound`` is ``None``) every candidate is evaluated in
+    full.
     """
     topology = base.topology
     occupied = sorted(base.assignment.values())

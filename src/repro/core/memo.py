@@ -15,7 +15,7 @@ from the base's totals; cut-offs 1 and 5 drop losers right there.
 
 :meth:`~MemoizedMappingEvaluator.evaluate_swap` only starts a
 candidate: it routes it and, with the floorplanner on, queues its LP on
-the LP helper thread (:class:`~repro.core.evaluate.PendingEvaluation`).
+the LP solver process (:class:`~repro.core.evaluate.PendingEvaluation`).
 The search starts a few more while the LP solves and hands each back,
 in candidate order, to :meth:`~MemoizedMappingEvaluator.finish`, which
 waits for its LP and always measures it in full.

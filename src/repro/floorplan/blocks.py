@@ -17,6 +17,9 @@ from dataclasses import dataclass
 
 from repro.errors import FloorplanError
 
+#: Overlap a placed pair may share (mm) and still count as disjoint.
+OVERLAP_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class Block:
@@ -91,7 +94,7 @@ class BlockRect:
     def area_mm2(self) -> float:
         return self.w * self.h
 
-    def overlaps(self, other: "BlockRect", tol: float = 1e-9) -> bool:
+    def overlaps(self, other: "BlockRect", tol: float = OVERLAP_TOL) -> bool:
         return not (
             self.x + self.w <= other.x + tol
             or other.x + other.w <= self.x + tol

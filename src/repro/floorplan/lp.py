@@ -17,11 +17,11 @@ exact positions and soft-block sizes minimizing chip width + height:
 The LP goes straight to HiGHS, the solver behind
 ``scipy.optimize.linprog(method="highs")``, through scipy's bundled
 bindings (``scipy.optimize._highspy._core``): the model is built row-wise
-from the per-block pattern and solved with exactly the options
-``linprog`` sets, so its solution is bit-identical to ``linprog``'s on
-the same model (``tests/floorplan/test_lp_highs.py`` checks this against
-the dense ``linprog`` model) without the wrapper's input cleaning,
-option checks and dense-to-sparse conversion.
+from per-block-shape row templates (:func:`_block_rows`) and solved with
+exactly the options ``linprog`` sets, so its solution is bit-identical
+to ``linprog``'s on the same model (``tests/floorplan/test_lp_highs.py``
+checks this against the dense ``linprog`` model) without the wrapper's
+input cleaning, option checks and dense-to-sparse conversion.
 
 Each LP is solved once per topology. The LP reads only the block
 shapes per column (area, softness, a soft block's aspect bounds), the
@@ -36,16 +36,27 @@ done, and the first request to settle it leaves the read-only solution
 their order alone. Pickled topologies carry no derived tables, so a
 queued entry never leaves its process.
 
-Every LP, synchronous callers included, is solved on the process's one
-helper thread, which owns the process's only HiGHS solver (configured
+Every LP, synchronous callers included, is solved in the process's one
+solver process, which owns the process's only HiGHS solver (configured
 once and cleared before each model; a solver passed the same model
 with the same options returns the same solution bits as a new one).
-The helper only solves: the caller builds the model, and HiGHS
-releases the GIL while it solves, so the swap search routes its next
-candidates meanwhile (:mod:`repro.core.mapper`). A forked child starts
-its own helper (:func:`os.register_at_fork`). The requesting thread
-counts each LP in ``repro_floorplan_lp_solves_total`` by outcome
-(``solved``, ``reused``, ``failed``).
+The solver is a separate process, not a thread, because of the GIL:
+HiGHS must win the GIL back from a busy search thread to start and to
+finish each solve, and the search yields it only every switch interval
+(5 ms), which made one vopd LP take about three times as long while the
+search routed. The caller builds the model as plain lists and sends it
+down a pipe; the solver builds the HiGHS model, solves it and sends the
+solution's bytes back, so the swap search routes its next candidates
+meanwhile (:mod:`repro.core.mapper`). The solver is forked on the
+process's first LP (never at import), holds none of the parent's other
+files, and exits when its request pipe reaches end of file, that is
+when the parent exits or dies. Replies come back in the order the LPs
+were sent, and a request reads them when it settles, under one lock,
+with no reader thread. A forked child starts its own solver
+(:func:`os.register_at_fork`). The requesting thread counts each LP in
+``repro_floorplan_lp_solves_total`` by outcome (``solved``,
+``reused``, ``failed``), and the seconds it waits for one in
+``repro_floorplan_lp_wait_seconds_total``.
 
 The bindings are one extension module, but importing it by name runs
 ``scipy/optimize/__init__.py``, which pulls in scipy.linalg,
@@ -64,15 +75,25 @@ LP (the power-bounded swap search, :mod:`repro.core.mapper`).
 
 from __future__ import annotations
 
+import atexit
+import contextlib
+import functools
+import gc
 import importlib.util
+import itertools
 import math
 import os
+import pickle
+import select
+import signal
+import struct
 import sys
 import threading
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
+from collections import deque
 from dataclasses import dataclass
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
+from operator import attrgetter
 from pathlib import Path
 
 # Imported here, not on the first solve (the bindings import it then),
@@ -80,8 +101,8 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.coregraph import CoreGraph
-from repro.errors import FloorplanError
-from repro.floorplan.blocks import Block, BlockRect
+from repro.errors import FloorplanError, ReproError
+from repro.floorplan.blocks import OVERLAP_TOL, Block, BlockRect
 from repro.floorplan.positions import derive_columns, switch_sides
 from repro.obs import metrics as obs_metrics
 from repro.physical.technology import TECH_100NM, Technology
@@ -100,6 +121,10 @@ _LP_SOLVES = obs_metrics.REGISTRY.counter(
     "repro_floorplan_lp_solves_total",
     "Floorplan sizing LPs by outcome (solved, reused, failed)",
     ("outcome",),
+)
+_LP_WAIT = obs_metrics.REGISTRY.counter(
+    "repro_floorplan_lp_wait_seconds_total",
+    "Seconds requesting threads spent blocked on a floorplan LP",
 )
 
 
@@ -138,9 +163,9 @@ class FloorplanResult:
         """Physical center of every placed topology-graph node."""
         centers = {key: rect.center for key, rect in self.rects.items()}
         for core, slot in assignment.items():
-            rect = self.rects.get(("core", core))
-            if rect is not None:
-                centers[term(slot)] = rect.center
+            center = centers.get(("core", core))
+            if center is not None:
+                centers[term(slot)] = center
         return centers
 
     def link_lengths(
@@ -149,7 +174,7 @@ class FloorplanResult:
         """Manhattan length (mm) of every placed topology link."""
         centers = self._centers(assignment)
         lengths = {}
-        for u, v in topology.graph.edges():
+        for u, v in topology.graph.edge_index()[1]:
             cu = centers.get(u)
             cv = centers.get(v)
             if cu is None or cv is None:
@@ -159,7 +184,16 @@ class FloorplanResult:
         return lengths
 
     def validate(self) -> None:
-        """Check legality; raises :class:`FloorplanError` on violation."""
+        """Check legality; raises :class:`FloorplanError` on violation.
+
+        Overlaps are found by a sweep in x: a block is checked against
+        the blocks whose x-span still reaches past its left edge (by
+        :meth:`BlockRect.overlaps`' tolerance), and a block that does
+        not reach past it cannot overlap this block or any later one.
+        Legalized columns are separated by the wiring channel, so the
+        sweep holds the blocks of one column at a time, and it raises
+        exactly when some pair of blocks overlaps.
+        """
         rects = list(self.rects.values())
         for r in rects:
             if r.x < -1e-9 or r.y < -1e-9:
@@ -170,12 +204,16 @@ class FloorplanResult:
                 raise FloorplanError(f"block {r.block.name} exceeds height")
             if r.area_mm2 < r.block.area_mm2 - 1e-6:
                 raise FloorplanError(f"block {r.block.name} under area")
-        for i, a in enumerate(rects):
-            for b in rects[i + 1 :]:
+        active: list[BlockRect] = []
+        for b in sorted(rects, key=attrgetter("x")):
+            left = b.x + OVERLAP_TOL
+            active = [a for a in active if a.x + a.w > left]
+            for a in active:
                 if a.overlaps(b):
                     raise FloorplanError(
                         f"blocks {a.block.name} and {b.block.name} overlap"
                     )
+            active.append(b)
 
 
 # ----------------------------------------------------------------------
@@ -227,50 +265,31 @@ _HIGHS_OPTIONS.log_to_console = False
 _HIGHS_OPTIONS.highs_debug_level = 0  # no debug checks
 
 
-class _LpHelper:
-    """The process's one LP thread and the HiGHS solver only it uses."""
-
-    __slots__ = ("executor", "highs")
-
-    def __init__(self):
-        self.executor = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="repro-lp"
-        )
-        self.highs = _highs._Highs()
-        self.highs.passOptions(_HIGHS_OPTIONS)
+#: A request's frame: the pickled model's size, then the model.
+_REQUEST = struct.Struct("=Q")
+#: A reply's frame: solved or not, the payload's size, then the
+#: payload (the solution's float64 bytes, or the failure's text).
+_REPLY = struct.Struct("=?Q")
 
 
-_HELPER: _LpHelper | None = None
-_HELPER_LOCK = threading.Lock()
+def _read(fd: int, size: int) -> bytes:
+    """Exactly ``size`` bytes from a blocking pipe.
 
-
-def _helper() -> _LpHelper:
-    """The helper, started on first use (the service computes in worker
-    threads, which all queue on it)."""
-    global _HELPER
-    helper = _HELPER
-    if helper is None:
-        with _HELPER_LOCK:
-            if _HELPER is None:
-                _HELPER = _LpHelper()
-            helper = _HELPER
-    return helper
-
-
-def _forget_helper() -> None:
-    """In a forked child: the parent's helper thread does not exist
-    here, so the child starts its own on its first LP."""
-    global _HELPER, _HELPER_LOCK
-    _HELPER = None
-    _HELPER_LOCK = threading.Lock()
-
-
-os.register_at_fork(after_in_child=_forget_helper)
+    Raises:
+        EOFError: the pipe's other end was closed first.
+    """
+    data = b""
+    while len(data) < size:
+        chunk = os.read(fd, size - len(data))
+        if not chunk:
+            raise EOFError
+        data += chunk
+    return data
 
 
 def _run_lp(highs, model) -> tuple[str, object]:
-    """On the helper thread: solve one queued model, as ``(outcome,
-    value)``, the value being the read-only solution (``solved``) or the
+    """In the solver process: solve one model, as ``(outcome, value)``,
+    the value being the solution's float64 bytes (``solved``) or the
     failure's text (``failed``)."""
     highs.clearModel()
     if highs.passModel(model) == _highs.HighsStatus.kError:
@@ -279,88 +298,320 @@ def _run_lp(highs, model) -> tuple[str, object]:
     status = highs.getModelStatus()
     if status != _highs.HighsModelStatus.kOptimal:
         return "failed", highs.modelStatusToString(status)
-    solution = np.array(highs.getSolution().col_value)
-    solution.flags.writeable = False
-    return "solved", solution
+    return "solved", np.array(highs.getSolution().col_value).tobytes()
 
 
-def _submit(model) -> Future:
-    """Queue ``model`` on the helper thread (see :func:`_run_lp`)."""
-    helper = _helper()
-    future = helper.executor.submit(_run_lp, helper.highs, model)
-    # The helper takes the GIL only when this thread lets go of it,
-    # which otherwise takes up to the switch interval.
-    time.sleep(0)
-    return future
+def _serve(requests: int, replies: int) -> None:
+    """The solver process: solve each model read from ``requests`` on
+    one HiGHS solver and write its outcome to ``replies``, in order,
+    until ``requests`` reaches end of file.
+
+    It first points its standard streams at the null device and closes
+    every other file it inherited, so it never keeps a parent's pipe,
+    socket or worker channel open. It ignores SIGINT (a Ctrl-C stops
+    the parent, whose exit then ends the solver) and dies on SIGTERM
+    whatever handler the parent set. Its garbage collector never scans
+    the parent's objects, which would copy their pages.
+    """
+    gc.freeze()
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    null = os.open(os.devnull, os.O_RDWR)
+    for fd in (0, 1, 2):
+        os.dup2(null, fd)
+    low, high = sorted((requests, replies))
+    os.closerange(3, low)
+    os.closerange(low + 1, high)
+    os.closerange(high + 1, os.sysconf("SC_OPEN_MAX"))
+    highs = _highs._Highs()
+    highs.passOptions(_HIGHS_OPTIONS)
+    while True:
+        try:
+            (size,) = _REQUEST.unpack(_read(requests, _REQUEST.size))
+            model = pickle.loads(_read(requests, size))
+        except EOFError:
+            return
+        outcome, value = _run_lp(highs, _highs_lp(model))
+        payload = value if outcome == "solved" else value.encode()
+        reply = _REPLY.pack(outcome == "solved", len(payload)) + payload
+        try:
+            while reply:
+                reply = reply[os.write(replies, reply):]
+        except BrokenPipeError:
+            return
+
+
+class _Reply:
+    """One LP sent to the solver process: its ``(outcome, value)`` once
+    read back, the value being the read-only solution (``solved``) or
+    the failure's text (``failed``)."""
+
+    __slots__ = ("solver", "outcome")
+
+    def __init__(self, solver: "_Solver"):
+        self.solver = solver
+        self.outcome: tuple[str, object] | None = None
+
+    def result(self) -> tuple[str, object]:
+        """Wait for the outcome: read replies, oldest first, up to this
+        one's.
+
+        Raises:
+            ReproError: the solver process exited before replying.
+        """
+        if self.outcome is None:
+            with _LOCK:
+                try:
+                    while self.outcome is None:
+                        self.solver.read()
+                except (EOFError, OSError):
+                    raise _lost(self.solver) from None
+        return self.outcome
+
+
+class _Solver:
+    """The process's LP solver process, the two pipes to it, and the
+    LPs sent but not yet read back, oldest first. Used under ``_LOCK``.
+
+    The process is forked with :func:`os.fork` itself: the solver needs
+    the parent's loaded bindings and options, which ``spawn`` would load
+    again, and the child of a ``multiprocessing`` fork first runs that
+    module's bootstrap, which closes ``sys.stdin`` and so waits forever
+    on its lock when another thread of the parent was reading stdin.
+    The child runs only :func:`_serve`, which takes no lock another
+    thread of the parent could hold, and leaves by :func:`os._exit`.
+    """
+
+    __slots__ = ("pid", "requests", "replies", "unread")
+
+    def __init__(self):
+        requests_out, self.requests = os.pipe()
+        self.replies, replies_in = os.pipe()
+        try:
+            self.pid = os.fork()
+        except OSError:
+            for fd in (requests_out, replies_in, self.requests, self.replies):
+                os.close(fd)
+            raise
+        if self.pid == 0:
+            try:
+                _serve(requests_out, replies_in)
+            except BaseException:
+                os._exit(1)
+            os._exit(0)
+        os.close(requests_out)
+        os.close(replies_in)
+        os.set_blocking(self.requests, False)
+        self.unread: deque[_Reply] = deque()
+
+    def send(self, data: bytes) -> _Reply:
+        """Write one pickled model; return its reply, unread."""
+        message = memoryview(_REQUEST.pack(len(data)) + data)
+        while message:
+            try:
+                message = message[os.write(self.requests, message):]
+            except BlockingIOError:
+                # The pipe is full. Read replies while waiting for room,
+                # so the solver is never stuck writing one.
+                poll = select.poll()
+                poll.register(self.requests, select.POLLOUT)
+                if self.unread:
+                    poll.register(self.replies, select.POLLIN)
+                if any(fd == self.replies for fd, _ in poll.poll()):
+                    self.read()
+        reply = _Reply(self)
+        self.unread.append(reply)
+        return reply
+
+    def read(self) -> None:
+        """Read the oldest unread reply (blocking)."""
+        solved, size = _REPLY.unpack(_read(self.replies, _REPLY.size))
+        payload = _read(self.replies, size)
+        self.unread.popleft().outcome = (
+            ("solved", np.frombuffer(payload)) if solved
+            else ("failed", payload.decode())
+        )
+
+    def close(self) -> None:
+        """Close this process's ends of the pipes: the solver process
+        then reads end of file and exits."""
+        for fd in (self.requests, self.replies):
+            if fd >= 0:
+                os.close(fd)
+        self.requests = self.replies = -1
+
+
+_SOLVER: _Solver | None = None
+#: Guards starting the solver, sending to it and reading from it.
+_LOCK = threading.Lock()
+
+
+def _drop(solver: _Solver) -> None:
+    """Close ``solver``, end its process and reap it; the next LP starts
+    a new solver. Called under ``_LOCK``."""
+    global _SOLVER
+    if _SOLVER is solver:
+        _SOLVER = None
+    solver.close()
+    # Gone already if the parent lets the system reap its children.
+    with contextlib.suppress(ProcessLookupError, ChildProcessError):
+        os.kill(solver.pid, signal.SIGKILL)
+        os.waitpid(solver.pid, 0)
+
+
+def _lost(solver: _Solver) -> ReproError:
+    """Drop a solver process found dead (killed, say) and return the
+    error its LPs fail with; the next LP starts a new solver. Called
+    under ``_LOCK``."""
+    _drop(solver)
+    return ReproError("the floorplan LP solver process exited")
+
+
+def _stop_solver() -> None:
+    """Stop the solver process, if one runs; the next LP forks a new
+    one (from the module as it is then). Also run at exit, so a process
+    that exits normally has reaped its solver; one that is killed
+    leaves a solver that exits on end of file."""
+    with _LOCK:
+        if _SOLVER is not None:
+            _drop(_SOLVER)
+
+
+def _forget_solver() -> None:
+    """In a forked child: close the child's copies of the parent's
+    pipes, so the parent's solver still exits with the parent, and
+    start the child's own solver on its first LP."""
+    global _SOLVER, _LOCK
+    if _SOLVER is not None:
+        _SOLVER.close()
+        _SOLVER = None
+    _LOCK = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_solver)
+atexit.register(_stop_solver)
+
+
+def _submit(model: tuple) -> _Reply:
+    """Send ``model`` (:func:`_lp_model`) to the solver process, which
+    is forked on the first call."""
+    global _SOLVER
+    data = pickle.dumps(model, pickle.HIGHEST_PROTOCOL)
+    with _LOCK:
+        if _SOLVER is None:
+            _SOLVER = _Solver()
+        try:
+            return _SOLVER.send(data)
+        except (EOFError, OSError):
+            raise _lost(_SOLVER) from None
+
+
+@functools.lru_cache(maxsize=4096)
+def _block_rows(
+    area: float, is_soft: bool, aspect_min: float, aspect_max: float
+) -> tuple:
+    """The per-shape part of a block's variables and rows in
+    :func:`_lp_model`: the lower and upper bounds of its ``(y, w, h)``,
+    the nonzero values, upper bounds and sizes of its below-the-top row
+    and area tangents, and its tangent count."""
+    block = Block(
+        key=(), name="", area_mm2=area, is_soft=is_soft,
+        aspect_min=aspect_min, aspect_max=aspect_max,
+    )
+    values, rhs = [1.0, 1.0, -1.0], [0.0]  # below the chip top
+    cuts = TANGENT_CUTS if is_soft else 0
+    # Soft-block area tangents: h >= 2A/w0 - (A/w0^2) w.
+    w_lo, w_hi = block.width_min, block.width_max
+    for t in range(cuts):
+        frac = t / max(1, TANGENT_CUTS - 1)
+        w0 = w_lo * (w_hi / w_lo) ** frac
+        values += (-1.0, -area / w0**2)
+        rhs.append(-2.0 * area / w0)
+    return (
+        (0.0, w_lo, block.height_min),
+        (_highs.kHighsInf, w_hi, block.height_max),
+        tuple(values), tuple(rhs), (3,) + (2,) * cuts, cuts,
+    )
 
 
 def _lp_model(
     columns: list[list[Block]],
     channel: float,
     max_aspect: float | None,
-):
-    """The sizing LP as a HiGHS model.
+) -> tuple:
+    """The sizing LP as plain lists ``(cost, lower, upper, starts,
+    indices, values, rhs)``: column costs and bounds, then every
+    constraint as a ``<=`` row with at most three nonzeros, in HiGHS's
+    row-wise sparse format (:func:`_highs_lp`).
 
-    Every constraint is a ``<=`` row with at most three nonzeros, built
-    straight into HiGHS's row-wise sparse format.
+    Per block, in column order: width within its column (with the
+    channel margin), stacking above the previous block of the column,
+    below the chip top, and a soft block's area tangents; then the two
+    chip aspect rows. The shape-dependent values come from
+    :func:`_block_rows`.
     """
     n_cols = len(columns)
-    n_blocks = sum(len(col) for col in columns)
     # Variable layout: [X_0..X_{C-1}] then per block (y, w, h), then H.
-    hv = n_cols + 3 * n_blocks
-    n_vars = hv + 1
-
-    starts = [0]
+    hv = n_cols + 3 * sum(len(col) for col in columns)
+    lower = [0.0] * n_cols
+    upper = [_highs.kHighsInf] * n_cols
+    sizes: list[int] = []
     indices: list[int] = []
     values: list[float] = []
     rhs: list[float] = []
-
-    def add(row_indices, row_values, bound: float) -> None:
-        indices.extend(row_indices)
-        values.extend(row_values)
-        starts.append(len(indices))
-        rhs.append(bound)
-
-    lower = [0.0] * n_vars
-    upper = [_highs.kHighsInf] * n_vars
-    i = 0
+    y = n_cols
     for c, col in enumerate(columns):
-        prev_y = None
-        for block in col:
-            y, w, h = n_cols + 3 * i, n_cols + 3 * i + 1, n_cols + 3 * i + 2
-            lower[w], upper[w] = block.width_min, block.width_max
-            lower[h], upper[h] = block.height_min, block.height_max
+        for i, block in enumerate(col):
+            low, high, row_values, row_rhs, row_sizes, cuts = _block_rows(
+                block.area_mm2, block.is_soft, block.aspect_min,
+                block.aspect_max,
+            )
+            w, h = y + 1, y + 2
+            lower += low
+            upper += high
             # Width fits the column (with channel margin).
             if c > 0:
-                add((w, c, c - 1), (1.0, -1.0, 1.0), -channel)
+                indices += (w, c, c - 1)
+                values += (1.0, -1.0, 1.0)
+                sizes.append(3)
             else:
-                add((w, c), (1.0, -1.0), -channel)
+                indices += (w, c)
+                values += (1.0, -1.0)
+                sizes.append(2)
+            rhs.append(-channel)
             # Stacking above the previous block of the column.
-            if prev_y is not None:  # the previous block's (y, h)
-                add((prev_y, prev_y + 2, y), (1.0, 1.0, -1.0), -channel)
-            prev_y = y
-            # Below the chip top.
-            add((y, h, hv), (1.0, 1.0, -1.0), 0.0)
-            # Soft-block area tangents: h >= 2A/w0 - (A/w0^2) w.
-            if block.is_soft:
-                w_lo, w_hi = block.width_min, block.width_max
-                for t in range(TANGENT_CUTS):
-                    frac = t / max(1, TANGENT_CUTS - 1)
-                    w0 = w_lo * (w_hi / w_lo) ** frac
-                    area = block.area_mm2
-                    add((h, w), (-1.0, -area / w0**2), -2.0 * area / w0)
-            i += 1
+            if i:
+                indices += (y - 3, y - 1, y)
+                values += (1.0, 1.0, -1.0)
+                sizes.append(3)
+                rhs.append(-channel)
+            indices += (y, h, hv)
+            indices += (h, w) * cuts
+            values += row_values
+            sizes += row_sizes
+            rhs += row_rhs
+            y += 3
+    lower.append(0.0)
+    upper.append(_highs.kHighsInf)
     # Chip aspect-ratio constraints.
     if max_aspect is not None:
-        add((hv, n_cols - 1), (1.0, -max_aspect), 0.0)
-        add((n_cols - 1, hv), (1.0, -max_aspect), 0.0)
-
-    cost = [0.0] * n_vars
+        indices += (hv, n_cols - 1, n_cols - 1, hv)
+        values += (1.0, -max_aspect, 1.0, -max_aspect)
+        sizes += (2, 2)
+        rhs += (0.0, 0.0)
+    cost = [0.0] * (hv + 1)
     cost[n_cols - 1] = 1.0  # W
     cost[hv] = 1.0  # H
+    starts = [0]
+    starts += itertools.accumulate(sizes)
+    return cost, lower, upper, starts, indices, values, rhs
 
+
+def _highs_lp(model: tuple):
+    """A :func:`_lp_model` model as a HiGHS ``HighsLp``."""
+    cost, lower, upper, starts, indices, values, rhs = model
     lp = _highs.HighsLp()
-    lp.num_col_ = n_vars
+    lp.num_col_ = len(cost)
     lp.num_row_ = len(rhs)
     lp.col_cost_ = cost
     lp.col_lower_ = lower
@@ -369,7 +620,7 @@ def _lp_model(
     lp.row_upper_ = rhs
     matrix = lp.a_matrix_
     matrix.format_ = _highs.MatrixFormat.kRowwise
-    matrix.num_col_ = n_vars
+    matrix.num_col_ = len(cost)
     matrix.num_row_ = len(rhs)
     matrix.start_ = starts
     matrix.index_ = indices
@@ -382,10 +633,10 @@ def _solve_lp(
     channel: float,
     max_aspect: float | None,
 ) -> np.ndarray:
-    """Solve the sizing LP on the helper thread, without the topology
+    """Solve the sizing LP in the solver process, without the topology
     table; returns the read-only solution vector."""
-    future = _submit(_lp_model(columns, channel, max_aspect))
-    return FloorplanRequest(columns, channel, max_aspect, future).solution()
+    reply = _submit(_lp_model(columns, channel, max_aspect))
+    return FloorplanRequest(columns, channel, max_aspect, reply).solution()
 
 
 def _lp_key(
@@ -411,8 +662,8 @@ def _lp_key(
 class FloorplanRequest:
     """A mapping's block columns and its sizing LP, asked for by
     :func:`request_floorplan`: a solution from the topology's table, or
-    an LP on the helper thread (``queued``) that this request queued or
-    shares with an earlier one."""
+    an LP sent to the solver process (``queued``) that this request
+    queued or shares with an earlier one."""
 
     __slots__ = (
         "columns", "channel", "max_aspect", "queued", "_entry", "_shared",
@@ -426,8 +677,8 @@ class FloorplanRequest:
         self.columns = columns
         self.channel = channel
         self.max_aspect = max_aspect
-        #: The LP was on the helper when asked for: settling may wait.
-        self.queued = isinstance(entry, Future)
+        #: The LP was in the solver when asked for: settling may wait.
+        self.queued = isinstance(entry, _Reply)
         self._entry = entry
         self._shared = shared
         self._table = table
@@ -439,8 +690,17 @@ class FloorplanRequest:
             if not self.queued:
                 self._outcome = ("reused", self._entry)
             else:
-                outcome, value = self._entry.result()
                 table, key = self._table, self._key
+                began = time.perf_counter()
+                try:
+                    outcome, value = self._entry.result()
+                except ReproError:
+                    # The solver process died: later requests ask anew.
+                    if table is not None and table.get(key) is self._entry:
+                        del table[key]
+                    raise
+                finally:
+                    _LP_WAIT.inc(time.perf_counter() - began)
                 # The first request to settle a queued LP replaces its
                 # entry: by the solution, or by nothing if the LP failed.
                 if table is not None and table.get(key) is self._entry:
@@ -459,6 +719,7 @@ class FloorplanRequest:
 
         Raises:
             FloorplanError: the LP failed.
+            ReproError: the solver process died before replying.
         """
         outcome, value = self._settled()
         if outcome == "failed":
@@ -477,7 +738,7 @@ def request_floorplan(
 ) -> FloorplanRequest:
     """Derive the mapping's columns and ask for their LP without
     waiting: from the topology's ``derived("lp")`` table (a solution,
-    or an LP an earlier request queued), or queued on the helper thread
+    or an LP an earlier request queued), or sent to the solver process
     and entered in the table. :func:`floorplan_mapping` takes the
     request.
 
@@ -521,51 +782,42 @@ def _legalize(
     is padded with whitespace — the aspect bound thus converts into an
     area cost that the area constraint judges downstream.
     """
-    n_cols = len(columns)
-    widths = []
-    flat = 0
-    sizes: list[tuple[float, float]] = []
-    for col in columns:
-        col_w = 0.0
-        for block in col:
-            w = float(solution[n_cols + 3 * flat + 1])
-            if block.is_soft:
-                h = max(
-                    float(solution[n_cols + 3 * flat + 2]),
-                    block.area_mm2 / w,
-                )
-            else:
-                h = math.sqrt(block.area_mm2)
-                w = h
-            sizes.append((w, h))
-            col_w = max(col_w, w)
-            flat += 1
-        widths.append(col_w + channel)
-
+    half = channel / 2.0
+    values = solution.tolist()
     rects: dict[tuple, BlockRect] = {}
     col_keys: list[list[tuple]] = []
     x0 = 0.0
-    flat = 0
     height = 0.0
-    for c, col in enumerate(columns):
+    first_w = len(columns) + 1  # the column's first block's width variable
+    for col in columns:
+        # As wide as its widest block (by the LP's width; a hard block
+        # is its square), plus the channel.
+        col_w = 0.0
+        for k, block in enumerate(col):
+            if block.is_soft:
+                col_w = max(col_w, values[first_w + 3 * k])
+            else:
+                col_w = max(col_w, math.sqrt(block.area_mm2))
+        width = col_w + channel
+        inner = width - channel
         keys = []
-        y = channel / 2.0
-        inner = widths[c] - channel
+        y = half
         for block in col:
-            w, h = sizes[flat]
             if block.is_soft:
                 # Widen to fill the column (within aspect bounds); the
                 # freed height tightens the chip without re-solving.
                 w = min(block.width_max, inner)
                 h = max(block.area_mm2 / w, block.height_min)
-            x = x0 + channel / 2.0 + (inner - w) / 2.0
-            rects[block.key] = BlockRect(block=block, x=x, y=y, w=w, h=h)
+            else:
+                w = h = math.sqrt(block.area_mm2)
+            x = x0 + half + (inner - w) / 2.0
+            rects[block.key] = BlockRect(block, x, y, w, h)
             keys.append(block.key)
             y += h + channel
-            flat += 1
-        height = max(height, y - channel / 2.0)
+        height = max(height, y - half)
         col_keys.append(keys)
-        x0 += widths[c]
+        x0 += width
+        first_w += 3 * len(col)
     if max_aspect is not None and x0 > 0 and height > 0:
         if height > max_aspect * x0:
             x0 = height / max_aspect
@@ -616,23 +868,31 @@ def floorplan_mapping(
     return result
 
 
-def _floor_links(topology: Topology) -> tuple[list, dict]:
-    """The links :func:`link_length_floors` prices, kept in the
-    topology's ``derived("physical")`` table beside the switch sides:
-    the switch-to-switch links, and per terminal slot the links between
-    it and its switches (every link joins a switch to one of those)."""
+def _floor_terms(topology: Topology, tech: Technology) -> tuple:
+    """The terms :func:`link_length_floors` sums, kept in the topology's
+    ``derived("physical")`` table beside the switch sides: each
+    switch-to-switch link with its floor; per terminal slot the links
+    between it and its switches, with the switch and its side (every
+    link joins a switch to one of those); and, filled as cores arrive,
+    per (slot, core shape) those links with their floors."""
     cache = topology.derived("physical")
-    links = cache.get("floor_links")
-    if links is None:
+    key = ("floor_terms", tech)
+    terms = cache.get(key)
+    if terms is None:
+        sides = switch_sides(topology, tech)  # hard square blocks
         between, by_slot = [], {}
         for u, v in topology.graph.edges():
             if is_switch(u) and is_switch(v):
-                between.append((u, v))
+                # min((s_u + s_v) / 2, (s_u + s_v) / 2) of two squares.
+                floor = max((sides[u] + sides[v]) / 2.0, MIN_LINK_MM)
+                between.append(((u, v), u, v, floor))
             else:
-                terminal = v if is_switch(u) else u
-                by_slot.setdefault(terminal[1], []).append((u, v))
-        links = cache["floor_links"] = (between, by_slot)
-    return links
+                terminal, sw = (v, u) if is_switch(u) else (u, v)
+                by_slot.setdefault(terminal[1], []).append(
+                    ((u, v), sw, sides[sw])
+                )
+        terms = cache[key] = (between, by_slot, {})
+    return terms
 
 
 def link_length_floors(
@@ -654,31 +914,42 @@ def link_length_floors(
     floored at ``MIN_LINK_MM`` like :meth:`FloorplanResult.link_lengths`
     — bounds each placed link's length from below. Keys are the links
     between the mapped cores and ``used_switches`` (default: every
-    switch), the blocks the floorplanner places. The walk covers the
-    switch-to-switch links and the mapped slots' own links
-    (:func:`_floor_links`), not every terminal's.
+    switch), the blocks the floorplanner places. The floors depend
+    only on the topology, the technology and each core's shape and
+    slot, so they are read from :func:`_floor_terms`.
     """
-    sides = switch_sides(topology, tech)  # hard square blocks
-    between, by_slot = _floor_links(topology)
-    placed = sides if used_switches is None else used_switches
+    between, by_slot, by_core = _floor_terms(topology, tech)
+    placed = (
+        switch_sides(topology, tech) if used_switches is None
+        else used_switches
+    )
     floors = {}
-    for u, v in between:
+    for link, u, v, floor in between:
         if u in placed and v in placed:
-            # min((s_u + s_v) / 2, (s_u + s_v) / 2) of two squares.
-            floors[(u, v)] = max((sides[u] + sides[v]) / 2.0, MIN_LINK_MM)
+            floors[link] = floor
     for core_index, slot in assignment.items():
-        # ``Block.width_min`` / ``height_min`` of the core's block.
         core = core_graph.core(core_index)
-        area = core.area_mm2
-        if core.is_soft:
-            width = math.sqrt(area * core.aspect_min)
-            height = math.sqrt(area / core.aspect_max)
-        else:
-            width = height = math.sqrt(area)
-        for u, v in by_slot.get(slot, ()):
-            sw = u if is_switch(u) else v
+        shape = (
+            slot, core.area_mm2, core.is_soft, core.aspect_min,
+            core.aspect_max,
+        )
+        links = by_core.get(shape)
+        if links is None:
+            # ``Block.width_min`` / ``height_min`` of the core's block.
+            area = core.area_mm2
+            if core.is_soft:
+                width = math.sqrt(area * core.aspect_min)
+                height = math.sqrt(area / core.aspect_max)
+            else:
+                width = height = math.sqrt(area)
+            links = by_core[shape] = [
+                (link, sw, max(
+                    min((width + side) / 2.0, (height + side) / 2.0),
+                    MIN_LINK_MM,
+                ))
+                for link, sw, side in by_slot.get(slot, ())
+            ]
+        for link, sw, floor in links:
             if sw in placed:
-                side = sides[sw]
-                gap = min((width + side) / 2.0, (height + side) / 2.0)
-                floors[(u, v)] = max(gap, MIN_LINK_MM)
+                floors[link] = floor
     return floors

@@ -17,6 +17,7 @@ remaining cores on the right.
 from __future__ import annotations
 
 import math
+from operator import itemgetter
 
 from repro.core.coregraph import CoreGraph
 from repro.errors import FloorplanError
@@ -91,6 +92,36 @@ def _chunk_columns(blocks: list[Block], per_column: int) -> list[list[Block]]:
     return [blocks[i : i + rows] for i in range(0, len(blocks), rows)]
 
 
+def _direct_layout(topology: Topology) -> list[list[tuple]]:
+    """A direct topology's columns, by the x coordinate of their
+    topology positions (rounded), left to right: per column its cells,
+    bottom to top (a slot's core below a switch at the same height).
+
+    A cell is ``(switch, ())`` or ``(None, slots)``, the slots sharing
+    one position, ordered when floorplanning by the mapping's core
+    order. Kept in the topology's ``derived("physical")`` table.
+    """
+    cache = topology.derived("physical")
+    layout = cache.get("columns")
+    if layout is None:
+        cells = {}  # (x, y, order, switch) -> cell
+        for sw in topology.switches:
+            x, y = topology.position(sw)
+            cells[round(x, 6), y, 1, sw] = (sw, ())
+        for slot in range(topology.num_slots):
+            x, y = topology.position(term(slot))
+            group = cells.setdefault((round(x, 6), y, 0, None), (None, []))
+            group[1].append(slot)
+        columns = {}
+        for (x, y, order, sw), cell in cells.items():
+            columns.setdefault(x, []).append(((y, order), cell))
+        layout = cache["columns"] = [
+            [cell for _, cell in sorted(columns[x], key=itemgetter(0))]
+            for x in sorted(columns)
+        ]
+    return layout
+
+
 def _direct_columns(
     topology: Topology,
     slot_to_core: dict[int, int],
@@ -98,21 +129,24 @@ def _direct_columns(
     areas: dict,
 ) -> list[list[Block]]:
     """Group blocks by the x coordinate of their topology position."""
-    entries = []  # (x, y, order, block)
-    for sw in topology.switches:
-        x, y = topology.position(sw)
-        entries.append((x, y, 1, _switch_block(sw, areas)))
-    for slot, core_index in slot_to_core.items():
-        x, y = topology.position(term(slot))
-        entries.append((x, y, 0, core_block(core_graph, core_index)))
-    xs = sorted({round(x, 6) for x, _, _, _ in entries})
     columns = []
-    for x in xs:
-        column = sorted(
-            (e for e in entries if round(e[0], 6) == x),
-            key=lambda e: (e[1], e[2]),
-        )
-        columns.append([e[3] for e in column])
+    for cells in _direct_layout(topology):
+        column = []
+        for sw, slots in cells:
+            if sw is not None:
+                column.append(_switch_block(sw, areas))
+            elif len(slots) == 1:
+                core = slot_to_core.get(slots[0])
+                if core is not None:
+                    column.append(core_block(core_graph, core))
+            else:
+                # Co-located slots keep the mapping's core order.
+                column += [
+                    core_block(core_graph, core)
+                    for slot, core in slot_to_core.items() if slot in slots
+                ]
+        if column:
+            columns.append(column)
     return columns
 
 
@@ -123,19 +157,24 @@ def _indirect_columns(
     areas: dict,
     used_switches: set | None,
 ) -> list[list[Block]]:
-    """Figure 10(b)-style layout: cores split around the switch stages."""
+    """Figure 10(b)-style layout: cores split around the switch stages
+    (``stages()``, kept in the topology's ``derived("physical")``
+    table)."""
     slots = sorted(slot_to_core)
     half = math.ceil(len(slots) / 2)
     left = [core_block(core_graph, slot_to_core[s]) for s in slots[:half]]
     right = [core_block(core_graph, slot_to_core[s]) for s in slots[half:]]
 
-    stages = getattr(topology, "stages", None)
+    cache = topology.derived("physical")
+    stages = cache.get("columns")
     if stages is None:
-        raise FloorplanError(
-            f"indirect topology {topology.name} lacks a stages() layout"
-        )
+        if getattr(topology, "stages", None) is None:
+            raise FloorplanError(
+                f"indirect topology {topology.name} lacks a stages() layout"
+            )
+        stages = cache["columns"] = topology.stages()
     stage_columns = []
-    for stage in stages():
+    for stage in stages:
         column = [
             _switch_block(sw, areas)
             for sw in stage

@@ -136,7 +136,7 @@ def run_sunmap(
             equivalent curves, much faster).
         jobs: parallel worker processes for the selection and simulation
             phases; 1 means one process, whose floorplan LPs overlap its
-            swap search on one helper thread. The report is identical
+            swap search in one LP solver process. The report is identical
             regardless of ``jobs``.
         cache_backend: persistent evaluation-cache storage (a
             :func:`~repro.engine.backends.make_backend` spec such as

@@ -72,7 +72,7 @@ CASES = [
     ("dsp", "hypercube", "DO", "power", "area"),
     ("mpeg4", "torus", "MP", "power", "default"),
     # every vopd candidate on these reaches the LP: several LPs are in
-    # flight on the helper thread at once
+    # flight in the solver process at once
     ("vopd", "clos", "MP", "power", "default"),
     ("vopd", "butterfly", "MP", "power", "default"),
     ("vopd", "mesh", "MP", "area", "area"),

@@ -1,15 +1,20 @@
 """The swap search overlaps its floorplan LPs with routing, exactly.
 
 With the floorplanner in the loop, the search starts candidates ahead
-(routes them and queues their LPs on the LP helper thread) and finishes
+(routes them and sends their LPs to the LP solver process) and finishes
 them in candidate order (:mod:`repro.core.mapper`). These tests check
 that a collector search still records each candidate once, in order,
 with several LPs really in flight; that the LPs a power search solves
-and the candidates it prunes do not depend on how fast the helper
-solves; that an LP failing on the helper gives the failure and the
+and the candidates it prunes do not depend on how fast the solver
+solves; that an LP failing in the solver gives the failure and the
 area-infeasible evaluation it always gave, and leaves the next LP's
 bits fresh; and that a forked worker, whose parent already solved LPs
-on its own helper, runs its own and returns the serial answers.
+in its own solver process, starts its own and returns the serial
+answers.
+
+The solver process is forked from this module as it is when the first
+LP asks for it, so a test that slows ``lp._run_lp`` down restarts the
+solver after patching it (:func:`delay_lps`).
 """
 
 from __future__ import annotations
@@ -55,9 +60,29 @@ def _solved_since(before: dict) -> dict:
             for k in ("solved", "reused", "failed")}
 
 
+@pytest.fixture
+def delay_lps(monkeypatch):
+    """``delay_lps(seconds)`` holds every LP back ``seconds`` in the
+    solver process: it patches ``lp._run_lp`` and restarts the solver,
+    which then forks with the patch. After the test the solver restarts
+    once more, so later tests get one that runs the original."""
+    original = lp._run_lp
+
+    def delay(seconds: float) -> None:
+        def slow_run(*args):
+            time.sleep(seconds)
+            return original(*args)
+
+        monkeypatch.setattr(lp, "_run_lp", slow_run)
+        lp._stop_solver()
+
+    yield delay
+    lp._stop_solver()
+
+
 @pytest.mark.parametrize("topo", ["clos", "butterfly"])
 def test_collector_search_appends_each_candidate_once_in_order(
-    topo, monkeypatch
+    topo, monkeypatch, delay_lps
 ):
     """Every vopd candidate on these fabrics reaches the LP. With each
     queued LP slowed down, several are in flight at once (never more
@@ -68,7 +93,6 @@ def test_collector_search_appends_each_candidate_once_in_order(
     finished = [-1]  # the greedy seed finishes first
     original_swap = memo.MemoizedMappingEvaluator.evaluate_swap
     original_finish = memo.MemoizedMappingEvaluator.finish
-    original_run = lp._run_lp
 
     def evaluate_swap(self, base, s1, s2, *args, **kwargs):
         started.append(swap_assignment(base, s1, s2))
@@ -79,15 +103,11 @@ def test_collector_search_appends_each_candidate_once_in_order(
         finished[0] += 1
         return original_finish(self, pending)
 
-    def slow_run(*args):
-        time.sleep(0.005)
-        return original_run(*args)
-
     monkeypatch.setattr(
         memo.MemoizedMappingEvaluator, "evaluate_swap", evaluate_swap
     )
     monkeypatch.setattr(memo.MemoizedMappingEvaluator, "finish", finish)
-    monkeypatch.setattr(lp, "_run_lp", slow_run)
+    delay_lps(0.005)
     core_graph = load_application("vopd")
     topology = make_topology(topo, core_graph.num_cores)
     collected = []
@@ -103,24 +123,21 @@ def test_collector_search_appends_each_candidate_once_in_order(
     assert 1 < max(in_flight) <= WINDOW + 1
 
 
-def _power_selections(monkeypatch, delay_s: float) -> tuple[dict, list]:
+def _power_selections(
+    monkeypatch, delay_lps, delay_s: float
+) -> tuple[dict, list]:
     """The LP outcomes and the per-search ``MemoStats`` of the vopd and
     dsp (1000 MB/s links) power selections, on fresh topologies, with
-    every queued LP held back ``delay_s`` on the helper."""
-    original_run = lp._run_lp
+    every queued LP held back ``delay_s`` in the solver process."""
     original_init = memo.MemoizedMappingEvaluator.__init__
     searches = []
-
-    def slow_run(*args):
-        time.sleep(delay_s)
-        return original_run(*args)
 
     def init(self, *args):
         original_init(self, *args)
         searches.append(self)
 
+    delay_lps(delay_s)
     with monkeypatch.context() as patch:
-        patch.setattr(lp, "_run_lp", slow_run)
         patch.setattr(memo.MemoizedMappingEvaluator, "__init__", init)
         before = _lp_solves()
         for app, constraints in (
@@ -134,12 +151,14 @@ def _power_selections(monkeypatch, delay_s: float) -> tuple[dict, list]:
     return _solved_since(before), [search.stats for search in searches]
 
 
-def test_power_search_counts_do_not_depend_on_lp_timing(monkeypatch):
+def test_power_search_counts_do_not_depend_on_lp_timing(
+    monkeypatch, delay_lps
+):
     """The search finishes candidates on a schedule fixed by its input,
-    so a helper slowed by a few ms per LP solves the same LPs and
+    so a solver slowed by a few ms per LP solves the same LPs and
     prunes the same candidates as a fast one."""
-    fast, fast_stats = _power_selections(monkeypatch, 0.0)
-    slow, slow_stats = _power_selections(monkeypatch, 0.002)
+    fast, fast_stats = _power_selections(monkeypatch, delay_lps, 0.0)
+    slow, slow_stats = _power_selections(monkeypatch, delay_lps, 0.002)
     assert slow == fast
     assert slow_stats == fast_stats
     hits, misses, pruned, floored = (
@@ -158,10 +177,10 @@ def test_power_search_counts_do_not_depend_on_lp_timing(monkeypatch):
 
 
 def test_lp_failing_on_the_helper_is_area_infeasible():
-    """Below an aspect bound of 1 no chip fits: the LP fails on the
-    helper, ``floorplan_mapping`` raises the same ``FloorplanError`` as
-    ever, the evaluation comes back area-infeasible, and the next LP
-    gets the bits of a fresh solver."""
+    """Below an aspect bound of 1 no chip fits: the LP fails in the
+    solver process, ``floorplan_mapping`` raises the same
+    ``FloorplanError`` as ever, the evaluation comes back
+    area-infeasible, and the next LP gets the bits of a fresh solver."""
     core_graph = load_application("vopd")
     topology = make_topology("mesh", core_graph.num_cores)
     identity = {i: i for i in range(core_graph.num_cores)}
@@ -179,7 +198,9 @@ def test_lp_failing_on_the_helper_is_area_infeasible():
     columns = [c for c in derive_columns(topology, identity, core_graph) if c]
     highs = lp._highs._Highs()
     highs.passOptions(lp._HIGHS_OPTIONS)
-    highs.passModel(lp._lp_model(columns, DEFAULT_CHANNEL_MM, 3.0))
+    highs.passModel(
+        lp._highs_lp(lp._lp_model(columns, DEFAULT_CHANNEL_MM, 3.0))
+    )
     highs.run()
     fresh = np.array(highs.getSolution().col_value)
     after = lp._solve_lp(columns, DEFAULT_CHANNEL_MM, 3.0)
@@ -200,12 +221,16 @@ def test_pruned_search_with_failing_lps_matches_collector_search():
 
 
 def test_forked_workers_start_their_own_lp_helper():
-    """The parent solves LPs on its helper first, then forks a pool: a
-    ``jobs=2`` vopd power selection finishes and equals ``jobs=1``, as
-    ``float.hex``. (A child that kept the parent's helper would queue
-    its LPs on a thread that does not exist in it, and hang.)"""
+    """The parent solves LPs in its solver process first, then forks a
+    pool: a ``jobs=2`` vopd power selection finishes and equals
+    ``jobs=1``, as ``float.hex``, and the parent's solver is the same
+    live process before and after. (A child that wrote to the parent's
+    solver would read replies meant for the parent, and a child that
+    kept the parent's pipes open would keep the parent's solver alive
+    past the parent.)"""
     script = textwrap.dedent("""
         import json
+        import os
         from repro.apps import load_application
         from repro.core.selector import select_topology
         from repro.floorplan import lp
@@ -219,9 +244,11 @@ def test_forked_workers_start_their_own_lp_helper():
 
         app = load_application("vopd")
         serial = bits(select_topology(app, objective="power", jobs=1))
-        helper = lp._HELPER is not None
+        solver = lp._SOLVER.pid
         forked = bits(select_topology(app, objective="power", jobs=2))
-        print(json.dumps([helper, serial, forked]))
+        alive = lp._SOLVER.pid == solver and os.waitpid(
+            solver, os.WNOHANG) == (0, 0)
+        print(json.dumps([alive, serial, forked]))
     """)
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[2] / "src")
@@ -231,7 +258,7 @@ def test_forked_workers_start_their_own_lp_helper():
         capture_output=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr.decode()
-    helper, serial, forked = json.loads(proc.stdout)
-    assert helper
+    alive, serial, forked = json.loads(proc.stdout)
+    assert alive
     assert len(serial) == 5
     assert forked == serial

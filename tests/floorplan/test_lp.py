@@ -1,8 +1,12 @@
 """LP floorplanner legality and quality."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.floorplan.lp import floorplan_mapping
+from repro.errors import FloorplanError
+from repro.floorplan.blocks import Block, BlockRect
+from repro.floorplan.lp import FloorplanResult, floorplan_mapping
 from repro.topology.library import make_topology
 
 
@@ -126,3 +130,86 @@ class TestBehaviour:
         square = floorplan_mapping(topo, identity(12), vopd_app, max_aspect=1.0)
         assert square.aspect_ratio == pytest.approx(1.0, abs=1e-6)
         assert square.area_mm2 >= free.area_mm2 - 1e-6
+
+
+# ----------------------------------------------------------------------
+# FloorplanResult.validate sweeps in x; the all-pairs check is its oracle.
+def _any_pair_overlaps(fp: FloorplanResult) -> bool:
+    rects = list(fp.rects.values())
+    return any(
+        a.overlaps(b) for i, a in enumerate(rects) for b in rects[i + 1 :]
+    )
+
+
+def _validate_raises(fp: FloorplanResult) -> bool:
+    try:
+        fp.validate()
+    except FloorplanError:
+        return True
+    return False
+
+
+def _result(boxes) -> FloorplanResult:
+    """A floorplan of ``(x, y, w, h)`` boxes, each block exactly its
+    box's area, on a chip that holds them all: only an overlap can make
+    it illegal."""
+    rects = {}
+    for i, (x, y, w, h) in enumerate(boxes):
+        block = Block(key=("core", i), name=f"b{i}", area_mm2=w * h)
+        rects[block.key] = BlockRect(block=block, x=x, y=y, w=w, h=h)
+    width = max(x + w for x, _, w, _ in boxes)
+    height = max(y + h for _, y, _, h in boxes)
+    return FloorplanResult(
+        rects=rects, width_mm=width, height_mm=height,
+        columns=[list(rects)],
+    )
+
+
+#: Coordinates on a coarse grid, so edges often touch exactly, plus
+#: offsets around the overlap tolerance (1e-9).
+_NUDGE = st.sampled_from([0.0, 0.0, 5e-10, -5e-10, 1e-9, 2e-9, -2e-9])
+_BOX = st.tuples(
+    st.integers(0, 8), st.integers(0, 8), st.integers(1, 4),
+    st.integers(1, 4), _NUDGE, _NUDGE,
+).map(lambda t: (1 + t[0] * 0.5 + t[4], 1 + t[1] * 0.5 + t[5],
+                   t[2] * 0.5, t[3] * 0.5))
+
+
+class TestValidateSweep:
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(_BOX, min_size=1, max_size=12))
+    def test_random_floorplans_get_the_all_pairs_verdict(self, boxes):
+        fp = _result(boxes)
+        assert _validate_raises(fp) == _any_pair_overlaps(fp)
+
+    @pytest.mark.parametrize("topo_name", ["mesh", "clos", "butterfly"])
+    @pytest.mark.parametrize("shift", [-1e-8, -1e-9, 0.0, 1e-9, 1e-8, 0.3])
+    def test_moved_blocks_get_the_all_pairs_verdict(
+        self, vopd_app, topo_name, shift
+    ):
+        """Legal floorplans pass; moving one block onto its neighbour in
+        the column or the next column, by a little more or less than
+        the tolerance, gives exactly the all-pairs verdict."""
+        topo = make_topology(topo_name, 12)
+        fp = floorplan_mapping(topo, identity(12), vopd_app)
+        assert not _validate_raises(fp) and not _any_pair_overlaps(fp)
+        verdicts = set()
+        for col, right in zip(fp.columns, fp.columns[1:] + [[]]):
+            for a, b in zip(col, col[1:] + right[:1]):
+                ra, rb = fp.rects[a], fp.rects[b]
+                if b in col:  # stacked: drop b onto a's top edge
+                    moved = BlockRect(rb.block, rb.x, ra.y + ra.h - shift,
+                                      rb.w, rb.h)
+                else:  # next column: slide b onto a's right edge
+                    moved = BlockRect(rb.block, ra.x + ra.w - shift, ra.y,
+                                      rb.w, rb.h)
+                broken = FloorplanResult(
+                    rects={**fp.rects, b: moved},
+                    width_mm=fp.width_mm + 100.0,
+                    height_mm=fp.height_mm + 100.0, columns=fp.columns,
+                )
+                verdict = _any_pair_overlaps(broken)
+                verdicts.add(verdict)
+                assert _validate_raises(broken) == verdict
+        if shift >= 1e-8:
+            assert verdicts == {True}

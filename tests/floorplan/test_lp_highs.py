@@ -12,9 +12,11 @@ The bindings are loaded without importing ``scipy.optimize``; fresh
 interpreters check that importing repro leaves ``scipy.optimize`` out,
 and that in either import order both solvers share one bindings module.
 
-Solutions are reused per topology and solved on the process's one LP
-helper thread, whatever thread asks; every solution the flow uses must
+Solutions are reused per topology and solved in the process's one LP
+solver process, whatever thread asks; every solution the flow uses must
 carry the bits a new, freshly configured solver gives the same model.
+The model itself is built from per-block-shape templates; it must equal,
+list for list, the model the straightforward per-block builder gives.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from repro.apps import load_application
+from repro.core.constraints import Constraints
 from repro.core.coregraph import CoreGraph
 from repro.core.selector import select_topology
 from repro.errors import FloorplanError
@@ -270,10 +273,100 @@ def _fresh_solution(columns, channel, max_aspect) -> np.ndarray:
     """The LP solved on a new solver given the options afresh."""
     highs = lp._highs._Highs()
     highs.passOptions(lp._HIGHS_OPTIONS)
-    highs.passModel(lp._lp_model(columns, channel, max_aspect))
+    highs.passModel(lp._highs_lp(lp._lp_model(columns, channel, max_aspect)))
     highs.run()
     assert highs.getModelStatus() == lp._highs.HighsModelStatus.kOptimal
     return np.array(highs.getSolution().col_value)
+
+
+def _row_by_row_model(columns, channel, max_aspect) -> tuple:
+    """The sizing LP as :func:`repro.floorplan.lp._lp_model`'s lists,
+    built block by block and row by row from the block's own
+    properties, the way the model was built before it read per-shape
+    templates."""
+    n_cols = len(columns)
+    n_blocks = sum(len(col) for col in columns)
+    hv = n_cols + 3 * n_blocks
+    n_vars = hv + 1
+    starts, indices, values, rhs = [0], [], [], []
+
+    def add(row_indices, row_values, bound):
+        indices.extend(row_indices)
+        values.extend(row_values)
+        starts.append(len(indices))
+        rhs.append(bound)
+
+    lower = [0.0] * n_vars
+    upper = [lp._highs.kHighsInf] * n_vars
+    i = 0
+    for c, col in enumerate(columns):
+        prev_y = None
+        for block in col:
+            y, w, h = n_cols + 3 * i, n_cols + 3 * i + 1, n_cols + 3 * i + 2
+            lower[w], upper[w] = block.width_min, block.width_max
+            lower[h], upper[h] = block.height_min, block.height_max
+            if c > 0:
+                add((w, c, c - 1), (1.0, -1.0, 1.0), -channel)
+            else:
+                add((w, c), (1.0, -1.0), -channel)
+            if prev_y is not None:
+                add((prev_y, prev_y + 2, y), (1.0, 1.0, -1.0), -channel)
+            prev_y = y
+            add((y, h, hv), (1.0, 1.0, -1.0), 0.0)
+            if block.is_soft:
+                w_lo, w_hi = block.width_min, block.width_max
+                for t in range(TANGENT_CUTS):
+                    frac = t / max(1, TANGENT_CUTS - 1)
+                    w0 = w_lo * (w_hi / w_lo) ** frac
+                    area = block.area_mm2
+                    add((h, w), (-1.0, -area / w0**2), -2.0 * area / w0)
+            i += 1
+    if max_aspect is not None:
+        add((hv, n_cols - 1), (1.0, -max_aspect), 0.0)
+        add((n_cols - 1, hv), (1.0, -max_aspect), 0.0)
+    cost = [0.0] * n_vars
+    cost[n_cols - 1] = 1.0
+    cost[hv] = 1.0
+    return cost, lower, upper, starts, indices, values, rhs
+
+
+def _model_bits(model) -> list:
+    """A model's lists with every float as ``float.hex``."""
+    return [
+        [v.hex() if isinstance(v, float) else v for v in part]
+        for part in model
+    ]
+
+
+def test_power_flow_models_match_the_row_by_row_builder():
+    """Every model the vopd and dsp (1000 MB/s links) power flows send
+    to the solver equals the row-by-row builder's, list for list and
+    bit for bit; so do the models of a hard-block-only and an
+    aspect-free column set."""
+    recorded = []
+    original = lp._lp_model
+
+    def record(columns, channel, max_aspect):
+        model = original(columns, channel, max_aspect)
+        recorded.append((model, (columns, channel, max_aspect)))
+        return model
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lp, "_lp_model", record)
+        for app, constraints in (
+            ("vopd", Constraints()),
+            ("dsp", Constraints(link_capacity_mb_s=1000.0)),
+        ):
+            select_topology(
+                load_application(app), objective="power",
+                constraints=constraints,
+            )
+    assert len(recorded) > 500
+    hard = [[Block(key=("sw", i), name=f"s{i}", area_mm2=0.1 * (i + 1),
+                   is_soft=False) for i in range(3)]]
+    recorded.append((original(hard, 0.2, None), (hard, 0.2, None)))
+    for model, inputs in recorded:
+        assert _model_bits(model) == _model_bits(_row_by_row_model(*inputs))
 
 
 def _lp_solves() -> dict:
@@ -344,21 +437,21 @@ def test_infeasible_lp_leaves_the_next_solve_unchanged():
 
 
 def test_threads_solving_interleaved_lps_get_fresh_bits():
-    """Two threads queue interleaved LPs on the one helper thread; each
-    gets the bits of a fresh solver, and the helper and its solver are
-    the same for both."""
+    """Two threads queue interleaved LPs on the one solver process;
+    each gets the bits of a fresh solver, and the solver process is the
+    same for both."""
     lps = _sample_lps()
     expected = [_fresh_solution(*model) for model in lps]
     orders = [list(range(len(lps))), list(reversed(range(len(lps))))]
     step = threading.Barrier(len(orders))
     results = [{} for _ in orders]
-    helpers = [None] * len(orders)
+    solvers = [None] * len(orders)
 
     def work(t):
         for i in orders[t]:
             step.wait(timeout=30)  # both threads solve at each step
             results[t][i] = _solve_lp(*lps[i])
-        helpers[t] = lp._helper()
+        solvers[t] = lp._SOLVER
 
     threads = [threading.Thread(target=work, args=(t,)) for t in range(2)]
     for thread in threads:
@@ -366,7 +459,8 @@ def test_threads_solving_interleaved_lps_get_fresh_bits():
     for thread in threads:
         thread.join(timeout=60)
     assert not any(thread.is_alive() for thread in threads)
-    assert helpers[0] is helpers[1] is lp._helper()
+    assert solvers[0] is solvers[1] is lp._SOLVER is not None
+    os.kill(lp._SOLVER.pid, 0)  # the solver process is still there
     for out in results:
         assert sorted(out) == list(range(len(lps)))
         for i, x in out.items():
@@ -410,6 +504,8 @@ def test_threads_sharing_one_topology_get_serial_floorplans():
     assert not any(thread.is_alive() for thread in threads)
     assert failures == []
     assert shared.derived("lp").keys() == serial_topology.derived("lp").keys()
+    # Every LP the threads sent to the solver process was read back.
+    assert not lp._SOLVER.unread
 
 
 def _equal_cores(n: int) -> CoreGraph:

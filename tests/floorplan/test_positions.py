@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.core.coregraph import CoreGraph
 from repro.errors import FloorplanError
 from repro.floorplan.positions import _chunk_columns, derive_columns
+from repro.topology.custom import CustomTopology
 from repro.topology.library import make_topology
 
 
@@ -99,3 +101,22 @@ class TestSwitchBlocks:
         )
         assert first == second
         assert all(a is not b for a, b in zip(first, second))
+
+
+class TestColocatedSlots:
+    def test_colocated_slots_follow_the_mappings_core_order(self):
+        """Two slots on one switch share a position; their cores stack
+        in the order the mapping lists them, whatever their slots, and
+        the topology's layout is computed once."""
+        topo = CustomTopology("pairs", [0, 0, 1, 1], [(0, 1)])
+        app = CoreGraph("four")
+        for i in range(4):
+            app.add_core(f"c{i}", area_mm2=1.0 + i)
+        for order in ([0, 1, 2, 3], [1, 0, 3, 2], [3, 1, 2, 0]):
+            assignment = {core: core for core in order}
+            for col in derive_columns(topo, assignment, app):
+                cores = [b.key[1] for b in col if b.key[0] == "core"]
+                assert cores == [c for c in order if c in cores]
+        layout = topo.derived("physical")["columns"]
+        derive_columns(topo, identity(4), app)
+        assert topo.derived("physical")["columns"] is layout
